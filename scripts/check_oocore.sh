@@ -7,6 +7,7 @@
 #     (the report table carries a "mttkrp_stream_p<N>" label)
 #   - the JSONL journal carries partitions_done / partitions_total and
 #     a per-trial mem_peak that stays within the armed budget
+#   - the finished MTTKRP sweep leaves no *.ckpt / *.ckpt.tmp behind
 #   - a rerun against the same journal resumes every finished trial
 #     ("journaled" status rows instead of re-running the sweeps)
 #
@@ -54,6 +55,15 @@ grep -q 'mttkrp_stream_p' "${WORK_DIR}/metered.out" || {
     echo "FAIL: metered run did not route MTTKRP to a streaming variant" >&2
     exit 1
 }
+
+# A finished sweep removes its checkpoint log; a leftover log (or a
+# half-published header tmp) would make the next run resume stale work.
+LEFTOVER="$(find "${WORK_DIR}/cache" \( -name '*.ckpt' -o -name '*.ckpt.tmp' \))"
+if [[ -n "${LEFTOVER}" ]]; then
+    echo "FAIL: metered run left checkpoint files behind:" >&2
+    echo "${LEFTOVER}" >&2
+    exit 1
+fi
 
 python3 - "${WORK_DIR}" "${BUDGET}" <<'EOF'
 import glob

@@ -1,10 +1,15 @@
 #include "core/stream.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -67,93 +72,202 @@ note_decision(const StreamDecision& d)
     obs::add("stream.partitions", d.partitions);
 }
 
-/// Checkpoint file layout (all little-endian host-order):
-///   magic "PSCK" | u32 version | u64 mode | u64 partitions | u64 done |
-///   u64 rows | u64 cols | Value data[rows*cols] | u64 fnv64(fields+data)
-/// Written to a temp path and renamed, so a kill mid-write can never
-/// leave a half-written file that parses.
-constexpr char kCkptMagic[4] = {'P', 'S', 'C', 'K'};
-constexpr std::uint32_t kCkptVersion = 1;
+/// Output rows [begin, begin + count) owned by MTTKRP partition `p`:
+/// the product-mode indices whose top bits select `p`, clamped to the
+/// matrix (trailing partitions of a non-power-of-two extent own none).
+struct RowRange {
+    Size begin = 0;
+    Size count = 0;
+};
 
-std::uint64_t
-ckpt_checksum(std::uint64_t mode, std::uint64_t partitions,
-              std::uint64_t done, std::uint64_t rows, std::uint64_t cols,
-              const Value* data)
+RowRange
+partition_rows(const PartitionPlan& plan, Size p, Size rows)
 {
-    std::uint64_t h = fnv1a64(&mode, sizeof(mode));
-    h = fnv1a64(&partitions, sizeof(partitions), h);
-    h = fnv1a64(&done, sizeof(done), h);
-    h = fnv1a64(&rows, sizeof(rows), h);
-    h = fnv1a64(&cols, sizeof(cols), h);
-    return fnv1a64(data, rows * cols * sizeof(Value), h);
+    const Size begin = std::min(p << plan.shift, rows);
+    const Size end = std::min((p + 1) << plan.shift, rows);
+    return {begin, end - begin};
+}
+
+/// PSCK v2 checkpoint: an append-only log (all fields host-order).
+///   header: magic "PSCK" | u32 version | u64 mode | u64 partitions |
+///           u64 rows | u64 cols | u64 fnv64(preceding header bytes)
+///   record: u64 p | u64 row_begin | u64 row_count |
+///           Value data[row_count * cols] | u64 fnv64(record fields+data,
+///           seeded with the header checksum)
+/// The header is published once (tmp + fsync + rename + dir fsync);
+/// each finished partition then appends its own rows and fsyncs, so a
+/// sweep writes O(output) bytes in total rather than O(P x output).  A
+/// kill mid-append leaves a torn tail that replay detects and cuts off.
+constexpr char kCkptMagic[4] = {'P', 'S', 'C', 'K'};
+constexpr std::uint32_t kCkptVersion = 2;
+
+struct CkptHeader {
+    char magic[4];
+    std::uint32_t version;
+    std::uint64_t mode, partitions, rows, cols;
+    std::uint64_t checksum;
+};
+static_assert(sizeof(CkptHeader) == 48, "PSCK header must be unpadded");
+
+struct CkptRecordHead {
+    std::uint64_t p, row_begin, row_count;
+};
+
+CkptHeader
+make_header(Size mode, Size partitions, const DenseMatrix& out)
+{
+    CkptHeader h{};
+    std::memcpy(h.magic, kCkptMagic, sizeof(kCkptMagic));
+    h.version = kCkptVersion;
+    h.mode = mode;
+    h.partitions = partitions;
+    h.rows = out.rows();
+    h.cols = out.cols();
+    h.checksum = fnv1a64(&h, offsetof(CkptHeader, checksum));
+    return h;
+}
+
+/// Reads exactly `n` bytes at `offset`; false on EOF or error.
+bool
+pread_exact(int fd, std::uint64_t offset, void* dst, std::size_t n)
+{
+    auto* p = static_cast<char*>(dst);
+    while (n > 0) {
+        const ssize_t got = ::pread(fd, p, n, static_cast<off_t>(offset));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        p += got;
+        offset += static_cast<std::uint64_t>(got);
+        n -= static_cast<std::size_t>(got);
+    }
+    return true;
 }
 
 void
-save_mttkrp_checkpoint(const std::string& path, Size mode, Size partitions,
-                       Size done, const DenseMatrix& out)
+pwrite_all(int fd, std::uint64_t offset, const void* src, std::size_t n,
+           const std::string& path)
 {
-    const std::uint64_t m = mode, p = partitions, d = done,
-                        r = out.rows(), c = out.cols();
-    std::string buf;
-    buf.reserve(sizeof(kCkptMagic) + sizeof(kCkptVersion) +
-                5 * sizeof(std::uint64_t) + r * c * sizeof(Value) +
-                sizeof(std::uint64_t));
-    const auto put = [&buf](const void* src, std::size_t n) {
-        buf.append(static_cast<const char*>(src), n);
-    };
-    put(kCkptMagic, sizeof(kCkptMagic));
-    put(&kCkptVersion, sizeof(kCkptVersion));
-    put(&m, sizeof(m));
-    put(&p, sizeof(p));
-    put(&d, sizeof(d));
-    put(&r, sizeof(r));
-    put(&c, sizeof(c));
-    put(out.data(), r * c * sizeof(Value));
-    const std::uint64_t sum = ckpt_checksum(m, p, d, r, c, out.data());
-    put(&sum, sizeof(sum));
-    // tmp + fsync + rename + dir fsync: a kill (or power loss) at any
-    // point leaves either the previous checkpoint or this one, never a
-    // half-written file that parses or a rename the disk forgot.
-    fsutil::write_file_durable(path, buf);
+    const auto* p = static_cast<const char*>(src);
+    while (n > 0) {
+        const ssize_t put = ::pwrite(fd, p, n, static_cast<off_t>(offset));
+        if (put < 0 && errno == EINTR)
+            continue;
+        if (put < 0)
+            throw PastaError("write to checkpoint " + path + " failed");
+        p += put;
+        offset += static_cast<std::uint64_t>(put);
+        n -= static_cast<std::size_t>(put);
+    }
 }
 
-/// Loads a checkpoint matching (mode, partitions, out shape); returns
-/// false — leaving `out` untouched — for a missing, stale, mismatched,
-/// or corrupt file, so a bad checkpoint degrades to a fresh sweep
-/// instead of poisoning the result.
-bool
-load_mttkrp_checkpoint(const std::string& path, Size mode, Size partitions,
-                       DenseMatrix& out, Size& done)
-{
-    std::ifstream f(path, std::ios::binary);
-    if (!f.good())
-        return false;
-    char magic[4];
-    std::uint32_t version = 0;
-    std::uint64_t m = 0, p = 0, d = 0, r = 0, c = 0;
-    f.read(magic, sizeof(magic));
-    f.read(reinterpret_cast<char*>(&version), sizeof(version));
-    f.read(reinterpret_cast<char*>(&m), sizeof(m));
-    f.read(reinterpret_cast<char*>(&p), sizeof(p));
-    f.read(reinterpret_cast<char*>(&d), sizeof(d));
-    f.read(reinterpret_cast<char*>(&r), sizeof(r));
-    f.read(reinterpret_cast<char*>(&c), sizeof(c));
-    if (!f.good() || std::memcmp(magic, kCkptMagic, 4) != 0 ||
-        version != kCkptVersion || m != mode || p != partitions ||
-        d > p || r != out.rows() || c != out.cols())
-        return false;
-    std::vector<Value> data(r * c);
-    f.read(reinterpret_cast<char*>(data.data()),
-           static_cast<std::streamsize>(data.size() * sizeof(Value)));
-    std::uint64_t stored = 0;
-    f.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (!f.good() ||
-        stored != ckpt_checksum(m, p, d, r, c, data.data()))
-        return false;
-    std::memcpy(out.data(), data.data(), data.size() * sizeof(Value));
-    done = d;
-    return true;
-}
+/// An open PSCK v2 log for one MTTKRP sweep.  Rows move straight
+/// between the file and `out` — no output-sized staging buffer ever
+/// exists outside the governor's view.
+class CheckpointLog {
+  public:
+    /// Opens the log at `path` for (mode, plan, out shape), publishing a
+    /// fresh header when the file is missing, of another version, or
+    /// describes a different sweep.
+    CheckpointLog(const std::string& path, Size mode,
+                  const PartitionPlan& plan, DenseMatrix& out)
+        : path_(path), plan_(plan), out_(out),
+          header_(make_header(mode, plan.partitions, out))
+    {
+        // A SIGKILL mid-publish leaves a stale half-written tmp next to
+        // the log; clear it so it can never be mistaken for anything.
+        std::error_code tmp_ec;
+        std::filesystem::remove(path_ + ".tmp", tmp_ec);
+        fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+        CkptHeader found{};
+        if (fd_ >= 0 && pread_exact(fd_, 0, &found, sizeof(found)) &&
+            std::memcmp(&found, &header_, sizeof(found)) == 0)
+            return;
+        if (fd_ >= 0)
+            ::close(fd_);
+        fsutil::write_file_durable(
+            path_, std::string(reinterpret_cast<const char*>(&header_),
+                               sizeof(header_)));
+        obs::add("stream.checkpoint_bytes", sizeof(header_));
+        fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+        PASTA_CHECK_MSG(fd_ >= 0, "cannot reopen checkpoint " << path_);
+    }
+    CheckpointLog(const CheckpointLog&) = delete;
+    CheckpointLog& operator=(const CheckpointLog&) = delete;
+    ~CheckpointLog() { ::close(fd_); }
+
+    /// Replays records for partitions lo, lo+1, ... into the output
+    /// (which must be zero) and stops at the first one that is missing,
+    /// torn, out of sequence, or fails its checksum — re-zeroing any
+    /// rows a bad record partly filled.  Truncates the file to the valid
+    /// prefix so appends continue from there; returns the first
+    /// partition the sweep still has to compute.
+    Size replay(Size lo, Size hi)
+    {
+        Size p = lo;
+        for (; p < hi; ++p) {
+            const RowRange rows = partition_rows(plan_, p, out_.rows());
+            CkptRecordHead head{};
+            // Framing is checked against the plan before any data is
+            // read, so a hostile row_count can never size a read.
+            if (!pread_exact(fd_, end_, &head, sizeof(head)) ||
+                head.p != p || head.row_begin != rows.begin ||
+                head.row_count != rows.count)
+                break;
+            Value* data = out_.row(rows.begin);
+            const Size values = rows.count * out_.cols();
+            const std::size_t bytes = values * sizeof(Value);
+            std::uint64_t stored = 0;
+            if (!pread_exact(fd_, end_ + sizeof(head), data, bytes) ||
+                !pread_exact(fd_, end_ + sizeof(head) + bytes, &stored,
+                             sizeof(stored)) ||
+                stored != record_checksum(head, data, bytes)) {
+                std::fill(data, data + values, Value{0});
+                break;
+            }
+            end_ += sizeof(head) + bytes + sizeof(stored);
+        }
+        PASTA_CHECK_MSG(::ftruncate(fd_, static_cast<off_t>(end_)) == 0,
+                        "cannot truncate checkpoint " << path_);
+        return p;
+    }
+
+    /// Appends partition `p`'s rows of `out_` and fsyncs, so the record
+    /// is durable before the caller reports the partition done.
+    void append(Size p)
+    {
+        const RowRange rows = partition_rows(plan_, p, out_.rows());
+        const CkptRecordHead head{p, rows.begin, rows.count};
+        const Value* data = out_.row(rows.begin);
+        const std::size_t bytes = rows.count * out_.cols() * sizeof(Value);
+        const std::uint64_t sum = record_checksum(head, data, bytes);
+        pwrite_all(fd_, end_, &head, sizeof(head), path_);
+        pwrite_all(fd_, end_ + sizeof(head), data, bytes, path_);
+        pwrite_all(fd_, end_ + sizeof(head) + bytes, &sum, sizeof(sum),
+                   path_);
+        PASTA_CHECK_MSG(fsutil::fsync_fd(fd_),
+                        "fsync of checkpoint " << path_ << " failed");
+        const std::uint64_t record = sizeof(head) + bytes + sizeof(sum);
+        end_ += record;
+        obs::add("stream.checkpoint_bytes", record);
+    }
+
+  private:
+    std::uint64_t record_checksum(const CkptRecordHead& head,
+                                  const Value* data, std::size_t bytes) const
+    {
+        return fnv1a64(data, bytes,
+                       fnv1a64(&head, sizeof(head), header_.checksum));
+    }
+
+    std::string path_;
+    const PartitionPlan& plan_;
+    DenseMatrix& out_;
+    CkptHeader header_;
+    int fd_ = -1;
+    std::uint64_t end_ = sizeof(CkptHeader);  ///< end of the valid prefix
+};
 
 }  // namespace
 
@@ -254,8 +368,8 @@ mttkrp_coo_stream(const MappedCooTensor& x, const FactorList& factors,
                             << kMaxStackRank);
 
     // Partitioning by the product mode makes output rows disjoint across
-    // partitions: a chunk owns its rows outright, and a checkpointed
-    // matrix is complete for every finished partition.
+    // partitions: a chunk owns its rows outright, so a checkpoint record
+    // need only carry the rows of the partition it finishes.
     PartitionPlan plan = plan_partitions(x, mode, default_chunk_budget(x),
                                          opts.max_partitions);
 
@@ -279,27 +393,20 @@ mttkrp_coo_stream(const MappedCooTensor& x, const FactorList& factors,
         d.variant += "_r" + std::to_string(lo) + "-" + std::to_string(hi);
     note_decision(d);
 
+    out.fill(0);
+    std::optional<CheckpointLog> log;
     Size start = lo;
     if (!opts.checkpoint_path.empty()) {
-        // A SIGKILL mid-save leaves a stale half-written tmp next to the
-        // (still intact) checkpoint; clear it so it can never be
-        // mistaken for anything and the next save starts clean.
-        std::error_code tmp_ec;
-        std::filesystem::remove(opts.checkpoint_path + ".tmp", tmp_ec);
-        Size done = 0;
-        if (load_mttkrp_checkpoint(opts.checkpoint_path, mode,
-                                   plan.partitions, out, done) &&
-            done >= lo && done <= hi) {
-            start = done;
-            d.resumed_from = done - lo;
+        // Each range shard's log starts at its own `lo`, so a log left
+        // by another range (or another sweep) replays nothing.
+        log.emplace(opts.checkpoint_path, mode, plan, out);
+        start = log->replay(lo, hi);
+        d.resumed_from = start - lo;
+        if (start > lo) {
             PASTA_LOG_INFO << "streaming MTTKRP resuming at partition "
                            << start << "/" << hi << " from "
                            << opts.checkpoint_path;
-        } else {
-            out.fill(0);
         }
-    } else {
-        out.fill(0);
     }
 
     const Size order = x.order();
@@ -357,9 +464,8 @@ mttkrp_coo_stream(const MappedCooTensor& x, const FactorList& factors,
                 },
                 1);
         }
-        if (!opts.checkpoint_path.empty())
-            save_mttkrp_checkpoint(opts.checkpoint_path, mode,
-                                   plan.partitions, p + 1, out);
+        if (log)
+            log->append(p);
         if (opts.progress)
             opts.progress(p + 1 - lo, hi - lo);
     }

@@ -41,11 +41,16 @@
 /// "ttv_inmem") so journals and CSV profiles carry the routing, exactly
 /// like MTTKRP's contention variant.
 ///
-/// mttkrp_coo_stream optionally checkpoints: after each partition it
-/// atomically persists {partition counter, output matrix, checksum} to
-/// StreamOptions::checkpoint_path, and a rerun pointing at the same path
-/// resumes at the first incomplete partition — this is what lets a
-/// killed out-of-core trial restart without redoing finished work.
+/// mttkrp_coo_stream optionally checkpoints to
+/// StreamOptions::checkpoint_path as an append-only log (PSCK v2): a
+/// header fixing the sweep (mode, P, output shape), then one
+/// FNV-checksummed record per finished partition carrying only the
+/// output rows that partition owns, appended and fsync'd before the
+/// progress hook fires.  A sweep therefore writes O(output) bytes, not
+/// O(P x output).  A rerun pointing at the same path replays the valid
+/// prefix of records, truncates any torn or corrupt tail, and resumes at
+/// the first incomplete partition — this is what lets a killed
+/// out-of-core trial restart without redoing finished work.
 #pragma once
 
 #include <functional>
@@ -70,9 +75,13 @@ struct StreamOptions {
     /// mid-campaign kill between checkpoints.
     std::function<void(Size done, Size total)> progress;
 
-    /// When non-empty, mttkrp_coo_stream persists per-partition state
-    /// here (write-temp + fsync + rename + dir fsync, FNV-checksummed)
-    /// and resumes from a matching file on the next run.  A stale
+    /// When non-empty, mttkrp_coo_stream keeps a PSCK v2 log here: the
+    /// header is published once (write-temp + fsync + rename + dir
+    /// fsync), then each finished partition appends its own rows as an
+    /// FNV-checksummed record and fsyncs.  The next run replays records
+    /// from part_begin on until the first missing, torn or corrupt one,
+    /// truncates the file there and appends from that point; a missing,
+    /// foreign-version or mismatched header starts a fresh log.  A stale
     /// `<path>.tmp` left by a SIGKILL'd writer is removed at sweep
     /// entry.
     std::string checkpoint_path;

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "common/error.hpp"
@@ -24,6 +26,8 @@
 #include "io/binary_io.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/ttv.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 
 namespace pasta {
 namespace {
@@ -419,6 +423,261 @@ TEST_F(Oocore, MttkrpCheckpointResumesAfterKill)
     EXPECT_EQ(d3.resumed_from, 0u);
     EXPECT_EQ(0, std::memcmp(out3.data(), expected.data(),
                              x.dim(0) * rank * sizeof(Value)));
+}
+
+/// PSCK v2 framing, mirrored from core/stream.cpp: a 48-byte header,
+/// then per partition a 24-byte record head, the partition's rows and
+/// an 8-byte checksum.
+constexpr std::uint64_t kCkptHeaderBytes = 48;
+constexpr std::uint64_t kCkptRecordOverhead = 32;
+
+/// A mapped random tensor, rank-8 factors, the mode-0 mttkrp_coo_seq
+/// reference, and the partition plan the kSweepBudget sweep uses — the
+/// shared setup of the checkpoint log tests.
+class CheckpointCase {
+  public:
+    static constexpr Size kRank = 8;
+
+    explicit CheckpointCase(std::uint64_t seed)
+        : x_(random_tensor(6000, seed, false)),
+          ckpt_(tmp_.file("mttkrp.ckpt"))
+    {
+        const std::string path = tmp_.file("x.pstb");
+        write_binary_file(path, x_);
+        mapped_.emplace(path);
+        Rng rng(seed + 1);
+        for (Size m = 0; m < x_.order(); ++m)
+            mats_.push_back(DenseMatrix::random(x_.dim(m), kRank, rng));
+        for (const auto& m : mats_)
+            factors_.push_back(&m);
+        expected_ = DenseMatrix(rows(), kRank);
+        mttkrp_coo_seq(x_, factors_, 0, expected_);
+        plan_ = stream::plan_partitions(*mapped_, 0, kSweepBudget, 4096);
+    }
+
+    const std::string& ckpt() const { return ckpt_; }
+    Size rows() const { return x_.dim(0); }
+    Size partitions() const { return plan_.partitions; }
+    const DenseMatrix& expected() const { return expected_; }
+
+    /// First output row owned by partition `p` (clamped to the matrix).
+    Size row_begin(Size p) const
+    {
+        return std::min<Size>(p << plan_.shift, rows());
+    }
+
+    /// File offset of partition `k`'s record in a log that starts at 0.
+    std::uint64_t record_offset(Size k) const
+    {
+        return kCkptHeaderBytes + k * kCkptRecordOverhead +
+               row_begin(k) * kRank * sizeof(Value);
+    }
+
+    /// One checkpointed sweep under kSweepBudget into `out`.
+    stream::StreamDecision run(DenseMatrix& out, stream::StreamOptions opts)
+    {
+        opts.checkpoint_path = ckpt_;
+        out = DenseMatrix(rows(), kRank);
+        auto& gov = membudget::MemGovernor::instance();
+        gov.configure(kSweepBudget);
+        try {
+            const stream::StreamDecision d =
+                stream::mttkrp_coo_stream(*mapped_, factors_, 0, out, opts);
+            gov.configure(0);
+            return d;
+        } catch (...) {
+            gov.configure(0);
+            throw;
+        }
+    }
+
+    bool matches(const DenseMatrix& out) const
+    {
+        return std::memcmp(out.data(), expected_.data(),
+                           rows() * kRank * sizeof(Value)) == 0;
+    }
+
+  private:
+    TempDir tmp_;
+    CooTensor x_;
+    std::string ckpt_;
+    std::optional<MappedCooTensor> mapped_;
+    std::vector<DenseMatrix> mats_;
+    FactorList factors_;
+    DenseMatrix expected_;
+    stream::PartitionPlan plan_;
+};
+
+/// A progress hook that simulates a kill once `after` partitions of the
+/// sweep have completed (the hook fires after the record is durable).
+std::function<void(Size, Size)>
+kill_after(Size after)
+{
+    return [after](Size done, Size) {
+        if (done == after)
+            throw std::runtime_error("simulated kill");
+    };
+}
+
+TEST_F(Oocore, MttkrpCheckpointTornAppendResumesAtLastCompletePartition)
+{
+    CheckpointCase c(43);
+    const Size parts = c.partitions();
+    ASSERT_GE(parts, 4u);
+    DenseMatrix out;
+    c.run(out, {});
+    ASSERT_TRUE(c.matches(out));
+    ASSERT_EQ(std::filesystem::file_size(c.ckpt()), c.record_offset(parts));
+
+    // A writer killed mid-append: record k stops partway through its rows.
+    const Size k = parts / 2;
+    std::filesystem::resize_file(c.ckpt(), c.record_offset(k) + 24 + 5);
+    const stream::StreamDecision d = c.run(out, {});
+    EXPECT_EQ(d.resumed_from, k);
+    EXPECT_TRUE(c.matches(out));
+    EXPECT_EQ(std::filesystem::file_size(c.ckpt()), c.record_offset(parts));
+}
+
+TEST_F(Oocore, MttkrpCheckpointCorruptRecordTruncatesToValidPrefix)
+{
+    CheckpointCase c(47);
+    const Size parts = c.partitions();
+    ASSERT_GE(parts, 4u);
+    DenseMatrix out;
+    c.run(out, {});
+
+    // Flip a byte inside record k's data: records 0..k-1 stay valid.
+    const Size k = parts / 2;
+    ASSERT_LT(c.row_begin(k), c.row_begin(k + 1));
+    {
+        std::fstream f(c.ckpt(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekg(static_cast<std::streamoff>(c.record_offset(k) + 24 + 3));
+        char byte = 0;
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x40);
+        f.seekp(static_cast<std::streamoff>(c.record_offset(k) + 24 + 3));
+        f.write(&byte, 1);
+    }
+
+    // The resume recomputes k and dies right after appending it: the
+    // file must hold exactly records 0..k, so the bad record and every
+    // record after it were cut off rather than overwritten in place.
+    stream::StreamOptions die;
+    die.progress = kill_after(k + 1);
+    EXPECT_THROW(c.run(out, die), std::runtime_error);
+    EXPECT_EQ(std::filesystem::file_size(c.ckpt()), c.record_offset(k + 1));
+
+    // Record k was recomputed onto re-zeroed rows, so replaying it (and
+    // finishing the sweep) is still bit-identical.
+    const stream::StreamDecision d = c.run(out, {});
+    EXPECT_EQ(d.resumed_from, k + 1);
+    EXPECT_TRUE(c.matches(out));
+}
+
+TEST_F(Oocore, MttkrpCheckpointForeignOrCorruptHeaderStartsFresh)
+{
+    CheckpointCase c(53);
+    DenseMatrix out;
+
+    // A whole-matrix v1 checkpoint claiming a finished sweep.
+    {
+        std::ofstream f(c.ckpt(), std::ios::binary);
+        const std::uint32_t version = 1;
+        const std::uint64_t fields[5] = {0, c.partitions(), c.partitions(),
+                                         c.rows(), CheckpointCase::kRank};
+        f.write("PSCK", 4);
+        f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+        f.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+        const std::vector<Value> data(c.rows() * CheckpointCase::kRank,
+                                      1.0f);
+        f.write(reinterpret_cast<const char*>(data.data()),
+                static_cast<std::streamsize>(data.size() * sizeof(Value)));
+        const std::uint64_t sum = 0;
+        f.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
+    }
+    stream::StreamDecision d = c.run(out, {});
+    EXPECT_EQ(d.resumed_from, 0u);
+    EXPECT_TRUE(c.matches(out));
+    {
+        // The v1 file was replaced by a v2 log.
+        std::ifstream f(c.ckpt(), std::ios::binary);
+        f.seekg(4);
+        std::uint32_t version = 0;
+        f.read(reinterpret_cast<char*>(&version), sizeof(version));
+        EXPECT_EQ(version, 2u);
+    }
+
+    // A complete v2 log whose header mode field is corrupted.
+    {
+        std::fstream f(c.ckpt(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(8);
+        const char junk = 0x01;
+        f.write(&junk, 1);
+    }
+    d = c.run(out, {});
+    EXPECT_EQ(d.resumed_from, 0u);
+    EXPECT_TRUE(c.matches(out));
+}
+
+TEST_F(Oocore, MttkrpRangedShardResumesFromCheckpoint)
+{
+    CheckpointCase c(59);
+    const Size parts = c.partitions();
+    ASSERT_GE(parts, 4u);
+    const Size lo = 1, hi = parts - 1;
+    stream::StreamOptions range;
+    range.part_begin = lo;
+    range.part_end = hi;
+
+    // The shard dies after its first partition's record lands.
+    stream::StreamOptions die = range;
+    die.progress = kill_after(1);
+    DenseMatrix out;
+    EXPECT_THROW(c.run(out, die), std::runtime_error);
+
+    const stream::StreamDecision d = c.run(out, range);
+    EXPECT_EQ(d.resumed_from, 1u);
+    EXPECT_EQ(d.partitions, hi - lo);
+
+    // The range's rows match the full sweep; every other row is zero.
+    const Size begin = c.row_begin(lo), end = c.row_begin(hi);
+    ASSERT_LT(begin, end);
+    const Size cols = CheckpointCase::kRank;
+    for (Size r = 0; r < c.rows(); ++r) {
+        if (r >= begin && r < end) {
+            EXPECT_EQ(0, std::memcmp(out.row(r), c.expected().row(r),
+                                     cols * sizeof(Value)))
+                << "row " << r;
+        } else {
+            for (Size j = 0; j < cols; ++j)
+                EXPECT_EQ(out(r, j), 0.0f) << "row " << r;
+        }
+    }
+}
+
+TEST_F(Oocore, MttkrpCheckpointBytesAreOutputSized)
+{
+    const obs::TraceMode saved = obs::current_mode();
+    obs::set_mode(obs::TraceMode::kCounters);
+    obs::reset_counters();
+
+    CheckpointCase c(61);
+    DenseMatrix out;
+    c.run(out, {});
+    const std::uint64_t written =
+        obs::counter("stream.checkpoint_bytes").total();
+    obs::set_mode(saved);
+
+    // Header + one record per partition: the output once, plus framing.
+    const Size parts = c.partitions();
+    const std::uint64_t output =
+        c.rows() * CheckpointCase::kRank * sizeof(Value);
+    EXPECT_EQ(written,
+              kCkptHeaderBytes + parts * kCkptRecordOverhead + output);
+    EXPECT_EQ(written, std::filesystem::file_size(c.ckpt()));
+    EXPECT_LT(written, 2 * output);
 }
 
 // --------------------------------------------------- degradation ladder
