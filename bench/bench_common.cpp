@@ -17,7 +17,6 @@
 #include "harness/journal.hpp"
 #include "io/registry.hpp"
 #include "kernels/mttkrp.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -77,7 +76,7 @@ options_from_env()
     (void)simd::prefetch_distance();
     // Arm the live metrics heartbeat ($PASTA_METRICS=<path>[,interval_ms])
     // so long bench runs are tailable mid-flight; a no-op when unset.
-    (void)obs::metrics::arm_from_env("bench");
+    (void)obs::arm_from_env("bench");
 
     BenchOptions options;
     if (const char* s = std::getenv("PASTA_SCALE"))
@@ -215,7 +214,7 @@ sanitize_tag(const std::string& name)
 
 /// Total occurrence count of one label key in a snapshot.
 std::uint64_t
-label_count(const obs::CountersSnapshot& snap, const char* key)
+label_count(const obs::MetricsSnapshot& snap, const char* key)
 {
     for (const auto& label : snap.labels) {
         if (label.key != key)
@@ -235,8 +234,8 @@ label_count(const obs::CountersSnapshot& snap, const char* key)
 /// appended as a suffix ("atomic_avx2"); trials whose only decision was
 /// the SIMD path (TTV, TTM, TEW) report the bare ISA.
 std::string
-trial_variant(const obs::CountersSnapshot& before,
-              const obs::CountersSnapshot& after)
+trial_variant(const obs::MetricsSnapshot& before,
+              const obs::MetricsSnapshot& after)
 {
     std::string isa;
     if (label_count(after, "simd.isa") > label_count(before, "simd.isa"))
@@ -326,9 +325,9 @@ class SuiteRunner {
         // Counter deltas around the guarded trial give the trial's
         // model-derived flops/bytes and the variant the kernel picked.
         const bool counters = obs::counters_enabled();
-        obs::CountersSnapshot before;
+        obs::MetricsSnapshot before;
         if (counters)
-            before = obs::snapshot_counters();
+            before = obs::snapshot_metrics();
         // Per-trial high-water mark: reset so mem_peak reflects this
         // trial alone, not the campaign maximum so far.
         membudget::MemGovernor::instance().reset_peak();
@@ -356,8 +355,8 @@ class SuiteRunner {
             run.cost = *cost;
             run.mem_peak = mem_peak;
             if (counters) {
-                const obs::CountersSnapshot after =
-                    obs::snapshot_counters();
+                const obs::MetricsSnapshot after =
+                    obs::snapshot_metrics();
                 run.obs_flops =
                     obs::delta_suffix_sum(before, after, ".flops");
                 run.obs_bytes =

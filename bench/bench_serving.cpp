@@ -255,7 +255,7 @@ run_phase(const std::string& variant, const std::vector<JobSpec>& specs,
 /// with relative error capped by the bucket width (~3.125%, see
 /// obs/metrics.hpp).
 double
-hist_percentile_ms(const obs::metrics::HistSample& sample, double q)
+hist_percentile_ms(const obs::HistSample& sample, double q)
 {
     return sample.percentile(q) / 1e3;
 }
@@ -282,9 +282,9 @@ std::vector<GroupRow>
 summarize(const PhaseResult& phase)
 {
     std::map<std::pair<int, int>, GroupRow> groups;
-    std::map<std::pair<int, int>, std::unique_ptr<obs::metrics::Histogram>>
+    std::map<std::pair<int, int>, std::unique_ptr<obs::Histogram>>
         latencies;
-    obs::metrics::Histogram all("bench.latency_us");
+    obs::Histogram all;
     GroupRow total;
     total.kernel = "*";
     total.format = "*";
@@ -310,8 +310,7 @@ summarize(const PhaseResult& phase)
                 job.total_seconds() * 1e6);
             auto& hist = latencies[key];
             if (!hist)
-                hist = std::make_unique<obs::metrics::Histogram>(
-                    row.kernel + "/" + row.format);
+                hist = std::make_unique<obs::Histogram>();
             hist->record(us);
             all.record(us);
         } else {
@@ -322,14 +321,14 @@ summarize(const PhaseResult& phase)
     std::vector<GroupRow> rows;
     for (auto& [key, row] : groups) {
         if (auto it = latencies.find(key); it != latencies.end()) {
-            const obs::metrics::HistSample sample = it->second->snapshot();
+            const obs::HistSample sample = it->second->snapshot();
             row.p50_ms = hist_percentile_ms(sample, 0.50);
             row.p95_ms = hist_percentile_ms(sample, 0.95);
             row.p99_ms = hist_percentile_ms(sample, 0.99);
         }
         rows.push_back(row);
     }
-    const obs::metrics::HistSample sample = all.snapshot();
+    const obs::HistSample sample = all.snapshot();
     total.p50_ms = hist_percentile_ms(sample, 0.50);
     total.p95_ms = hist_percentile_ms(sample, 0.95);
     total.p99_ms = hist_percentile_ms(sample, 0.99);

@@ -3,12 +3,30 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/error.hpp"
 
 namespace pasta::fsutil {
+
+bool
+write_all(int fd, const void* data, std::size_t n)
+{
+    const char* p = static_cast<const char*>(data);
+    while (n > 0) {
+        const ssize_t w = ::write(fd, p, n);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        p += w;
+        n -= static_cast<std::size_t>(w);
+    }
+    return true;
+}
 
 bool
 fsync_fd(int fd)
@@ -61,18 +79,10 @@ write_file_durable(const std::string& path, const std::string& contents)
     const int fd = ::open(tmp.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     PASTA_CHECK_MSG(fd >= 0, "cannot open " << tmp << " for writing");
-    std::size_t off = 0;
-    while (off < contents.size()) {
-        const ssize_t n =
-            ::write(fd, contents.data() + off, contents.size() - off);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            throw PastaError("write to " + tmp + " failed");
-        }
-        off += static_cast<std::size_t>(n);
+    if (!write_all(fd, contents.data(), contents.size())) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        throw PastaError("write to " + tmp + " failed");
     }
     const bool synced = fsync_fd(fd);
     ::close(fd);

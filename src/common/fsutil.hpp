@@ -10,9 +10,15 @@
 /// durable — without it a power loss can resurrect the old name.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace pasta::fsutil {
+
+/// write(2) of all `n` bytes, retrying short writes and EINTR.  Returns
+/// false (errno from the failing write) on the first real error; the
+/// caller decides whether that is fatal.
+bool write_all(int fd, const void* data, std::size_t n);
 
 /// fsync(2) an open descriptor; returns false (never throws) on failure
 /// so callers on best-effort paths can log and continue.

@@ -70,7 +70,6 @@ MemGovernor::note_peak(std::uint64_t level) const
            !peak_.compare_exchange_weak(seen, level,
                                         std::memory_order_relaxed))
         ;
-    obs::record_max("mem.peak", level);
 }
 
 void

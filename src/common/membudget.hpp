@@ -24,10 +24,11 @@
 /// builds, dense factor allocation, privatized MTTKRP buffers, and the
 /// out-of-core chunk buffers (core/stream).  Long-lived tensors are
 /// metered while being materialized; lightweight `check()` probes guard
-/// the remaining bulk resizes.  High-water marks are exported through
-/// the PR-5 counter registry ("mem.peak" via record_max, "mem.reserved"
-/// as a running total of granted bytes) and through peak() for the
-/// bench harness's per-trial mem_peak column.
+/// the remaining bulk resizes.  The governor's own reserved()/peak()
+/// are the record: the bench harness reads peak() for its per-trial
+/// mem_peak column and the heartbeat exporter copies both into the
+/// "mem.reserved"/"mem.peak" gauges each tick.  Under PASTA_TRACE the
+/// "mem.reserved" model counter also totals the bytes granted.
 ///
 /// Thread safety: all mutators are atomic; reserve/release may be called
 /// from any thread.  The fault point "mem.reserve" (PASTA_FAULT) fires

@@ -92,10 +92,10 @@ estimate_seconds(const DeviceSpec& spec, const LaunchProfile& profile)
             // capped at 100 (a full device).
             const auto blocks =
                 static_cast<std::uint64_t>(profile.block_bytes.size());
-            obs::counter("gpusim.occupancy_pct")
-                .record_max(std::min<std::uint64_t>(
-                    100, 100 * blocks /
-                             static_cast<std::uint64_t>(spec.num_sms)));
+            obs::record_max("gpusim.occupancy_pct",
+                            std::min<std::uint64_t>(
+                                100, 100 * blocks / static_cast<std::uint64_t>(
+                                                        spec.num_sms)));
         }
     }
     // Cache residency: a working set inside the L2 is streamed at L2

@@ -349,12 +349,12 @@ run_worker_once(const CampaignOptions& opts,
         // fork-mode child never exports counters inherited from the
         // parent — summing per-shard last-snapshots must count each
         // shard exactly once.
-        obs::metrics::ExporterOptions mopts =
-            obs::metrics::ExporterOptions::from_env();
+        obs::ExporterOptions mopts =
+            obs::ExporterOptions::from_env();
         if (mopts.armed()) {
-            obs::metrics::reset_metrics();
+            obs::reset_metrics();
             mopts.path = shard_metrics_path(opts.dir, spec.name);
-            obs::metrics::start_exporter(mopts, spec.name);
+            obs::start_exporter(mopts, spec.name);
         }
 
         int exit_code = kWorkerExitFailure;
@@ -370,8 +370,8 @@ run_worker_once(const CampaignOptions& opts,
             // done marker: a kill anywhere in between re-runs the shard
             // and both the journal merge and the last-snapshot
             // aggregation fold the duplicate the same way.
-            obs::metrics::counter_add("campaign.trial.ok", 1);
-            obs::metrics::stop_exporter();
+            obs::counter("campaign.trial.ok").add(1);
+            obs::stop_exporter();
             // Order matters: journal line first, then the durable done
             // marker.  A kill between the two re-runs the shard and the
             // merge folds the duplicate; the reverse order could mark a
@@ -386,8 +386,8 @@ run_worker_once(const CampaignOptions& opts,
             entry.failure_class = "oom";
             journal.append(entry);
             journal.flush();
-            obs::metrics::counter_add("campaign.trial.failed", 1);
-            obs::metrics::stop_exporter();
+            obs::counter("campaign.trial.failed").add(1);
+            obs::stop_exporter();
             exit_code = kWorkerExitOom;
         } catch (const std::exception& e) {
             const bool oom =
@@ -399,8 +399,8 @@ run_worker_once(const CampaignOptions& opts,
             entry.failure_class = oom ? "oom" : "error";
             journal.append(entry);
             journal.flush();
-            obs::metrics::counter_add("campaign.trial.failed", 1);
-            obs::metrics::stop_exporter();
+            obs::counter("campaign.trial.failed").add(1);
+            obs::stop_exporter();
             exit_code = oom ? kWorkerExitOom : kWorkerExitFailure;
         }
         // Per-process trace export (write mode: a rerun after a kill
@@ -452,17 +452,17 @@ Supervisor::run()
     // supervisors (tests) must instead make sure NO exporter thread is
     // alive before forking — a child forked while the exporter holds
     // the registry mutex would deadlock on its first counter.
-    const obs::metrics::ExporterOptions menv =
-        obs::metrics::ExporterOptions::from_env();
+    const obs::ExporterOptions menv =
+        obs::ExporterOptions::from_env();
     const bool metrics_armed = menv.armed();
     const std::string campaign_metrics =
         opts_.dir + "/metrics.campaign.jsonl";
     if (opts_.worker_argv.empty()) {
-        obs::metrics::stop_exporter();
+        obs::stop_exporter();
     } else if (metrics_armed) {
-        obs::metrics::ExporterOptions sopts = menv;
+        obs::ExporterOptions sopts = menv;
         sopts.path = opts_.dir + "/metrics.supervisor.jsonl";
-        obs::metrics::start_exporter(sopts, "supervisor");
+        obs::start_exporter(sopts, "supervisor");
     }
     // Aggregate the shard heartbeats about once per exporter interval.
     const int agg_ticks =
@@ -631,7 +631,7 @@ Supervisor::run()
                 ::kill(victim, SIGKILL);
                 obs::record_span("campaign.chaos_kill",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.chaos_kills", 1);
+                obs::counter("campaign.chaos_kills").add(1);
                 ++report.chaos_kills_sent;
                 --chaos_left;
                 next_chaos_tick =
@@ -681,7 +681,7 @@ Supervisor::run()
                 ++report.respawns;
                 obs::record_span("campaign.respawn",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.respawns", 1);
+                obs::counter("campaign.respawns").add(1);
                 break;
               default: {
                 if (cls == ExitClass::kFailure)
@@ -695,7 +695,7 @@ Supervisor::run()
                 ++report.respawns;
                 obs::record_span("campaign.respawn",
                                  obs::trace_now_ns(), 0);
-                obs::metrics::counter_add("campaign.respawns", 1);
+                obs::counter("campaign.respawns").add(1);
                 next_spawn_steady = now_steady_seconds() + backoff;
                 backoff = std::min(backoff * 2, opts_.backoff_max_s);
                 const bool done_anyway =
@@ -780,7 +780,7 @@ Supervisor::run()
     // one closing campaign snapshot, and merge the per-process traces
     // onto one clock-aligned timeline.
     if (metrics_armed) {
-        obs::metrics::stop_exporter();
+        obs::stop_exporter();
         report.metrics = aggregate_campaign_metrics(
             opts_.dir, campaign_metrics);
     }
@@ -892,35 +892,27 @@ aggregate_campaign_metrics(const std::string& dir,
     }
     std::sort(files.begin(), files.end());
 
-    std::vector<obs::metrics::MetricsSnapshot> snaps;
+    std::vector<obs::MetricsSnapshot> snaps;
     for (const std::string& path : files) {
-        obs::metrics::MetricsSnapshot snap;
+        obs::MetricsSnapshot snap;
         // The newest complete heartbeat is the exporter's truth; a file
         // holding only a torn tail (worker killed mid-first-write)
         // simply contributes nothing this round.
-        if (obs::metrics::load_last_snapshot(path, snap))
+        if (obs::load_last_snapshot(path, snap))
             snaps.push_back(std::move(snap));
     }
     agg.shard_files = snaps.size();
-    agg.merged = obs::metrics::merge_snapshots(snaps, "campaign");
+    agg.merged = obs::merge_snapshots(snaps, "campaign");
     agg.merged.ts = now_wall_seconds();
 
-    std::string line = obs::metrics::snapshot_to_json(agg.merged);
+    std::string line = obs::snapshot_to_json(agg.merged);
     line += '\n';
     const int fd = ::open(out_path.c_str(),
                           O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     if (fd >= 0) {
-        ssize_t off = 0;
-        while (off < static_cast<ssize_t>(line.size())) {
-            const ssize_t n =
-                ::write(fd, line.data() + off,
-                        line.size() - static_cast<std::size_t>(off));
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            off += n;
+        if (!fsutil::write_all(fd, line.data(), line.size())) {
+            PASTA_LOG_WARN << "campaign: append to " << out_path
+                           << " failed: " << std::strerror(errno);
         }
         ::fsync(fd);
         ::close(fd);

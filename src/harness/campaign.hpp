@@ -157,7 +157,7 @@ MergeStats merge_journal_shards(const std::string& dir,
 /// What aggregating the per-shard metrics heartbeats produced.
 struct MetricsAggregate {
     std::size_t shard_files = 0;  ///< metrics.*.jsonl files aggregated
-    obs::metrics::MetricsSnapshot merged;
+    obs::MetricsSnapshot merged;
 };
 
 /// Tails every `metrics.*.jsonl` under `dir` (excluding the output

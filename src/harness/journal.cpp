@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,234 +11,63 @@
 
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace pasta::harness {
 
-namespace {
-
-/// Minimal JSON string escaping; tensor ids and error strings are ASCII
-/// but error messages can contain quotes/backslashes from paths.
-std::string
-escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/// Pull-parser over one flat JSON object line.  Only what the journal
-/// emits is supported: string, number, and bool values.
-class FlatJsonReader {
-  public:
-    explicit FlatJsonReader(const std::string& text) : text_(text) {}
-
-    bool parse(std::map<std::string, std::string>& strings,
-               std::map<std::string, double>& numbers,
-               std::map<std::string, bool>& bools)
-    {
-        skip_ws();
-        if (!consume('{'))
-            return false;
-        skip_ws();
-        if (consume('}'))
-            return at_end();
-        for (;;) {
-            std::string k;
-            if (!parse_string(k))
-                return false;
-            skip_ws();
-            if (!consume(':'))
-                return false;
-            skip_ws();
-            if (peek() == '"') {
-                std::string v;
-                if (!parse_string(v))
-                    return false;
-                strings[k] = v;
-            } else if (text_.compare(pos_, 4, "true") == 0) {
-                bools[k] = true;
-                pos_ += 4;
-            } else if (text_.compare(pos_, 5, "false") == 0) {
-                bools[k] = false;
-                pos_ += 5;
-            } else {
-                char* end = nullptr;
-                const double v = std::strtod(text_.c_str() + pos_, &end);
-                if (end == text_.c_str() + pos_)
-                    return false;
-                numbers[k] = v;
-                pos_ = static_cast<std::size_t>(end - text_.c_str());
-            }
-            skip_ws();
-            if (consume(','))
-                skip_ws();
-            else
-                break;
-        }
-        if (!consume('}'))
-            return false;
-        return at_end();
-    }
-
-  private:
-    char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-    bool consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    void skip_ws()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool at_end()
-    {
-        skip_ws();
-        return pos_ == text_.size();
-    }
-
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return false;
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos_ + 4 > text_.size())
-                        return false;
-                    unsigned v = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        v <<= 4;
-                        if (h >= '0' && h <= '9')
-                            v |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            v |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            v |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return false;
-                    }
-                    out += static_cast<char>(v & 0x7F);
-                    break;
-                  }
-                  default: return false;
-                }
-            } else {
-                out += c;
-            }
-        }
-        return false;  // unterminated (torn line)
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string
 to_json_line(const JournalEntry& entry)
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << "{\"tensor\":\"" << escape(entry.tensor_id) << "\""
-        << ",\"kernel\":\"" << escape(entry.kernel) << "\""
-        << ",\"format\":\"" << escape(entry.format) << "\""
-        << ",\"ok\":" << (entry.ok ? "true" : "false")
-        << ",\"seconds\":" << entry.seconds << ",\"flops\":" << entry.flops
-        << ",\"bytes\":" << entry.bytes << ",\"attempts\":" << entry.attempts
-        << ",\"error\":\"" << escape(entry.error) << "\""
-        << ",\"class\":\"" << escape(entry.failure_class) << "\""
-        << ",\"variant\":\"" << escape(entry.variant) << "\""
-        << ",\"obs_flops\":" << entry.obs_flops
-        << ",\"obs_bytes\":" << entry.obs_bytes
-        << ",\"mem_peak\":" << entry.mem_peak
-        << ",\"partitions_done\":" << entry.partitions_done
-        << ",\"partitions_total\":" << entry.partitions_total;
+    std::string line;
+    json::Writer w(line);
+    w.begin_object()
+        .key("tensor").str(entry.tensor_id)
+        .key("kernel").str(entry.kernel)
+        .key("format").str(entry.format)
+        .key("ok").boolean(entry.ok)
+        .key("seconds").num(entry.seconds)
+        .key("flops").num(entry.flops)
+        .key("bytes").num(entry.bytes)
+        .key("attempts").i64(entry.attempts)
+        .key("error").str(entry.error)
+        .key("class").str(entry.failure_class)
+        .key("variant").str(entry.variant)
+        .key("obs_flops").num(entry.obs_flops)
+        .key("obs_bytes").num(entry.obs_bytes)
+        .key("mem_peak").num(entry.mem_peak)
+        .key("partitions_done").i64(entry.partitions_done)
+        .key("partitions_total").i64(entry.partitions_total);
     // Optional field: omitted when empty so unsharded journal lines stay
     // byte-identical to pre-campaign ones.
     if (!entry.shard.empty())
-        oss << ",\"shard\":\"" << escape(entry.shard) << "\"";
-    oss << "}";
-    return oss.str();
+        w.key("shard").str(entry.shard);
+    w.end_object();
+    return line;
 }
 
 bool
 parse_json_line(const std::string& line, JournalEntry& entry)
 {
-    std::map<std::string, std::string> strings;
-    std::map<std::string, double> numbers;
-    std::map<std::string, bool> bools;
-    FlatJsonReader reader(line);
-    if (!reader.parse(strings, numbers, bools))
+    json::Value doc;
+    JournalEntry e;
+    if (!json::parse(line, doc) || !doc.get("tensor", e.tensor_id) ||
+        !doc.get("kernel", e.kernel) || !doc.get("format", e.format) ||
+        !doc.get("ok", e.ok) || !doc.get_optional("seconds", e.seconds) ||
+        !doc.get_optional("flops", e.flops) ||
+        !doc.get_optional("bytes", e.bytes) ||
+        !doc.get_optional("attempts", e.attempts) ||
+        !doc.get_optional("error", e.error) ||
+        !doc.get_optional("class", e.failure_class) ||
+        !doc.get_optional("variant", e.variant) ||
+        !doc.get_optional("obs_flops", e.obs_flops) ||
+        !doc.get_optional("obs_bytes", e.obs_bytes) ||
+        !doc.get_optional("mem_peak", e.mem_peak) ||
+        !doc.get_optional("partitions_done", e.partitions_done) ||
+        !doc.get_optional("partitions_total", e.partitions_total) ||
+        !doc.get_optional("shard", e.shard))
         return false;
-    if (!strings.count("tensor") || !strings.count("kernel") ||
-        !strings.count("format") || !bools.count("ok"))
-        return false;
-    entry.tensor_id = strings["tensor"];
-    entry.kernel = strings["kernel"];
-    entry.format = strings["format"];
-    entry.ok = bools["ok"];
-    entry.seconds = numbers.count("seconds") ? numbers["seconds"] : 0.0;
-    entry.flops = numbers.count("flops") ? numbers["flops"] : 0.0;
-    entry.bytes = numbers.count("bytes") ? numbers["bytes"] : 0.0;
-    entry.attempts =
-        numbers.count("attempts") ? static_cast<int>(numbers["attempts"]) : 0;
-    entry.error = strings.count("error") ? strings["error"] : "";
-    entry.failure_class = strings.count("class") ? strings["class"] : "";
-    entry.variant = strings.count("variant") ? strings["variant"] : "";
-    entry.obs_flops = numbers.count("obs_flops") ? numbers["obs_flops"] : 0.0;
-    entry.obs_bytes = numbers.count("obs_bytes") ? numbers["obs_bytes"] : 0.0;
-    entry.mem_peak = numbers.count("mem_peak") ? numbers["mem_peak"] : 0.0;
-    entry.partitions_done =
-        numbers.count("partitions_done")
-            ? static_cast<int>(numbers["partitions_done"])
-            : 0;
-    entry.partitions_total =
-        numbers.count("partitions_total")
-            ? static_cast<int>(numbers["partitions_total"])
-            : 0;
-    entry.shard = strings.count("shard") ? strings["shard"] : "";
+    entry = std::move(e);
     return true;
 }
 
@@ -420,17 +247,9 @@ RunJournal::append(const JournalEntry& entry)
     // One write() per line: O_APPEND makes the line land atomically at
     // the end even when several shard writers share a file by mistake.
     const std::string line = to_json_line(entry) + "\n";
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n = ::write(fd_, line.data() + off,
-                                  line.size() - off);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0) {
-            PASTA_LOG_WARN << "journal " << path_ << ": append failed";
-            return;
-        }
-        off += static_cast<std::size_t>(n);
+    if (!fsutil::write_all(fd_, line.data(), line.size())) {
+        PASTA_LOG_WARN << "journal " << path_ << ": append failed";
+        return;
     }
     ++unsynced_;
     if (fsync_batch_ > 0 && unsynced_ >= fsync_batch_) {

@@ -64,8 +64,10 @@ struct JournalEntry {
 /// Serializes an entry as one JSON line (no trailing newline).
 std::string to_json_line(const JournalEntry& entry);
 
-/// Parses a journal line; returns false (and logs nothing) on torn or
-/// malformed input so the loader can skip it.
+/// Parses a journal line with the strict common/json reader.  Returns
+/// false (and logs nothing) on torn or malformed input — including
+/// non-JSON numbers, known fields of the wrong type, and integers out of
+/// range — so the loader can skip it.
 bool parse_json_line(const std::string& line, JournalEntry& entry);
 
 /// Append-only JSONL journal keyed by (tensor, kernel, format, shard);

@@ -197,7 +197,7 @@ run_guarded_trial(const std::string& label,
             result.error = oss.str();
             result.skipped = true;
             result.timed_out = true;
-            obs::metrics::counter_add("trial.failed", 1);
+            obs::counter("trial.failed").add(1);
             PASTA_LOG_WARN << label << ": " << result.error
                            << "; trial skipped";
             return result;
@@ -207,9 +207,8 @@ run_guarded_trial(const std::string& label,
             result.oom = false;
             result.seconds = seconds;
             result.error.clear();
-            obs::metrics::counter_add("trial.ok", 1);
-            obs::metrics::hist_record(
-                "trial.ms",
+            obs::counter("trial.ok").add(1);
+            obs::histogram("trial.ms").record(
                 static_cast<std::uint64_t>(seconds * 1e3));
             return result;
         }
@@ -229,7 +228,7 @@ run_guarded_trial(const std::string& label,
             // kernel on the same data and fails the same check.
             result.skipped = true;
             result.validation = true;
-            obs::metrics::counter_add("trial.failed", 1);
+            obs::counter("trial.failed").add(1);
             PASTA_LOG_WARN << label << ": validation failure (" << error
                            << "); trial skipped";
             return result;
@@ -244,7 +243,7 @@ run_guarded_trial(const std::string& label,
         }
     }
     result.skipped = true;
-    obs::metrics::counter_add("trial.failed", 1);
+    obs::counter("trial.failed").add(1);
     PASTA_LOG_WARN << label << ": giving up after " << result.attempts
                    << " attempts (" << result.error << ")";
     return result;

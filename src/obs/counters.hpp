@@ -1,176 +1,50 @@
 /// \file
-/// Counter registry: named, process-wide counters and labels fed by the
-/// kernels, the merge/sort engines, the conversions, and the simulated
-/// GPU when PASTA_TRACE is counters or full.
+/// Model counters: the PASTA_TRACE-gated front end of the metrics
+/// registry (obs/metrics.hpp), fed by the kernels, the merge/sort
+/// engines, the conversions, the memory governor and the simulated GPU.
 ///
 /// The paper explains performance through machine balance and arithmetic
-/// intensity (§V); this registry is where the suite's code deposits the
-/// model-derived quantities that analysis needs — flops, bytes moved,
-/// atomics issued, radix passes, per-worker work items — plus the
-/// decisions it made (MTTKRP variant, merge path, sort fallback) as
-/// string labels.  Counters are keyed by dotted names ("mttkrp.flops",
-/// "gpusim.bytes"); the ".flops"/".bytes" suffix convention is what the
-/// bench harness sums per trial to derive arithmetic intensity.
+/// intensity (§V); these calls deposit the model-derived quantities that
+/// analysis needs — flops, bytes moved, atomics issued, radix passes,
+/// per-worker work items — and the decisions taken (MTTKRP variant, merge
+/// path, sort fallback) as labels.  Names are dotted ("mttkrp.flops");
+/// the ".flops"/".bytes" suffixes are what the bench harness sums per
+/// trial to derive arithmetic intensity.
 ///
-/// Recording is gated exactly like spans: every mutating entry point
-/// checks counters_enabled() first, so with PASTA_TRACE=off the whole
-/// registry is one relaxed atomic load and a predicted branch per call
-/// site.  When armed, updates are relaxed atomic adds (or a CAS loop for
-/// maxima) — safe from any thread, including inside parallel regions.
+/// Every call records only while counters are armed (PASTA_TRACE=counters
+/// or full) and is one relaxed load otherwise.  When armed it looks the
+/// instrument up in the registry, so it is meant for sites that record
+/// once or a few times per kernel invocation; a hotter site caches a
+/// handle from obs::counter() behind its own counters_enabled() check.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace pasta::obs {
 
-/// Per-worker slots kept by each counter for load-imbalance reporting.
-/// Matches the suite's practical ceiling on parallel_for workers.
-inline constexpr int kMaxWorkers = 64;
+/// counter(name) += v.
+void add(const char* name, std::uint64_t v);
 
-/// One named counter: a running total, a high-water mark, and optional
-/// per-worker totals.  All mutators are no-ops unless counters are armed.
-class Counter {
-  public:
-    explicit Counter(std::string name);
-    Counter(const Counter&) = delete;
-    Counter& operator=(const Counter&) = delete;
+/// counter(name) += v, attributed to `worker` (see Counter::add_worker).
+void add_worker(const char* name, int worker, std::uint64_t v);
 
-    const std::string& name() const { return name_; }
+/// gauge(name) = max(gauge(name), v): a high-water mark (memory peaks,
+/// occupancy, SIMD width) kept apart from the counters' suffix sums.
+void record_max(const char* name, std::uint64_t v);
 
-    /// total += v.
-    void add(std::uint64_t v)
-    {
-        if (counters_enabled())
-            total_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    /// total += v, worker slot += v (worker from pasta::worker_id()).
-    /// Workers at or beyond kMaxWorkers spill into a shared overflow
-    /// cell — counted, not dropped — so oversubscribed runs keep exact
-    /// totals and the imbalance report can say how much work went
-    /// unattributed.  Negative workers stay total-only.
-    void add_worker(int worker, std::uint64_t v)
-    {
-        if (!counters_enabled())
-            return;
-        total_.fetch_add(v, std::memory_order_relaxed);
-        if (worker >= 0 && worker < kMaxWorkers)
-            worker_[static_cast<std::size_t>(worker)].fetch_add(
-                v, std::memory_order_relaxed);
-        else if (worker >= kMaxWorkers)
-            overflow_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    /// max = max(max, v); the total is untouched, so high-water counters
-    /// (memory peaks, occupancy) never pollute suffix sums.
-    void record_max(std::uint64_t v);
-
-    std::uint64_t total() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t max_value() const
-    {
-        return max_.load(std::memory_order_relaxed);
-    }
-
-    /// Work attributed to workers >= kMaxWorkers (shared spill cell).
-    std::uint64_t overflow() const
-    {
-        return overflow_.load(std::memory_order_relaxed);
-    }
-
-    /// Per-worker totals with trailing zero slots trimmed.
-    std::vector<std::uint64_t> worker_totals() const;
-
-    void reset();
-
-  private:
-    std::string name_;
-    std::atomic<std::uint64_t> total_{0};
-    std::atomic<std::uint64_t> max_{0};
-    std::atomic<std::uint64_t> overflow_{0};
-    std::array<std::atomic<std::uint64_t>, kMaxWorkers> worker_;
-};
-
-/// The counter registered under `name`, created on first use.  The
-/// reference stays valid for the life of the process; hot call sites may
-/// cache it.  Takes a registry mutex — cheap at per-kernel-invocation
-/// frequency, not meant for per-nonzero calls.
-Counter& counter(const std::string& name);
-
-/// Convenience wrappers: one enabled-check, then the registry.  These are
-/// the intended call-site spelling for code that records once or a few
-/// times per kernel invocation.
-inline void
-add(const char* name, std::uint64_t v)
-{
-    if (counters_enabled())
-        counter(name).add(v);
-}
-
-inline void
-add_worker(const char* name, int worker, std::uint64_t v)
-{
-    if (counters_enabled())
-        counter(name).add_worker(worker, v);
-}
-
-inline void
-record_max(const char* name, std::uint64_t v)
-{
-    if (counters_enabled())
-        counter(name).record_max(v);
-}
-
-/// Records the decision label `value` under `key` ("mttkrp.variant" ->
-/// "hicoo-owner"): remembers the last value and counts how many times
-/// each distinct value was set.  Gated like counters.
+/// Records the decision label `value` under `key`: remembers the last
+/// value and counts how many times each distinct value was set.
 void set_label(const std::string& key, const std::string& value);
 
-/// Last value set under `key`; "" when never set (or counters disarmed).
+/// Last value set under `key`; "" when never set.
 std::string last_label(const std::string& key);
 
-/// One counter resolved out of the registry.
-struct CounterSample {
-    std::string name;
-    std::uint64_t total = 0;
-    std::uint64_t max_value = 0;
-    std::uint64_t overflow = 0;  ///< spill from workers >= kMaxWorkers
-    std::vector<std::uint64_t> worker;  ///< per-worker totals, trimmed
-};
-
-/// One label key with its last value and per-value occurrence counts.
-struct LabelSample {
-    std::string key;
-    std::string last;
-    std::vector<std::pair<std::string, std::uint64_t>> counts;
-};
-
-/// Point-in-time copy of the whole registry, for delta accounting around
-/// a trial and for reports.  Lookups return zero/empty when absent.
-struct CountersSnapshot {
-    std::vector<CounterSample> counters;
-    std::vector<LabelSample> labels;
-
-    const CounterSample* find(const std::string& name) const;
-    double value(const std::string& name) const;
-    std::uint64_t max_of(const std::string& name) const;
-    std::string label(const std::string& key) const;
-};
-
-/// Copies every counter and label (call anywhere; values are relaxed
-/// loads, exact once recording threads are quiescent).
-CountersSnapshot snapshot_counters();
-
-/// Zeroes all counters and forgets all labels (names stay registered).
-void reset_counters();
+/// The registry snapshot, under the name the model-counter consumers
+/// (bench/e2e among them) use.  Identical to snapshot_metrics().
+MetricsSnapshot snapshot_counters();
 
 }  // namespace pasta::obs

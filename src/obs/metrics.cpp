@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -17,11 +16,14 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/fsutil.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
-namespace pasta::obs::metrics {
+namespace pasta::obs {
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -35,8 +37,6 @@ struct Histogram::Shard {
     std::atomic<std::uint64_t> min{~std::uint64_t{0}};
     std::atomic<std::uint64_t> max{0};
 };
-
-Histogram::Histogram(std::string name) : name_(std::move(name)) {}
 
 Histogram::~Histogram()
 {
@@ -184,127 +184,135 @@ HistSample::merge_from(const HistSample& other)
 }
 
 // ---------------------------------------------------------------------------
+// Counter
+
+void
+Counter::reset()
+{
+    total_.store(0, std::memory_order_relaxed);
+    overflow_.store(0, std::memory_order_relaxed);
+    for (auto& w : worker_)
+        w.store(0, std::memory_order_relaxed);
+}
+
+CounterSample::CounterSample(const Counter& c)
+    : total(c.total()),
+      overflow(c.overflow_.load(std::memory_order_relaxed))
+{
+    std::size_t used = 0;
+    for (std::size_t w = 0; w < c.worker_.size(); ++w)
+        if (c.worker_[w].load(std::memory_order_relaxed) != 0)
+            used = w + 1;
+    worker.resize(used);
+    for (std::size_t w = 0; w < used; ++w)
+        worker[w] = c.worker_[w].load(std::memory_order_relaxed);
+}
+
+// ---------------------------------------------------------------------------
 // Registry
 
 namespace {
 
-std::mutex g_metrics_mutex;
+/// Occurrence history for one label key.
+struct LabelState {
+    std::string last;
+    std::map<std::string, std::uint64_t> counts;
+};
 
-// unique_ptr values keep addresses stable across map growth, so cached
-// references survive registry mutation (the counters.cpp discipline).
-std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>&
-counter_map()
+/// Every instrument by name.  unique_ptr values keep addresses stable, so
+/// handles survive registry growth.  The mutex guards the maps and the
+/// labels, never an update through a handle.
+struct Registry {
+    std::mutex mutex;
+    std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
+    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
+    std::map<std::string, std::unique_ptr<Histogram>, std::less<>> hists;
+    std::map<std::string, LabelState> labels;
+};
+
+Registry&
+registry()
 {
-    static std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>
-        m;
-    return m;
+    static Registry r;
+    return r;
 }
 
-std::map<std::string, std::unique_ptr<std::atomic<double>>>&
-gauge_map()
+template <class T>
+T&
+lookup(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
+       std::string_view name)
 {
-    static std::map<std::string, std::unique_ptr<std::atomic<double>>> m;
-    return m;
-}
-
-std::map<std::string, std::unique_ptr<Histogram>>&
-hist_map()
-{
-    static std::map<std::string, std::unique_ptr<Histogram>> m;
-    return m;
-}
-
-std::atomic<std::uint64_t>&
-counter_cell(const std::string& name)
-{
-    std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    auto& slot = counter_map()[name];
-    if (!slot)
-        slot = std::make_unique<std::atomic<std::uint64_t>>(0);
-    return *slot;
-}
-
-std::atomic<double>&
-gauge_cell(const std::string& name)
-{
-    std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    auto& slot = gauge_map()[name];
-    if (!slot)
-        slot = std::make_unique<std::atomic<double>>(0.0);
-    return *slot;
+    std::lock_guard<std::mutex> lock(registry().mutex);
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.emplace(std::string(name), std::make_unique<T>()).first;
+    return *it->second;
 }
 
 }  // namespace
 
+Counter&
+counter(std::string_view name)
+{
+    return lookup(registry().counters, name);
+}
+
+Gauge&
+gauge(std::string_view name)
+{
+    return lookup(registry().gauges, name);
+}
+
 Histogram&
-histogram(const std::string& name)
+histogram(std::string_view name)
 {
-    std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    auto& slot = hist_map()[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>(name);
-    return *slot;
-}
-
-void
-counter_add(const std::string& name, std::uint64_t v)
-{
-    counter_cell(name).fetch_add(v, std::memory_order_relaxed);
-}
-
-void
-gauge_set(const std::string& name, double v)
-{
-    gauge_cell(name).store(v, std::memory_order_relaxed);
-}
-
-void
-gauge_max(const std::string& name, double v)
-{
-    std::atomic<double>& cell = gauge_cell(name);
-    double cur = cell.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-void
-hist_record(const std::string& name, std::uint64_t v)
-{
-    histogram(name).record(v);
+    return lookup(registry().hists, name);
 }
 
 MetricsSnapshot
 snapshot_metrics()
 {
     MetricsSnapshot snap;
-    std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    for (const auto& [name, cell] : counter_map())
-        snap.counters[name] = cell->load(std::memory_order_relaxed);
-    for (const auto& [name, cell] : gauge_map())
-        snap.gauges[name] = cell->load(std::memory_order_relaxed);
-    for (const auto& [name, hist] : hist_map())
-        snap.hists[name] = hist->snapshot();
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    for (const auto& [name, c] : r.counters)
+        snap.counters.emplace(name, CounterSample(*c));
+    for (const auto& [name, g] : r.gauges)
+        snap.gauges[name] = g->value();
+    for (const auto& [name, h] : r.hists)
+        snap.hists[name] = h->snapshot();
+    for (const auto& [key, state] : r.labels)
+        snap.labels.push_back(
+            {key, state.last, {state.counts.begin(), state.counts.end()}});
     return snap;
 }
 
 void
 reset_metrics()
 {
-    std::lock_guard<std::mutex> lock(g_metrics_mutex);
-    for (auto& [name, cell] : counter_map())
-        cell->store(0, std::memory_order_relaxed);
-    for (auto& [name, cell] : gauge_map())
-        cell->store(0.0, std::memory_order_relaxed);
-    for (auto& [name, hist] : hist_map())
-        hist->reset();
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    for (auto& [name, c] : r.counters)
+        c->reset();
+    for (auto& [name, g] : r.gauges)
+        g->set(0.0);
+    for (auto& [name, h] : r.hists)
+        h->reset();
+    r.labels.clear();
+}
+
+const CounterSample*
+MetricsSnapshot::find(const std::string& name) const
+{
+    auto it = counters.find(name);
+    return it == counters.end() ? nullptr : &it->second;
 }
 
 std::uint64_t
 MetricsSnapshot::counter(const std::string& name) const
 {
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
+    const CounterSample* c = find(name);
+    return c ? c->total : 0;
 }
 
 double
@@ -321,402 +329,142 @@ MetricsSnapshot::hist(const std::string& name) const
     return it == hists.end() ? nullptr : &it->second;
 }
 
+std::string
+MetricsSnapshot::label(const std::string& key) const
+{
+    for (const auto& l : labels)
+        if (l.key == key)
+            return l.last;
+    return std::string();
+}
+
 // ---------------------------------------------------------------------------
-// JSONL serialization
-
-namespace {
+// Model counters (obs/counters.hpp): the PASTA_TRACE gate
 
 void
-append_escaped(std::string& out, const std::string& s)
+add(const char* name, std::uint64_t v)
 {
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
+    if (counters_enabled())
+        counter(name).add(v);
 }
 
 void
-append_double(std::string& out, double v)
+add_worker(const char* name, int worker, std::uint64_t v)
 {
-    if (!std::isfinite(v))
-        v = 0.0;  // JSON has no inf/nan; a zeroed gauge beats a torn line
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
+    if (counters_enabled())
+        counter(name).add_worker(worker, v);
 }
 
 void
-append_u64(std::string& out, std::uint64_t v)
+record_max(const char* name, std::uint64_t v)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(v));
-    out += buf;
+    if (counters_enabled())
+        gauge(name).max(static_cast<double>(v));
 }
 
-}  // namespace
+void
+set_label(const std::string& key, const std::string& value)
+{
+    if (!counters_enabled())
+        return;
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    LabelState& state = r.labels[key];
+    state.last = value;
+    ++state.counts[value];
+}
+
+std::string
+last_label(const std::string& key)
+{
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    auto it = r.labels.find(key);
+    return it == r.labels.end() ? std::string() : it->second.last;
+}
+
+MetricsSnapshot
+snapshot_counters()
+{
+    return snapshot_metrics();
+}
+
+// ---------------------------------------------------------------------------
+// Heartbeat JSONL
 
 std::string
 snapshot_to_json(const MetricsSnapshot& snap)
 {
     std::string out;
     out.reserve(1024);
-    out += "{\"ts\":";
-    append_double(out, snap.ts);
-    out += ",\"seq\":";
-    append_u64(out, snap.seq);
-    out += ",\"source\":\"";
-    append_escaped(out, snap.source);
-    out += "\",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, v] : snap.counters) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        append_escaped(out, name);
-        out += "\":";
-        append_u64(out, v);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, v] : snap.gauges) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        append_escaped(out, name);
-        out += "\":";
-        append_double(out, v);
-    }
-    out += "},\"hists\":{";
-    first = true;
+    json::Writer w(out);
+    w.begin_object()
+        .key("ts").num(snap.ts)
+        .key("seq").u64(snap.seq)
+        .key("source").str(snap.source);
+    w.key("counters").begin_object();
+    for (const auto& [name, c] : snap.counters)
+        w.key(name).u64(c.total);
+    w.end_object().key("gauges").begin_object();
+    for (const auto& [name, v] : snap.gauges)
+        w.key(name).num(v);
+    w.end_object().key("hists").begin_object();
     for (const auto& [name, h] : snap.hists) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        append_escaped(out, name);
-        out += "\":{\"count\":";
-        append_u64(out, h.count);
-        out += ",\"sum\":";
-        append_u64(out, h.sum);
-        out += ",\"min\":";
-        append_u64(out, h.min);
-        out += ",\"max\":";
-        append_u64(out, h.max);
-        out += ",\"buckets\":[";
-        bool bfirst = true;
-        for (const auto& [idx, c] : h.buckets) {
-            if (!bfirst)
-                out += ',';
-            bfirst = false;
-            out += '[';
-            append_u64(out, idx);
-            out += ',';
-            append_u64(out, c);
-            out += ']';
-        }
-        out += "]}";
+        w.key(name).begin_object()
+            .key("count").u64(h.count)
+            .key("sum").u64(h.sum)
+            .key("min").u64(h.min)
+            .key("max").u64(h.max)
+            .key("buckets").begin_array();
+        for (const auto& [idx, c] : h.buckets)
+            w.begin_array().u64(idx).u64(c).end_array();
+        w.end_array().end_object();
     }
-    out += "}}";
+    w.end_object().end_object();
     return out;
 }
 
-// ---------------------------------------------------------------------------
-// JSONL parsing: a minimal recursive-descent parser.  The journal's flat
-// key:value parser cannot represent the nested hists, hence this one.
-// Unknown keys are skipped so newer writers stay readable.
-
 namespace {
 
-struct Cursor {
-    const char* p;
-    const char* end;
-
-    bool eof() const { return p >= end; }
-    char peek() const { return eof() ? '\0' : *p; }
-    void ws()
-    {
-        while (!eof() && (*p == ' ' || *p == '\t' || *p == '\r' ||
-                          *p == '\n'))
-            ++p;
-    }
-    bool consume(char c)
-    {
-        ws();
-        if (peek() != c)
-            return false;
-        ++p;
+bool
+parse_hist(const json::Value& v, HistSample& out)
+{
+    if (!v.is_object() || !v.get_optional("count", out.count) ||
+        !v.get_optional("sum", out.sum) || !v.get_optional("min", out.min) ||
+        !v.get_optional("max", out.max))
+        return false;
+    const json::Value* buckets = v.find("buckets");
+    if (!buckets)
         return true;
-    }
-};
-
-bool skip_value(Cursor& c);
-
-bool
-parse_string(Cursor& c, std::string& out)
-{
-    if (!c.consume('"'))
+    if (!buckets->is_array())
         return false;
-    out.clear();
-    while (!c.eof()) {
-        const char ch = *c.p++;
-        if (ch == '"')
-            return true;
-        if (ch == '\\') {
-            if (c.eof())
-                return false;
-            const char esc = *c.p++;
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'u': {
-                if (c.end - c.p < 4)
-                    return false;
-                char hex[5] = {c.p[0], c.p[1], c.p[2], c.p[3], '\0'};
-                char* hend = nullptr;
-                const long code = std::strtol(hex, &hend, 16);
-                if (hend != hex + 4)
-                    return false;
-                c.p += 4;
-                // Control-range escapes are all this writer emits;
-                // anything else degrades to '?' rather than failing.
-                out += code < 0x80 ? static_cast<char>(code) : '?';
-                break;
-            }
-            default: return false;
-            }
-        } else {
-            out += ch;
-        }
+    for (const json::Value& pair : buckets->items()) {
+        std::uint64_t idx;
+        std::uint64_t count;
+        if (!pair.is_array() || pair.items().size() != 2 ||
+            !pair.items()[0].get(idx) || !pair.items()[1].get(count) ||
+            idx >= kHistBuckets)
+            return false;
+        out.buckets.emplace_back(static_cast<std::uint32_t>(idx), count);
     }
-    return false;  // unterminated
-}
-
-/// Lexes one number token (json number grammar, loosely) into `tok`.
-bool
-parse_number_token(Cursor& c, std::string& tok)
-{
-    c.ws();
-    tok.clear();
-    if (c.peek() == '-') {
-        tok += '-';
-        ++c.p;
-    }
-    if (!std::isdigit(static_cast<unsigned char>(c.peek())))
-        return false;
-    while (!c.eof() &&
-           (std::isdigit(static_cast<unsigned char>(*c.p)) || *c.p == '.' ||
-            *c.p == 'e' || *c.p == 'E' || *c.p == '+' || *c.p == '-'))
-        tok += *c.p++;
     return true;
 }
 
+/// Reads the object member `key` (absent is fine) as name -> T through
+/// `read`, which reports conversion failure.
+template <class Read>
 bool
-parse_double(Cursor& c, double& out)
+parse_named(const json::Value& doc, const char* key, Read read)
 {
-    std::string tok;
-    if (!parse_number_token(c, tok))
-        return false;
-    char* end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size();
-}
-
-bool
-parse_u64(Cursor& c, std::uint64_t& out)
-{
-    std::string tok;
-    if (!parse_number_token(c, tok))
-        return false;
-    if (tok.find_first_of(".eE-") != std::string::npos) {
-        // Tolerate a float-formatted count (foreign writer): truncate.
-        char* end = nullptr;
-        const double d = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size() || d < 0)
-            return false;
-        out = static_cast<std::uint64_t>(d);
+    const json::Value* obj = doc.find(key);
+    if (!obj)
         return true;
-    }
-    char* end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return end == tok.c_str() + tok.size();
-}
-
-bool
-skip_object(Cursor& c)
-{
-    if (!c.consume('{'))
+    if (!obj->is_object())
         return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        if (!parse_string(c, key) || !c.consume(':') || !skip_value(c))
+    for (const json::Member& m : obj->members())
+        if (!read(m.key, m.value))
             return false;
-    } while (c.consume(','));
-    return c.consume('}');
-}
-
-bool
-skip_array(Cursor& c)
-{
-    if (!c.consume('['))
-        return false;
-    if (c.consume(']'))
-        return true;
-    do {
-        if (!skip_value(c))
-            return false;
-    } while (c.consume(','));
-    return c.consume(']');
-}
-
-bool
-skip_value(Cursor& c)
-{
-    c.ws();
-    const char ch = c.peek();
-    if (ch == '{')
-        return skip_object(c);
-    if (ch == '[')
-        return skip_array(c);
-    if (ch == '"') {
-        std::string s;
-        return parse_string(c, s);
-    }
-    if (ch == 't' || ch == 'f' || ch == 'n') {
-        const char* words[] = {"true", "false", "null"};
-        for (const char* w : words) {
-            const std::size_t len = std::strlen(w);
-            if (static_cast<std::size_t>(c.end - c.p) >= len &&
-                std::strncmp(c.p, w, len) == 0) {
-                c.p += len;
-                return true;
-            }
-        }
-        return false;
-    }
-    double d;
-    return parse_double(c, d);
-}
-
-bool
-parse_counter_obj(Cursor& c, std::map<std::string, std::uint64_t>& out)
-{
-    if (!c.consume('{'))
-        return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        std::uint64_t v;
-        if (!parse_string(c, key) || !c.consume(':') || !parse_u64(c, v))
-            return false;
-        out[key] = v;
-    } while (c.consume(','));
-    return c.consume('}');
-}
-
-bool
-parse_gauge_obj(Cursor& c, std::map<std::string, double>& out)
-{
-    if (!c.consume('{'))
-        return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        double v;
-        if (!parse_string(c, key) || !c.consume(':') || !parse_double(c, v))
-            return false;
-        out[key] = v;
-    } while (c.consume(','));
-    return c.consume('}');
-}
-
-bool
-parse_hist_obj(Cursor& c, HistSample& out)
-{
-    if (!c.consume('{'))
-        return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        if (!parse_string(c, key) || !c.consume(':'))
-            return false;
-        if (key == "count") {
-            if (!parse_u64(c, out.count))
-                return false;
-        } else if (key == "sum") {
-            if (!parse_u64(c, out.sum))
-                return false;
-        } else if (key == "min") {
-            if (!parse_u64(c, out.min))
-                return false;
-        } else if (key == "max") {
-            if (!parse_u64(c, out.max))
-                return false;
-        } else if (key == "buckets") {
-            if (!c.consume('['))
-                return false;
-            if (!c.consume(']')) {
-                do {
-                    std::uint64_t idx;
-                    std::uint64_t cnt;
-                    if (!c.consume('[') || !parse_u64(c, idx) ||
-                        !c.consume(',') || !parse_u64(c, cnt) ||
-                        !c.consume(']'))
-                        return false;
-                    if (idx >= kHistBuckets)
-                        return false;
-                    out.buckets.emplace_back(
-                        static_cast<std::uint32_t>(idx), cnt);
-                } while (c.consume(','));
-                if (!c.consume(']'))
-                    return false;
-            }
-        } else {
-            if (!skip_value(c))
-                return false;
-        }
-    } while (c.consume(','));
-    return c.consume('}');
-}
-
-bool
-parse_hists_obj(Cursor& c, std::map<std::string, HistSample>& out)
-{
-    if (!c.consume('{'))
-        return false;
-    if (c.consume('}'))
-        return true;
-    do {
-        std::string key;
-        HistSample h;
-        if (!parse_string(c, key) || !c.consume(':') ||
-            !parse_hist_obj(c, h))
-            return false;
-        out[key] = std::move(h);
-    } while (c.consume(','));
-    return c.consume('}');
+    return true;
 }
 
 }  // namespace
@@ -724,38 +472,31 @@ parse_hists_obj(Cursor& c, std::map<std::string, HistSample>& out)
 bool
 parse_snapshot_line(const std::string& line, MetricsSnapshot& out)
 {
-    Cursor c{line.data(), line.data() + line.size()};
+    json::Value doc;
     MetricsSnapshot snap;
-    if (!c.consume('{'))
+    if (!json::parse(line, doc) || !doc.is_object() ||
+        !doc.get_optional("ts", snap.ts) ||
+        !doc.get_optional("seq", snap.seq) ||
+        !doc.get_optional("source", snap.source))
         return false;
-    if (!c.consume('}')) {
-        do {
-            std::string key;
-            if (!parse_string(c, key) || !c.consume(':'))
-                return false;
-            bool ok = true;
-            if (key == "ts")
-                ok = parse_double(c, snap.ts);
-            else if (key == "seq")
-                ok = parse_u64(c, snap.seq);
-            else if (key == "source")
-                ok = parse_string(c, snap.source);
-            else if (key == "counters")
-                ok = parse_counter_obj(c, snap.counters);
-            else if (key == "gauges")
-                ok = parse_gauge_obj(c, snap.gauges);
-            else if (key == "hists")
-                ok = parse_hists_obj(c, snap.hists);
-            else
-                ok = skip_value(c);
-            if (!ok)
-                return false;
-        } while (c.consume(','));
-        if (!c.consume('}'))
-            return false;
-    }
-    c.ws();
-    if (!c.eof())
+    const bool ok =
+        parse_named(doc, "counters",
+                    [&](const std::string& name, const json::Value& v) {
+                        return v.get(snap.counters[name].total);
+                    }) &&
+        parse_named(doc, "gauges",
+                    [&](const std::string& name, const json::Value& v) {
+                        return v.get(snap.gauges[name]);
+                    }) &&
+        parse_named(doc, "hists",
+                    [&](const std::string& name, const json::Value& v) {
+                        HistSample h;
+                        if (!parse_hist(v, h))
+                            return false;
+                        snap.hists[name] = std::move(h);
+                        return true;
+                    });
+    if (!ok)
         return false;
     out = std::move(snap);
     return true;
@@ -797,8 +538,8 @@ merge_snapshots(const std::vector<MetricsSnapshot>& snaps,
             out.ts = s.ts;
         if (s.seq > out.seq)
             out.seq = s.seq;
-        for (const auto& [name, v] : s.counters)
-            out.counters[name] += v;
+        for (const auto& [name, c] : s.counters)
+            out.counters[name].total += c.total;
         for (const auto& [name, v] : s.gauges) {
             auto [it, inserted] = out.gauges.emplace(name, v);
             if (!inserted && v > it->second)
@@ -868,31 +609,23 @@ struct ExporterState {
     /// Refreshes the pulled gauges and appends one snapshot line.
     void emit()
     {
-        gauge_set("mem.reserved",
-                  static_cast<double>(membudget::MemGovernor::instance().reserved()));
-        gauge_set("mem.peak",
-                  static_cast<double>(membudget::MemGovernor::instance().peak()));
-        gauge_set("obs.spans_dropped",
-                  static_cast<double>(obs::spans_dropped()));
+        static Gauge& reserved = gauge("mem.reserved");
+        static Gauge& peak = gauge("mem.peak");
+        static Gauge& dropped = gauge("obs.spans_dropped");
+        const auto& governor = membudget::MemGovernor::instance();
+        reserved.set(static_cast<double>(governor.reserved()));
+        peak.set(static_cast<double>(governor.peak()));
+        dropped.set(static_cast<double>(spans_dropped()));
         MetricsSnapshot snap = snapshot_metrics();
         snap.ts = wall_now_s();
         snap.seq = ++seq;  // 1-based: "seq 0" stays "never exported"
         snap.source = source;
         std::string line = snapshot_to_json(snap);
         line += '\n';
-        ssize_t off = 0;
-        while (off < static_cast<ssize_t>(line.size())) {
-            const ssize_t n = ::write(fd, line.data() + off,
-                                      line.size() - static_cast<size_t>(off));
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                PASTA_LOG_WARN << "metrics exporter: write to "
-                               << opts.path << " failed: "
-                               << std::strerror(errno);
-                return;
-            }
-            off += n;
+        if (!fsutil::write_all(fd, line.data(), line.size())) {
+            PASTA_LOG_WARN << "metrics exporter: write to " << opts.path
+                           << " failed: " << std::strerror(errno);
+            return;
         }
         ::fsync(fd);
     }
@@ -933,6 +666,18 @@ start_exporter(const ExporterOptions& opts, const std::string& source)
                        << ": " << std::strerror(errno);
         return false;
     }
+    // A process that exits with the exporter still running (the bench
+    // drivers never stop it) must join the thread and write the final
+    // snapshot before the statics emit() reads are destroyed.  atexit
+    // handlers run before the destructors of statics constructed earlier,
+    // so construct those first, then register.
+    static const bool stop_at_exit = [] {
+        (void)registry();
+        (void)membudget::MemGovernor::instance();
+        (void)spans_dropped();
+        return std::atexit([] { stop_exporter(); }) == 0;
+    }();
+    (void)stop_at_exit;
     std::lock_guard<std::mutex> lock(g_exporter_mutex);
     auto state = std::make_unique<ExporterState>();
     state->fd = fd;
@@ -980,4 +725,4 @@ exporter_running()
     return g_exporter != nullptr;
 }
 
-}  // namespace pasta::obs::metrics
+}  // namespace pasta::obs

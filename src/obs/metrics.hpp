@@ -1,45 +1,61 @@
 /// \file
-/// Live metrics: always-on counters, gauges, and log-linear HDR-style
-/// histograms, periodically exported as an append-only JSONL heartbeat.
+/// The telemetry registry: every named counter, gauge, histogram and
+/// decision label in the process, one snapshot type for all consumers,
+/// and the background heartbeat exporter.
 ///
-/// The trace/counters layer (counters.hpp, trace.hpp) is post-hoc: it
-/// accumulates while armed and is read once at exit.  Campaigns (PR 7)
-/// and serving runs (PR 9) made the interesting traffic long-running and
-/// multi-process — a run is a black box until it dies.  This registry is
-/// the live complement: recording is ALWAYS on (a few relaxed atomics
-/// per event; there is no per-nonzero call site, only per-job / per-trial
-/// ones), and a background exporter thread — armed via
-///   PASTA_METRICS=<path>[,interval_ms]
-/// — snapshots the registry every interval into `path` as one JSON
-/// object per line (fsync'd per snapshot), so `tail -f` and
-/// scripts/metrics_summary.py can watch a run mid-flight and a torn
-/// final line (SIGKILL mid-write) never corrupts earlier heartbeats.
+/// Instruments:
+///   - Counter: monotone total with optional per-worker attribution
+///     (kMaxWorkers slots plus a shared overflow cell), for event counts
+///     and the model quantities the kernels derive (flops, bytes).
+///   - Gauge: a double that is set (levels) or raised (high-water marks).
+///   - Histogram: log-linear, 32 sub-buckets per octave: values below 64
+///     are exact, larger values land in a bucket at most value/32 wide,
+///     so a reported percentile is within ~3.125% of the exact
+///     sorted-sample percentile (plus half a unit).  1920 slots cover all
+///     of uint64, so per-job latencies over millions of jobs cost O(1)
+///     memory.  Each histogram keeps 16 lazily CAS-installed shards that
+///     threads hash onto; shards are summed on read.
+///   - Labels: the last value and per-value counts of a decision key
+///     ("mttkrp.variant" -> "block-owner").
 ///
-/// Histograms are log-linear with 32 sub-buckets per octave: values
-/// below 64 are exact, larger values land in a bucket whose width is at
-/// most value/32, so any reported percentile is within ~3.125% relative
-/// error of the exact sorted-sample percentile (plus half a unit for the
-/// integer buckets).  Storage is O(buckets) — 1920 slots covers the full
-/// uint64 range — which is what lets bench_serving keep per-job latency
-/// percentiles over millions of jobs without the unbounded vectors it
-/// used before.  Recording is lock-free after a shard's first touch:
-/// each histogram keeps 16 lazily-installed shards, threads hash onto a
-/// shard, and shards are summed on read — the counters.hpp discipline.
+/// Instruments are registered by name on first use and live for the
+/// process; counter()/gauge()/histogram() take the registry mutex, so
+/// per-job and per-chunk sites look their handle up once and cache it.
+/// Updates through a handle are relaxed atomics and never lock.
 ///
-/// The snapshot schema (parse_snapshot_line / merge_snapshots round-trip
-/// it) is what the campaign supervisor aggregates across shards: sum
-/// counters, merge histograms, max gauges.
+/// Nothing here is gated.  The PASTA_TRACE gate belongs to the model
+/// counters of obs/counters.hpp (add, add_worker, record_max, set_label),
+/// which forward into this registry only when counters are armed; live
+/// serving, trial and campaign sites record unconditionally.
+///
+/// The snapshot (MetricsSnapshot) feeds per-trial deltas, the text
+/// report (obs/report.hpp), the heartbeat JSONL and the campaign-wide
+/// merge.  A heartbeat line is snapshot_to_json() of it:
+///   {"ts":..,"seq":N,"source":"..","counters":{"name":total,..},
+///    "gauges":{"name":value,..},"hists":{"name":{"count":..,"sum":..,
+///    "min":..,"max":..,"buckets":[[idx,count],..]},..}}
+/// Per-worker slots and labels stay in process; the heartbeat carries
+/// totals only.  The exporter, armed by PASTA_METRICS=<path>[,interval_ms],
+/// appends one such line per interval and fsyncs it, so `tail -f` and
+/// scripts/metrics_summary.py can watch a live run and a line torn by a
+/// SIGKILL never corrupts the earlier ones.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-namespace pasta::obs::metrics {
+namespace pasta::obs {
+
+/// Per-worker slots kept by each counter for load-imbalance reporting.
+/// Matches the suite's practical ceiling on parallel_for workers.
+inline constexpr int kMaxWorkers = 64;
 
 /// Sub-bucket resolution: 2^5 = 32 buckets per power of two, giving a
 /// worst-case bucket width of value/32 (~3.125% relative error).
@@ -111,17 +127,74 @@ struct HistSample {
     void merge_from(const HistSample& other);
 };
 
+/// A monotone counter with per-worker attribution.
+class Counter {
+  public:
+    /// total += v.
+    void add(std::uint64_t v)
+    {
+        total_.fetch_add(v, std::memory_order_relaxed);
+    }
+
+    /// total += v, and the worker's slot += v.  Workers at or beyond
+    /// kMaxWorkers spill into a shared overflow cell — counted, not
+    /// dropped — so oversubscribed runs keep exact totals and the
+    /// imbalance report can say how much work went unattributed.
+    /// Negative workers stay total-only.
+    void add_worker(int worker, std::uint64_t v)
+    {
+        total_.fetch_add(v, std::memory_order_relaxed);
+        if (worker >= 0 && worker < kMaxWorkers)
+            worker_[static_cast<std::size_t>(worker)].fetch_add(
+                v, std::memory_order_relaxed);
+        else if (worker >= kMaxWorkers)
+            overflow_.fetch_add(v, std::memory_order_relaxed);
+    }
+
+    std::uint64_t total() const
+    {
+        return total_.load(std::memory_order_relaxed);
+    }
+
+    void reset();
+
+  private:
+    friend struct CounterSample;
+
+    std::atomic<std::uint64_t> total_{0};
+    std::atomic<std::uint64_t> overflow_{0};
+    std::array<std::atomic<std::uint64_t>, kMaxWorkers> worker_{};
+};
+
+/// A level (set) or high-water mark (max).
+class Gauge {
+  public:
+    void set(double v) { value_.store(v, std::memory_order_relaxed); }
+
+    /// value = max(value, v).
+    void max(double v)
+    {
+        double cur = value_.load(std::memory_order_relaxed);
+        while (v > cur && !value_.compare_exchange_weak(
+                              cur, v, std::memory_order_relaxed)) {
+        }
+    }
+
+    double value() const { return value_.load(std::memory_order_relaxed); }
+
+  private:
+    std::atomic<double> value_{0.0};
+};
+
 /// A concurrent log-linear histogram.  record() is wait-free after the
 /// calling thread's shard exists (relaxed adds plus two CAS extreme
 /// updates); snapshot() sums the shards.
 class Histogram {
   public:
-    explicit Histogram(std::string name);
+    Histogram() = default;
     ~Histogram();
     Histogram(const Histogram&) = delete;
     Histogram& operator=(const Histogram&) = delete;
-
-    const std::string& name() const { return name_; }
 
     void record(std::uint64_t v);
     HistSample snapshot() const;
@@ -133,54 +206,63 @@ class Histogram {
     struct Shard;
     Shard& shard_for_thread();
 
-    std::string name_;
     std::atomic<Shard*> shards_[kShards] = {};
 };
 
-/// The histogram registered under `name`, created on first use; the
-/// reference stays valid for the life of the process so hot call sites
-/// (the serving scheduler, bench loops) can cache it.
-Histogram& histogram(const std::string& name);
+/// The instrument registered under `name`, created on first use.  The
+/// reference stays valid for the life of the process; hot sites cache it.
+Counter& counter(std::string_view name);
+Gauge& gauge(std::string_view name);
+Histogram& histogram(std::string_view name);
 
-/// counter += v (monotone event counts: jobs done, trials ok, ...).
-void counter_add(const std::string& name, std::uint64_t v);
+/// One counter read out of the registry.  A parsed heartbeat fills the
+/// total only.
+struct CounterSample {
+    std::uint64_t total = 0;
+    std::uint64_t overflow = 0;         ///< spill from workers >= kMaxWorkers
+    std::vector<std::uint64_t> worker;  ///< per-worker totals, trimmed
 
-/// gauge = v (instantaneous levels: resident cache bytes, ...).
-void gauge_set(const std::string& name, double v);
+    CounterSample() = default;
+    explicit CounterSample(const Counter& c);
+};
 
-/// gauge = max(gauge, v) (high-water marks: queue depth, mem peak, ...).
-void gauge_max(const std::string& name, double v);
-
-/// histogram(name).record(v) — one registry lookup per call; cache the
-/// Histogram& instead when recording per-job.
-void hist_record(const std::string& name, std::uint64_t v);
+/// One label key with its last value and per-value occurrence counts.
+struct LabelSample {
+    std::string key;
+    std::string last;
+    std::vector<std::pair<std::string, std::uint64_t>> counts;
+};
 
 /// Point-in-time copy of the registry, plus the heartbeat envelope
 /// (wall-clock stamp, per-exporter sequence number, source label).
+/// Lookups of absent names return zero/empty/nullptr.
 struct MetricsSnapshot {
     double ts = 0.0;        ///< unix seconds (system clock)
     std::uint64_t seq = 0;  ///< per-exporter snapshot ordinal
     std::string source;     ///< who exported: "bench", shard id, ...
-    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, CounterSample> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistSample> hists;
+    std::vector<LabelSample> labels;  ///< sorted by key
 
+    const CounterSample* find(const std::string& name) const;
     std::uint64_t counter(const std::string& name) const;
     double gauge(const std::string& name) const;
     const HistSample* hist(const std::string& name) const;
+    /// Last value of label `key`.
+    std::string label(const std::string& key) const;
 };
 
-/// Copies every counter, gauge, and histogram (relaxed loads; exact once
+/// Copies every instrument and label (relaxed loads; exact once the
 /// recording threads are quiescent).  ts/seq/source are left default.
 MetricsSnapshot snapshot_metrics();
 
-/// Zeroes every metric (names stay registered).  Test plumbing.
+/// Zeroes every instrument and forgets every label; names stay
+/// registered, so cached handles stay valid.
 void reset_metrics();
 
-/// Serializes one snapshot as a single JSON line (no trailing newline):
-///   {"ts":...,"seq":N,"source":"...","counters":{...},"gauges":{...},
-///    "hists":{"name":{"count":..,"sum":..,"min":..,"max":..,
-///             "buckets":[[idx,count],...]}}}
+/// Serializes one snapshot as a heartbeat line (schema above; no
+/// trailing newline).
 std::string snapshot_to_json(const MetricsSnapshot& snap);
 
 /// Parses one heartbeat line.  Returns false (leaving `out` untouched)
@@ -214,7 +296,9 @@ struct ExporterOptions {
 /// per interval, appended+fsync'd to opts.path.  Stops any previously
 /// running exporter first.  Each tick refreshes the governor gauges
 /// (mem.reserved, mem.peak) and obs.spans_dropped before snapshotting.
-/// Returns false when disarmed or the file cannot be opened.
+/// A process that exits with the exporter running stops it (joining the
+/// thread, writing the final snapshot) from an atexit handler.  Returns
+/// false when disarmed or the file cannot be opened.
 bool start_exporter(const ExporterOptions& opts, const std::string& source);
 
 /// start_exporter(ExporterOptions::from_env(), source); false when
@@ -229,4 +313,4 @@ void stop_exporter();
 /// True while an exporter thread is running in this process.
 bool exporter_running();
 
-}  // namespace pasta::obs::metrics
+}  // namespace pasta::obs

@@ -8,16 +8,14 @@
 namespace pasta::obs {
 
 double
-delta_suffix_sum(const CountersSnapshot& before,
-                 const CountersSnapshot& after, const std::string& suffix)
+delta_suffix_sum(const MetricsSnapshot& before,
+                 const MetricsSnapshot& after, const std::string& suffix)
 {
     double sum = 0;
-    for (const auto& c : after.counters) {
-        if (c.name.size() < suffix.size() ||
-            c.name.compare(c.name.size() - suffix.size(), suffix.size(),
-                           suffix) != 0)
+    for (const auto& [name, c] : after.counters) {
+        if (!name.ends_with(suffix))
             continue;
-        const CounterSample* prev = before.find(c.name);
+        const CounterSample* prev = before.find(name);
         const std::uint64_t base = prev ? prev->total : 0;
         if (c.total > base)
             sum += static_cast<double>(c.total - base);
@@ -55,14 +53,12 @@ roofline_pct(double measured_gflops, double ai, const MachineSpec& spec)
 }
 
 std::string
-render_counter_report(const CountersSnapshot& snap)
+render_counter_report(const MetricsSnapshot& snap)
 {
     std::ostringstream out;
     out << "counters:\n";
-    for (const auto& c : snap.counters) {
-        out << "  " << c.name << "  total=" << c.total;
-        if (c.max_value > 0)
-            out << "  max=" << c.max_value;
+    for (const auto& [name, c] : snap.counters) {
+        out << "  " << name << "  total=" << c.total;
         if (!c.worker.empty()) {
             const double imb = worker_imbalance(c);
             out << "  workers=" << c.worker.size();
@@ -75,6 +71,10 @@ render_counter_report(const CountersSnapshot& snap)
             out << "  overflow=" << c.overflow;
         out << "\n";
     }
+    out << "gauges:\n";
+    out.precision(15);
+    for (const auto& [name, v] : snap.gauges)
+        out << "  " << name << "  value=" << v << "\n";
     out << "labels:\n";
     for (const auto& l : snap.labels) {
         out << "  " << l.key << " = " << l.last << "  (";

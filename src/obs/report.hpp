@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "roofline/machine.hpp"
 
 namespace pasta::obs {
@@ -21,8 +21,8 @@ namespace pasta::obs {
 /// Sum of (after - before) totals over every counter whose name ends in
 /// `suffix` (".flops", ".bytes", ".atomics").  Counters absent from
 /// `before` contribute their full `after` total.
-double delta_suffix_sum(const CountersSnapshot& before,
-                        const CountersSnapshot& after,
+double delta_suffix_sum(const MetricsSnapshot& before,
+                        const MetricsSnapshot& after,
                         const std::string& suffix);
 
 /// Load imbalance of one counter's per-worker totals: max/mean over the
@@ -37,9 +37,9 @@ double worker_imbalance(const CounterSample& sample);
 double roofline_pct(double measured_gflops, double ai,
                     const MachineSpec& spec);
 
-/// Human-readable dump of a snapshot: counters with totals/maxima and
-/// per-counter imbalance, then labels with occurrence counts.  Used by
-/// drivers and tests; the machine-readable channel is the CSV/journal.
-std::string render_counter_report(const CountersSnapshot& snap);
+/// Human-readable dump of a snapshot: counters with totals and
+/// per-worker imbalance, gauges, then labels with occurrence counts.  The
+/// machine-readable channels are the CSV/journal and the heartbeat.
+std::string render_counter_report(const MetricsSnapshot& snap);
 
 }  // namespace pasta::obs

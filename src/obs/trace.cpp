@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace pasta::obs {
@@ -130,17 +131,51 @@ now_ns()
             .count());
 }
 
-/// Minimal JSON string escaping for span names (ASCII identifiers plus
-/// the occasional '/' and space from trial labels).
+/// Appends one completed span to the calling thread's ring, or counts it
+/// dropped when the ring is full.  The release store of `count` publishes
+/// the filled slot to collectors.
 void
-write_escaped(std::FILE* f, const std::string& s)
+append_event(ThreadBuffer& buf, const char* name, std::uint64_t begin_ns,
+             std::uint64_t dur_ns, int depth)
 {
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            std::fputc('\\', f);
-        if (static_cast<unsigned char>(c) >= 0x20)
-            std::fputc(c, f);
+    const std::size_t n = buf.count.load(std::memory_order_relaxed);
+    if (n >= kSpanCapacity) {
+        buf.dropped.fetch_add(1, std::memory_order_relaxed);
+        return;
     }
+    if (buf.events.empty())
+        buf.events.resize(kSpanCapacity);
+    SpanEvent& ev = buf.events[n];
+    std::strncpy(ev.name, name, kSpanNameCapacity - 1);
+    ev.name[kSpanNameCapacity - 1] = '\0';
+    ev.begin_ns = begin_ns;
+    ev.dur_ns = dur_ns;
+    ev.depth = depth;
+    buf.count.store(n + 1, std::memory_order_release);
+}
+
+/// Writes `text` to `path`, truncating; false when it cannot.
+bool
+write_text(const std::string& path, const std::string& text)
+{
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && written;
+}
+
+/// Opens the writer-identity block every export carries: this process's
+/// pid, its clock offset (the merge alignment contract) and the dropped
+/// span count.  The caller closes the object.
+json::Writer&
+begin_meta(json::Writer& w, std::uint64_t dropped)
+{
+    return w.begin_object()
+        .key("pid").i64(::getpid())
+        .key("monoToEpochUs").i64(trace_wall_offset_us())
+        .key("spansDropped").u64(dropped);
 }
 
 /// One warning per process the first time an export sees dropped spans;
@@ -187,19 +222,7 @@ SpanScope::~SpanScope()
     const std::uint64_t end_ns = now_ns();
     ThreadBuffer& buf = local_buffer();
     --buf.depth;
-    const std::size_t n = buf.count.load(std::memory_order_relaxed);
-    if (n >= kSpanCapacity) {
-        buf.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    if (buf.events.empty())
-        buf.events.resize(kSpanCapacity);
-    SpanEvent& ev = buf.events[n];
-    std::memcpy(ev.name, name_, kSpanNameCapacity);
-    ev.begin_ns = begin_ns_;
-    ev.dur_ns = end_ns - begin_ns_;
-    ev.depth = depth_;
-    buf.count.store(n + 1, std::memory_order_release);
+    append_event(buf, name_, begin_ns_, end_ns - begin_ns_, depth_);
 }
 
 std::uint64_t
@@ -224,23 +247,8 @@ void
 record_span(const char* name, std::uint64_t begin_ns, std::uint64_t dur_ns,
             int depth)
 {
-    if (!spans_enabled())
-        return;
-    ThreadBuffer& buf = local_buffer();
-    const std::size_t n = buf.count.load(std::memory_order_relaxed);
-    if (n >= kSpanCapacity) {
-        buf.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    if (buf.events.empty())
-        buf.events.resize(kSpanCapacity);
-    SpanEvent& ev = buf.events[n];
-    std::strncpy(ev.name, name, kSpanNameCapacity - 1);
-    ev.name[kSpanNameCapacity - 1] = '\0';
-    ev.begin_ns = begin_ns;
-    ev.dur_ns = dur_ns;
-    ev.depth = depth;
-    buf.count.store(n + 1, std::memory_order_release);
+    if (spans_enabled())
+        append_event(local_buffer(), name, begin_ns, dur_ns, depth);
 }
 
 std::vector<SpanRecord>
@@ -288,44 +296,46 @@ bool
 write_chrome_trace(const std::string& path)
 {
     const std::vector<SpanRecord> spans = collect_spans();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        PASTA_LOG_WARN << "cannot write trace " << path;
-        return false;
-    }
-    std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", f);
-    bool first = true;
-    for (const auto& s : spans) {
-        if (!first)
-            std::fputc(',', f);
-        first = false;
-        std::fputs("\n{\"name\":\"", f);
-        write_escaped(f, s.name);
-        std::fprintf(f,
-                     "\",\"cat\":\"pasta\",\"ph\":\"X\",\"ts\":%.3f,"
-                     "\"dur\":%.3f,\"pid\":1,\"tid\":%d,"
-                     "\"args\":{\"depth\":%d}}",
-                     s.ts_us, s.dur_us, s.tid, s.depth);
-    }
     const std::uint64_t dropped = spans_dropped();
+    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    const char* sep = "\n";
+    for (const auto& s : spans) {
+        out += sep;
+        sep = ",\n";
+        json::Writer(out)
+            .begin_object()
+            .key("name").str(s.name)
+            .key("cat").str("pasta")
+            .key("ph").str("X")
+            .key("ts").fixed(s.ts_us, 3)
+            .key("dur").fixed(s.dur_us, 3)
+            .key("pid").i64(1)
+            .key("tid").i64(s.tid)
+            .key("args").begin_object().key("depth").i64(s.depth).end_object()
+            .end_object();
+    }
     if (dropped > 0) {
-        if (!first)
-            std::fputc(',', f);
-        std::fprintf(f,
-                     "\n{\"name\":\"spans_dropped\",\"ph\":\"C\","
-                     "\"ts\":0,\"pid\":1,\"tid\":0,"
-                     "\"args\":{\"count\":%llu}}",
-                     static_cast<unsigned long long>(dropped));
+        out += sep;
+        json::Writer(out)
+            .begin_object()
+            .key("name").str("spans_dropped")
+            .key("ph").str("C")
+            .key("ts").i64(0)
+            .key("pid").i64(1)
+            .key("tid").i64(0)
+            .key("args").begin_object().key("count").u64(dropped).end_object()
+            .end_object();
     }
     // Viewers ignore unknown top-level keys; merge_chrome_traces reads
     // this block for pid tracks and clock alignment.
-    std::fprintf(f,
-                 "\n],\"pastaMeta\":{\"pid\":%lld,"
-                 "\"monoToEpochUs\":%lld,\"spansDropped\":%llu}}\n",
-                 static_cast<long long>(::getpid()),
-                 static_cast<long long>(trace_wall_offset_us()),
-                 static_cast<unsigned long long>(dropped));
-    std::fclose(f);
+    out += "\n],\"pastaMeta\":";
+    json::Writer meta(out);
+    begin_meta(meta, dropped).end_object();
+    out += "}\n";
+    if (!write_text(path, out)) {
+        PASTA_LOG_WARN << "cannot write trace " << path;
+        return false;
+    }
     warn_dropped_once(dropped, path);
     PASTA_LOG_INFO << "wrote " << path << " (" << spans.size()
                    << " spans" << (dropped ? ", some dropped" : "") << ")";
@@ -336,194 +346,140 @@ bool
 write_spans_jsonl(const std::string& path)
 {
     const std::vector<SpanRecord> spans = collect_spans();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    const std::uint64_t dropped = spans_dropped();
+    std::string out;
+    json::Writer header(out);
+    begin_meta(header.begin_object().key("pastaMeta"), dropped)
+        .end_object()
+        .end_object();
+    out += '\n';
+    for (const auto& s : spans) {
+        json::Writer(out)
+            .begin_object()
+            .key("name").str(s.name)
+            .key("tid").i64(s.tid)
+            .key("depth").i64(s.depth)
+            .key("ts_us").fixed(s.ts_us, 3)
+            .key("dur_us").fixed(s.dur_us, 3)
+            .end_object();
+        out += '\n';
+    }
+    if (!write_text(path, out)) {
         PASTA_LOG_WARN << "cannot write span stream " << path;
         return false;
     }
-    const std::uint64_t dropped = spans_dropped();
-    std::fprintf(f,
-                 "{\"pastaMeta\":{\"pid\":%lld,\"monoToEpochUs\":%lld,"
-                 "\"spansDropped\":%llu}}\n",
-                 static_cast<long long>(::getpid()),
-                 static_cast<long long>(trace_wall_offset_us()),
-                 static_cast<unsigned long long>(dropped));
-    for (const auto& s : spans) {
-        std::fputs("{\"name\":\"", f);
-        write_escaped(f, s.name);
-        std::fprintf(f,
-                     "\",\"tid\":%d,\"depth\":%d,\"ts_us\":%.3f,"
-                     "\"dur_us\":%.3f}\n",
-                     s.tid, s.depth, s.ts_us, s.dur_us);
-    }
-    std::fclose(f);
     warn_dropped_once(dropped, path);
     PASTA_LOG_INFO << "wrote " << path << " (" << spans.size() << " spans)";
     return true;
 }
-
-namespace {
-
-/// pastaMeta fields scraped from one write_chrome_trace output.
-struct ParsedMeta {
-    long long pid = -1;
-    long long mono_to_epoch_us = 0;
-    unsigned long long dropped = 0;
-    bool present = false;
-};
-
-ParsedMeta
-scrape_meta(const std::string& text)
-{
-    ParsedMeta meta;
-    const std::size_t at = text.find("\"pastaMeta\":{");
-    if (at == std::string::npos)
-        return meta;
-    const auto field = [&](const char* key) -> long long {
-        const std::size_t k = text.find(key, at);
-        if (k == std::string::npos)
-            return 0;
-        return std::strtoll(text.c_str() + k + std::strlen(key), nullptr,
-                            10);
-    };
-    meta.pid = field("\"pid\":");
-    meta.mono_to_epoch_us = field("\"monoToEpochUs\":");
-    meta.dropped = static_cast<unsigned long long>(
-        field("\"spansDropped\":"));
-    meta.present = true;
-    return meta;
-}
-
-/// Rewrites the first `"<key>":<number>` occurrence in an event line.
-/// Safe on this writer's output: key patterns include an unescaped
-/// quote, which can never be produced by the name escaper.
-bool
-rewrite_number_field(std::string& line, const char* pattern, double value,
-                     bool integral)
-{
-    const std::size_t at = line.find(pattern);
-    if (at == std::string::npos)
-        return false;
-    const std::size_t val_at = at + std::strlen(pattern);
-    std::size_t val_end = val_at;
-    while (val_end < line.size() &&
-           (std::isdigit(static_cast<unsigned char>(line[val_end])) ||
-            line[val_end] == '.' || line[val_end] == '-' ||
-            line[val_end] == '+' || line[val_end] == 'e' ||
-            line[val_end] == 'E'))
-        ++val_end;
-    char buf[40];
-    if (integral)
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(value));
-    else
-        std::snprintf(buf, sizeof buf, "%.3f", value);
-    line.replace(val_at, val_end - val_at, buf);
-    return true;
-}
-
-}  // namespace
 
 bool
 merge_chrome_traces(const std::vector<TraceMergeInput>& inputs,
                     const std::string& out_path)
 {
     struct Loaded {
-        ParsedMeta meta;
+        json::Value doc;
         std::string label;
-        std::vector<std::string> events;  // raw event lines, comma-free
+        bool has_meta = false;
+        std::int64_t pid = 0;
+        std::int64_t offset_us = 0;  ///< the writer's monoToEpochUs
+        std::uint64_t dropped = 0;
     };
     std::vector<Loaded> traces;
-    long long min_offset = 0;
+    std::int64_t min_offset = 0;
     bool have_offset = false;
-    int synthetic_pid = 1000000;  // above any real pid range
+    std::int64_t synthetic_pid = 1000000;  // above any real pid range
     for (const auto& input : inputs) {
         std::ifstream in(input.path);
-        if (!in.good()) {
+        std::stringstream buf;
+        buf << in.rdbuf();
+        Loaded t;
+        if (!in.good() || !json::parse(buf.str(), t.doc)) {
             PASTA_LOG_WARN << "merge: cannot read " << input.path
                            << "; skipping";
             continue;
         }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const std::string text = buf.str();
-        Loaded loaded;
-        loaded.meta = scrape_meta(text);
-        loaded.label = input.label;
-        if (!loaded.meta.present)
-            loaded.meta.pid = ++synthetic_pid;
-        // Event lines are the writer's own format: one object per line
-        // inside the traceEvents array, trailing comma on all but last.
-        std::istringstream lines(text);
-        std::string line;
-        while (std::getline(lines, line)) {
-            if (line.rfind("{\"name\":", 0) != 0)
-                continue;
-            while (!line.empty() &&
-                   (line.back() == ',' || line.back() == ' '))
-                line.pop_back();
-            loaded.events.push_back(std::move(line));
+        t.label = input.label;
+        const json::Value* meta = t.doc.find("pastaMeta");
+        t.has_meta = meta && meta->is_object();
+        if (t.has_meta) {
+            meta->get_optional("pid", t.pid);
+            meta->get_optional("monoToEpochUs", t.offset_us);
+            meta->get_optional("spansDropped", t.dropped);
+            if (!have_offset || t.offset_us < min_offset) {
+                min_offset = t.offset_us;
+                have_offset = true;
+            }
+        } else {
+            t.pid = ++synthetic_pid;
         }
-        if (loaded.meta.present &&
-            (!have_offset || loaded.meta.mono_to_epoch_us < min_offset)) {
-            min_offset = loaded.meta.mono_to_epoch_us;
-            have_offset = true;
-        }
-        traces.push_back(std::move(loaded));
+        traces.push_back(std::move(t));
     }
     if (traces.empty()) {
         PASTA_LOG_WARN << "merge: no readable traces for " << out_path;
         return false;
     }
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
+    // Each input goes on its own pid track, behind a process_name event
+    // carrying its label, with every event's ts shifted onto the
+    // earliest input's clock.  Everything else is copied verbatim.
+    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    const char* sep = "\n";
+    std::uint64_t dropped_total = 0;
+    std::size_t events_total = 0;
+    for (const Loaded& t : traces) {
+        dropped_total += t.dropped;
+        out += sep;
+        sep = ",\n";
+        json::Writer(out)
+            .begin_object()
+            .key("name").str("process_name")
+            .key("ph").str("M")
+            .key("pid").i64(t.pid)
+            .key("tid").i64(0)
+            .key("args").begin_object().key("name").str(t.label).end_object()
+            .end_object();
+        const double shift =
+            t.has_meta ? static_cast<double>(t.offset_us - min_offset) : 0.0;
+        const json::Value* events =
+            t.doc.is_array() ? &t.doc : t.doc.find("traceEvents");
+        if (!events || !events->is_array())
+            continue;
+        for (const json::Value& ev : events->items()) {
+            out += sep;
+            json::Writer w(out);
+            ++events_total;
+            if (!ev.is_object()) {
+                w.value(ev);
+                continue;
+            }
+            w.begin_object();
+            for (const json::Member& m : ev.members()) {
+                w.key(m.key);
+                double ts;
+                if (m.key == "ts" && m.value.get(ts))
+                    w.fixed(ts + shift, 3);
+                else if (m.key == "pid" && m.value.is_number())
+                    w.i64(t.pid);
+                else
+                    w.value(m.value);
+            }
+            w.end_object();
+        }
+    }
+    out += "\n],\"pastaMeta\":";
+    json::Writer(out)
+        .begin_object()
+        .key("pid").i64(::getpid())
+        .key("monoToEpochUs").i64(min_offset)
+        .key("spansDropped").u64(dropped_total)
+        .key("merged").u64(traces.size())
+        .end_object();
+    out += "}\n";
+    if (!write_text(out_path, out)) {
         PASTA_LOG_WARN << "cannot write merged trace " << out_path;
         return false;
     }
-    std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", f);
-    bool first = true;
-    unsigned long long dropped_total = 0;
-    std::size_t events_total = 0;
-    for (auto& trace : traces) {
-        dropped_total += trace.meta.dropped;
-        if (!first)
-            std::fputc(',', f);
-        first = false;
-        std::fprintf(f,
-                     "\n{\"name\":\"process_name\",\"ph\":\"M\","
-                     "\"pid\":%lld,\"tid\":0,\"args\":{\"name\":\"",
-                     trace.meta.pid);
-        write_escaped(f, trace.label);
-        std::fputs("\"}}", f);
-        const double shift =
-            trace.meta.present
-                ? static_cast<double>(trace.meta.mono_to_epoch_us -
-                                      min_offset)
-                : 0.0;
-        for (std::string& line : trace.events) {
-            const std::size_t ts_at = line.find("\"ts\":");
-            if (ts_at != std::string::npos) {
-                const double ts = std::strtod(
-                    line.c_str() + ts_at + 5, nullptr);
-                rewrite_number_field(line, "\"ts\":", ts + shift, false);
-            }
-            rewrite_number_field(
-                line, "\"pid\":",
-                static_cast<double>(trace.meta.pid), true);
-            std::fputc(',', f);
-            std::fputc('\n', f);
-            std::fputs(line.c_str(), f);
-            ++events_total;
-        }
-    }
-    std::fprintf(f,
-                 "\n],\"pastaMeta\":{\"pid\":%lld,"
-                 "\"monoToEpochUs\":%lld,\"spansDropped\":%llu,"
-                 "\"merged\":%zu}}\n",
-                 static_cast<long long>(::getpid()), min_offset,
-                 dropped_total, traces.size());
-    std::fclose(f);
     PASTA_LOG_INFO << "wrote " << out_path << " (" << events_total
                    << " events from " << traces.size() << " trace(s))";
     return true;

@@ -14,7 +14,7 @@
 ///
 /// Arming comes from the PASTA_TRACE environment variable:
 ///   off       nothing recorded (default; the timing path is untouched)
-///   counters  counter registry armed (see counters.hpp), spans off
+///   counters  model counters armed (see counters.hpp), spans off
 ///   spans     spans armed, counters off
 ///   full      both
 ///
@@ -74,7 +74,7 @@ spans_enabled()
     return m == TraceMode::kSpans || m == TraceMode::kFull;
 }
 
-/// True when the counter registry accumulates (counters or full).
+/// True when the model counters record (counters or full).
 inline bool
 counters_enabled()
 {
@@ -171,10 +171,11 @@ struct TraceMergeInput {
 /// each input's events are shifted by its pastaMeta clock offset
 /// (relative to the earliest input epoch) and moved onto that writer's
 /// own pid track, with a "process_name" metadata event carrying the
-/// label.  Inputs without a pastaMeta block (foreign traces) are merged
-/// unshifted on a synthetic pid.  Unreadable inputs are skipped with a
-/// warning; returns false when none could be read or the output cannot
-/// be written.
+/// label.  Inputs without a pastaMeta block (foreign traces, either a
+/// traceEvents object or a bare event array) are merged unshifted on a
+/// synthetic pid.  Inputs that cannot be read or are not valid JSON (a
+/// writer killed mid-export) are skipped with a warning; returns false
+/// when none could be read or the output cannot be written.
 bool merge_chrome_traces(const std::vector<TraceMergeInput>& inputs,
                          const std::string& out_path);
 

@@ -5,11 +5,30 @@
 #include "common/membudget.hpp"
 #include "core/convert.hpp"
 #include "io/binary_io.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace pasta::serve {
+
+namespace {
+
+/// Cache telemetry handles (always on), looked up once per process so no
+/// per-job path takes the registry mutex.
+struct CacheMetrics {
+    obs::Counter& hit = obs::counter("serve.cache_hit");
+    obs::Counter& miss = obs::counter("serve.cache_miss");
+    obs::Counter& evict = obs::counter("serve.cache_evict");
+    obs::Gauge& bytes = obs::gauge("serve.cache_bytes");
+};
+
+CacheMetrics&
+metrics()
+{
+    static CacheMetrics m;
+    return m;
+}
+
+}  // namespace
 
 const char*
 serve_kernel_name(ServeKernel kernel)
@@ -165,8 +184,7 @@ PlanCache::evict_locked(Shard& shard, std::uint64_t target)
         }
         shard.lru.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.cache_evict", 1);
-        obs::metrics::counter_add("serve.cache_evict", 1);
+        metrics().evict.add(1);
     }
 }
 
@@ -180,8 +198,7 @@ PlanCache::get_or_build(
         *was_hit = false;
     if (!enabled()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.cache_miss", 1);
-        obs::metrics::counter_add("serve.cache_miss", 1);
+        metrics().miss.add(1);
         return builder();
     }
     Shard& shard = shard_for(key);
@@ -193,8 +210,7 @@ PlanCache::get_or_build(
             shard.lru.splice(shard.lru.begin(), shard.lru,
                              it->second.lru_it);
             hits_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.cache_hit", 1);
-            obs::metrics::counter_add("serve.cache_hit", 1);
+            metrics().hit.add(1);
             if (was_hit)
                 *was_hit = true;
             return it->second.plan;
@@ -215,16 +231,14 @@ PlanCache::get_or_build(
             shard.lru.splice(shard.lru.begin(), shard.lru,
                              it->second.lru_it);
             hits_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.cache_hit", 1);
-            obs::metrics::counter_add("serve.cache_hit", 1);
+            metrics().hit.add(1);
             if (was_hit)
                 *was_hit = true;
             return it->second.plan;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::add("serve.cache_miss", 1);
-    obs::metrics::counter_add("serve.cache_miss", 1);
+    metrics().miss.add(1);
     std::shared_ptr<const Plan> plan;
     try {
         plan = builder();
@@ -244,10 +258,8 @@ PlanCache::get_or_build(
             shard.bytes += plan->bytes;
             resident_.fetch_add(plan->bytes, std::memory_order_relaxed);
             evict_locked(shard, shard_budget_);
-            obs::metrics::gauge_set(
-                "serve.cache_bytes",
-                static_cast<double>(
-                    resident_.load(std::memory_order_relaxed)));
+            metrics().bytes.set(static_cast<double>(
+                resident_.load(std::memory_order_relaxed)));
         }
     }
     return plan;
@@ -260,8 +272,7 @@ PlanCache::trim(std::uint64_t target_bytes)
         std::lock_guard<std::mutex> lock(shard->mutex);
         evict_locked(*shard, target_bytes);
     }
-    obs::metrics::gauge_set(
-        "serve.cache_bytes",
+    metrics().bytes.set(
         static_cast<double>(resident_.load(std::memory_order_relaxed)));
 }
 

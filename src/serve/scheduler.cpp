@@ -7,7 +7,6 @@
 #include "common/membudget.hpp"
 #include "common/parallel.hpp"
 #include "harness/fault.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -42,23 +41,26 @@ job_span(const char* stage, std::uint64_t id, std::uint64_t begin_ns,
                      end_ns > begin_ns ? end_ns - begin_ns : 0);
 }
 
-/// Live latency histograms fed per job (always on; the heartbeat
-/// exporter makes them visible mid-run).  Cached references: the
-/// registry lookup happens once per process, not per job.
-obs::metrics::Histogram&
-wait_hist()
-{
-    static obs::metrics::Histogram& h =
-        obs::metrics::histogram("serve.wait_us");
-    return h;
-}
+/// Per-job telemetry handles, looked up once per process so no per-job
+/// path takes the registry mutex.  Latencies, outcomes, sheds and the
+/// queue high-water mark are live (always on); steals and OOM retries are
+/// model counters, recorded only under PASTA_TRACE=counters|full.
+struct ServeMetrics {
+    obs::Histogram& wait_us = obs::histogram("serve.wait_us");
+    obs::Histogram& exec_us = obs::histogram("serve.exec_us");
+    obs::Counter& done = obs::counter("serve.done");
+    obs::Counter& failed = obs::counter("serve.failed");
+    obs::Counter& shed = obs::counter("serve.shed");
+    obs::Counter& steal = obs::counter("serve.steal");
+    obs::Counter& retry_oom = obs::counter("serve.retry_oom");
+    obs::Gauge& queue_depth = obs::gauge("serve.queue_depth");
+};
 
-obs::metrics::Histogram&
-exec_hist()
+ServeMetrics&
+metrics()
 {
-    static obs::metrics::Histogram& h =
-        obs::metrics::histogram("serve.exec_us");
-    return h;
+    static ServeMetrics m;
+    return m;
 }
 
 }  // namespace
@@ -89,8 +91,7 @@ Scheduler::submit(std::shared_ptr<ServeJob> job)
     if (queued_.load(std::memory_order_relaxed) >=
         static_cast<std::int64_t>(options_.queue_bound)) {
         shed_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.shed", 1);
-        obs::metrics::counter_add("serve.shed", 1);
+        metrics().shed.add(1);
         return false;
     }
     job->submit_ns = obs::trace_now_ns();
@@ -161,9 +162,7 @@ Scheduler::note_depth()
            !max_depth_.compare_exchange_weak(prev, depth,
                                              std::memory_order_relaxed))
         ;
-    obs::record_max("serve.queue_depth", depth);
-    obs::metrics::gauge_max("serve.queue_depth",
-                            static_cast<double>(depth));
+    metrics().queue_depth.max(static_cast<double>(depth));
 }
 
 void
@@ -224,7 +223,8 @@ Scheduler::next_job(int worker, std::uint64_t& steal_state)
             continue;
         if (deques_[victim]->steal_top(job)) {
             stolen_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.steal", 1);
+            if (obs::counters_enabled())
+                metrics().steal.add(1);
             return job;
         }
     }
@@ -241,7 +241,7 @@ Scheduler::execute(ServeJob* job, int worker)
     if (job->start_ns == 0) {
         job->start_ns = obs::trace_now_ns();
         job_span("wait", job->id, job->submit_ns, job->start_ns);
-        wait_hist().record((job->start_ns - job->submit_ns) / 1000);
+        metrics().wait_us.record((job->start_ns - job->submit_ns) / 1000);
     }
     ++job->attempts;
     // Intra-kernel parallel_for calls inside this job see the per-job
@@ -263,7 +263,8 @@ Scheduler::execute(ServeJob* job, int worker)
             job->degraded = true;
             job->error = e.what();
             oom_retries_.fetch_add(1, std::memory_order_relaxed);
-            obs::add("serve.retry_oom", 1);
+            if (obs::counters_enabled())
+                metrics().retry_oom.add(1);
             job->state.store(static_cast<int>(JobState::kQueued),
                              std::memory_order_release);
             queued_.fetch_add(1, std::memory_order_relaxed);
@@ -290,17 +291,15 @@ Scheduler::finish(ServeJob* job, JobState state)
 {
     job->done_ns = obs::trace_now_ns();
     job_span("exec", job->id, job->start_ns, job->done_ns);
-    exec_hist().record(job->done_ns > job->start_ns
+    metrics().exec_us.record(job->done_ns > job->start_ns
                            ? (job->done_ns - job->start_ns) / 1000
                            : 0);
     if (state == JobState::kDone) {
         done_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.done", 1);
-        obs::metrics::counter_add("serve.done", 1);
+        metrics().done.add(1);
     } else {
         failed_.fetch_add(1, std::memory_order_relaxed);
-        obs::add("serve.failed", 1);
-        obs::metrics::counter_add("serve.failed", 1);
+        metrics().failed.add(1);
     }
     job->state.store(static_cast<int>(state), std::memory_order_release);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

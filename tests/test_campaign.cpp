@@ -595,8 +595,8 @@ TEST(Campaign, MetricsArmedCampaignAggregatesCountersAndMergesTraces)
                         // scan must only see per-shard heartbeats
     ::setenv("PASTA_METRICS",
              (elsewhere.file("env.jsonl") + ",100").c_str(), 1);
-    obs::metrics::stop_exporter();
-    obs::metrics::reset_metrics();
+    obs::stop_exporter();
+    obs::reset_metrics();
     obs::set_mode(obs::TraceMode::kSpans);
     obs::reset_spans();
 
@@ -611,8 +611,8 @@ TEST(Campaign, MetricsArmedCampaignAggregatesCountersAndMergesTraces)
     ::unsetenv("PASTA_METRICS");
     obs::set_mode(obs::TraceMode::kOff);
     obs::reset_spans();
-    obs::metrics::stop_exporter();
-    obs::metrics::reset_metrics();
+    obs::stop_exporter();
+    obs::reset_metrics();
 
     ASSERT_TRUE(report.complete());
     // Every worker process exported a per-shard heartbeat and its final
@@ -632,8 +632,8 @@ TEST(Campaign, MetricsArmedCampaignAggregatesCountersAndMergesTraces)
 
     // The aggregate file is itself a tailable heartbeat whose last line
     // round-trips to the report's merged snapshot.
-    obs::metrics::MetricsSnapshot last;
-    ASSERT_TRUE(obs::metrics::load_last_snapshot(
+    obs::MetricsSnapshot last;
+    ASSERT_TRUE(obs::load_last_snapshot(
         dir.file("metrics.campaign.jsonl"), last));
     EXPECT_EQ(last.counter("campaign.trial.ok"), report.merge.entries);
 

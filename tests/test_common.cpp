@@ -2,13 +2,21 @@
 // error handling, logging.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fsutil.hpp"
 #include "common/log.hpp"
 #include "common/morton.hpp"
 #include "common/parallel.hpp"
@@ -339,6 +347,27 @@ TEST(Log, ThresholdIsThreadSafe)
     for (auto& r : readers)
         r.join();
     set_log_threshold(old);
+}
+
+TEST(Fsutil, WriteAllWritesEveryByteAndReportsErrors)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "pasta_write_all.bin")
+            .string();
+    std::string data(1 << 20, '\0');
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<char>(i * 131 + 7);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(fsutil::write_all(fd, data.data(), data.size()));
+    EXPECT_TRUE(fsutil::write_all(fd, data.data(), 0));
+    ::close(fd);
+    std::ifstream in(path, std::ios::binary);
+    const std::string back((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(back, data);
+    std::filesystem::remove(path);
+    EXPECT_FALSE(fsutil::write_all(-1, data.data(), 1));
 }
 
 }  // namespace

@@ -304,6 +304,137 @@ TEST(Journal, ParseRejectsTornAndMalformedLines)
     EXPECT_FALSE(parse_json_line("{\"kernel\":\"TTV\"}", entry));
 }
 
+/// A fully populated entry whose serialized bytes are pinned below.
+JournalEntry
+golden_entry()
+{
+    JournalEntry e;
+    e.tensor_id = "r7";
+    e.kernel = "MTTKRP";
+    e.format = "HiCOO";
+    e.ok = true;
+    e.seconds = 1.25e-4;
+    e.flops = 4.2e6;
+    e.bytes = 8.1e6;
+    e.attempts = 3;
+    e.error = "path \"q\"\\x\nline\ttab\x01";
+    e.failure_class = "error";
+    e.variant = "atomic_avx2";
+    e.obs_flops = 1234.5;
+    e.obs_bytes = 0.1;
+    e.mem_peak = 65536;
+    e.partitions_done = 2;
+    e.partitions_total = 8;
+    return e;
+}
+
+TEST(Journal, LineBytesArePinned)
+{
+    // Journals written by earlier builds must stay byte-comparable with
+    // new ones: field order, %.17g doubles, escapes, optional shard.
+    JournalEntry e = golden_entry();
+    EXPECT_EQ(to_json_line(e),
+              "{\"tensor\":\"r7\",\"kernel\":\"MTTKRP\",\"format\":\"HiCOO\","
+              "\"ok\":true,\"seconds\":0.000125,\"flops\":4200000,"
+              "\"bytes\":8100000,\"attempts\":3,"
+              "\"error\":\"path \\\"q\\\"\\\\x\\nline\\ttab\\u0001\","
+              "\"class\":\"error\",\"variant\":\"atomic_avx2\","
+              "\"obs_flops\":1234.5,\"obs_bytes\":0.10000000000000001,"
+              "\"mem_peak\":65536,\"partitions_done\":2,"
+              "\"partitions_total\":8}");
+    e.ok = false;
+    e.shard = "s1.MTTKRP.p0-8";
+    e.seconds = 3.0;
+    e.attempts = -1;
+    EXPECT_EQ(to_json_line(e),
+              "{\"tensor\":\"r7\",\"kernel\":\"MTTKRP\",\"format\":\"HiCOO\","
+              "\"ok\":false,\"seconds\":3,\"flops\":4200000,"
+              "\"bytes\":8100000,\"attempts\":-1,"
+              "\"error\":\"path \\\"q\\\"\\\\x\\nline\\ttab\\u0001\","
+              "\"class\":\"error\",\"variant\":\"atomic_avx2\","
+              "\"obs_flops\":1234.5,\"obs_bytes\":0.10000000000000001,"
+              "\"mem_peak\":65536,\"partitions_done\":2,"
+              "\"partitions_total\":8,\"shard\":\"s1.MTTKRP.p0-8\"}");
+    JournalEntry back;
+    ASSERT_TRUE(parse_json_line(to_json_line(e), back));
+    EXPECT_EQ(back.error, e.error);
+    EXPECT_EQ(back.shard, e.shard);
+    EXPECT_EQ(back.attempts, -1);
+    EXPECT_EQ(back.partitions_total, 8);
+    EXPECT_DOUBLE_EQ(back.obs_bytes, 0.1);
+}
+
+TEST(Journal, UnicodeEscapesDecodeToUtf8)
+{
+    JournalEntry entry;
+    ASSERT_TRUE(parse_json_line(
+        "{\"tensor\":\"caf\\u00e9\",\"kernel\":\"TTV\",\"format\":\"COO\","
+        "\"ok\":true,\"error\":\"\\ud83d\\ude00 \\u20ac\"}",
+        entry));
+    EXPECT_EQ(entry.tensor_id, "caf\xc3\xa9");
+    EXPECT_EQ(entry.error, "\xf0\x9f\x98\x80 \xe2\x82\xac");
+    // A lone surrogate encodes nothing: the line is malformed.
+    EXPECT_FALSE(parse_json_line(
+        "{\"tensor\":\"\\ud83d\",\"kernel\":\"TTV\",\"format\":\"COO\","
+        "\"ok\":true}",
+        entry));
+    EXPECT_FALSE(parse_json_line(
+        "{\"tensor\":\"\\ude00x\",\"kernel\":\"TTV\",\"format\":\"COO\","
+        "\"ok\":true}",
+        entry));
+}
+
+TEST(Journal, RejectsNonJsonNumbers)
+{
+    const std::string head =
+        "{\"tensor\":\"r1\",\"kernel\":\"TTV\",\"format\":\"COO\","
+        "\"ok\":true,";
+    JournalEntry entry;
+    ASSERT_TRUE(parse_json_line(head + "\"seconds\":16}", entry));
+    for (const char* bad : {"\"seconds\":nan}", "\"seconds\":0x10}",
+                            "\"attempts\":inf}", "\"seconds\":-inf}",
+                            "\"seconds\":+1}", "\"seconds\":.5}",
+                            "\"seconds\":01}", "\"attempts\":1e300}",
+                            "\"attempts\":\"3\"}"})
+        EXPECT_FALSE(parse_json_line(head + bad, entry)) << bad;
+}
+
+TEST(Journal, ReplaySkipsOrTruncatesLinesWithNonJsonNumbers)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "pasta_journal_nan";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "nan.journal.jsonl").string();
+    const std::string good_a = to_json_line(
+        JournalEntry{"r1", "TEW", "COO", true, 0.5, 1e6, 2e6, 1, ""});
+    const std::string interior =
+        "{\"tensor\":\"r1\",\"kernel\":\"TS\",\"format\":\"COO\","
+        "\"ok\":true,\"seconds\":nan}";
+    const std::string good_b = to_json_line(
+        JournalEntry{"r1", "TTV", "COO", true, 0.25, 1e6, 2e6, 1, ""});
+    const std::string final_line =
+        "{\"tensor\":\"r1\",\"kernel\":\"TTM\",\"format\":\"COO\","
+        "\"ok\":true,\"attempts\":inf}";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << good_a << "\n"
+            << interior << "\n"
+            << good_b << "\n"
+            << final_line << "\n";
+    }
+    RunJournal replayed(path);
+    EXPECT_EQ(replayed.size(), 2u);
+    EXPECT_TRUE(replayed.has_ok("r1", "TEW", "COO"));
+    EXPECT_TRUE(replayed.has_ok("r1", "TTV", "COO"));
+    EXPECT_EQ(replayed.find("r1", "TS", "COO"), nullptr);
+    EXPECT_EQ(replayed.find("r1", "TTM", "COO"), nullptr);
+    // The interior line is kept on disk (skipped); the final one is cut.
+    EXPECT_EQ(fs::file_size(path),
+              good_a.size() + interior.size() + good_b.size() + 3);
+    fs::remove_all(dir);
+}
+
 TEST(Journal, DisabledJournalIsInert)
 {
     RunJournal journal;

@@ -1,7 +1,8 @@
 // Tests for the live metrics registry (src/obs/metrics): log-linear
 // histogram bucket math and percentile error bounds, merge algebra,
 // registry round-trips, snapshot JSONL serialization/parsing, torn-tail
-// tolerance, campaign-style aggregation, and the background exporter.
+// tolerance, campaign-style aggregation, hostile heartbeat lines, and
+// the background exporter (including a process exiting under it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,7 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
-namespace pasta::obs::metrics {
+namespace pasta::obs {
 namespace {
 
 /// Every test starts and ends with a zeroed registry and no exporter.
@@ -59,7 +60,7 @@ void
 expect_percentiles_within_bound(const std::vector<std::uint64_t>& values,
                                 const char* what)
 {
-    Histogram h("bound.check");
+    Histogram h;
     for (const std::uint64_t v : values)
         h.record(v);
     const HistSample sample = h.snapshot();
@@ -157,7 +158,7 @@ TEST_F(MetricsTest, PercentilesSingleValueAndEmpty)
 
 TEST_F(MetricsTest, SnapshotTracksMomentsExactly)
 {
-    Histogram h("moments");
+    Histogram h;
     h.record(3);
     h.record(100000);
     h.record(41);
@@ -172,7 +173,7 @@ TEST_F(MetricsTest, SnapshotTracksMomentsExactly)
 TEST_F(MetricsTest, MergeIsCommutativeAndAssociative)
 {
     Rng rng(2024);
-    Histogram ha("a"), hb("b"), hc("c");
+    Histogram ha, hb, hc;
     for (int i = 0; i < 3000; ++i)
         ha.record(rng.next_u64() % 1000);
     for (int i = 0; i < 3000; ++i)
@@ -199,7 +200,7 @@ TEST_F(MetricsTest, MergeIsCommutativeAndAssociative)
     EXPECT_TRUE(equal(merged(a, HistSample{}), a));
     EXPECT_TRUE(equal(merged(HistSample{}, a), a));
     // Merged percentiles equal the percentiles of the pooled sample.
-    Histogram pooled("pooled");
+    Histogram pooled;
     Rng rng2(2024);
     for (int i = 0; i < 3000; ++i)
         pooled.record(rng2.next_u64() % 1000);
@@ -211,7 +212,7 @@ TEST_F(MetricsTest, MergeIsCommutativeAndAssociative)
 
 TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
 {
-    Histogram h("concurrent");
+    Histogram h;
     constexpr int kThreads = 8;
     constexpr int kPerThread = 10000;
     std::vector<std::thread> threads;
@@ -232,13 +233,13 @@ TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
 
 TEST_F(MetricsTest, RegistryRoundTrip)
 {
-    counter_add("t.jobs", 5);
-    counter_add("t.jobs", 7);
-    gauge_set("t.level", 3.5);
-    gauge_max("t.peak", 10.0);
-    gauge_max("t.peak", 4.0);  // lower: must not regress the max
-    hist_record("t.lat", 100);
-    hist_record("t.lat", 200);
+    counter("t.jobs").add(5);
+    counter("t.jobs").add(7);
+    gauge("t.level").set(3.5);
+    gauge("t.peak").max(10.0);
+    gauge("t.peak").max(4.0);  // lower: must not regress the max
+    histogram("t.lat").record(100);
+    histogram("t.lat").record(200);
 
     const MetricsSnapshot snap = snapshot_metrics();
     EXPECT_EQ(snap.counter("t.jobs"), 12u);
@@ -263,11 +264,11 @@ TEST_F(MetricsTest, RegistryRoundTrip)
 
 TEST_F(MetricsTest, JsonRoundTripPreservesEverything)
 {
-    counter_add("rt.count", 42);
-    gauge_set("rt.gauge", 1234.5);
-    hist_record("rt.hist", 7);
-    hist_record("rt.hist", 7);
-    hist_record("rt.hist", 900000);
+    counter("rt.count").add(42);
+    gauge("rt.gauge").set(1234.5);
+    histogram("rt.hist").record(7);
+    histogram("rt.hist").record(7);
+    histogram("rt.hist").record(900000);
     MetricsSnapshot snap = snapshot_metrics();
     snap.ts = 1754700000.25;
     snap.seq = 9;
@@ -309,6 +310,92 @@ TEST_F(MetricsTest, ParseRejectsGarbageAndAcceptsUnknownKeys)
     EXPECT_EQ(out.counter("c"), 3u);
 }
 
+TEST_F(MetricsTest, HeartbeatLineBytesArePinned)
+{
+    // Heartbeat files outlive the binary that wrote them (campaign
+    // resume, metrics_summary.py): the serialization is pinned.
+    MetricsSnapshot s;
+    s.ts = 1754700000.25;
+    s.seq = 9;
+    s.source = "shard \"x\"\\y";
+    s.counters["a.count"].total = 42;
+    s.counters["b"].total = 0;
+    s.counters["big"].total = 18446744073709551615ull;
+    s.gauges["g.level"] = 1234.5;
+    s.gauges["g.tiny"] = 0.1;
+    s.gauges["g.neg"] = -2.5e-300;
+    HistSample& h = s.hists["h"];
+    h.count = 3;
+    h.sum = 900014;
+    h.min = 7;
+    h.max = 900000;
+    h.buckets = {{7, 2},
+                 {static_cast<std::uint32_t>(bucket_index(900000)), 1}};
+    s.hists["empty"];
+    EXPECT_EQ(snapshot_to_json(s),
+              "{\"ts\":1754700000.25,\"seq\":9,"
+              "\"source\":\"shard \\\"x\\\"\\\\y\","
+              "\"counters\":{\"a.count\":42,\"b\":0,"
+              "\"big\":18446744073709551615},"
+              "\"gauges\":{\"g.level\":1234.5,\"g.neg\":-2.5e-300,"
+              "\"g.tiny\":0.10000000000000001},"
+              "\"hists\":{\"empty\":{\"count\":0,\"sum\":0,\"min\":0,"
+              "\"max\":0,\"buckets\":[]},"
+              "\"h\":{\"count\":3,\"sum\":900014,\"min\":7,\"max\":900000,"
+              "\"buckets\":[[7,2],[502,1]]}}}");
+    EXPECT_EQ(snapshot_to_json(MetricsSnapshot{}),
+              "{\"ts\":0,\"seq\":0,\"source\":\"\",\"counters\":{},"
+              "\"gauges\":{},\"hists\":{}}");
+    MetricsSnapshot back;
+    ASSERT_TRUE(parse_snapshot_line(snapshot_to_json(s), back));
+    EXPECT_EQ(back.counter("big"), 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(back.gauge("g.neg"), -2.5e-300);
+    EXPECT_EQ(snapshot_to_json(back), snapshot_to_json(s));
+}
+
+TEST_F(MetricsTest, ParseDecodesUnicodeEscapesToUtf8)
+{
+    MetricsSnapshot out;
+    ASSERT_TRUE(parse_snapshot_line(
+        "{\"source\":\"caf\\u00e9\",\"counters\":{\"\\u00fcber\":1}}",
+        out));
+    EXPECT_EQ(out.source, "caf\xc3\xa9");
+    EXPECT_EQ(out.counter("\xc3\xbc" "ber"), 1u);
+    EXPECT_FALSE(parse_snapshot_line("{\"source\":\"\\udc00\"}", out));
+}
+
+TEST_F(MetricsTest, ParseRejectsDeepNestingWithoutCrashing)
+{
+    // An unknown key is skipped whatever it holds — but not at any depth:
+    // a line nested two million levels deep must be rejected, not
+    // recursed into until the stack overflows.
+    std::string bomb = "{\"ts\":1.0,\"future\":";
+    bomb.append(2000000, '[');
+    bomb.append(2000000, ']');
+    bomb += "}";
+    MetricsSnapshot out;
+    out.seq = 77;
+    EXPECT_FALSE(parse_snapshot_line(bomb, out));
+    EXPECT_EQ(out.seq, 77u);  // untouched on failure
+    // Modest nesting under an unknown key still parses.
+    EXPECT_TRUE(parse_snapshot_line(
+        "{\"seq\":5,\"future\":[[[[{\"a\":[1,{\"b\":null}]}]]]]}", out));
+    EXPECT_EQ(out.seq, 5u);
+}
+
+TEST_F(MetricsTest, ParseRejectsNonJsonNumbers)
+{
+    MetricsSnapshot out;
+    EXPECT_TRUE(parse_snapshot_line("{\"gauges\":{\"g\":1e3}}", out));
+    EXPECT_DOUBLE_EQ(out.gauge("g"), 1000.0);
+    for (const char* bad :
+         {"{\"gauges\":{\"g\":nan}}", "{\"gauges\":{\"g\":inf}}",
+          "{\"counters\":{\"c\":0x10}}", "{\"counters\":{\"c\":-1}}",
+          "{\"counters\":{\"c\":18446744073709551616}}",
+          "{\"gauges\":{\"g\":1e999}}"})
+        EXPECT_FALSE(parse_snapshot_line(bad, out)) << bad;
+}
+
 TEST_F(MetricsTest, LoadLastSnapshotToleratesTornTail)
 {
     const std::string path =
@@ -318,11 +405,11 @@ TEST_F(MetricsTest, LoadLastSnapshotToleratesTornTail)
     a.ts = 1.0;
     a.seq = 1;
     a.source = "w";
-    a.counters["done"] = 10;
+    a.counters["done"].total = 10;
     MetricsSnapshot b = a;
     b.ts = 2.0;
     b.seq = 2;
-    b.counters["done"] = 20;
+    b.counters["done"].total = 20;
     {
         std::ofstream out(path);
         out << snapshot_to_json(a) << "\n"
@@ -342,8 +429,8 @@ TEST_F(MetricsTest, MergeSnapshotsSumsMaxesAndMerges)
     MetricsSnapshot a;
     a.ts = 10.0;
     a.seq = 3;
-    a.counters["trial.ok"] = 4;
-    a.counters["only.a"] = 1;
+    a.counters["trial.ok"].total = 4;
+    a.counters["only.a"].total = 1;
     a.gauges["mem.peak"] = 100.0;
     a.hists["lat"].count = 2;
     a.hists["lat"].sum = 20;
@@ -353,7 +440,7 @@ TEST_F(MetricsTest, MergeSnapshotsSumsMaxesAndMerges)
     MetricsSnapshot b;
     b.ts = 12.0;
     b.seq = 2;
-    b.counters["trial.ok"] = 6;
+    b.counters["trial.ok"].total = 6;
     b.gauges["mem.peak"] = 250.0;
     b.hists["lat"].count = 1;
     b.hists["lat"].sum = 9;
@@ -404,13 +491,13 @@ TEST_F(MetricsTest, ExporterWritesHeartbeatsAndFinalSnapshot)
         (std::filesystem::temp_directory_path() / "pasta_test_exp.jsonl")
             .string();
     std::remove(path.c_str());
-    counter_add("exp.before", 1);
+    counter("exp.before").add(1);
     ExporterOptions opts;
     opts.path = path;
     opts.interval_s = 0.05;
     ASSERT_TRUE(start_exporter(opts, "unit"));
     EXPECT_TRUE(exporter_running());
-    counter_add("exp.during", 2);
+    counter("exp.during").add(2);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     stop_exporter();
     EXPECT_FALSE(exporter_running());
@@ -442,5 +529,32 @@ TEST_F(MetricsTest, ExporterWritesHeartbeatsAndFinalSnapshot)
     stop_exporter();
 }
 
+TEST_F(MetricsTest, ExitWithRunningExporterWritesFinalSnapshot)
+{
+    // Drivers arm the exporter from PASTA_METRICS and simply return from
+    // main: exit must join the thread (not abort on a joinable
+    // std::thread) and flush a final snapshot with the run's totals.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "pasta_test_exit.jsonl")
+            .string();
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            ExporterOptions opts;
+            opts.path = path;
+            opts.interval_s = 60.0;  // only the first and the final line
+            start_exporter(opts, "exit");
+            counter("exit.recorded").add(3);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    MetricsSnapshot last;
+    ASSERT_TRUE(load_last_snapshot(path, last));
+    EXPECT_EQ(last.source, "exit");
+    EXPECT_EQ(last.counter("exit.recorded"), 3u);
+    std::remove(path.c_str());
+}
+
 }  // namespace
-}  // namespace pasta::obs::metrics
+}  // namespace pasta::obs

@@ -1,6 +1,7 @@
 // Tests for the instrumentation layer (src/obs): mode arming, span
-// recording/nesting/thread attribution, Chrome-trace export, the counter
-// registry, trial delta accounting, and the GPU-sim counter feed.
+// recording/nesting/thread attribution, Chrome-trace export, the gated
+// model counters, trial delta accounting, the text report, and the
+// GPU-sim counter feed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "gpusim/gpu_kernels.hpp"
@@ -30,7 +32,7 @@ class ObsTest : public ::testing::Test {
     void SetUp() override
     {
         set_mode(TraceMode::kOff);
-        reset_counters();
+        reset_metrics();
         reset_spans();
     }
     void TearDown() override { set_mode(TraceMode::kOff); }
@@ -63,9 +65,9 @@ TEST_F(ObsTest, OffRecordsNothing)
         set_label("off.label", "value");
     }
     EXPECT_TRUE(collect_spans().empty());
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_EQ(snap.value("off.flops"), 0);
-    EXPECT_EQ(snap.max_of("off.peak"), 0u);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_EQ(snap.counter("off.flops"), 0u);
+    EXPECT_EQ(snap.gauge("off.peak"), 0.0);
     EXPECT_EQ(snap.label("off.label"), "");
     EXPECT_EQ(last_label("off.label"), "");
 }
@@ -84,9 +86,9 @@ TEST_F(ObsTest, CountersAccumulateAndSnapshot)
     set_label("t.variant", "beta");
     set_label("t.variant", "beta");
 
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_EQ(snap.value("t.flops"), 30);
-    EXPECT_EQ(snap.max_of("t.peak"), 50u);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_EQ(snap.counter("t.flops"), 30u);
+    EXPECT_EQ(snap.gauge("t.peak"), 50.0);
     EXPECT_EQ(snap.label("t.variant"), "beta");
     EXPECT_EQ(last_label("t.variant"), "beta");
     const CounterSample* items = snap.find("t.items");
@@ -97,18 +99,33 @@ TEST_F(ObsTest, CountersAccumulateAndSnapshot)
     EXPECT_EQ(items->worker[1], 12u);
     // max/mean over {4, 12}: 12 / 8 = 1.5.
     EXPECT_DOUBLE_EQ(worker_imbalance(*items), 1.5);
+    // The label history, as the model-counter consumers read it.
+    const MetricsSnapshot labels = snapshot_counters();
+    ASSERT_EQ(labels.labels.size(), 1u);
+    EXPECT_EQ(labels.labels[0].key, "t.variant");
+    const std::vector<std::pair<std::string, std::uint64_t>> counts = {
+        {"alpha", 1}, {"beta", 2}};
+    EXPECT_EQ(labels.labels[0].counts, counts);
+    const std::string report = render_counter_report(labels);
+    EXPECT_NE(report.find("t.items  total=16  workers=2  imbalance=1.5"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("t.peak  value=50"), std::string::npos) << report;
+    EXPECT_NE(report.find("t.variant = beta  (alpha x1, beta x2)"),
+              std::string::npos)
+        << report;
 }
 
 TEST_F(ObsTest, DeltaSuffixSumIgnoresMaxCounters)
 {
     set_mode(TraceMode::kCounters);
     add("a.flops", 100);
-    const CountersSnapshot before = snapshot_counters();
+    const MetricsSnapshot before = snapshot_metrics();
     add("a.flops", 50);
     add("b.flops", 25);
     add("a.bytes", 600);
-    record_max("c.peak_bytes", 4096);  // max-only: total stays 0
-    const CountersSnapshot after = snapshot_counters();
+    record_max("c.peak_bytes", 4096);  // a gauge: no counter total
+    const MetricsSnapshot after = snapshot_metrics();
     EXPECT_DOUBLE_EQ(delta_suffix_sum(before, after, ".flops"), 75.0);
     EXPECT_DOUBLE_EQ(delta_suffix_sum(before, after, ".bytes"), 600.0);
 }
@@ -183,6 +200,50 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed)
               std::count(text.begin(), text.end(), '}'));
     EXPECT_EQ(std::count(text.begin(), text.end(), '['),
               std::count(text.begin(), text.end(), ']'));
+}
+
+TEST_F(ObsTest, ControlCharsInSpanNamesRoundTripThroughBothExports)
+{
+    set_mode(TraceMode::kSpans);
+    const std::string name = "a\tb\"c\\";
+    {
+        PASTA_SPAN(name);
+    }
+    const auto slurp = [](const std::string& path) {
+        std::ifstream in(path);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        return buf.str();
+    };
+    const std::string dir = std::filesystem::temp_directory_path().string();
+    const std::string trace_path = dir + "/pasta_test_ctrl_trace.json";
+    const std::string jsonl_path = dir + "/pasta_test_ctrl_spans.jsonl";
+    ASSERT_TRUE(write_chrome_trace(trace_path));
+    ASSERT_TRUE(write_spans_jsonl(jsonl_path));
+
+    json::Value doc;
+    ASSERT_TRUE(json::parse(slurp(trace_path), doc));
+    const json::Value* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->items().size(), 1u);
+    std::string got;
+    ASSERT_TRUE(events->items()[0].get("name", got));
+    EXPECT_EQ(got, name);
+
+    std::istringstream lines(slurp(jsonl_path));
+    std::string line;
+    std::size_t parsed = 0;
+    got.clear();
+    while (std::getline(lines, line)) {
+        json::Value v;
+        ASSERT_TRUE(json::parse(line, v)) << line;
+        ++parsed;
+        v.get_optional("name", got);
+    }
+    EXPECT_EQ(parsed, 2u);  // meta line + the span
+    EXPECT_EQ(got, name);
+    std::remove(trace_path.c_str());
+    std::remove(jsonl_path.c_str());
 }
 
 TEST_F(ObsTest, SpansJsonlOneObjectPerLine)
@@ -260,7 +321,7 @@ TEST_F(ObsTest, WorkerSlotsBeyondCapSpillToOverflowCell)
     for (auto& t : threads)
         t.join();
 
-    const CountersSnapshot snap = snapshot_counters();
+    const MetricsSnapshot snap = snapshot_metrics();
     const CounterSample* items = snap.find("ovf.items");
     ASSERT_NE(items, nullptr);
     EXPECT_EQ(items->total, kThreads * kPerWorker);
@@ -273,8 +334,8 @@ TEST_F(ObsTest, WorkerSlotsBeyondCapSpillToOverflowCell)
     EXPECT_EQ(items->overflow,
               (kThreads - kMaxWorkers) * kPerWorker);
 
-    reset_counters();
-    const CountersSnapshot cleared = snapshot_counters();
+    reset_metrics();
+    const MetricsSnapshot cleared = snapshot_metrics();
     const CounterSample* after = cleared.find("ovf.items");
     ASSERT_NE(after, nullptr);
     EXPECT_EQ(after->overflow, 0u);
@@ -296,11 +357,11 @@ TEST_F(ObsTest, KernelCountersMatchCostModel)
     DenseMatrix out(x.dim(0), rank);
     mttkrp_coo(x, factors, 0, out);
 
-    const CountersSnapshot snap = snapshot_counters();
+    const MetricsSnapshot snap = snapshot_metrics();
     // Table I: MTTKRP-COO does N*M*R flops.
-    EXPECT_EQ(snap.value("mttkrp.flops"),
-              static_cast<double>(x.order() * x.nnz() * rank));
-    EXPECT_GT(snap.value("mttkrp.bytes"), 0);
+    EXPECT_EQ(snap.counter("mttkrp.flops"),
+              static_cast<std::uint64_t>(x.order() * x.nnz() * rank));
+    EXPECT_GT(snap.counter("mttkrp.bytes"), 0u);
     EXPECT_NE(snap.label("mttkrp.variant"), "");
 }
 
@@ -314,14 +375,14 @@ TEST_F(ObsTest, GpusimCountersRecordLaunchesAndTraffic)
         gpusim::tew_gpu_coo(x, y, EwOp::kAdd, z);
     (void)gpusim::estimate_seconds(gpusim::tesla_p100(), profile);
 
-    const CountersSnapshot snap = snapshot_counters();
-    EXPECT_GE(snap.value("gpusim.launches"), 1);
-    EXPECT_GT(snap.value("gpusim.sim_threads"), 0);
-    EXPECT_GT(snap.value("gpusim.flops"), 0);
-    EXPECT_GT(snap.value("gpusim.bytes"), 0);
-    EXPECT_EQ(snap.value("gpusim.model_launches"), 1);
-    EXPECT_GT(snap.max_of("gpusim.mem_peak_bytes"), 0u);
-    EXPECT_LE(snap.max_of("gpusim.occupancy_pct"), 100u);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_GE(snap.counter("gpusim.launches"), 1u);
+    EXPECT_GT(snap.counter("gpusim.sim_threads"), 0u);
+    EXPECT_GT(snap.counter("gpusim.flops"), 0u);
+    EXPECT_GT(snap.counter("gpusim.bytes"), 0u);
+    EXPECT_EQ(snap.counter("gpusim.model_launches"), 1u);
+    EXPECT_GT(snap.gauge("gpusim.mem_peak_bytes"), 0.0);
+    EXPECT_LE(snap.gauge("gpusim.occupancy_pct"), 100.0);
 }
 
 TEST_F(ObsTest, RooflinePctAgainstMachineBalance)

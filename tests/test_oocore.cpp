@@ -661,7 +661,7 @@ TEST_F(Oocore, MttkrpCheckpointBytesAreOutputSized)
 {
     const obs::TraceMode saved = obs::current_mode();
     obs::set_mode(obs::TraceMode::kCounters);
-    obs::reset_counters();
+    obs::reset_metrics();
 
     CheckpointCase c(61);
     DenseMatrix out;

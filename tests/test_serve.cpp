@@ -1,7 +1,8 @@
 // Tests for the multi-tenant serving engine (src/serve): work-stealing
 // deque, plan cache (hit/miss/eviction/ref-count/single-flight),
 // executor determinism, scheduler accounting, chaos isolation, OOM
-// retry lane, and strict PASTA_SERVE_* env validation.
+// retry lane, strict PASTA_SERVE_* env validation, and exactly-once
+// telemetry of the serving events.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "common/membudget.hpp"
 #include "common/rng.hpp"
 #include "harness/fault.hpp"
+#include "obs/counters.hpp"
 #include "serve/deque.hpp"
 #include "serve/executor.hpp"
 #include "serve/plan_cache.hpp"
@@ -347,6 +349,43 @@ TEST(SchedulerTest, RunsEveryJobExactlyOnce)
         EXPECT_GE(job->done_ns, job->start_ns);
         EXPECT_GE(job->start_ns, job->submit_ns);
     }
+}
+
+TEST(SchedulerTest, ServeEventsAreRecordedExactlyOnceWithCountersArmed)
+{
+    // Armed model counters and the live serving counters share one
+    // registry, so each job's completion and cache outcome must appear
+    // in the snapshot exactly once.
+    obs::set_mode(obs::TraceMode::kCounters);
+    obs::reset_metrics();
+    auto tensor = std::make_shared<const CooTensor>(small_tensor());
+    ServeOptions options;
+    options.workers = 2;
+    Executor executor(options);
+    ASSERT_NE(executor.cache(), nullptr);
+    Scheduler scheduler(options, executor);
+    constexpr std::uint64_t kJobs = 40;
+    for (std::uint64_t i = 0; i < kJobs; ++i)
+        ASSERT_TRUE(scheduler.submit(
+            make_job(tensor, i, ServeKernel::kTtv,
+                     i % 2 ? ServeFormat::kHicoo : ServeFormat::kCoo,
+                     i % 3)));
+    scheduler.drain();
+    const obs::MetricsSnapshot snap = obs::snapshot_counters();
+    obs::set_mode(obs::TraceMode::kOff);
+
+    const Scheduler::Stats stats = scheduler.stats();
+    const PlanCache::Stats cache = executor.cache()->stats();
+    EXPECT_EQ(stats.done, kJobs);
+    EXPECT_GT(cache.hits, 0u);
+    EXPECT_GT(cache.misses, 0u);
+    EXPECT_EQ(snap.counter("serve.done"), stats.done);
+    EXPECT_EQ(snap.counter("serve.failed"), stats.failed);
+    EXPECT_EQ(snap.counter("serve.cache_hit"), cache.hits);
+    EXPECT_EQ(snap.counter("serve.cache_miss"), cache.misses);
+    const obs::HistSample* exec = snap.hist("serve.exec_us");
+    ASSERT_NE(exec, nullptr);
+    EXPECT_EQ(exec->count, kJobs);
 }
 
 TEST(SchedulerTest, InjectedKernelFaultsFailOnlyTheirJobs)

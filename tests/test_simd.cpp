@@ -274,13 +274,14 @@ TEST_F(SimdTest, DotReductionsWithinToleranceOnRandomValues)
 TEST_F(SimdTest, NoteKernelStampsLabelAndWidth)
 {
     obs::set_mode(obs::TraceMode::kCounters);
-    obs::reset_counters();
+    obs::reset_metrics();
     const simd::Isa isa = simd::best_supported_isa();
     simd::set_isa(isa);
     EXPECT_EQ(simd::note_kernel(), isa);
-    const obs::CountersSnapshot snap = obs::snapshot_counters();
+    const obs::MetricsSnapshot snap = obs::snapshot_counters();
     EXPECT_EQ(snap.label("simd.isa"), simd::isa_name(isa));
-    EXPECT_EQ(snap.max_of("simd.width"), simd::isa_lanes(isa));
+    EXPECT_EQ(snap.gauge("simd.width"),
+              static_cast<double>(simd::isa_lanes(isa)));
 }
 
 TEST_F(SimdTest, SetIsaRejectsUnsupported)
