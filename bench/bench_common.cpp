@@ -2,11 +2,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
 #include "common/rng.hpp"
@@ -31,36 +30,11 @@
 
 namespace pasta::bench {
 
-namespace {
-
-double
-parse_env_double(const char* name, const char* value, double lo, double hi)
-{
-    char* end = nullptr;
-    const double v = std::strtod(value, &end);
-    PASTA_CHECK_MSG(*value && *end == '\0' && v > lo && v <= hi,
-                    name << "='" << value << "' must be a number in ("
-                         << lo << ", " << hi << "]");
-    return v;
-}
-
-std::size_t
-parse_env_size(const char* name, const char* value, std::size_t lo,
-               std::size_t hi)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    PASTA_CHECK_MSG(*value && *end == '\0' && v >= lo && v <= hi,
-                    name << "='" << value << "' must be an integer in ["
-                         << lo << ", " << hi << "]");
-    return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
 BenchOptions
 options_from_env()
 {
+    // A misspelled or malformed knob fails the run before any work.
+    config::check_environment();
     set_log_threshold_from_env();
     // Arm fault injection before anything the guards protect can run.
     harness::FaultInjector::instance().configure_from_env();
@@ -79,16 +53,12 @@ options_from_env()
     (void)obs::arm_from_env("bench");
 
     BenchOptions options;
-    if (const char* s = std::getenv("PASTA_SCALE"))
-        options.scale = parse_env_double("PASTA_SCALE", s, 0.0, 1.0);
-    if (const char* s = std::getenv("PASTA_RUNS"))
-        options.runs = parse_env_size("PASTA_RUNS", s, 1, 1000000);
-    if (const char* s = std::getenv("PASTA_CACHE"))
-        options.cache_dir = s;
+    options.scale = config::real("PASTA_SCALE");
+    options.runs = static_cast<std::size_t>(config::integer("PASTA_RUNS"));
+    options.cache_dir = config::text("PASTA_CACHE");
     options.trial_policy = harness::TrialPolicy::from_env();
-    const char* fault = std::getenv("PASTA_FAULT");
-    if (!std::getenv("PASTA_TRIAL_TIMEOUT") && fault &&
-        std::strstr(fault, "hang")) {
+    if (!config::is_set("PASTA_TRIAL_TIMEOUT") &&
+        config::text("PASTA_FAULT").find("hang") != std::string::npos) {
         // An armed hang with no explicit watchdog would stall the suite
         // forever; arm a generous default instead.
         options.trial_policy.timeout_seconds = 60.0;
@@ -96,8 +66,7 @@ options_from_env()
                           "PASTA_TRIAL_TIMEOUT is unset; defaulting the "
                           "watchdog to 60 s";
     }
-    if (const char* s = std::getenv("PASTA_JOURNAL"))
-        options.journal_enabled = std::strcmp(s, "0") != 0;
+    options.journal_enabled = config::flag("PASTA_JOURNAL");
     return options;
 }
 
@@ -160,7 +129,6 @@ struct TensorContext {
     HiCooTensor hx;               ///< HiCOO form of x
     HiCooTensor hy;               ///< HiCOO form of y
     std::vector<DenseMatrix> mats;  ///< MTTKRP factors
-    DenseMatrix mttkrp_out;       ///< widest output buffer
 
     FactorList factors() const
     {
@@ -181,14 +149,10 @@ fill_context(TensorContext& ctx, const NamedTensor& entry,
     ctx.hx = coo_to_hicoo(entry.tensor, options.block_bits);
     ctx.hy = coo_to_hicoo(ctx.y, options.block_bits);
     Rng rng(23);
-    Index widest = 0;
     ctx.mats.clear();
-    for (Size m = 0; m < entry.tensor.order(); ++m) {
+    for (Size m = 0; m < entry.tensor.order(); ++m)
         ctx.mats.push_back(
             DenseMatrix::random(entry.tensor.dim(m), options.rank, rng));
-        widest = std::max(widest, entry.tensor.dim(m));
-    }
-    ctx.mttkrp_out = DenseMatrix(widest, options.rank);
 }
 
 /// Mode-independent stats (TEW/TS/MTTKRP).
@@ -1213,15 +1177,13 @@ maybe_export_trace(const std::string& stem)
 {
     if (!obs::spans_enabled())
         return;
-    const char* dir = std::getenv("PASTA_TRACE_DIR");
-    if (!dir || !*dir)
-        dir = std::getenv("PASTA_CSV_DIR");
-    if (!dir || !*dir)
+    std::string dir = config::text("PASTA_TRACE_DIR");
+    if (dir.empty())
+        dir = config::text("PASTA_CSV_DIR");
+    if (dir.empty())
         dir = ".";
-    obs::write_chrome_trace(std::string(dir) + "/" + stem +
-                            ".trace.json");
-    obs::write_spans_jsonl(std::string(dir) + "/" + stem +
-                           ".spans.jsonl");
+    obs::write_chrome_trace(dir + "/" + stem + ".trace.json");
+    obs::write_spans_jsonl(dir + "/" + stem + ".spans.jsonl");
 }
 
 void
@@ -1229,25 +1191,23 @@ maybe_export_csv(const std::string& stem,
                  const std::vector<MeasuredRun>& runs,
                  const MachineSpec& platform)
 {
-    const char* dir = std::getenv("PASTA_CSV_DIR");
-    if (!dir || !*dir)
+    const std::string dir = config::text("PASTA_CSV_DIR");
+    if (dir.empty())
         return;
-    export_csv(std::string(dir) + "/" + stem + ".csv", runs, platform);
+    export_csv(dir + "/" + stem + ".csv", runs, platform);
 }
 
 void
 maybe_export_csv(const std::string& stem, const SuiteResult& result,
                  const MachineSpec& platform)
 {
-    const char* dir = std::getenv("PASTA_CSV_DIR");
-    if (!dir || !*dir)
+    const std::string dir = config::text("PASTA_CSV_DIR");
+    if (dir.empty())
         return;
-    export_csv(std::string(dir) + "/" + stem + ".csv", result.runs,
-               platform);
+    export_csv(dir + "/" + stem + ".csv", result.runs, platform);
     if (!result.failures.empty())
-        export_failures_csv(
-            std::string(dir) + "/" + stem + "_failures.csv",
-            result.failures);
+        export_failures_csv(dir + "/" + stem + "_failures.csv",
+                            result.failures);
 }
 
 void

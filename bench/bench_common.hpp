@@ -27,35 +27,8 @@
 
 namespace pasta::bench {
 
-/// Global options, overridable through environment variables:
-///   PASTA_SCALE          dataset scale (fraction of paper nnz), 5e-4
-///   PASTA_RUNS           timed repetitions per kernel, default 3
-///   PASTA_CACHE          dataset cache dir, default ".pasta_cache"
-///   PASTA_TRIAL_TIMEOUT  per-trial watchdog seconds (0 = inline, no
-///                        watchdog; defaults to 60 when PASTA_FAULT
-///                        contains a hang rule)
-///   PASTA_TRIAL_RETRIES  attempts per trial (default 3)
-///   PASTA_JOURNAL        "0" disables checkpoint/resume journaling
-///   PASTA_VALIDATE       off|convert|kernel|full structural and
-///                        differential checking (see src/validate)
-///   PASTA_TRACE          off|counters|spans|full instrumentation (see
-///                        src/obs): counters feed the obs_* CSV columns
-///                        and the journal, spans feed the Chrome trace
-///   PASTA_TRACE_DIR      where trace.json/spans.jsonl land (falls back
-///                        to PASTA_CSV_DIR, then ".")
-///   PASTA_METRICS        <path>[,interval_ms] live metrics heartbeat:
-///                        a background thread appends one JSON snapshot
-///                        of the always-on metrics registry (counters,
-///                        gauges, latency histograms) per interval
-///                        (default 1000 ms) — tail it mid-run or render
-///                        with scripts/metrics_summary.py
-///   PASTA_MEM_BYTES      memory budget (suffixes K/M/G accepted) armed
-///                        into the src/common/membudget governor: trials
-///                        whose working set would exceed it degrade to
-///                        the out-of-core streaming kernels (src/core/
-///                        stream) and retry instead of dying
-/// Malformed numeric values throw PastaError instead of silently
-/// producing 0 runs or undefined behavior.
+/// Global options.  options_from_env() fills them from the PASTA_*
+/// knobs in src/common/config (README.md, "Environment knobs").
 struct BenchOptions {
     double scale = 5e-4;
     std::size_t runs = 3;
@@ -64,12 +37,13 @@ struct BenchOptions {
     std::string cache_dir = ".pasta_cache";
     std::string journal_stem;        ///< figure binaries set this; empty
                                      ///< disables journaling
-    bool journal_enabled = true;     ///< PASTA_JOURNAL != "0"
+    bool journal_enabled = true;     ///< PASTA_JOURNAL
     harness::TrialPolicy trial_policy;
 };
 
-/// Reads BenchOptions from the environment (validating numeric values),
-/// applies $PASTA_LOG, and arms fault injection from $PASTA_FAULT.
+/// Reads BenchOptions from the environment after rejecting unknown
+/// PASTA_* names and malformed values, applies $PASTA_LOG, and arms
+/// fault injection, the memory governor and the metrics heartbeat.
 BenchOptions options_from_env();
 
 /// One trial (or whole tensor, kernel "*") that failed or was skipped.

@@ -19,12 +19,12 @@
 /// Extra environment (on top of the bench_common set):
 ///   PASTA_OOCORE_DATASET  Table II id/name to synthesize (default "s1")
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "bench_common.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
 #include "common/rng.hpp"
@@ -130,9 +130,8 @@ main()
     using namespace pasta;
     const bench::BenchOptions options = bench::options_from_env();
 
-    const char* dataset_env = std::getenv("PASTA_OOCORE_DATASET");
     const DatasetSpec& spec =
-        find_dataset(dataset_env && *dataset_env ? dataset_env : "s1");
+        find_dataset(config::text("PASTA_OOCORE_DATASET"));
 
     std::error_code ec;
     std::filesystem::create_directories(options.cache_dir, ec);

@@ -26,23 +26,12 @@
 /// accounting still balances, and the binary exits 0 unless jobs were
 /// lost (scripts/check_serve.sh runs exactly that).
 ///
-/// Extra environment (on top of the bench_common set, all strictly
-/// validated):
-///   PASTA_SERVE_JOBS         jobs per phase (default 2000)
-///   PASTA_SERVE_TENSORS      corpus size (default 8)
-///   PASTA_SERVE_NNZ          nnz per corpus tensor (default 16384)
-///   PASTA_SERVE_RATE         poisson arrival rate, jobs/s (0 skips the
-///                            phase; default: auto from cached phase)
-///   PASTA_SERVE_MIN_SPEEDUP  minimum cache-on / cache-off throughput
-///                            ratio (0 = report only; default 0)
-///   PASTA_SERVE_WORKERS / _QUEUE / _CACHE_BYTES / _JOB_THREADS
-///                            engine knobs, see src/serve/job.hpp
+/// Extra environment: the PASTA_SERVE_* knobs (README.md, "Environment
+/// knobs").
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -52,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
@@ -69,34 +59,6 @@ using namespace pasta;
 using serve::ServeFormat;
 using serve::ServeJob;
 using serve::ServeKernel;
-
-long
-env_long(const char* name, long fallback, long lo, long hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
-
-double
-env_double(const char* name, double fallback, double lo, double hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be a number in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
 
 /// The immutable description one job is built from in every phase: the
 /// job list is a pure function of the config, so nocache and cache
@@ -443,16 +405,12 @@ main()
     using namespace pasta;
     const bench::BenchOptions bench_options = bench::options_from_env();
 
-    const Size jobs = static_cast<Size>(
-        env_long("PASTA_SERVE_JOBS", 2000, 1, 100000000));
-    const Size tensors = static_cast<Size>(
-        env_long("PASTA_SERVE_TENSORS", 8, 1, 100000));
-    const Size nnz = static_cast<Size>(
-        env_long("PASTA_SERVE_NNZ", 16384, 8, 1 << 28));
-    const double rate_env =
-        env_double("PASTA_SERVE_RATE", -1.0, -1.0, 1e12);
-    const double min_speedup =
-        env_double("PASTA_SERVE_MIN_SPEEDUP", 0.0, 0.0, 1e6);
+    const auto jobs = static_cast<Size>(config::integer("PASTA_SERVE_JOBS"));
+    const auto tensors =
+        static_cast<Size>(config::integer("PASTA_SERVE_TENSORS"));
+    const auto nnz = static_cast<Size>(config::integer("PASTA_SERVE_NNZ"));
+    const double rate_env = config::real("PASTA_SERVE_RATE");
+    const double min_speedup = config::real("PASTA_SERVE_MIN_SPEEDUP");
 
     serve::ServeOptions serve_options = serve::ServeOptions::from_env();
     serve_options.block_bits = bench_options.block_bits;
@@ -531,13 +489,11 @@ main()
         journal_phase(journal, phases.back());
     }
 
-    if (const char* dir = std::getenv("PASTA_CSV_DIR")) {
-        if (*dir) {
-            std::error_code ec;
-            std::filesystem::create_directories(dir, ec);
-            export_csv(std::string(dir) + "/serving.csv", phases,
-                       summaries);
-        }
+    if (const std::string dir = config::text("PASTA_CSV_DIR");
+        !dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        export_csv(dir + "/serving.csv", phases, summaries);
     }
     bench::maybe_export_trace("serving");
 

@@ -15,27 +15,14 @@
 ///   pasta_campaign --worker   claim + run ONE shard, then exit (the
 ///                             supervisor re-execs this; not for hand use)
 ///
-/// Environment (on top of the bench_common set):
-///   PASTA_CAMPAIGN_DIR       campaign state dir (default
-///                            <cache_dir>/campaign)
-///   PASTA_CAMPAIGN_DATASETS  comma-separated Table II ids (default "s1")
-///   PASTA_SHARDS             worker process count (default 2)
-///   PASTA_CHAOS              SIGKILLs to deal to random mid-trial
-///                            workers (default 0); seeded by
-///                            $PASTA_FAULT_SEED
-///   PASTA_CAMPAIGN_DELAY_MS  artificial per-shard delay before the
-///                            kernel runs (default 0) — widens the
-///                            mid-trial window so chaos kills land
-///   PASTA_METRICS            <path>[,interval_ms] — arm the live metrics
-///                            heartbeat.  Each worker additionally
-///                            exports to <dir>/metrics.<shard>.jsonl and
-///                            the supervisor tails those into
-///                            <dir>/metrics.campaign.jsonl (counters
-///                            summed, gauges maxed, histograms merged);
-///                            with PASTA_TRACE=spans/full the per-worker
-///                            traces are merged into
-///                            <dir>/campaign.trace.json on one epoch
-///                            clock (see scripts/metrics_summary.py)
+/// Environment: the campaign knobs PASTA_CAMPAIGN_*, PASTA_SHARDS and
+/// PASTA_CHAOS (README.md, "Environment knobs").  The delay widens the
+/// mid-trial window so chaos kills land.  With PASTA_METRICS armed each
+/// worker also exports to <dir>/metrics.<shard>.jsonl and the supervisor
+/// folds those into <dir>/metrics.campaign.jsonl (counters summed,
+/// gauges maxed, histograms merged); with PASTA_TRACE=spans/full the
+/// per-worker traces are merged into <dir>/campaign.trace.json on one
+/// epoch clock (see scripts/metrics_summary.py).
 #include <unistd.h>
 
 #include <chrono>
@@ -43,11 +30,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
 #include "common/rng.hpp"
@@ -60,43 +49,16 @@ namespace {
 
 using namespace pasta;
 
-std::string
-campaign_dir(const bench::BenchOptions& options)
-{
-    const char* s = std::getenv("PASTA_CAMPAIGN_DIR");
-    if (s && *s)
-        return s;
-    return options.cache_dir + "/campaign";
-}
-
+/// Splits PASTA_CAMPAIGN_DATASETS on commas, dropping empty ids.
 std::vector<std::string>
 campaign_datasets()
 {
-    const char* s = std::getenv("PASTA_CAMPAIGN_DATASETS");
-    std::string list = s && *s ? s : "s1";
+    std::istringstream list(config::text("PASTA_CAMPAIGN_DATASETS"));
     std::vector<std::string> ids;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string id =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
+    for (std::string id; std::getline(list, id, ',');)
         if (!id.empty())
             ids.push_back(id);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
     return ids;
-}
-
-long
-delay_ms_from_env()
-{
-    const char* s = std::getenv("PASTA_CAMPAIGN_DELAY_MS");
-    if (!s || !*s)
-        return 0;
-    return std::strtol(s, nullptr, 10);
 }
 
 std::string
@@ -172,9 +134,8 @@ harness::JournalEntry
 run_shard(const bench::BenchOptions& options, const std::string& dir,
           const harness::ShardSpec& spec)
 {
-    const long delay = delay_ms_from_env();
-    if (delay > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        config::integer("PASTA_CAMPAIGN_DELAY_MS")));
 
     MappedCooTensor mapped(tensor_stem(options, spec.tensor) + ".pstb");
     membudget::MemGovernor::instance().reset_peak();
@@ -250,7 +211,9 @@ main(int argc, char** argv)
 {
     using namespace pasta;
     const bench::BenchOptions options = bench::options_from_env();
-    const std::string dir = campaign_dir(options);
+    std::string dir = config::text("PASTA_CAMPAIGN_DIR");
+    if (dir.empty())
+        dir = options.cache_dir + "/campaign";
 
     harness::CampaignOptions copts = harness::CampaignOptions::from_env();
     copts.dir = dir;

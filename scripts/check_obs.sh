@@ -5,7 +5,8 @@
 # to emit:
 #   - <stem>.trace.json is valid JSON in Chrome trace-event form
 #     (traceEvents array of "ph":"X" complete events)
-#   - <stem>.spans.jsonl parses line by line
+#   - <stem>.spans.jsonl parses line by line: a pastaMeta header
+#     (pid, monoToEpochUs, spansDropped), then spans with name/dur_us
 #   - the suite CSV carries the obs columns (variant, obs_flops,
 #     obs_bytes, obs_ai, roofline_pct) with nonzero counter totals
 #   - the run journal carries obs_flops/obs_bytes per trial
@@ -83,14 +84,25 @@ jsonls = glob.glob(os.path.join(work, "*.spans.jsonl"))
 if not jsonls:
     failures.append("no .spans.jsonl written")
 for path in jsonls:
-    n = 0
     with open(path) as f:
-        for line in f:
-            span = json.loads(line)
-            if "name" not in span or "dur_us" not in span:
-                failures.append(f"{path}: span missing name/dur_us")
-                break
-            n += 1
+        lines = f.read().splitlines()
+    # First line: the {"pastaMeta":{...}} header (DESIGN.md §11).
+    meta = json.loads(lines[0]).get("pastaMeta") if lines else None
+    if not isinstance(meta, dict):
+        failures.append(f"{path}: first line is not a pastaMeta header")
+        continue
+    for key in ("pid", "monoToEpochUs", "spansDropped"):
+        value = meta.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < (1 if key == "pid" else 0):
+            failures.append(f"{path}: pastaMeta.{key} is {value!r}")
+    n = 0
+    for line in lines[1:]:
+        span = json.loads(line)
+        if "name" not in span or "dur_us" not in span:
+            failures.append(f"{path}: span missing name/dur_us")
+            break
+        n += 1
     print(f"ok: {os.path.basename(path)} ({n} spans)")
 
 obs_cols = {"variant", "obs_flops", "obs_bytes", "obs_ai",

@@ -1,8 +1,9 @@
 #include "common/log.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
+
+#include "common/config.hpp"
 
 namespace pasta {
 
@@ -27,18 +28,7 @@ level_tag(LogLevel level)
 void
 set_log_threshold_from_env()
 {
-    const char* s = std::getenv("PASTA_LOG");
-    if (!s)
-        return;
-    const std::string v(s);
-    if (v == "debug")
-        set_log_threshold(LogLevel::kDebug);
-    else if (v == "info")
-        set_log_threshold(LogLevel::kInfo);
-    else if (v == "warn")
-        set_log_threshold(LogLevel::kWarn);
-    else if (v == "error")
-        set_log_threshold(LogLevel::kError);
+    set_log_threshold(static_cast<LogLevel>(config::choice("PASTA_LOG")));
 }
 
 void

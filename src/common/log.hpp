@@ -37,9 +37,9 @@ set_log_threshold(LogLevel level)
     detail::g_log_threshold.store(level, std::memory_order_relaxed);
 }
 
-/// Applies $PASTA_LOG ("debug"/"info"/"warn"/"error") to the global
-/// threshold; unknown or unset values leave it untouched.  Drivers call
-/// this once at startup so long suite runs can be quieted.
+/// Applies $PASTA_LOG ("debug"/"info"/"warn"/"error", default "info")
+/// to the global threshold; other values throw PastaError.  Drivers
+/// call this once at startup so long suite runs can be quieted.
 void set_log_threshold_from_env();
 
 /// Emits one line to stderr with a level prefix.  Thread-safe.

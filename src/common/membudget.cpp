@@ -1,40 +1,13 @@
 #include "common/membudget.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "harness/fault.hpp"
 #include "obs/counters.hpp"
 
 namespace pasta::membudget {
-
-namespace {
-
-/// Parses "$PASTA_MEM_BYTES": a non-negative integer with an optional
-/// K/M/G binary suffix (case-insensitive).  Throws PastaError on
-/// malformed input; returns 0 for "0" (unlimited).
-std::uint64_t
-parse_mem_bytes(const char* text)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    std::uint64_t scale = 1;
-    if (*end == 'k' || *end == 'K')
-        scale = 1ULL << 10, ++end;
-    else if (*end == 'm' || *end == 'M')
-        scale = 1ULL << 20, ++end;
-    else if (*end == 'g' || *end == 'G')
-        scale = 1ULL << 30, ++end;
-    PASTA_CHECK_MSG(*text && *end == '\0' &&
-                        v <= (~0ULL) / scale,
-                    "PASTA_MEM_BYTES='" << text
-                                        << "' must be a byte count with an "
-                                           "optional K/M/G suffix");
-    return static_cast<std::uint64_t>(v) * scale;
-}
-
-}  // namespace
 
 MemGovernor&
 MemGovernor::instance()
@@ -56,10 +29,8 @@ MemGovernor::configure(std::uint64_t budget_bytes)
 void
 MemGovernor::configure_from_env()
 {
-    const char* s = std::getenv("PASTA_MEM_BYTES");
-    if (!s || !*s)
-        return;
-    configure(parse_mem_bytes(s));
+    if (config::is_set("PASTA_MEM_BYTES"))
+        configure(config::bytes("PASTA_MEM_BYTES"));
 }
 
 void
@@ -92,7 +63,7 @@ MemGovernor::reserve(std::uint64_t bytes, const char* what)
             break;
     }
     note_peak(current + bytes);
-    obs::add("mem.reserved", bytes);
+    obs::add("mem.granted", bytes);
 }
 
 bool
@@ -113,7 +84,7 @@ MemGovernor::try_reserve(std::uint64_t bytes, const char* what)
             break;
     }
     note_peak(current + bytes);
-    obs::add("mem.reserved", bytes);
+    obs::add("mem.granted", bytes);
     return true;
 }
 

@@ -28,7 +28,7 @@
 /// are the record: the bench harness reads peak() for its per-trial
 /// mem_peak column and the heartbeat exporter copies both into the
 /// "mem.reserved"/"mem.peak" gauges each tick.  Under PASTA_TRACE the
-/// "mem.reserved" model counter also totals the bytes granted.
+/// "mem.granted" model counter also totals the bytes granted.
 ///
 /// Thread safety: all mutators are atomic; reserve/release may be called
 /// from any thread.  The fault point "mem.reserve" (PASTA_FAULT) fires
@@ -65,8 +65,8 @@ class MemGovernor {
     void configure(std::uint64_t budget_bytes);
 
     /// Arms from $PASTA_MEM_BYTES (plain bytes, or with a K/M/G binary
-    /// suffix, e.g. "512M").  No-op when unset or empty; malformed
-    /// values throw PastaError (strict env validation).
+    /// suffix, e.g. "512M").  No-op when unset; malformed values throw
+    /// PastaError.
     void configure_from_env();
 
     /// The armed budget in bytes; 0 means unlimited.

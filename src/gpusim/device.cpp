@@ -1,8 +1,8 @@
 #include "gpusim/device.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/parallel.hpp"
 #include "obs/counters.hpp"
 #include "validate/validate.hpp"
@@ -29,29 +29,10 @@ note_launch(Size blocks, Size threads_per_block)
 
 }  // namespace detail
 
-namespace {
-
-/// 16 GiB: the HBM2 capacity of the Tesla P100/V100 parts the timing
-/// model simulates.
-constexpr std::uint64_t kDefaultCapacityBytes = 16ULL << 30;
-
-std::uint64_t
-capacity_from_env()
+DeviceMemory::DeviceMemory()
+    : capacity_(config::bytes("PASTA_GPUSIM_MEM_BYTES"))
 {
-    const char* s = std::getenv("PASTA_GPUSIM_MEM_BYTES");
-    if (!s || !*s)
-        return kDefaultCapacityBytes;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && end != s,
-                    "PASTA_GPUSIM_MEM_BYTES='"
-                        << s << "' must be a byte count (0 = unlimited)");
-    return v;
 }
-
-}  // namespace
-
-DeviceMemory::DeviceMemory() : capacity_(capacity_from_env()) {}
 
 DeviceMemory&
 DeviceMemory::instance()

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/log.hpp"
@@ -47,20 +47,6 @@ splitmix64(std::uint64_t& state)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
-}
-
-long
-env_long(const char* name, long fallback, long lo, long hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
 }
 
 double
@@ -196,12 +182,10 @@ CampaignOptions
 CampaignOptions::from_env()
 {
     CampaignOptions opts;
-    opts.workers =
-        static_cast<int>(env_long("PASTA_SHARDS", opts.workers, 1, 256));
-    opts.chaos_kills =
-        static_cast<int>(env_long("PASTA_CHAOS", 0, 0, 100000));
-    if (const char* s = std::getenv("PASTA_FAULT_SEED"))
-        opts.chaos_seed = std::strtoull(s, nullptr, 10);
+    opts.workers = static_cast<int>(config::integer("PASTA_SHARDS"));
+    opts.chaos_kills = static_cast<int>(config::integer("PASTA_CHAOS"));
+    opts.chaos_seed =
+        static_cast<std::uint64_t>(config::integer("PASTA_FAULT_SEED"));
     return opts;
 }
 
@@ -364,7 +348,6 @@ run_worker_once(const CampaignOptions& opts,
             entry = body(spec);
             stamp_entry(entry, spec);
             journal.append(entry);
-            journal.flush();
             // The trial counter moves only after its journal line is
             // durable, and the final metrics snapshot lands before the
             // done marker: a kill anywhere in between re-runs the shard
@@ -385,7 +368,6 @@ run_worker_once(const CampaignOptions& opts,
             entry.error = "out of memory (std::bad_alloc)";
             entry.failure_class = "oom";
             journal.append(entry);
-            journal.flush();
             obs::counter("campaign.trial.failed").add(1);
             obs::stop_exporter();
             exit_code = kWorkerExitOom;
@@ -398,7 +380,6 @@ run_worker_once(const CampaignOptions& opts,
             entry.error = e.what();
             entry.failure_class = oom ? "oom" : "error";
             journal.append(entry);
-            journal.flush();
             obs::counter("campaign.trial.failed").add(1);
             obs::stop_exporter();
             exit_code = oom ? kWorkerExitOom : kWorkerExitFailure;

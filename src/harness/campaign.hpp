@@ -115,7 +115,7 @@ struct CampaignOptions {
     std::function<void(int tick)> tick_hook;
 
     /// Reads PASTA_SHARDS / PASTA_CHAOS / PASTA_FAULT_SEED; malformed
-    /// values throw PastaError (same strictness as the bench env).
+    /// values throw PastaError.
     static CampaignOptions from_env();
 };
 

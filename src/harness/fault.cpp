@@ -8,6 +8,7 @@
 #include <new>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
@@ -156,23 +157,12 @@ FaultInjector::configure(const FaultSpec& spec, std::uint64_t seed)
 void
 FaultInjector::configure_from_env()
 {
-    const char* spec = std::getenv("PASTA_FAULT");
-    if (!spec || !*spec)
+    const std::string spec = config::text("PASTA_FAULT");
+    if (spec.empty())
         return;
-    FaultSpec parsed = parse_fault_spec(spec);
-    double hang_s = 30.0;
-    if (const char* h = std::getenv("PASTA_FAULT_HANG_S")) {
-        char* end = nullptr;
-        const double v = std::strtod(h, &end);
-        if (*h && *end == '\0' && v > 0)
-            hang_s = v;
-    }
-    for (auto& rule : parsed.rules)
-        rule.hang_seconds = hang_s;
-    std::uint64_t seed = 42;
-    if (const char* s = std::getenv("PASTA_FAULT_SEED"))
-        seed = std::strtoull(s, nullptr, 10);
-    configure(parsed, seed);
+    const auto seed =
+        static_cast<std::uint64_t>(config::integer("PASTA_FAULT_SEED"));
+    configure(parse_fault_spec(spec), seed);
     PASTA_LOG_WARN << "fault injection armed: PASTA_FAULT=" << spec
                    << " (seed " << seed << ")";
 }

@@ -25,7 +25,7 @@
 ///
 /// Each rule is `point:action[:probability][@N]`.  Actions: `throw`
 /// (PastaError), `oom` (std::bad_alloc), `hang` (sleep past any sane
-/// watchdog; duration from $PASTA_FAULT_HANG_S, default 30 s).  A
+/// watchdog; FaultRule::hang_seconds, 30 s by default).  A
 /// `:p` suffix fires with probability p from a SplitMix64 stream seeded
 /// by $PASTA_FAULT_SEED (default 42) — deterministic across reruns —
 /// while `@N` fires on exactly the Nth hit of that point.  With neither,
@@ -70,8 +70,8 @@ class FaultInjector {
     /// Arms `spec`; the probability stream restarts from `seed`.
     void configure(const FaultSpec& spec, std::uint64_t seed = 42);
 
-    /// Arms from $PASTA_FAULT / $PASTA_FAULT_SEED / $PASTA_FAULT_HANG_S;
-    /// no-op when $PASTA_FAULT is unset or empty.
+    /// Arms from $PASTA_FAULT / $PASTA_FAULT_SEED; no-op when
+    /// $PASTA_FAULT is unset.
     void configure_from_env();
 
     /// Disarms everything and zeroes hit counters.

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -71,28 +70,7 @@ parse_json_line(const std::string& line, JournalEntry& entry)
     return true;
 }
 
-namespace {
-
-/// $PASTA_JOURNAL_FSYNC: fsync every Nth append (default 1 = every
-/// line); 0 disables the fsync (write + close durability only).
-int
-fsync_batch_from_env()
-{
-    const char* s = std::getenv("PASTA_JOURNAL_FSYNC");
-    if (!s || !*s)
-        return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= 0 && v <= 1000000,
-                    "PASTA_JOURNAL_FSYNC='"
-                        << s << "' must be an integer in [0, 1000000]");
-    return static_cast<int>(v);
-}
-
-}  // namespace
-
-RunJournal::RunJournal(std::string path)
-    : path_(std::move(path)), fsync_batch_(fsync_batch_from_env())
+RunJournal::RunJournal(std::string path) : path_(std::move(path))
 {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -164,13 +142,10 @@ RunJournal::RunJournal(std::string path)
 RunJournal::RunJournal(RunJournal&& other) noexcept
     : path_(std::move(other.path_)),
       entries_(std::move(other.entries_)),
-      fd_(other.fd_),
-      fsync_batch_(other.fsync_batch_),
-      unsynced_(other.unsynced_)
+      fd_(other.fd_)
 {
     other.fd_ = -1;
     other.path_.clear();
-    other.unsynced_ = 0;
 }
 
 RunJournal&
@@ -181,11 +156,8 @@ RunJournal::operator=(RunJournal&& other) noexcept
         path_ = std::move(other.path_);
         entries_ = std::move(other.entries_);
         fd_ = other.fd_;
-        fsync_batch_ = other.fsync_batch_;
-        unsynced_ = other.unsynced_;
         other.fd_ = -1;
         other.path_.clear();
-        other.unsynced_ = 0;
     }
     return *this;
 }
@@ -196,11 +168,8 @@ void
 RunJournal::close_fd()
 {
     if (fd_ >= 0) {
-        if (unsynced_ > 0)
-            fsutil::fsync_fd(fd_);
         ::close(fd_);
         fd_ = -1;
-        unsynced_ = 0;
     }
 }
 
@@ -251,20 +220,7 @@ RunJournal::append(const JournalEntry& entry)
         PASTA_LOG_WARN << "journal " << path_ << ": append failed";
         return;
     }
-    ++unsynced_;
-    if (fsync_batch_ > 0 && unsynced_ >= fsync_batch_) {
-        fsutil::fsync_fd(fd_);
-        unsynced_ = 0;
-    }
-}
-
-void
-RunJournal::flush()
-{
-    if (fd_ >= 0 && unsynced_ > 0) {
-        fsutil::fsync_fd(fd_);
-        unsynced_ = 0;
-    }
+    fsutil::fsync_fd(fd_);
 }
 
 }  // namespace pasta::harness

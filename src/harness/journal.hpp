@@ -3,15 +3,14 @@
 ///
 /// Every completed (tensor, kernel, format) trial is appended as one
 /// JSON line and made durable, so a killed run loses at most the trial
-/// in flight.  Appends go through a POSIX descriptor and fsync by
-/// default after every line ($PASTA_JOURNAL_FSYNC=N batches the fsync
-/// to every Nth line, 0 disables it; flush() forces one).  A re-invoked
-/// figure binary reloads the journal and skips trials that already
-/// succeeded; failed entries are kept for the record but retried on the
-/// next run.  The loader tolerates a torn trailing line (the kill
-/// case) by *truncating* it off the file — the resume then appends from
-/// a clean line boundary — and skips unparsable interior lines with a
-/// warning rather than aborting the campaign.
+/// in flight.  Appends go through a POSIX descriptor and fsync after
+/// every line.  A re-invoked figure binary reloads the journal and
+/// skips trials that already succeeded; failed entries are kept for the
+/// record but retried on the next run.  The loader tolerates a torn
+/// trailing line (the kill case) by *truncating* it off the file — the
+/// resume then appends from a clean line boundary — and skips
+/// unparsable interior lines with a warning rather than aborting the
+/// campaign.
 ///
 /// Line format (flat JSON, string/number/bool fields only):
 ///   {"tensor":"r1","kernel":"TTV","format":"COO","ok":true,
@@ -105,12 +104,12 @@ class RunJournal {
                 const std::string& format,
                 const std::string& shard = "") const;
 
-    /// Appends one entry and (per the fsync policy) makes it durable.
+    /// Appends one entry and makes it durable (write + fsync).
     void append(const JournalEntry& entry);
 
-    /// Forces any batched lines to disk (write + fsync).  No-op when
-    /// everything already synced or the journal is disabled.
-    void flush();
+    /// Every append is already durable; a no-op kept for callers that
+    /// mark a durability point.
+    void flush() {}
 
     /// Dedup key over the serialized identity fields; shared with the
     /// campaign journal merge.
@@ -125,8 +124,6 @@ class RunJournal {
     std::string path_;
     std::map<std::string, JournalEntry> entries_;
     int fd_ = -1;           ///< lazily opened O_APPEND descriptor
-    int fsync_batch_ = 1;   ///< fsync every Nth append; 0 = never
-    int unsynced_ = 0;      ///< appends since the last fsync
 };
 
 }  // namespace pasta::harness

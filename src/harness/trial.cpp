@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <sstream>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
@@ -20,34 +20,6 @@
 namespace pasta::harness {
 
 namespace {
-
-double
-env_double(const char* name, double fallback, double lo, double hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be a number in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
-
-long
-env_long(const char* name, long fallback, long lo, long hi)
-{
-    const char* s = std::getenv(name);
-    if (!s || !*s)
-        return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    PASTA_CHECK_MSG(*end == '\0' && v >= lo && v <= hi,
-                    name << "='" << s << "' must be an integer in [" << lo
-                         << ", " << hi << "]");
-    return v;
-}
 
 /// Shared between the watchdog owner and a (possibly abandoned) worker.
 struct AttemptState {
@@ -160,10 +132,9 @@ TrialPolicy
 TrialPolicy::from_env()
 {
     TrialPolicy policy;
-    policy.timeout_seconds =
-        env_double("PASTA_TRIAL_TIMEOUT", policy.timeout_seconds, 0, 1e6);
-    policy.max_attempts = static_cast<int>(
-        env_long("PASTA_TRIAL_RETRIES", policy.max_attempts, 1, 100));
+    policy.timeout_seconds = config::real("PASTA_TRIAL_TIMEOUT");
+    policy.max_attempts =
+        static_cast<int>(config::integer("PASTA_TRIAL_RETRIES"));
     return policy;
 }
 

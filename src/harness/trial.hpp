@@ -18,17 +18,15 @@
 
 namespace pasta::harness {
 
-/// Retry/timeout policy for guarded trials, env-overridable:
-///   PASTA_TRIAL_TIMEOUT  watchdog seconds per attempt (0 = no watchdog,
-///                        trial runs inline on the calling thread)
-///   PASTA_TRIAL_RETRIES  max attempts per trial (default 3)
+/// Retry/timeout policy for guarded trials.
 struct TrialPolicy {
-    double timeout_seconds = 0.0;
+    double timeout_seconds = 0.0;  ///< 0 = no watchdog, run inline
     int max_attempts = 3;
     double backoff_initial_s = 0.05;  ///< sleep before the 2nd attempt
     double backoff_max_s = 2.0;       ///< exponential backoff cap
 
-    /// Policy from the environment; malformed values throw PastaError.
+    /// Policy from PASTA_TRIAL_TIMEOUT / PASTA_TRIAL_RETRIES; malformed
+    /// values throw PastaError.
     static TrialPolicy from_env();
 };
 

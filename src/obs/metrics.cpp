@@ -15,6 +15,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/json.hpp"
@@ -558,10 +559,9 @@ ExporterOptions
 ExporterOptions::from_env()
 {
     ExporterOptions opts;
-    const char* s = std::getenv("PASTA_METRICS");
-    if (!s || !*s)
+    const std::string spec = config::text("PASTA_METRICS");
+    if (spec.empty())
         return opts;
-    const std::string spec(s);
     const std::size_t comma = spec.rfind(',');
     if (comma == std::string::npos) {
         opts.path = spec;

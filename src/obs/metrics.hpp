@@ -287,8 +287,8 @@ struct ExporterOptions {
 
     bool armed() const { return !path.empty(); }
 
-    /// Strict parse of PASTA_METRICS; unset/empty means disarmed, a
-    /// malformed interval throws PastaError.
+    /// Strict parse of PASTA_METRICS; unset means disarmed, an empty
+    /// value or a malformed interval throws PastaError.
     static ExporterOptions from_env();
 };
 

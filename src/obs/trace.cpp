@@ -4,13 +4,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -34,21 +34,7 @@ mode_slow()
 TraceMode
 mode_from_env()
 {
-    const char* s = std::getenv("PASTA_TRACE");
-    if (!s || !*s)
-        return TraceMode::kOff;
-    if (std::strcmp(s, "off") == 0)
-        return TraceMode::kOff;
-    if (std::strcmp(s, "counters") == 0)
-        return TraceMode::kCounters;
-    if (std::strcmp(s, "spans") == 0)
-        return TraceMode::kSpans;
-    if (std::strcmp(s, "full") == 0)
-        return TraceMode::kFull;
-    PASTA_CHECK_MSG(false, "PASTA_TRACE='"
-                               << s
-                               << "' must be off, counters, spans, or full");
-    return TraceMode::kOff;  // unreachable
+    return static_cast<TraceMode>(config::choice("PASTA_TRACE"));
 }
 
 void

@@ -36,8 +36,8 @@ namespace pasta::obs {
 /// Runtime instrumentation mode (PASTA_TRACE).
 enum class TraceMode { kOff = 0, kCounters = 1, kSpans = 2, kFull = 3 };
 
-/// Parses PASTA_TRACE; unset or empty means kOff, anything other than
-/// off/counters/spans/full throws PastaError.
+/// Reads PASTA_TRACE, whose words name the enumerators in order (unset
+/// means kOff); anything else throws PastaError.
 TraceMode mode_from_env();
 
 /// Overrides the cached mode (tests and drivers).

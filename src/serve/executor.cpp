@@ -1,8 +1,6 @@
 #include "serve/executor.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/dense.hpp"
@@ -14,37 +12,6 @@
 namespace pasta::serve {
 
 namespace {
-
-long
-parse_env_int(const char* name, const char* value, long lo, long hi)
-{
-    char* end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    PASTA_CHECK_MSG(*value && *end == '\0' && v >= lo && v <= hi,
-                    name << "='" << value << "' must be an integer in ["
-                         << lo << ", " << hi << "]");
-    return v;
-}
-
-/// K/M/G-suffixed byte count, the PASTA_MEM_BYTES convention.
-std::uint64_t
-parse_env_bytes(const char* name, const char* value)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    std::uint64_t scale = 1;
-    if (*end == 'k' || *end == 'K')
-        scale = 1ULL << 10, ++end;
-    else if (*end == 'm' || *end == 'M')
-        scale = 1ULL << 20, ++end;
-    else if (*end == 'g' || *end == 'G')
-        scale = 1ULL << 30, ++end;
-    PASTA_CHECK_MSG(*value && *end == '\0' && v <= (~0ULL) / scale,
-                    name << "='" << value
-                         << "' must be a byte count with an optional "
-                            "K/M/G suffix");
-    return static_cast<std::uint64_t>(v) * scale;
-}
 
 std::uint64_t
 checksum_values(const Value* data, Size n)
@@ -58,18 +25,13 @@ ServeOptions
 ServeOptions::from_env()
 {
     ServeOptions options;
-    if (const char* s = std::getenv("PASTA_SERVE_WORKERS"))
-        options.workers = static_cast<int>(
-            parse_env_int("PASTA_SERVE_WORKERS", s, 1, 4096));
-    if (const char* s = std::getenv("PASTA_SERVE_QUEUE"))
-        options.queue_bound = static_cast<Size>(
-            parse_env_int("PASTA_SERVE_QUEUE", s, 1, 1 << 28));
-    if (const char* s = std::getenv("PASTA_SERVE_CACHE_BYTES"))
-        options.cache_bytes =
-            parse_env_bytes("PASTA_SERVE_CACHE_BYTES", s);
-    if (const char* s = std::getenv("PASTA_SERVE_JOB_THREADS"))
-        options.job_threads = static_cast<int>(
-            parse_env_int("PASTA_SERVE_JOB_THREADS", s, 1, 1024));
+    options.workers =
+        static_cast<int>(config::integer("PASTA_SERVE_WORKERS"));
+    options.queue_bound =
+        static_cast<Size>(config::integer("PASTA_SERVE_QUEUE"));
+    options.cache_bytes = config::bytes("PASTA_SERVE_CACHE_BYTES");
+    options.job_threads =
+        static_cast<int>(config::integer("PASTA_SERVE_JOB_THREADS"));
     return options;
 }
 

@@ -37,15 +37,9 @@ enum class ServeFormat { kCoo, kHicoo };
 const char* serve_kernel_name(ServeKernel kernel);
 const char* serve_format_name(ServeFormat format);
 
-/// Serving-engine configuration, env-overridable:
-///   PASTA_SERVE_WORKERS      worker threads (default: OpenMP default)
-///   PASTA_SERVE_QUEUE        admission bound on queued jobs (default
-///                            4096); submissions beyond it are shed
-///   PASTA_SERVE_CACHE_BYTES  plan/conversion cache budget with K/M/G
-///                            suffix (default 64M; 0 disables caching)
-///   PASTA_SERVE_JOB_THREADS  per-job thread budget for intra-kernel
-///                            parallel_for (default 1: tiny tensors get
-///                            throughput from inter-job parallelism)
+/// Serving-engine configuration; from_env() reads the PASTA_SERVE_*
+/// knobs (src/common/config).  job_threads defaults to 1: tiny tensors
+/// get throughput from inter-job parallelism.
 struct ServeOptions {
     int workers = 0;                   ///< 0 = pasta::num_threads()
     Size queue_bound = 4096;
@@ -53,8 +47,7 @@ struct ServeOptions {
     int job_threads = 1;
     unsigned block_bits = 7;           ///< HiCOO B = 128 (paper §V-A2)
 
-    /// Reads the PASTA_SERVE_* variables; malformed values throw
-    /// PastaError (strict env validation).
+    /// Reads the PASTA_SERVE_* knobs; malformed values throw PastaError.
     static ServeOptions from_env();
 };
 

@@ -30,9 +30,9 @@
 #pragma once
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "obs/counters.hpp"
@@ -146,7 +146,8 @@ active_isa()
 {
     int v = detail::g_isa.load(std::memory_order_relaxed);
     if (v < 0) {
-        const Isa resolved = parse_isa(std::getenv("PASTA_SIMD"));
+        const Isa resolved =
+            parse_isa(config::text("PASTA_SIMD").c_str());
         v = static_cast<int>(resolved);
         detail::g_isa.store(v, std::memory_order_relaxed);
     }
@@ -179,18 +180,7 @@ prefetch_distance()
 {
     long v = detail::g_prefetch.load(std::memory_order_relaxed);
     if (v < 0) {
-        const char* s = std::getenv("PASTA_SIMD_PREFETCH");
-        if (s == nullptr || *s == '\0') {
-            v = 8;
-        } else {
-            char* end = nullptr;
-            v = std::strtol(s, &end, 10);
-            PASTA_CHECK_MSG(end != s && *end == '\0' && v >= 0 &&
-                                v <= 4096,
-                            "PASTA_SIMD_PREFETCH='"
-                                << s
-                                << "' is not an integer in [0, 4096]");
-        }
+        v = static_cast<long>(config::integer("PASTA_SIMD_PREFETCH"));
         detail::g_prefetch.store(v, std::memory_order_relaxed);
     }
     return static_cast<Size>(v);

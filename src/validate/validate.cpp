@@ -2,11 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <unordered_set>
 
+#include "common/config.hpp"
 #include "common/morton.hpp"
 #include "core/block_math.hpp"
 #include "core/coo_tensor.hpp"
@@ -29,21 +28,7 @@ std::atomic<int> g_mode{-1};
 Mode
 mode_from_env()
 {
-    const char* s = std::getenv("PASTA_VALIDATE");
-    if (!s || !*s)
-        return Mode::kOff;
-    if (std::strcmp(s, "off") == 0)
-        return Mode::kOff;
-    if (std::strcmp(s, "convert") == 0)
-        return Mode::kConvert;
-    if (std::strcmp(s, "kernel") == 0)
-        return Mode::kKernel;
-    if (std::strcmp(s, "full") == 0)
-        return Mode::kFull;
-    PASTA_CHECK_MSG(false, "PASTA_VALIDATE='"
-                               << s
-                               << "' must be off, convert, kernel, or full");
-    return Mode::kOff;  // unreachable
+    return static_cast<Mode>(config::choice("PASTA_VALIDATE"));
 }
 
 Mode

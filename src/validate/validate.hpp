@@ -44,8 +44,8 @@ namespace pasta::validate {
 /// Runtime validation mode (PASTA_VALIDATE).
 enum class Mode { kOff, kConvert, kKernel, kFull };
 
-/// Parses PASTA_VALIDATE; unset or empty means kOff, anything other than
-/// off/convert/kernel/full throws PastaError.
+/// Reads PASTA_VALIDATE, whose words name the enumerators in order
+/// (unset means kOff); anything else throws PastaError.
 Mode mode_from_env();
 
 /// The cached process-wide mode (reads the environment on first call).

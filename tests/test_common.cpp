@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: rng, timer, parallel, morton,
-// error handling, logging.
+// error handling, logging, and the PASTA_* knob table.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -9,12 +9,17 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/log.hpp"
@@ -22,6 +27,9 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "harness/campaign.hpp"
+#include "harness/trial.hpp"
+#include "serve/job.hpp"
 
 namespace pasta {
 namespace {
@@ -368,6 +376,180 @@ TEST(Fsutil, WriteAllWritesEveryByteAndReportsErrors)
     EXPECT_EQ(back, data);
     std::filesystem::remove(path);
     EXPECT_FALSE(fsutil::write_all(-1, data.data(), 1));
+}
+
+// ---- the PASTA_* knob table --------------------------------------------
+
+/// Sets one environment variable for a scope.
+struct ScopedEnv {
+    ScopedEnv(const char* name, const char* value) : name_(name)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name_); }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+    const char* name_;
+};
+
+/// The PastaError message `fn` throws, or "" when it returns normally.
+template <typename Fn>
+std::string
+error_of(Fn fn)
+{
+    try {
+        fn();
+    } catch (const PastaError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// Reads a knob with the reader of its kind, as text for comparison.
+std::string
+read_knob(const config::Knob& k)
+{
+    switch (k.kind) {
+      case config::Kind::kInt: return std::to_string(config::integer(k.name));
+      case config::Kind::kReal: return std::to_string(config::real(k.name));
+      case config::Kind::kBytes: return std::to_string(config::bytes(k.name));
+      case config::Kind::kChoice:
+        return std::to_string(config::choice(k.name));
+      case config::Kind::kFlag: return config::flag(k.name) ? "1" : "0";
+      case config::Kind::kText: return config::text(k.name);
+    }
+    return "";
+}
+
+TEST(Config, ValuesTheOldParsersAcceptedAreRejected)
+{
+    {
+        ScopedEnv env("PASTA_FAULT_SEED", "abc");
+        EXPECT_THROW(harness::CampaignOptions::from_env(), PastaError);
+        EXPECT_NE(error_of(bench::options_from_env).find("PASTA_FAULT_SEED"),
+                  std::string::npos);
+    }
+    {
+        ScopedEnv env("PASTA_LOG", "verbose");
+        EXPECT_THROW(set_log_threshold_from_env(), PastaError);
+        EXPECT_NE(error_of(bench::options_from_env).find("PASTA_LOG"),
+                  std::string::npos);
+    }
+    {
+        ScopedEnv env("PASTA_CAMPAIGN_DELAY_MS", "-5");
+        EXPECT_NE(error_of(bench::options_from_env)
+                      .find("PASTA_CAMPAIGN_DELAY_MS"),
+                  std::string::npos);
+    }
+    {
+        ScopedEnv env("PASTA_JOURNAL", "false");
+        EXPECT_NE(error_of(bench::options_from_env).find("PASTA_JOURNAL"),
+                  std::string::npos);
+    }
+}
+
+TEST(Config, UnknownNamesAreRejectedByName)
+{
+    ScopedEnv typo("PASTA_VALIDTE", "full");
+    ScopedEnv other("PASTA_THREADS", "3");
+    const std::string error = error_of(bench::options_from_env);
+    EXPECT_NE(error.find("PASTA_VALIDTE"), std::string::npos) << error;
+    EXPECT_NE(error.find("PASTA_THREADS"), std::string::npos) << error;
+}
+
+TEST(Config, EveryKnobDefaultsWhenUnsetAndRejectsBadValues)
+{
+    for (const config::Knob& k : config::knobs()) {
+        SCOPED_TRACE(k.name);
+        ::unsetenv(k.name);
+        if (k.kind == config::Kind::kText) {
+            EXPECT_EQ(config::text(k.name), k.fallback);
+            ScopedEnv empty(k.name, "");
+            EXPECT_NE(error_of([&] { config::text(k.name); }).find(k.name),
+                      std::string::npos);
+            continue;
+        }
+        const std::string unset = read_knob(k);
+        {
+            ScopedEnv fallback(k.name, k.fallback);
+            EXPECT_EQ(read_knob(k), unset);
+        }
+        std::vector<std::string> bad = {"", "x1", "1x", " 1"};
+        if (k.kind == config::Kind::kInt || k.kind == config::Kind::kReal) {
+            std::ostringstream below;
+            std::ostringstream above;
+            below << std::fixed << std::setprecision(0)
+                  << (k.open_lo ? k.lo : k.lo - 1);
+            above << std::fixed << std::setprecision(0) << 2 * k.hi + 1;
+            bad.push_back(below.str());
+            bad.push_back(above.str());
+        }
+        if (k.kind == config::Kind::kInt)
+            bad.push_back("1.5");
+        if (k.kind == config::Kind::kBytes)
+            bad.insert(bad.end(), {"-5", "12Q", "99999999999G"});
+        if (k.kind == config::Kind::kFlag)
+            bad.insert(bad.end(), {"2", "true", "false"});
+        for (const std::string& value : bad) {
+            ScopedEnv env(k.name, value.c_str());
+            const std::string error = error_of([&] { read_knob(k); });
+            EXPECT_NE(error.find(k.name), std::string::npos)
+                << "'" << value << "' -> " << error;
+            EXPECT_NE(error_of(config::check_environment).find(k.name),
+                      std::string::npos)
+                << "'" << value << "'";
+        }
+    }
+}
+
+TEST(Config, TableDefaultsMatchTheOptionStructs)
+{
+    const bench::BenchOptions bench = bench::options_from_env();
+    EXPECT_EQ(bench.scale, bench::BenchOptions{}.scale);
+    EXPECT_EQ(bench.runs, bench::BenchOptions{}.runs);
+    EXPECT_EQ(bench.cache_dir, bench::BenchOptions{}.cache_dir);
+    EXPECT_EQ(bench.journal_enabled, bench::BenchOptions{}.journal_enabled);
+
+    const harness::TrialPolicy policy = harness::TrialPolicy::from_env();
+    EXPECT_EQ(policy.timeout_seconds, harness::TrialPolicy{}.timeout_seconds);
+    EXPECT_EQ(policy.max_attempts, harness::TrialPolicy{}.max_attempts);
+
+    const harness::CampaignOptions campaign =
+        harness::CampaignOptions::from_env();
+    EXPECT_EQ(campaign.workers, harness::CampaignOptions{}.workers);
+    EXPECT_EQ(campaign.chaos_kills, harness::CampaignOptions{}.chaos_kills);
+    EXPECT_EQ(campaign.chaos_seed, harness::CampaignOptions{}.chaos_seed);
+
+    const serve::ServeOptions serve = serve::ServeOptions::from_env();
+    EXPECT_EQ(serve.workers, serve::ServeOptions{}.workers);
+    EXPECT_EQ(serve.queue_bound, serve::ServeOptions{}.queue_bound);
+    EXPECT_EQ(serve.cache_bytes, serve::ServeOptions{}.cache_bytes);
+    EXPECT_EQ(serve.job_threads, serve::ServeOptions{}.job_threads);
+}
+
+TEST(Config, ReadmeKnobTableListsExactlyTheTable)
+{
+    std::ifstream in(std::string(PASTA_SOURCE_DIR) + "/README.md");
+    ASSERT_TRUE(in.good());
+    std::set<std::string> documented;
+    bool in_section = false;
+    const std::regex row(R"(^\| `(PASTA_[A-Z0-9_]+)`)");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("## ", 0) == 0)
+            in_section = line == "## Environment knobs";
+        std::smatch m;
+        if (in_section && std::regex_search(line, m, row)) {
+            EXPECT_TRUE(documented.insert(m[1]).second) << m[1];
+        }
+    }
+    std::set<std::string> table;
+    for (const config::Knob& k : config::knobs())
+        table.insert(k.name);
+    for (const std::string& name : table)
+        EXPECT_TRUE(documented.count(name)) << name << " not in README.md";
+    for (const std::string& name : documented)
+        EXPECT_TRUE(table.count(name)) << name << " not in config::knobs()";
 }
 
 }  // namespace
