@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <cstdio>
-#include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/convert.hpp"
+#include "core/fibers.hpp"
 #include "gpusim/gpu_kernels.hpp"
 #include "harness/fault.hpp"
 #include "harness/journal.hpp"
@@ -120,15 +121,22 @@ sibling(const CooTensor& x, std::uint64_t seed)
     return y;
 }
 
-/// Per-tensor measurement context shared by the CPU and GPU paths.
-/// Heap-allocated (shared_ptr) because trial bodies may outlive a timed-
-/// out attempt: an abandoned watchdog worker still holds its captures.
+/// Per-tensor measurement context: everything the context builder and
+/// the trial bodies read, the input tensor included.  It is shared
+/// (shared_ptr) with every body and owns all of it because a timed-out
+/// body keeps running on the watchdog's detached worker after the suite
+/// has moved on, possibly after the caller freed its tensors.
 struct TensorContext {
-    const NamedTensor* entry = nullptr;
-    CooTensor y;                  ///< TEW sibling
-    HiCooTensor hx;               ///< HiCOO form of x
-    HiCooTensor hy;               ///< HiCOO form of y
-    std::vector<DenseMatrix> mats;  ///< MTTKRP factors
+    std::string id;
+    CooTensor x;                    ///< copy of the suite tensor
+    Size rank = 16;
+    unsigned block_bits = 7;
+    CooTensor y;                    ///< TEW sibling
+    HiCooTensor hx;                 ///< HiCOO form of x
+    HiCooTensor hy;                 ///< HiCOO form of y
+    std::vector<DenseMatrix> mats;  ///< TTM operands, MTTKRP factors
+    TensorStats stats;              ///< Table I stats; num_fibers unset
+    std::vector<Size> fibers;       ///< M_F of each mode
 
     FactorList factors() const
     {
@@ -139,32 +147,247 @@ struct TensorContext {
     }
 };
 
+/// Derives the rest of the context from ctx.x.  Runs as a guarded trial,
+/// so it may be retried on the same context after a failure.
 void
-fill_context(TensorContext& ctx, const NamedTensor& entry,
-             const BenchOptions& options)
+fill_context(TensorContext& ctx)
 {
     harness::fault_point("alloc");
-    ctx.entry = &entry;
-    ctx.y = sibling(entry.tensor, 17);
-    ctx.hx = coo_to_hicoo(entry.tensor, options.block_bits);
-    ctx.hy = coo_to_hicoo(ctx.y, options.block_bits);
+    const CooTensor& x = ctx.x;
+    ctx.y = sibling(x, 17);
+    ctx.hx = coo_to_hicoo(x, ctx.block_bits);
+    ctx.hy = coo_to_hicoo(ctx.y, ctx.block_bits);
     Rng rng(23);
     ctx.mats.clear();
-    for (Size m = 0; m < entry.tensor.order(); ++m)
-        ctx.mats.push_back(
-            DenseMatrix::random(entry.tensor.dim(m), options.rank, rng));
+    for (Size m = 0; m < x.order(); ++m)
+        ctx.mats.push_back(DenseMatrix::random(x.dim(m), ctx.rank, rng));
+    ctx.stats.order = x.order();
+    ctx.stats.nnz = x.nnz();
+    ctx.stats.num_blocks = ctx.hx.num_blocks();
+    ctx.stats.block_size = ctx.hx.block_size();
+    ctx.fibers.resize(x.order());
+    for (Size m = 0; m < x.order(); ++m) {
+        CooTensor sorted = x;
+        sorted.sort_fibers_last(m);
+        ctx.fibers[m] = compute_fibers(sorted, m).num_fibers();
+    }
 }
 
-/// Mode-independent stats (TEW/TS/MTTKRP).
-TensorStats
-base_stats(const CooTensor& x, const HiCooTensor& hx)
+/// The backend half of the protocol: how one kernel invocation becomes
+/// seconds.  On the host CPU `host` is timed over `runs` repetitions; on
+/// a simulated GPU `launch` runs once through the SIMT simulator and its
+/// LaunchProfile is priced by the device's analytical timing model.
+struct Executor {
+    std::size_t runs = 1;
+    std::optional<gpusim::DeviceSpec> device;  ///< empty: the host CPU
+
+    template <typename Host, typename Launch>
+    double seconds(Host host, Launch launch) const
+    {
+        if (device)
+            return gpusim::estimate_seconds(*device, launch());
+        return timed_runs(host, runs).mean_seconds;
+    }
+};
+
+/// One (kernel, format) cell of the protocol.  `invoke` is one call on
+/// one mode (TEW and TS ignore it): build the plan and output, run them
+/// through the executor, check the result with the differential oracle
+/// when kernel checks are on, and return the seconds.
+struct Cell {
+    Kernel kernel;
+    Format format;
+    double (*invoke)(const TensorContext&, Size mode, const Executor&);
+};
+
+/// TS scalar; TEW uses addition and TS multiplication (§V-A2).
+constexpr Value kTsScalar = 1.0009f;
+
+/// TTV's dense operand on `mode`, seeded per mode.
+DenseVector
+ttv_vector(const CooTensor& x, Size mode)
 {
-    TensorStats stats;
-    stats.order = x.order();
-    stats.nnz = x.nnz();
-    stats.num_blocks = hx.num_blocks();
-    stats.block_size = hx.block_size();
-    return stats;
+    Rng rng(31 + mode);
+    return DenseVector::random(x.dim(mode), rng);
+}
+
+/// The ten cells in figure order.  Trial order, and with it fault-point
+/// hit counts and journal order, is this table's order; the runner, the
+/// journal replay and the printers all walk it.
+const Cell kCells[] = {
+    {Kernel::kTew, Format::kCoo,
+     [](const TensorContext& c, Size, const Executor& exec) {
+         CooTensor z = c.x;
+         const double s = exec.seconds(
+             [&] {
+                 tew_values(EwOp::kAdd, c.x.values().data(),
+                            c.y.values().data(), z.values().data(),
+                            c.x.nnz());
+             },
+             [&] { return gpusim::tew_gpu_coo(c.x, c.y, EwOp::kAdd, z); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_tew(EwOp::kAdd, c.x.values().data(),
+                                c.y.values().data(), z.values().data(),
+                                c.x.nnz())
+                 .require();
+         return s;
+     }},
+    {Kernel::kTew, Format::kHicoo,
+     [](const TensorContext& c, Size, const Executor& exec) {
+         HiCooTensor hz = c.hx;
+         const double s = exec.seconds(
+             [&] {
+                 tew_values(EwOp::kAdd, c.hx.values().data(),
+                            c.hy.values().data(), hz.values().data(),
+                            c.hx.nnz());
+             },
+             [&] {
+                 return gpusim::tew_gpu_hicoo(c.hx, c.hy, EwOp::kAdd, hz);
+             });
+         if (validate::kernel_checks_enabled())
+             validate::diff_tew(EwOp::kAdd, c.hx.values().data(),
+                                c.hy.values().data(), hz.values().data(),
+                                c.hx.nnz())
+                 .require();
+         return s;
+     }},
+    {Kernel::kTs, Format::kCoo,
+     [](const TensorContext& c, Size, const Executor& exec) {
+         CooTensor out = c.x;
+         const double s = exec.seconds(
+             [&] {
+                 ts_values(TsOp::kMul, c.x.values().data(),
+                           out.values().data(), c.x.nnz(), kTsScalar);
+             },
+             [&] {
+                 return gpusim::ts_gpu_coo(c.x, TsOp::kMul, kTsScalar, out);
+             });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ts(TsOp::kMul, c.x.values().data(), kTsScalar,
+                               out.values().data(), c.x.nnz())
+                 .require();
+         return s;
+     }},
+    {Kernel::kTs, Format::kHicoo,
+     [](const TensorContext& c, Size, const Executor& exec) {
+         HiCooTensor hout = c.hx;
+         const double s = exec.seconds(
+             [&] {
+                 ts_values(TsOp::kMul, c.hx.values().data(),
+                           hout.values().data(), c.hx.nnz(), kTsScalar);
+             },
+             [&] {
+                 return gpusim::ts_gpu_hicoo(c.hx, TsOp::kMul, kTsScalar,
+                                             hout);
+             });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ts(TsOp::kMul, c.hx.values().data(), kTsScalar,
+                               hout.values().data(), c.hx.nnz())
+                 .require();
+         return s;
+     }},
+    {Kernel::kTtv, Format::kCoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const DenseVector v = ttv_vector(c.x, mode);
+         const CooTtvPlan plan = ttv_plan_coo(c.x, mode);
+         CooTensor out = plan.out_pattern;
+         const double s = exec.seconds(
+             [&] { ttv_exec_coo(plan, v, out); },
+             [&] { return gpusim::ttv_gpu_coo(plan, v, out); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ttv(c.x, v, mode, out).require();
+         return s;
+     }},
+    {Kernel::kTtv, Format::kHicoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const DenseVector v = ttv_vector(c.x, mode);
+         const HicooTtvPlan plan = ttv_plan_hicoo(c.x, mode, c.block_bits);
+         HiCooTensor out = plan.out_pattern;
+         const double s = exec.seconds(
+             [&] { ttv_exec_hicoo(plan, v, out); },
+             [&] { return gpusim::ttv_gpu_hicoo(plan, v, out); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ttv(c.x, v, mode, hicoo_to_coo(out)).require();
+         return s;
+     }},
+    {Kernel::kTtm, Format::kCoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const CooTtmPlan plan = ttm_plan_coo(c.x, mode, c.rank);
+         ScooTensor out = plan.out_pattern;
+         const DenseMatrix& u = c.mats[mode];
+         const double s = exec.seconds(
+             [&] { ttm_exec_coo(plan, u, out); },
+             [&] { return gpusim::ttm_gpu_coo(plan, u, out); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ttm(c.x, u, mode, out).require();
+         return s;
+     }},
+    {Kernel::kTtm, Format::kHicoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const HicooTtmPlan plan =
+             ttm_plan_hicoo(c.x, mode, c.rank, c.block_bits);
+         SHiCooTensor out = plan.out_pattern;
+         const DenseMatrix& u = c.mats[mode];
+         const double s = exec.seconds(
+             [&] { ttm_exec_hicoo(plan, u, out); },
+             [&] { return gpusim::ttm_gpu_hicoo(plan, u, out); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_ttm(c.x, u, mode, out.to_scoo()).require();
+         return s;
+     }},
+    {Kernel::kMttkrp, Format::kCoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const FactorList factors = c.factors();
+         DenseMatrix out(c.x.dim(mode), c.rank);
+         const double s = exec.seconds(
+             [&] { mttkrp_coo(c.x, factors, mode, out); },
+             [&] { return gpusim::mttkrp_gpu_coo(c.x, factors, mode, out); });
+         if (validate::kernel_checks_enabled())
+             validate::diff_mttkrp(c.x, factors, mode, out).require();
+         return s;
+     }},
+    {Kernel::kMttkrp, Format::kHicoo,
+     [](const TensorContext& c, Size mode, const Executor& exec) {
+         const FactorList factors = c.factors();
+         DenseMatrix out(c.x.dim(mode), c.rank);
+         const double s = exec.seconds(
+             [&] { mttkrp_hicoo(c.hx, factors, mode, out); },
+             [&] {
+                 return gpusim::mttkrp_gpu_hicoo(c.hx, factors, mode, out);
+             });
+         if (validate::kernel_checks_enabled())
+             validate::diff_mttkrp(c.x, factors, mode, out).require();
+         return s;
+     }},
+};
+
+/// TTV, TTM and MTTKRP run on every mode and report the mean (§V-A2).
+bool
+averaged_over_modes(Kernel kernel)
+{
+    return kernel == Kernel::kTtv || kernel == Kernel::kTtm ||
+           kernel == Kernel::kMttkrp;
+}
+
+/// Table I cost of one cell.  TTV and TTM depend on the mode's fiber
+/// count, so their cost is the mean over modes; the others are mode-
+/// independent.
+KernelCost
+cell_cost(const Cell& cell, const TensorContext& ctx)
+{
+    if (cell.kernel != Kernel::kTtv && cell.kernel != Kernel::kTtm)
+        return kernel_cost(cell.kernel, cell.format, ctx.stats, ctx.rank);
+    const Size order = ctx.x.order();
+    TensorStats stats = ctx.stats;
+    KernelCost mean;
+    for (Size mode = 0; mode < order; ++mode) {
+        stats.num_fibers = ctx.fibers[mode];
+        const KernelCost c =
+            kernel_cost(cell.kernel, cell.format, stats, ctx.rank);
+        mean.flops += c.flops / order;
+        mean.bytes += c.bytes / order;
+    }
+    return mean;
 }
 
 std::string
@@ -234,12 +457,15 @@ failure_class(const harness::TrialResult& trial)
     return "error";
 }
 
-/// Drives one suite: journal lookup, guarded execution, and partial-
-/// result bookkeeping for every (tensor, kernel, format) trial.
+/// Drives one suite on one backend: journal lookup, guarded execution,
+/// and partial-result bookkeeping for every (tensor, kernel, format)
+/// trial.
 class SuiteRunner {
   public:
-    SuiteRunner(const BenchOptions& options, const std::string& platform)
-        : options_(options), policy_(options.trial_policy)
+    SuiteRunner(const BenchOptions& options, const std::string& platform,
+                Executor exec)
+        : options_(options), policy_(options.trial_policy),
+          exec_(std::move(exec))
     {
         if (options.journal_enabled && !options.journal_stem.empty() &&
             !options.cache_dir.empty())
@@ -250,41 +476,53 @@ class SuiteRunner {
 
     SuiteResult take_result() { return std::move(result_); }
 
-    /// Journal, then guarded execution.  `body` returns mean seconds and
-    /// fills `*cost` before returning; both live behind shared_ptr so an
-    /// abandoned (timed-out) attempt cannot touch freed memory.
-    void run_trial(const NamedTensor& entry, Kernel kernel, Format format,
-                   const std::shared_ptr<KernelCost>& cost,
-                   std::function<double()> body)
+    /// Restores a journaled successful trial; false when the cell still
+    /// has to be measured.
+    bool restore(const std::string& id, const Cell& cell)
     {
-        const char* kname = kernel_name(kernel);
-        const char* fname = format_name(format);
-        if (journal_.enabled()) {
-            const harness::JournalEntry* done =
-                journal_.find(entry.id, kname, fname);
-            if (done && done->ok) {
-                MeasuredRun run;
-                run.tensor_id = entry.id;
-                run.kernel = kernel;
-                run.format = format;
-                run.seconds = done->seconds;
-                run.cost.flops = done->flops;
-                run.cost.bytes = done->bytes;
-                run.variant = done->variant;
-                run.obs_flops = done->obs_flops;
-                run.obs_bytes = done->obs_bytes;
-                run.mem_peak = done->mem_peak;
-                result_.runs.push_back(run);
-                ++result_.resumed;
-                return;
-            }
-        }
+        if (!journal_.enabled())
+            return false;
+        const harness::JournalEntry* done = journal_.find(
+            id, kernel_name(cell.kernel), format_name(cell.format));
+        if (!done || !done->ok)
+            return false;
+        MeasuredRun run;
+        run.tensor_id = id;
+        run.kernel = cell.kernel;
+        run.format = cell.format;
+        run.seconds = done->seconds;
+        run.cost.flops = done->flops;
+        run.cost.bytes = done->bytes;
+        run.variant = done->variant;
+        run.obs_flops = done->obs_flops;
+        run.obs_bytes = done->obs_bytes;
+        run.mem_peak = done->mem_peak;
+        result_.runs.push_back(run);
+        ++result_.resumed;
+        return true;
+    }
 
+    /// Journal, then guarded execution of one cell on `ctx`.
+    void run_trial(const std::shared_ptr<const TensorContext>& ctx,
+                   const Cell& cell)
+    {
+        if (restore(ctx->id, cell))
+            return;
+        const char* kname = kernel_name(cell.kernel);
+        const char* fname = format_name(cell.format);
         const std::string label =
-            std::string(kname) + "/" + fname + " on " + entry.id;
-        auto guarded = [body = std::move(body)] {
+            std::string(kname) + "/" + fname + " on " + ctx->id;
+        const KernelCost cost = cell_cost(cell, *ctx);
+        // The body holds its own copies of all it reads, since the
+        // watchdog may abandon it still running.
+        auto body = [ctx, cell, exec = exec_] {
             harness::fault_point("kernel.run");
-            return body();
+            const Size modes =
+                averaged_over_modes(cell.kernel) ? ctx->x.order() : 1;
+            double total = 0;
+            for (Size mode = 0; mode < modes; ++mode)
+                total += cell.invoke(*ctx, mode, exec);
+            return total / static_cast<double>(modes);
         };
         // Counter deltas around the guarded trial give the trial's
         // model-derived flops/bytes and the variant the kernel picked.
@@ -296,12 +534,12 @@ class SuiteRunner {
         // trial alone, not the campaign maximum so far.
         membudget::MemGovernor::instance().reset_peak();
         const harness::TrialResult trial =
-            harness::run_guarded_trial(label, guarded, policy_);
+            harness::run_guarded_trial(label, body, policy_);
         const double mem_peak = static_cast<double>(
             membudget::MemGovernor::instance().peak());
 
         harness::JournalEntry record;
-        record.tensor_id = entry.id;
+        record.tensor_id = ctx->id;
         record.kernel = kname;
         record.format = fname;
         record.ok = trial.ok;
@@ -312,11 +550,11 @@ class SuiteRunner {
         record.mem_peak = mem_peak;
         if (trial.ok) {
             MeasuredRun run;
-            run.tensor_id = entry.id;
-            run.kernel = kernel;
-            run.format = format;
+            run.tensor_id = ctx->id;
+            run.kernel = cell.kernel;
+            run.format = cell.format;
             run.seconds = trial.seconds;
-            run.cost = *cost;
+            run.cost = cost;
             run.mem_peak = mem_peak;
             if (counters) {
                 const obs::MetricsSnapshot after =
@@ -327,57 +565,49 @@ class SuiteRunner {
                     obs::delta_suffix_sum(before, after, ".bytes");
                 run.variant = trial_variant(before, after);
             }
-            record.flops = cost->flops;
-            record.bytes = cost->bytes;
+            record.flops = cost.flops;
+            record.bytes = cost.bytes;
             record.variant = run.variant;
             record.obs_flops = run.obs_flops;
             record.obs_bytes = run.obs_bytes;
             result_.runs.push_back(run);
         } else {
-            result_.failures.push_back({entry.id, kname, fname, trial.error,
+            result_.failures.push_back({ctx->id, kname, fname, trial.error,
                                         trial.timed_out, trial.attempts,
                                         failure_class(trial)});
         }
         journal_.append(record);
     }
 
-    /// True when every (kernel, format) trial of `entry` is already in
-    /// the journal, so context construction can be skipped entirely.
-    bool fully_journaled(const NamedTensor& entry) const
+    /// True when every cell of tensor `id` is already in the journal, so
+    /// context construction can be skipped entirely.
+    bool fully_journaled(const std::string& id) const
     {
         if (!journal_.enabled())
             return false;
-        for (Kernel k : {Kernel::kTew, Kernel::kTs, Kernel::kTtv,
-                         Kernel::kTtm, Kernel::kMttkrp})
-            for (Format f : {Format::kCoo, Format::kHicoo})
-                if (!journal_.has_ok(entry.id, kernel_name(k),
-                                     format_name(f)))
-                    return false;
+        for (const Cell& cell : kCells)
+            if (!journal_.has_ok(id, kernel_name(cell.kernel),
+                                 format_name(cell.format)))
+                return false;
         return true;
-    }
-
-    /// Replays all ten journaled trials of a fully-journaled tensor.
-    void resume_tensor(const NamedTensor& entry)
-    {
-        auto unused = std::make_shared<KernelCost>();
-        for (Kernel k : {Kernel::kTew, Kernel::kTs, Kernel::kTtv,
-                         Kernel::kTtm, Kernel::kMttkrp})
-            for (Format f : {Format::kCoo, Format::kHicoo})
-                run_trial(entry, k, f, unused, [] { return 0.0; });
     }
 
     /// Builds the per-tensor context under the same guard as trials.
     /// Returns nullptr (and records a whole-tensor failure) on failure.
-    std::shared_ptr<TensorContext>
+    std::shared_ptr<const TensorContext>
     make_context(const NamedTensor& entry)
     {
         auto ctx = std::make_shared<TensorContext>();
-        const BenchOptions& options = options_;
-        const NamedTensor* entry_ptr = &entry;
+        ctx->id = entry.id;
+        // Copied on this thread: the guarded build below may be abandoned
+        // and must never read the caller's tensor.
+        ctx->x = entry.tensor;
+        ctx->rank = options_.rank;
+        ctx->block_bits = options_.block_bits;
         const harness::TrialResult trial = harness::run_guarded_trial(
             "context on " + entry.id,
-            [ctx, entry_ptr, options] {
-                fill_context(*ctx, *entry_ptr, options);
+            [ctx] {
+                fill_context(*ctx);
                 return 0.0;
             },
             policy_);
@@ -390,14 +620,45 @@ class SuiteRunner {
         return nullptr;
     }
 
-    const harness::TrialPolicy& policy() const { return policy_; }
-
   private:
     const BenchOptions& options_;
     harness::TrialPolicy policy_;
+    Executor exec_;
     harness::RunJournal journal_;
     SuiteResult result_;
 };
+
+/// The shared suite driver behind run_cpu_suite and run_gpu_suite: every
+/// tensor, every cell of kCells, on the backend `exec` stands for.
+/// `platform` names the journal and trace files ("cpu", "gpu_<device>").
+SuiteResult
+run_suite(const std::vector<NamedTensor>& suite, const BenchOptions& options,
+          const std::string& platform, Executor exec)
+{
+    SuiteRunner runner(options, platform, std::move(exec));
+    for (const auto& entry : suite) {
+        if (runner.fully_journaled(entry.id)) {
+            PASTA_LOG_INFO << platform << " suite: " << entry.id
+                           << " fully journaled; resuming";
+            for (const Cell& cell : kCells)
+                runner.restore(entry.id, cell);
+            continue;
+        }
+        PASTA_LOG_INFO << platform << " suite: " << entry.id << " ("
+                       << entry.tensor.describe() << ")";
+        const std::shared_ptr<const TensorContext> ctx =
+            runner.make_context(entry);
+        if (!ctx)
+            continue;
+        for (const Cell& cell : kCells)
+            runner.run_trial(ctx, cell);
+    }
+    maybe_export_trace(
+        (options.journal_stem.empty() ? std::string("pasta")
+                                      : options.journal_stem) +
+        "." + sanitize_tag(platform));
+    return runner.take_result();
+}
 
 }  // namespace
 
@@ -405,625 +666,15 @@ SuiteResult
 run_cpu_suite(const std::vector<NamedTensor>& suite,
               const BenchOptions& options)
 {
-    SuiteRunner runner(options, "cpu");
-    for (const auto& entry : suite) {
-        if (runner.fully_journaled(entry)) {
-            PASTA_LOG_INFO << "cpu suite: " << entry.id
-                           << " fully journaled; resuming";
-            runner.resume_tensor(entry);
-            continue;
-        }
-        PASTA_LOG_INFO << "cpu suite: " << entry.id << " ("
-                       << entry.tensor.describe() << ")";
-        std::shared_ptr<TensorContext> ctx = runner.make_context(entry);
-        if (!ctx)
-            continue;
-        const TensorStats stats0 = base_stats(entry.tensor, ctx->hx);
-        const std::size_t runs = options.runs;
-        const unsigned block_bits = options.block_bits;
-        const Size rank = options.rank;
-
-        // ---- TEW (addition as representative, §V-A2) ----
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTew, Format::kCoo, stats0));
-            runner.run_trial(entry, Kernel::kTew, Format::kCoo, cost,
-                             [ctx, runs] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 CooTensor z = x;
-                                 const double secs =
-                                     timed_runs(
-                                         [&] {
-                                             tew_values(
-                                                 EwOp::kAdd,
-                                                 x.values().data(),
-                                                 ctx->y.values().data(),
-                                                 z.values().data(),
-                                                 x.nnz());
-                                         },
-                                         runs)
-                                         .mean_seconds;
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_tew(
-                                         EwOp::kAdd, x.values().data(),
-                                         ctx->y.values().data(),
-                                         z.values().data(), x.nnz())
-                                         .require();
-                                 return secs;
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTew, Format::kHicoo, stats0));
-            runner.run_trial(entry, Kernel::kTew, Format::kHicoo, cost,
-                             [ctx, runs] {
-                                 HiCooTensor hz = ctx->hx;
-                                 const double secs =
-                                     timed_runs(
-                                         [&] {
-                                             tew_values(
-                                                 EwOp::kAdd,
-                                                 ctx->hx.values().data(),
-                                                 ctx->hy.values().data(),
-                                                 hz.values().data(),
-                                                 ctx->hx.nnz());
-                                         },
-                                         runs)
-                                         .mean_seconds;
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_tew(
-                                         EwOp::kAdd,
-                                         ctx->hx.values().data(),
-                                         ctx->hy.values().data(),
-                                         hz.values().data(),
-                                         ctx->hx.nnz())
-                                         .require();
-                                 return secs;
-                             });
-        }
-
-        // ---- TS (multiplication as representative) ----
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTs, Format::kCoo, stats0));
-            runner.run_trial(entry, Kernel::kTs, Format::kCoo, cost,
-                             [ctx, runs] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 CooTensor out = x;
-                                 const double secs =
-                                     timed_runs(
-                                         [&] {
-                                             ts_values(
-                                                 TsOp::kMul,
-                                                 x.values().data(),
-                                                 out.values().data(),
-                                                 x.nnz(), 1.0009f);
-                                         },
-                                         runs)
-                                         .mean_seconds;
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_ts(
-                                         TsOp::kMul, x.values().data(),
-                                         1.0009f, out.values().data(),
-                                         x.nnz())
-                                         .require();
-                                 return secs;
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTs, Format::kHicoo, stats0));
-            runner.run_trial(entry, Kernel::kTs, Format::kHicoo, cost,
-                             [ctx, runs] {
-                                 HiCooTensor hout = ctx->hx;
-                                 const double secs =
-                                     timed_runs(
-                                         [&] {
-                                             ts_values(
-                                                 TsOp::kMul,
-                                                 ctx->hx.values().data(),
-                                                 hout.values().data(),
-                                                 ctx->hx.nnz(), 1.0009f);
-                                         },
-                                         runs)
-                                         .mean_seconds;
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_ts(
-                                         TsOp::kMul,
-                                         ctx->hx.values().data(), 1.0009f,
-                                         hout.values().data(),
-                                         ctx->hx.nnz())
-                                         .require();
-                                 return secs;
-                             });
-        }
-
-        // ---- TTV / TTM / MTTKRP: averaged over all modes, one guarded
-        // trial per (kernel, format) so a hang in one leaves the rest.
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtv, Format::kCoo, cost,
-                [ctx, cost, runs, stats0] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        Rng rng(31 + mode);
-                        DenseVector v =
-                            DenseVector::random(x.dim(mode), rng);
-                        CooTtvPlan plan = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = plan.fibers.num_fibers();
-                        CooTensor out = plan.out_pattern;
-                        total += timed_runs(
-                                     [&] { ttv_exec_coo(plan, v, out); },
-                                     runs)
-                                     .mean_seconds;
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttv(x, v, mode, out).require();
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtv, Format::kCoo, stats);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtv, Format::kHicoo, cost,
-                [ctx, cost, runs, stats0, block_bits] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        Rng rng(31 + mode);
-                        DenseVector v =
-                            DenseVector::random(x.dim(mode), rng);
-                        // Fiber stats come from the COO plan, as before.
-                        CooTtvPlan coo_plan = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = coo_plan.fibers.num_fibers();
-                        HicooTtvPlan plan =
-                            ttv_plan_hicoo(x, mode, block_bits);
-                        HiCooTensor out = plan.out_pattern;
-                        total += timed_runs(
-                                     [&] { ttv_exec_hicoo(plan, v, out); },
-                                     runs)
-                                     .mean_seconds;
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttv(x, v, mode,
-                                               hicoo_to_coo(out))
-                                .require();
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtv, Format::kHicoo, stats);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtm, Format::kCoo, cost,
-                [ctx, cost, runs, stats0, rank] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        CooTtvPlan fib = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = fib.fibers.num_fibers();
-                        CooTtmPlan plan = ttm_plan_coo(x, mode, rank);
-                        ScooTensor out = plan.out_pattern;
-                        const DenseMatrix& u = ctx->mats[mode];
-                        total +=
-                            timed_runs(
-                                [&] { ttm_exec_coo(plan, u, out); }, runs)
-                                .mean_seconds;
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttm(x, u, mode, out).require();
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtm, Format::kCoo, stats, rank);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtm, Format::kHicoo, cost,
-                [ctx, cost, runs, stats0, rank, block_bits] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        CooTtvPlan fib = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = fib.fibers.num_fibers();
-                        HicooTtmPlan plan =
-                            ttm_plan_hicoo(x, mode, rank, block_bits);
-                        SHiCooTensor out = plan.out_pattern;
-                        const DenseMatrix& u = ctx->mats[mode];
-                        total += timed_runs(
-                                     [&] { ttm_exec_hicoo(plan, u, out); },
-                                     runs)
-                                     .mean_seconds;
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttm(x, u, mode, out.to_scoo())
-                                .require();
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtm, Format::kHicoo, stats, rank);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(kernel_cost(
-                Kernel::kMttkrp, Format::kCoo, stats0, options.rank));
-            runner.run_trial(entry, Kernel::kMttkrp, Format::kCoo, cost,
-                             [ctx, runs, rank] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 const Size order = x.order();
-                                 double total = 0;
-                                 for (Size mode = 0; mode < order;
-                                      ++mode) {
-                                     FactorList factors = ctx->factors();
-                                     DenseMatrix out(x.dim(mode), rank);
-                                     total +=
-                                         timed_runs(
-                                             [&] {
-                                                 mttkrp_coo(x, factors,
-                                                            mode, out);
-                                             },
-                                             runs)
-                                             .mean_seconds;
-                                     if (validate::
-                                             kernel_checks_enabled())
-                                         validate::diff_mttkrp(
-                                             x, factors, mode, out)
-                                             .require();
-                                 }
-                                 return total /
-                                        static_cast<double>(order);
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(kernel_cost(
-                Kernel::kMttkrp, Format::kHicoo, stats0, options.rank));
-            runner.run_trial(entry, Kernel::kMttkrp, Format::kHicoo, cost,
-                             [ctx, runs, rank] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 const Size order = x.order();
-                                 double total = 0;
-                                 for (Size mode = 0; mode < order;
-                                      ++mode) {
-                                     FactorList factors = ctx->factors();
-                                     DenseMatrix out(x.dim(mode), rank);
-                                     total += timed_runs(
-                                                  [&] {
-                                                      mttkrp_hicoo(
-                                                          ctx->hx, factors,
-                                                          mode, out);
-                                                  },
-                                                  runs)
-                                                  .mean_seconds;
-                                     if (validate::
-                                             kernel_checks_enabled())
-                                         validate::diff_mttkrp(
-                                             x, factors, mode, out)
-                                             .require();
-                                 }
-                                 return total /
-                                        static_cast<double>(order);
-                             });
-        }
-    }
-    maybe_export_trace(
-        (options.journal_stem.empty() ? std::string("pasta")
-                                      : options.journal_stem) +
-        ".cpu");
-    return runner.take_result();
+    return run_suite(suite, options, "cpu", Executor{options.runs, {}});
 }
 
 SuiteResult
 run_gpu_suite(const std::vector<NamedTensor>& suite,
               const gpusim::DeviceSpec& device, const BenchOptions& options)
 {
-    using namespace gpusim;
-    SuiteRunner runner(options, std::string("gpu_") + device.name);
-    for (const auto& entry : suite) {
-        if (runner.fully_journaled(entry)) {
-            PASTA_LOG_INFO << "gpu suite (" << device.name
-                           << "): " << entry.id
-                           << " fully journaled; resuming";
-            runner.resume_tensor(entry);
-            continue;
-        }
-        PASTA_LOG_INFO << "gpu suite (" << device.name
-                       << "): " << entry.id;
-        std::shared_ptr<TensorContext> ctx = runner.make_context(entry);
-        if (!ctx)
-            continue;
-        const TensorStats stats0 = base_stats(entry.tensor, ctx->hx);
-        const unsigned block_bits = options.block_bits;
-        const Size rank = options.rank;
-        const DeviceSpec dev = device;
-
-        // TEW / TS: one launch each per format.
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTew, Format::kCoo, stats0));
-            runner.run_trial(entry, Kernel::kTew, Format::kCoo, cost,
-                             [ctx, dev] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 CooTensor z = x;
-                                 LaunchProfile p = tew_gpu_coo(
-                                     x, ctx->y, EwOp::kAdd, z);
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_tew(
-                                         EwOp::kAdd, x.values().data(),
-                                         ctx->y.values().data(),
-                                         z.values().data(), x.nnz())
-                                         .require();
-                                 return estimate_seconds(dev, p);
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTew, Format::kHicoo, stats0));
-            runner.run_trial(entry, Kernel::kTew, Format::kHicoo, cost,
-                             [ctx, dev] {
-                                 HiCooTensor hz = ctx->hx;
-                                 LaunchProfile p = tew_gpu_hicoo(
-                                     ctx->hx, ctx->hy, EwOp::kAdd, hz);
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_tew(
-                                         EwOp::kAdd,
-                                         ctx->hx.values().data(),
-                                         ctx->hy.values().data(),
-                                         hz.values().data(),
-                                         ctx->hx.nnz())
-                                         .require();
-                                 return estimate_seconds(dev, p);
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTs, Format::kCoo, stats0));
-            runner.run_trial(entry, Kernel::kTs, Format::kCoo, cost,
-                             [ctx, dev] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 CooTensor out = x;
-                                 LaunchProfile p = ts_gpu_coo(
-                                     x, TsOp::kMul, 1.0009f, out);
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_ts(
-                                         TsOp::kMul, x.values().data(),
-                                         1.0009f, out.values().data(),
-                                         x.nnz())
-                                         .require();
-                                 return estimate_seconds(dev, p);
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(
-                kernel_cost(Kernel::kTs, Format::kHicoo, stats0));
-            runner.run_trial(entry, Kernel::kTs, Format::kHicoo, cost,
-                             [ctx, dev] {
-                                 HiCooTensor hout = ctx->hx;
-                                 LaunchProfile p = ts_gpu_hicoo(
-                                     ctx->hx, TsOp::kMul, 1.0009f, hout);
-                                 if (validate::kernel_checks_enabled())
-                                     validate::diff_ts(
-                                         TsOp::kMul,
-                                         ctx->hx.values().data(), 1.0009f,
-                                         hout.values().data(),
-                                         ctx->hx.nnz())
-                                         .require();
-                                 return estimate_seconds(dev, p);
-                             });
-        }
-
-        // TTV / TTM / MTTKRP averaged across modes, per (kernel, format).
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtv, Format::kCoo, cost,
-                [ctx, cost, dev, stats0] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        Rng rng(31 + mode);
-                        DenseVector v =
-                            DenseVector::random(x.dim(mode), rng);
-                        CooTtvPlan plan = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = plan.fibers.num_fibers();
-                        CooTensor out = plan.out_pattern;
-                        LaunchProfile p = ttv_gpu_coo(plan, v, out);
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttv(x, v, mode, out).require();
-                        total += estimate_seconds(dev, p);
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtv, Format::kCoo, stats);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtv, Format::kHicoo, cost,
-                [ctx, cost, dev, stats0, block_bits] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        Rng rng(31 + mode);
-                        DenseVector v =
-                            DenseVector::random(x.dim(mode), rng);
-                        CooTtvPlan coo_plan = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = coo_plan.fibers.num_fibers();
-                        HicooTtvPlan plan =
-                            ttv_plan_hicoo(x, mode, block_bits);
-                        HiCooTensor out = plan.out_pattern;
-                        LaunchProfile p = ttv_gpu_hicoo(plan, v, out);
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttv(x, v, mode,
-                                               hicoo_to_coo(out))
-                                .require();
-                        total += estimate_seconds(dev, p);
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtv, Format::kHicoo, stats);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtm, Format::kCoo, cost,
-                [ctx, cost, dev, stats0, rank] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        CooTtvPlan fib = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = fib.fibers.num_fibers();
-                        CooTtmPlan plan = ttm_plan_coo(x, mode, rank);
-                        ScooTensor out = plan.out_pattern;
-                        LaunchProfile p =
-                            ttm_gpu_coo(plan, ctx->mats[mode], out);
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttm(x, ctx->mats[mode], mode,
-                                               out)
-                                .require();
-                        total += estimate_seconds(dev, p);
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtm, Format::kCoo, stats, rank);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>();
-            runner.run_trial(
-                entry, Kernel::kTtm, Format::kHicoo, cost,
-                [ctx, cost, dev, stats0, rank, block_bits] {
-                    const CooTensor& x = ctx->entry->tensor;
-                    const Size order = x.order();
-                    double total = 0;
-                    KernelCost acc;
-                    for (Size mode = 0; mode < order; ++mode) {
-                        CooTtvPlan fib = ttv_plan_coo(x, mode);
-                        TensorStats stats = stats0;
-                        stats.num_fibers = fib.fibers.num_fibers();
-                        HicooTtmPlan plan =
-                            ttm_plan_hicoo(x, mode, rank, block_bits);
-                        SHiCooTensor out = plan.out_pattern;
-                        LaunchProfile p =
-                            ttm_gpu_hicoo(plan, ctx->mats[mode], out);
-                        if (validate::kernel_checks_enabled())
-                            validate::diff_ttm(x, ctx->mats[mode], mode,
-                                               out.to_scoo())
-                                .require();
-                        total += estimate_seconds(dev, p);
-                        const KernelCost c = kernel_cost(
-                            Kernel::kTtm, Format::kHicoo, stats, rank);
-                        acc.flops += c.flops / order;
-                        acc.bytes += c.bytes / order;
-                    }
-                    *cost = acc;
-                    return total / static_cast<double>(order);
-                });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(kernel_cost(
-                Kernel::kMttkrp, Format::kCoo, stats0, options.rank));
-            runner.run_trial(entry, Kernel::kMttkrp, Format::kCoo, cost,
-                             [ctx, dev, rank] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 const Size order = x.order();
-                                 double total = 0;
-                                 for (Size mode = 0; mode < order;
-                                      ++mode) {
-                                     FactorList factors = ctx->factors();
-                                     DenseMatrix out(x.dim(mode), rank);
-                                     LaunchProfile p = mttkrp_gpu_coo(
-                                         x, factors, mode, out);
-                                     if (validate::
-                                             kernel_checks_enabled())
-                                         validate::diff_mttkrp(
-                                             x, factors, mode, out)
-                                             .require();
-                                     total += estimate_seconds(dev, p);
-                                 }
-                                 return total /
-                                        static_cast<double>(order);
-                             });
-        }
-        {
-            auto cost = std::make_shared<KernelCost>(kernel_cost(
-                Kernel::kMttkrp, Format::kHicoo, stats0, options.rank));
-            runner.run_trial(entry, Kernel::kMttkrp, Format::kHicoo, cost,
-                             [ctx, dev, rank] {
-                                 const CooTensor& x = ctx->entry->tensor;
-                                 const Size order = x.order();
-                                 double total = 0;
-                                 for (Size mode = 0; mode < order;
-                                      ++mode) {
-                                     FactorList factors = ctx->factors();
-                                     DenseMatrix out(x.dim(mode), rank);
-                                     LaunchProfile p = mttkrp_gpu_hicoo(
-                                         ctx->hx, factors, mode, out);
-                                     if (validate::
-                                             kernel_checks_enabled())
-                                         validate::diff_mttkrp(
-                                             x, factors, mode, out)
-                                             .require();
-                                     total += estimate_seconds(dev, p);
-                                 }
-                                 return total /
-                                        static_cast<double>(order);
-                             });
-        }
-    }
-    maybe_export_trace(
-        (options.journal_stem.empty() ? std::string("pasta")
-                                      : options.journal_stem) +
-        ".gpu_" + sanitize_tag(device.name));
-    return runner.take_result();
+    return run_suite(suite, options, "gpu_" + device.name,
+                     Executor{options.runs, device});
 }
 
 void
@@ -1035,9 +686,10 @@ print_figure(const std::string& title, const std::vector<MeasuredRun>& runs,
                 "performance line: OI x ERT-DRAM bandwidth of %s; 'skip' "
                 "marks trials the harness abandoned)\n",
                 platform.name.c_str());
-    const Kernel kernels[5] = {Kernel::kTew, Kernel::kTs, Kernel::kTtv,
-                               Kernel::kTtm, Kernel::kMttkrp};
-    for (Kernel kernel : kernels) {
+    for (const Cell& cell : kCells) {
+        if (cell.format != Format::kCoo)
+            continue;  // one block per kernel, both formats side by side
+        const Kernel kernel = cell.kernel;
         std::printf("\n-- %s --\n", kernel_name(kernel));
         std::printf("%-10s %12s %12s %12s %8s %8s\n", "tensor",
                     "COO GFLOPS", "HiCOO GFLOPS", "roof GFLOPS",
@@ -1218,17 +870,13 @@ print_averages(const std::vector<MeasuredRun>& runs,
                 platform.name.c_str());
     std::printf("%-8s %-7s %12s %12s %12s %10s\n", "kernel", "format",
                 "mean GFLOPS", "min", "max", "mean eff");
-    const Kernel kernels[5] = {Kernel::kTew, Kernel::kTs, Kernel::kTtv,
-                               Kernel::kTtm, Kernel::kMttkrp};
-    for (Kernel kernel : kernels) {
-        for (Format format : {Format::kCoo, Format::kHicoo}) {
-            const EfficiencySummary s =
-                summarize(runs, kernel, format, platform);
-            std::printf("%-8s %-7s %12.3f %12.3f %12.3f %9.0f%%\n",
-                        kernel_name(kernel), format_name(format),
-                        s.mean_gflops, s.min_gflops, s.max_gflops,
-                        100.0 * s.mean_efficiency);
-        }
+    for (const Cell& cell : kCells) {
+        const EfficiencySummary s =
+            summarize(runs, cell.kernel, cell.format, platform);
+        std::printf("%-8s %-7s %12.3f %12.3f %12.3f %9.0f%%\n",
+                    kernel_name(cell.kernel), format_name(cell.format),
+                    s.mean_gflops, s.min_gflops, s.max_gflops,
+                    100.0 * s.mean_efficiency);
     }
 }
 

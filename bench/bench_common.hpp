@@ -2,10 +2,12 @@
 /// Shared machinery for the table/figure benchmark binaries.
 ///
 /// Every figure binary (Figs. 4-7) runs the same protocol the paper
-/// describes in §V-A2: each kernel five times (configurable), the mean
-/// taken, and TTV/TTM/MTTKRP additionally averaged across all tensor
-/// modes; TEW uses addition and TS multiplication as representatives,
-/// R = 16, HiCOO block size 128.
+/// describes in §V-A2: each kernel run PASTA_RUNS times (default 3; the
+/// paper's 5 is a setting), the mean taken, and TTV/TTM/MTTKRP
+/// additionally averaged across all tensor modes; TEW uses addition and
+/// TS multiplication as representatives, R = 16, HiCOO block size 128.
+/// The CPU and simulated-GPU suites share one driver; only how an
+/// invocation becomes seconds differs.
 ///
 /// A full campaign is hundreds of trials per binary, so the suites run
 /// through the src/harness robustness layer: every (tensor, kernel,

@@ -1,13 +1,18 @@
 // Tests for the bench harness plumbing: option parsing (including the
 // strict env validation), suite loading, the CPU/GPU measurement
 // pipelines at tiny scale, and the robustness layer wiring: fault-driven
-// partial results, retry recovery, and journal checkpoint/resume.
+// partial results, retry recovery, watchdog timeouts, journal
+// checkpoint/resume (each on the CPU and the simulated GPU), and the
+// Table I cost each backend reports.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
+#include "analysis/cost_model.hpp"
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "gpusim/timing_model.hpp"
@@ -175,7 +180,23 @@ TEST_F(SuitePipeline, CsvExportRoundTrips)
     fs::remove_all(dir);
 }
 
-TEST_F(SuitePipeline, InjectedKernelFaultsYieldPartialResults)
+/// The suite-robustness tests run once per backend: the host CPU and the
+/// simulated V100.  Both go through the same suite driver, so each fault,
+/// retry and journal path must behave the same on both.
+enum class Backend { kCpu, kGpuV100 };
+
+class SuiteBackend : public SuitePipeline,
+                     public ::testing::WithParamInterface<Backend> {
+  protected:
+    SuiteResult run(const std::vector<NamedTensor>& tensors) const
+    {
+        if (GetParam() == Backend::kCpu)
+            return run_cpu_suite(tensors, options_);
+        return run_gpu_suite(tensors, gpusim::tesla_v100(), options_);
+    }
+};
+
+TEST_P(SuiteBackend, InjectedKernelFaultsYieldPartialResults)
 {
     FaultGuard guard;
     harness::FaultInjector::instance().configure(
@@ -183,7 +204,7 @@ TEST_F(SuitePipeline, InjectedKernelFaultsYieldPartialResults)
     options_.trial_policy.max_attempts = 1;
     options_.trial_policy.backoff_initial_s = 0.0;
     std::vector<NamedTensor> small(suite_.begin(), suite_.begin() + 2);
-    const SuiteResult result = run_cpu_suite(small, options_);
+    const SuiteResult result = run(small);
     EXPECT_EQ(result.runs.size(), 0u);
     EXPECT_EQ(result.failures.size(), 20u);
     for (const auto& f : result.failures) {
@@ -195,14 +216,14 @@ TEST_F(SuitePipeline, InjectedKernelFaultsYieldPartialResults)
     print_failure_summary(result);
 }
 
-TEST_F(SuitePipeline, ProbabilisticFaultsSkipOnlySomeTrials)
+TEST_P(SuiteBackend, ProbabilisticFaultsSkipOnlySomeTrials)
 {
     FaultGuard guard;
     harness::FaultInjector::instance().configure(
         harness::parse_fault_spec("kernel.run:throw:0.3"), 1234);
     options_.trial_policy.max_attempts = 1;
     std::vector<NamedTensor> small(suite_.begin(), suite_.begin() + 2);
-    const SuiteResult result = run_cpu_suite(small, options_);
+    const SuiteResult result = run(small);
     EXPECT_EQ(result.runs.size() + result.failures.size(), 20u);
     EXPECT_GT(result.runs.size(), 0u);       // 0.3^20 ~ 3.5e-11
     EXPECT_GT(result.failures.size(), 0u);   // 0.7^20 ~ 8e-4
@@ -210,7 +231,7 @@ TEST_F(SuitePipeline, ProbabilisticFaultsSkipOnlySomeTrials)
     print_failure_summary(result);
 }
 
-TEST_F(SuitePipeline, RetryRecoversFromTransientFault)
+TEST_P(SuiteBackend, RetryRecoversFromTransientFault)
 {
     FaultGuard guard;
     // Fires exactly once, on the very first kernel.run hit; the retry
@@ -220,19 +241,19 @@ TEST_F(SuitePipeline, RetryRecoversFromTransientFault)
     options_.trial_policy.max_attempts = 3;
     options_.trial_policy.backoff_initial_s = 0.001;
     std::vector<NamedTensor> small(suite_.begin(), suite_.begin() + 1);
-    const SuiteResult result = run_cpu_suite(small, options_);
+    const SuiteResult result = run(small);
     EXPECT_EQ(result.runs.size(), 10u);
     EXPECT_TRUE(result.complete());
 }
 
-TEST_F(SuitePipeline, ContextFaultFailsWholeTensor)
+TEST_P(SuiteBackend, ContextFaultFailsWholeTensor)
 {
     FaultGuard guard;
     harness::FaultInjector::instance().configure(
         harness::parse_fault_spec("alloc:oom"), 7);
     options_.trial_policy.max_attempts = 1;
     std::vector<NamedTensor> small(suite_.begin(), suite_.begin() + 1);
-    const SuiteResult result = run_cpu_suite(small, options_);
+    const SuiteResult result = run(small);
     EXPECT_EQ(result.runs.size(), 0u);
     ASSERT_EQ(result.failures.size(), 1u);
     EXPECT_EQ(result.failures[0].kernel, "*");
@@ -240,7 +261,7 @@ TEST_F(SuitePipeline, ContextFaultFailsWholeTensor)
               std::string::npos);
 }
 
-TEST_F(SuitePipeline, JournalResumeSkipsCompletedTrials)
+TEST_P(SuiteBackend, JournalResumeSkipsCompletedTrials)
 {
     namespace fs = std::filesystem;
     const fs::path dir = fs::temp_directory_path() / "pasta_journal_test";
@@ -250,7 +271,7 @@ TEST_F(SuitePipeline, JournalResumeSkipsCompletedTrials)
     options_.journal_stem = "resume_test";
     std::vector<NamedTensor> small(suite_.begin(), suite_.begin() + 2);
 
-    const SuiteResult first = run_cpu_suite(small, options_);
+    const SuiteResult first = run(small);
     EXPECT_EQ(first.runs.size(), 20u);
     EXPECT_EQ(first.resumed, 0u);
     bool journal_seen = false;
@@ -261,7 +282,7 @@ TEST_F(SuitePipeline, JournalResumeSkipsCompletedTrials)
     EXPECT_TRUE(journal_seen);
 
     // Second invocation must restore every trial without re-measuring.
-    const SuiteResult second = run_cpu_suite(small, options_);
+    const SuiteResult second = run(small);
     EXPECT_EQ(second.runs.size(), 20u);
     EXPECT_EQ(second.resumed, 20u);
     for (const auto& run : first.runs) {
@@ -279,7 +300,7 @@ TEST_F(SuitePipeline, JournalResumeSkipsCompletedTrials)
     fs::remove_all(dir);
 }
 
-TEST_F(SuitePipeline, JournalResumeRetriesFailedTrials)
+TEST_P(SuiteBackend, JournalResumeRetriesFailedTrials)
 {
     namespace fs = std::filesystem;
     const fs::path dir =
@@ -295,16 +316,143 @@ TEST_F(SuitePipeline, JournalResumeRetriesFailedTrials)
         FaultGuard guard;
         harness::FaultInjector::instance().configure(
             harness::parse_fault_spec("kernel.run:throw"), 7);
-        const SuiteResult faulted = run_cpu_suite(small, options_);
+        const SuiteResult faulted = run(small);
         EXPECT_EQ(faulted.failures.size(), 10u);
     }
     // Faults cleared: the rerun retries everything the journal marked
     // failed and completes the campaign.
-    const SuiteResult recovered = run_cpu_suite(small, options_);
+    const SuiteResult recovered = run(small);
     EXPECT_EQ(recovered.runs.size(), 10u);
     EXPECT_EQ(recovered.resumed, 0u);
     EXPECT_TRUE(recovered.complete());
     fs::remove_all(dir);
+}
+
+// The two tests below abandon a hung body on the watchdog, return from
+// the suite, free the caller's tensors, and sleep until the detached
+// worker has woken and finished: everything it reads must be owned by
+// the suite, never borrowed from the caller.  Besides the hung body,
+// at most the context build of one small tensor runs under the
+// watchdog, so a slow, loaded or sanitized build does not trip it.
+
+TEST_P(SuiteBackend, TimedOutTrialOutlivesTheCallersSuite)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "pasta_timeout_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    options_.cache_dir = dir.string();
+    options_.journal_stem = "timeout_test";
+    options_.trial_policy.max_attempts = 1;
+    FaultGuard guard;
+    SuiteResult result;
+    {
+        const std::vector<NamedTensor> one(suite_.begin(),
+                                           suite_.begin() + 1);
+        // Journal nine cells; the last one (MTTKRP/HiCOO) fails, so the
+        // rerun measures only that cell.
+        harness::FaultInjector::instance().configure(
+            harness::parse_fault_spec("kernel.run:throw@10"), 7);
+        ASSERT_EQ(run(one).failures.size(), 1u);
+        harness::FaultSpec spec =
+            harness::parse_fault_spec("kernel.run:hang@1");
+        spec.rules[0].hang_seconds = 1.4;
+        harness::FaultInjector::instance().configure(spec, 7);
+        options_.trial_policy.timeout_seconds = 1.0;
+        result = run(one);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0].kernel, "MTTKRP");
+    EXPECT_EQ(result.failures[0].format, "HiCOO");
+    EXPECT_TRUE(result.failures[0].timed_out);
+    EXPECT_EQ(result.failures[0].failure_class, "timeout");
+    EXPECT_EQ(result.runs.size(), 9u);
+    EXPECT_EQ(result.resumed, 9u);
+    fs::remove_all(dir);
+}
+
+TEST_P(SuiteBackend, TimedOutContextBuildOutlivesTheCallersSuite)
+{
+    FaultGuard guard;
+    harness::FaultSpec spec = harness::parse_fault_spec("alloc:hang@1");
+    spec.rules[0].hang_seconds = 0.25;
+    harness::FaultInjector::instance().configure(spec, 7);
+    options_.trial_policy.timeout_seconds = 0.05;
+    options_.trial_policy.max_attempts = 1;
+    SuiteResult result;
+    {
+        const std::vector<NamedTensor> one(suite_.begin(),
+                                           suite_.begin() + 1);
+        result = run(one);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    EXPECT_EQ(result.runs.size(), 0u);
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0].kernel, "*");
+    EXPECT_TRUE(result.failures[0].timed_out);
+    EXPECT_EQ(result.failures[0].failure_class, "timeout");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SuiteBackend,
+    ::testing::Values(Backend::kCpu, Backend::kGpuV100),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+        return std::string(info.param == Backend::kCpu ? "cpu" : "v100");
+    });
+
+TEST_F(SuitePipeline, CostModelMatchesAcrossBackendsAndTableI)
+{
+    // The Table I cost of every cell depends only on the tensor, never on
+    // the backend, and equals kernel_cost over compute_stats: the per-
+    // mode mean for TTV/TTM (M_F differs per mode), kNoMode otherwise.
+    std::vector<NamedTensor> picked;
+    for (const auto& entry : suite_)
+        if (entry.id == "r1" || entry.id == "r2" || entry.id == "r3" ||
+            entry.id == "s6")
+            picked.push_back(entry);
+    ASSERT_EQ(picked.size(), 4u);
+    const SuiteResult cpu = run_cpu_suite(picked, options_);
+    const SuiteResult gpu =
+        run_gpu_suite(picked, gpusim::tesla_v100(), options_);
+    ASSERT_EQ(cpu.runs.size(), 40u);
+    ASSERT_EQ(gpu.runs.size(), 40u);
+    for (std::size_t i = 0; i < cpu.runs.size(); ++i) {
+        const MeasuredRun& c = cpu.runs[i];
+        const MeasuredRun& g = gpu.runs[i];
+        ASSERT_EQ(c.tensor_id, g.tensor_id);
+        ASSERT_EQ(c.kernel, g.kernel);
+        ASSERT_EQ(c.format, g.format);
+        const CooTensor* x = nullptr;
+        for (const auto& entry : picked)
+            if (entry.id == c.tensor_id)
+                x = &entry.tensor;
+        ASSERT_NE(x, nullptr);
+        KernelCost oracle;
+        if (c.kernel == Kernel::kTtv || c.kernel == Kernel::kTtm) {
+            const Size order = x->order();
+            for (Size mode = 0; mode < order; ++mode) {
+                const KernelCost m = kernel_cost(
+                    c.kernel, c.format,
+                    compute_stats(*x, mode, options_.block_bits),
+                    options_.rank);
+                oracle.flops += m.flops / order;
+                oracle.bytes += m.bytes / order;
+            }
+        } else {
+            oracle = kernel_cost(
+                c.kernel, c.format,
+                compute_stats(*x, kNoMode, options_.block_bits),
+                options_.rank);
+        }
+        const std::string cell = c.tensor_id + " " +
+                                 kernel_name(c.kernel) + "/" +
+                                 format_name(c.format);
+        EXPECT_EQ(c.cost.flops, g.cost.flops) << cell;
+        EXPECT_EQ(c.cost.bytes, g.cost.bytes) << cell;
+        EXPECT_EQ(c.cost.flops, oracle.flops) << cell;
+        EXPECT_EQ(c.cost.bytes, oracle.bytes) << cell;
+    }
 }
 
 TEST(CsvEnv, MaybeExportRespectsEnvVar)
