@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "gen/powerlaw.hpp"
@@ -17,6 +19,7 @@
 #include "kernels/ttm.hpp"
 #include "kernels/ttv.hpp"
 #include "methods/cpd.hpp"
+#include "methods/linalg.hpp"
 #include "methods/tucker.hpp"
 #include "simd/microkernels.hpp"
 
@@ -484,6 +487,80 @@ BM_TuckerChain(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * x.nnz());
 }
 BENCHMARK(BM_TuckerChain)->Arg(0)->Arg(1);
+
+/// Dense-layer ablations on a 2^20 x 16 factor (64 MiB): Arg is the
+/// thread count (0 = the OpenMP default), so Arg(1) against Arg(0) is the
+/// serial-vs-block-parallel split of the dense layer.
+constexpr Size kDenseBenchRows = Size{1} << 20;
+constexpr Size kDenseBenchRank = 16;
+
+/// Pins the thread count for one benchmark run; restores the default.
+class BenchThreads {
+  public:
+    explicit BenchThreads(benchmark::State& state)
+    {
+        set_num_threads(static_cast<int>(state.range(0)));
+        state.SetLabel("threads=" + std::to_string(num_threads()));
+    }
+    ~BenchThreads() { set_num_threads(0); }
+};
+
+void
+set_dense_bytes(benchmark::State& state)
+{
+    state.SetBytesProcessed(state.iterations() * kDenseBenchRows *
+                            kDenseBenchRank * kValueBytes);
+}
+
+/// Counter-based random init of a fresh factor (allocation included, as
+/// in the suite's dense_init layer).
+void
+BM_DenseRandom(benchmark::State& state)
+{
+    BenchThreads threads(state);
+    Rng rng(10);
+    for (auto _ : state) {
+        DenseMatrix m =
+            DenseMatrix::random(kDenseBenchRows, kDenseBenchRank, rng);
+        benchmark::DoNotOptimize(m.data());
+        benchmark::ClobberMemory();
+    }
+    set_dense_bytes(state);
+}
+BENCHMARK(BM_DenseRandom)->Arg(1)->Arg(0)->UseRealTime();
+
+/// Zero-initialized construction of a fresh output (allocation included,
+/// as before every MTTKRP call that allocates its output).
+void
+BM_DenseZero(benchmark::State& state)
+{
+    BenchThreads threads(state);
+    for (auto _ : state) {
+        DenseMatrix m(kDenseBenchRows, kDenseBenchRank);
+        benchmark::DoNotOptimize(m.data());
+        benchmark::ClobberMemory();
+    }
+    set_dense_bytes(state);
+}
+BENCHMARK(BM_DenseZero)->Arg(1)->Arg(0)->UseRealTime();
+
+/// Block-ordered Gram matrix A^T A, the CP-ALS per-mode reduction.
+void
+BM_GramMatrix(benchmark::State& state)
+{
+    BenchThreads threads(state);
+    Rng rng(11);
+    const DenseMatrix a =
+        DenseMatrix::random(kDenseBenchRows, kDenseBenchRank, rng);
+    for (auto _ : state) {
+        std::vector<double> g = gram_matrix(a);
+        benchmark::DoNotOptimize(g.data());
+    }
+    set_dense_bytes(state);
+    set_flops(state, static_cast<double>(kDenseBenchRows) *
+                         kDenseBenchRank * (kDenseBenchRank + 1));
+}
+BENCHMARK(BM_GramMatrix)->Arg(1)->Arg(0)->UseRealTime();
 
 void
 BM_CooToHicooConversion(benchmark::State& state)

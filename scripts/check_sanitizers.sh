@@ -10,8 +10,8 @@
 # multi-threaded code — the telemetry registry (CAS-installed histogram
 # shards, per-worker counter slots, the exporter thread), the serving
 # scheduler's Chase-Lev deques and plan cache, the campaign supervisor,
-# and the parallel runtime:
-#   test_obs test_metrics test_serve test_campaign test_common
+# the parallel runtime, and the block-parallel dense layer:
+#   test_obs test_metrics test_serve test_campaign test_common test_dense
 # plus, with one OpenMP thread, the trial watchdog's hand-off to the
 # worker it abandons on timeout (AttemptState and the detached
 # std::thread, still running after the suite returns):
@@ -24,8 +24,12 @@
 # OpenMP regions whose team-thread stacks TSan cannot restore, so those
 # reports carry no libgomp frame to match; with OMP_NUM_THREADS=1 the
 # regions run on the calling thread and every thread it starts is
-# checked.  ASLR is disabled for the run when setarch is available,
-# since TSan cannot map its shadow memory under high mmap randomisation.
+# checked.  test_dense runs its OpenMP regions on 3 and 4 threads
+# whatever OMP_NUM_THREADS says; the dense layer announces each region's
+# fork and join to TSan (tsan_release/tsan_acquire in
+# common/parallel.hpp), so its hand-offs need no suppression.  ASLR is
+# disabled for the run when setarch is available, since TSan cannot map
+# its shadow memory under high mmap randomisation.
 #
 # Usage: scripts/check_sanitizers.sh [build-dir] [sanitizers]
 #   build-dir   defaults to build-asan
@@ -42,7 +46,8 @@ cmake -B "${BUILD_DIR}" -S . \
     -DPASTA_SANITIZE="${SANITIZERS}"
 
 if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
-    TSAN_TESTS=(test_obs test_metrics test_serve test_campaign test_common)
+    TSAN_TESTS=(test_obs test_metrics test_serve test_campaign test_common
+                test_dense)
     cmake --build "${BUILD_DIR}" -j "$(nproc)" \
         --target "${TSAN_TESTS[@]}" test_bench_common
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${PWD}/scripts/tsan.supp"

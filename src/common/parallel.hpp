@@ -157,6 +157,34 @@ parallel_for_worker_ranges(Size begin, Size end, Body body)
     }
 }
 
+#if defined(__SANITIZE_THREAD__)
+extern "C" void __tsan_acquire(void* addr);
+extern "C" void __tsan_release(void* addr);
+#endif
+
+/// ThreadSanitizer hand-off annotations for OpenMP regions.  libgomp is
+/// not built with TSan, so the fork and join of a region are invisible
+/// to it.  A region announces them on two tokens: the caller calls
+/// tsan_release(&fork) before the region and each task
+/// tsan_acquire(&fork) first; each task calls tsan_release(&join) last
+/// and the caller tsan_acquire(&join) after the region.  Races between
+/// the tasks themselves are still reported.  No-ops in other builds.
+inline void
+tsan_release([[maybe_unused]] void* token)
+{
+#if defined(__SANITIZE_THREAD__)
+    __tsan_release(token);
+#endif
+}
+
+inline void
+tsan_acquire([[maybe_unused]] void* token)
+{
+#if defined(__SANITIZE_THREAD__)
+    __tsan_acquire(token);
+#endif
+}
+
 /// Atomically adds `delta` to `*target` (the paper's "omp atomic" /
 /// "atomicAdd" used to protect the MTTKRP output matrix).
 inline void

@@ -6,17 +6,6 @@ namespace pasta {
 
 namespace {
 
-/// SplitMix64, used to expand the seed into the xoshiro state.
-std::uint64_t
-splitmix64(std::uint64_t& x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -74,7 +63,7 @@ Rng::next_double()
 float
 Rng::next_float()
 {
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
+    return unit_float(next_u64());
 }
 
 bool

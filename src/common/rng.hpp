@@ -5,6 +5,13 @@
 /// (§I: "completeness, diversity, extendibility, reproducibility"), so all
 /// randomness in the suite — synthetic generators, test tensors, matrix
 /// initialization — flows through this seeded generator.
+///
+/// Two kinds of stream share one mixer.  Rng is sequential: each draw
+/// depends on every draw before it.  splitmix64_at is counter-based:
+/// output i of a stream is a pure function of (key, i), so a buffer can
+/// be filled block by block on any number of threads and come out
+/// bit-identical.  Dense random init draws one key from the caller's Rng
+/// and fills from the counter stream (see core/dense.hpp).
 #pragma once
 
 #include <cstdint>
@@ -12,6 +19,42 @@
 #include "common/types.hpp"
 
 namespace pasta {
+
+/// SplitMix64's Weyl increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64's output mixer.
+constexpr std::uint64_t
+splitmix64_mix(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/// Sequential SplitMix64: advances `state` and returns the next output.
+/// Also expands Rng seeds and drives the fault and chaos draws.
+constexpr std::uint64_t
+splitmix64(std::uint64_t& state)
+{
+    return splitmix64_mix(state += kSplitMixGamma);
+}
+
+/// Counter-based SplitMix64: output `i` (0-based) of the stream that
+/// splitmix64 produces from a state starting at `key`, computed
+/// directly as mix(key + (i+1)·gamma).  Depends only on (key, i).
+constexpr std::uint64_t
+splitmix64_at(std::uint64_t key, std::uint64_t i)
+{
+    return splitmix64_mix(key + (i + 1) * kSplitMixGamma);
+}
+
+/// Maps 64 random bits to a uniform float in [0, 1) from the top 24.
+constexpr float
+unit_float(std::uint64_t bits)
+{
+    return static_cast<float>(bits >> 40) * 0x1.0p-24f;
+}
 
 /// Small, fast, seedable PRNG (xoshiro256**).  We implement it directly
 /// rather than using std::mt19937 so that streams are cheap to split and

@@ -6,25 +6,133 @@
 /// MTTKRP takes one such factor matrix per mode.  Row-major storage makes a
 /// "row of U for tensor index i" contiguous, which is what every kernel
 /// streams over.
+///
+/// Every pass over a large dense buffer — zero-fill at construction,
+/// fill(), randomize(), and the CP-ALS algebra in methods/linalg — runs
+/// through one primitive, for_each_dense_block: fixed blocks of
+/// kDenseBlock elements (or whole rows totalling about that many),
+/// spread over the OpenMP team.  Block boundaries are a compile-time
+/// constant, never a function of the thread count, so the contract is:
+/// every value these passes produce is bit-identical at any thread count.
+///   - Storage is allocated uninitialized; the parallel fill is the first
+///     write to each page.
+///   - randomize() is counter-based: it draws one 64-bit key from the
+///     caller's Rng (which therefore always advances by exactly one draw)
+///     and sets element i to unit_float(splitmix64_at(key, i)).
+///   - Reductions (dense_block_sum) keep one double partial per block and
+///     combine the partials in block order.
+/// A buffer of at most one block, or a call that sees num_threads() == 1
+/// (a serving job under ThreadBudgetScope(1), a nested region), runs the
+/// same blocks serially and opens no OpenMP region.
 #pragma once
 
+#include <algorithm>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace pasta {
+
+/// Elements per block of the dense layer's passes (256 KiB of Value).
+inline constexpr Size kDenseBlock = Size{1} << 16;
+
+/// Rows per block for a row-wise pass over a matrix with `cols` columns:
+/// whole rows totalling about kDenseBlock elements.
+constexpr Size
+dense_row_block(Size cols)
+{
+    return std::max<Size>(1, kDenseBlock / std::max<Size>(1, cols));
+}
+
+/// Runs `body(first, last)` once per block [b·block, min(n, (b+1)·block))
+/// of [0, n).  Blocks are spread statically over num_threads() workers;
+/// a single block or a single thread runs serially with no OpenMP region.
+template <typename Body>
+void
+for_each_dense_block(Size n, Size block, Body body)
+{
+    const Size blocks = (n + block - 1) / block;
+    const int nt = blocks > 1 ? num_threads() : 1;
+    if (nt == 1) {
+        for (Size b = 0; b < blocks; ++b)
+            body(b * block, std::min(n, (b + 1) * block));
+        return;
+    }
+    char fork = 0;  // hand-off tokens for ThreadSanitizer only
+    char join = 0;
+    tsan_release(&fork);
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (long long b = 0; b < static_cast<long long>(blocks); ++b) {
+        tsan_acquire(&fork);
+        const Size first = static_cast<Size>(b) * block;
+        body(first, std::min(n, first + block));
+        tsan_release(&join);
+    }
+    tsan_acquire(&join);
+}
+
+/// Block-ordered sum of `width` doubles over [0, n):
+/// `body(first, last, partial)` adds its block's contributions into
+/// `partial` (width zeros on entry); the partials are then summed in
+/// block order, so the result does not depend on the thread count.
+template <typename Body>
+std::vector<double>
+dense_block_sum(Size n, Size block, Size width, Body body)
+{
+    const Size blocks = (n + block - 1) / block;
+    std::vector<double> partials(blocks * width, 0.0);
+    for_each_dense_block(n, block, [&](Size first, Size last) {
+        body(first, last, partials.data() + first / block * width);
+    });
+    std::vector<double> total(width, 0.0);
+    for (Size b = 0; b < blocks; ++b)
+        for (Size w = 0; w < width; ++w)
+            total[w] += partials[b * width + w];
+    return total;
+}
+
+/// Allocator whose value-initialization is default-initialization: a
+/// vector<Value> resized through it leaves its storage unwritten, so the
+/// first touch of each page happens in the parallel fill that follows.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+
+    template <typename U>
+    void construct(U* p)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/// Value storage of the dense containers.
+using DenseStorage = std::vector<Value, DefaultInitAllocator<Value>>;
 
 /// Dense row-major matrix of Value.
 class DenseMatrix {
   public:
     DenseMatrix() = default;
 
-    /// Creates a rows x cols matrix initialized to `fill`.
-    DenseMatrix(Size rows, Size cols, Value fill = 0)
-        : rows_(rows), cols_(cols), data_(rows * cols, fill)
+    /// Creates a rows x cols matrix initialized to `init`.
+    DenseMatrix(Size rows, Size cols, Value init = 0)
+        : rows_(rows), cols_(cols), data_(rows * cols)
     {
+        fill(init);
     }
 
     Size rows() const { return rows_; }
@@ -42,12 +150,13 @@ class DenseMatrix {
     const Value* data() const { return data_.data(); }
 
     /// Sets every element to `v`.
-    void fill(Value v) { std::fill(data_.begin(), data_.end(), v); }
+    void fill(Value v);
 
     /// Storage footprint in bytes (values only, matching Table I).
     Size storage_bytes() const { return data_.size() * kValueBytes; }
 
-    /// Fills with uniform random values in [0, 1) from `rng`.
+    /// Fills with uniform random values in [0, 1): counter-based from
+    /// one draw of `rng`, identical at any thread count.
     void randomize(Rng& rng);
 
     /// Returns a rows x cols matrix with uniform random entries.
@@ -58,7 +167,7 @@ class DenseMatrix {
   private:
     Size rows_ = 0;
     Size cols_ = 0;
-    std::vector<Value> data_;
+    DenseStorage data_;
 };
 
 /// Dense vector of Value.
@@ -66,8 +175,8 @@ class DenseVector {
   public:
     DenseVector() = default;
 
-    /// Creates a length-n vector initialized to `fill`.
-    explicit DenseVector(Size n, Value fill = 0) : data_(n, fill) {}
+    /// Creates a length-n vector initialized to `init`.
+    explicit DenseVector(Size n, Value init = 0) : data_(n) { fill(init); }
 
     Size size() const { return data_.size(); }
 
@@ -77,11 +186,12 @@ class DenseVector {
     Value* data() { return data_.data(); }
     const Value* data() const { return data_.data(); }
 
-    void fill(Value v) { std::fill(data_.begin(), data_.end(), v); }
+    void fill(Value v);
 
     Size storage_bytes() const { return data_.size() * kValueBytes; }
 
-    /// Fills with uniform random values in [0, 1) from `rng`.
+    /// Fills with uniform random values in [0, 1): counter-based from
+    /// one draw of `rng`, identical at any thread count.
     void randomize(Rng& rng);
 
     /// Returns a length-n vector with uniform random entries.
@@ -90,7 +200,7 @@ class DenseVector {
     friend bool operator==(const DenseVector&, const DenseVector&) = default;
 
   private:
-    std::vector<Value> data_;
+    DenseStorage data_;
 };
 
 /// Maximum absolute element-wise difference between two matrices of the

@@ -27,6 +27,7 @@
 #include "common/fsutil.hpp"
 #include "common/log.hpp"
 #include "common/membudget.hpp"
+#include "common/rng.hpp"
 #include "harness/fault.hpp"
 #include "harness/lease.hpp"
 #include "obs/trace.hpp"
@@ -36,18 +37,6 @@ namespace pasta::harness {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// The same SplitMix64 the PR 1 fault injector draws from — chaos kill
-/// selection shares its seed ($PASTA_FAULT_SEED) so a chaos campaign is
-/// reproducible alongside an armed fault spec.
-std::uint64_t
-splitmix64(std::uint64_t& state)
-{
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 
 double
 now_wall_seconds()
@@ -470,6 +459,9 @@ Supervisor::run()
     double backoff = opts_.backoff_initial_s;
     double next_spawn_steady = 0;
     int consecutive_spawn_failures = 0;
+    // The same SplitMix64 the fault injector draws from: chaos kill
+    // selection shares its seed ($PASTA_FAULT_SEED), so a chaos campaign
+    // is reproducible alongside an armed fault spec.
     std::uint64_t chaos_rng = opts_.chaos_seed;
     int chaos_left = opts_.chaos_kills;
     int next_chaos_tick =

@@ -11,22 +11,15 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 
 namespace pasta::harness {
 
 namespace {
 
-/// SplitMix64: tiny, seedable, and good enough for fire/no-fire draws.
-std::uint64_t
-splitmix64(std::uint64_t& state)
-{
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
+/// SplitMix64 (common/rng.hpp): tiny, seedable, and good enough for
+/// fire/no-fire draws.
 double
 uniform01(std::uint64_t& state)
 {

@@ -14,7 +14,6 @@
 #include "common/error.hpp"
 #include "common/membudget.hpp"
 #include "harness/fault.hpp"
-#include "validate/validate.hpp"
 
 namespace pasta {
 
@@ -419,9 +418,10 @@ read_binary_file(const std::string& path)
         PASTA_CHECK_MSG(std::isfinite(static_cast<double>(x.value(p))),
                         "non-finite value " << x.value(p) << " at non-zero "
                                             << p << " in " << path);
+    // PSTB promises lengths, index ranges and finite values — checked
+    // here unconditionally — but not sorted or duplicate-free order, so
+    // the canonical COO validator does not belong at this boundary.
     x.validate();
-    if (validate::convert_checks_enabled())
-        validate::validate(x).require();
     return x;
 }
 

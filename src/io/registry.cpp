@@ -45,6 +45,16 @@ unique_suffix()
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// Generators promise sorted duplicate-free output, and cache files are
+/// generator output; check it at this boundary.  (PSTB itself promises
+/// no order, so read_binary_file does not.)
+void
+require_generator_order(const CooTensor& tensor)
+{
+    if (validate::convert_checks_enabled())
+        validate::validate(tensor).require();
+}
+
 }  // namespace
 
 TensorRegistry::TensorRegistry(std::string cache_dir, double scale)
@@ -82,7 +92,9 @@ TensorRegistry::load(const std::string& id_or_name)
         if (std::filesystem::exists(path)) {
             try {
                 harness::fault_point("cache.load");
-                return read_binary_file(path);
+                tensor = read_binary_file(path);
+                require_generator_order(tensor);
+                return tensor;
             } catch (const PastaError& e) {
                 // Corrupt, truncated, or stale-version entry: drop it so
                 // the regenerated tensor replaces it instead of failing
@@ -101,10 +113,7 @@ TensorRegistry::load(const std::string& id_or_name)
         tensor = synthesize_dataset(spec, scale_);
         store(path, tensor);
     }
-    // Generators promise sorted duplicate-free output; check it at this
-    // boundary (cache loads are covered inside read_binary_file).
-    if (validate::convert_checks_enabled())
-        validate::validate(tensor).require();
+    require_generator_order(tensor);
     return tensor;
 }
 

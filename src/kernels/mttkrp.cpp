@@ -424,8 +424,10 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
     // One private output copy per worker, merged after the sweep.  The
     // buffer is keyed by worker id — chunk identity would alias if the
     // runtime delivered fewer threads than requested.
-    std::vector<DenseMatrix> privates(
-        threads, DenseMatrix(out.rows(), rank, 0));
+    std::vector<DenseMatrix> privates;
+    privates.reserve(threads);
+    for (int t = 0; t < threads; ++t)
+        privates.emplace_back(out.rows(), rank);
     parallel_for_worker_ranges(
         0, x.nnz(), [&](int worker, Size first, Size last) {
             obs::add_worker("mttkrp.worker_items", worker, last - first);

@@ -117,11 +117,16 @@ cp_als(const CooTensor& x, const CpdOptions& options)
         // (with the *pre-update* factors for the other modes — after the
         // sweep, M corresponds to the current factors).
         const Size last = n - 1;
-        double inner = 0.0;
-        for (Size i = 0; i < x.dim(last); ++i)
-            for (Size r = 0; r < rank; ++r)
-                inner += static_cast<double>((*last_out)(i, r)) *
-                         result.lambdas[r] * result.factors[last](i, r);
+        const DenseMatrix& u = result.factors[last];
+        const double inner =
+            dense_block_sum(
+                x.dim(last), dense_row_block(rank), 1,
+                [&](Size first, Size end, double* part) {
+                    for (Size i = first; i < end; ++i)
+                        for (Size r = 0; r < rank; ++r)
+                            *part += static_cast<double>((*last_out)(i, r)) *
+                                     result.lambdas[r] * u(i, r);
+                })[0];
         // After the sweep the running prefix is exactly the Hadamard of
         // every refreshed Gram, which is the h the fit needs.
         const std::vector<double>& h = prefix;

@@ -10,14 +10,23 @@ namespace pasta {
 std::vector<double>
 gram_matrix(const DenseMatrix& a)
 {
+    // Upper triangle per row block, mirrored afterwards: the products
+    // are symmetric bit for bit, so the mirror equals a full sweep.
     const Size r = a.cols();
-    std::vector<double> g(r * r, 0.0);
-    for (Size i = 0; i < a.rows(); ++i) {
-        const Value* row = a.row(i);
-        for (Size p = 0; p < r; ++p)
-            for (Size q = 0; q < r; ++q)
-                g[p * r + q] += static_cast<double>(row[p]) * row[q];
-    }
+    std::vector<double> g = dense_block_sum(
+        a.rows(), dense_row_block(r), r * r,
+        [&](Size first, Size last, double* part) {
+            for (Size i = first; i < last; ++i) {
+                const Value* row = a.row(i);
+                for (Size p = 0; p < r; ++p)
+                    for (Size q = p; q < r; ++q)
+                        part[p * r + q] +=
+                            static_cast<double>(row[p]) * row[q];
+            }
+        });
+    for (Size p = 0; p < r; ++p)
+        for (Size q = 0; q < p; ++q)
+            g[p * r + q] = g[q * r + p];
     return g;
 }
 
@@ -79,16 +88,19 @@ matmul_small(const DenseMatrix& lhs, const std::vector<double>& rhs,
     PASTA_CHECK_MSG(rhs.size() == r * r, "matmul_small size mismatch");
     PASTA_CHECK_MSG(out.rows() == lhs.rows() && out.cols() == r,
                     "matmul_small output shape mismatch");
-    for (Size i = 0; i < lhs.rows(); ++i) {
-        const Value* in_row = lhs.row(i);
-        Value* out_row = out.row(i);
-        for (Size q = 0; q < r; ++q) {
-            double acc = 0.0;
-            for (Size p = 0; p < r; ++p)
-                acc += static_cast<double>(in_row[p]) * rhs[p * r + q];
-            out_row[q] = static_cast<Value>(acc);
-        }
-    }
+    for_each_dense_block(
+        lhs.rows(), dense_row_block(r), [&](Size first, Size last) {
+            for (Size i = first; i < last; ++i) {
+                const Value* in_row = lhs.row(i);
+                Value* out_row = out.row(i);
+                for (Size q = 0; q < r; ++q) {
+                    double acc = 0.0;
+                    for (Size p = 0; p < r; ++p)
+                        acc += static_cast<double>(in_row[p]) * rhs[p * r + q];
+                    out_row[q] = static_cast<Value>(acc);
+                }
+            }
+        });
 }
 
 void
@@ -127,16 +139,22 @@ frobenius_norm_squared(const CooTensor& x)
 std::vector<double>
 normalize_columns(DenseMatrix& a)
 {
-    std::vector<double> norms(a.cols(), 0.0);
-    for (Size i = 0; i < a.rows(); ++i)
-        for (Size c = 0; c < a.cols(); ++c)
-            norms[c] += static_cast<double>(a(i, c)) * a(i, c);
+    const Size cols = a.cols();
+    const Size block = dense_row_block(cols);
+    std::vector<double> norms = dense_block_sum(
+        a.rows(), block, cols, [&](Size first, Size last, double* part) {
+            for (Size i = first; i < last; ++i)
+                for (Size c = 0; c < cols; ++c)
+                    part[c] += static_cast<double>(a(i, c)) * a(i, c);
+        });
     for (auto& n : norms)
         n = std::sqrt(n);
-    for (Size i = 0; i < a.rows(); ++i)
-        for (Size c = 0; c < a.cols(); ++c)
-            if (norms[c] > 1e-12)
-                a(i, c) = static_cast<Value>(a(i, c) / norms[c]);
+    for_each_dense_block(a.rows(), block, [&](Size first, Size last) {
+        for (Size i = first; i < last; ++i)
+            for (Size c = 0; c < cols; ++c)
+                if (norms[c] > 1e-12)
+                    a(i, c) = static_cast<Value>(a(i, c) / norms[c]);
+    });
     return norms;
 }
 

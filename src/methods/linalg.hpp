@@ -4,6 +4,12 @@
 /// orthonormalization.  R (the decomposition rank) is small — typically
 /// 16 — so simple O(R^3) routines suffice and keep the suite free of
 /// BLAS/LAPACK dependencies.
+///
+/// The O(I x R) passes (gram_matrix, matmul_small, normalize_columns) run
+/// over the dense layer's fixed row blocks (core/dense.hpp): reductions
+/// sum per-block double partials in block order, and row-wise passes
+/// write each row independently, so every result is bit-identical at any
+/// thread count.
 #pragma once
 
 #include <vector>

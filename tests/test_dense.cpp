@@ -1,0 +1,220 @@
+// Tests for the dense layer: block-parallel zero-fill, fill and
+// counter-based random init, and the CP-ALS algebra built on them — all
+// bit-identical at any thread count.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
+
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "core/dense.hpp"
+#include "methods/linalg.hpp"
+
+namespace pasta {
+namespace {
+
+/// Byte-for-byte comparison of two arrays of `n` elements.
+template <typename T>
+bool
+same_bits(const T* a, const T* b, Size n)
+{
+    return n == 0 || std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+bool
+same_bits(const DenseMatrix& a, const DenseMatrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           same_bits(a.data(), b.data(), a.rows() * a.cols());
+}
+
+bool
+same_bits(const DenseVector& a, const DenseVector& b)
+{
+    return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+bool
+same_bits(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+/// Restores the OpenMP default thread count on scope exit.
+struct ThreadOverrideGuard {
+    ~ThreadOverrideGuard() { set_num_threads(0); }
+};
+
+/// Evaluates `make()` on 1, 3 and 4 threads, and on 4 threads inside a
+/// ThreadBudgetScope(1), and expects bit-identical results every time.
+template <typename Make>
+void
+expect_thread_invariant(Make make)
+{
+    ThreadOverrideGuard guard;
+    set_num_threads(1);
+    const auto reference = make();
+    for (int threads : {3, 4}) {
+        set_num_threads(threads);
+        EXPECT_TRUE(same_bits(make(), reference)) << threads << " threads";
+    }
+    ThreadBudgetScope budget(1);
+    EXPECT_TRUE(same_bits(make(), reference)) << "ThreadBudgetScope(1)";
+}
+
+/// Rows that span several row blocks at rank 16.
+constexpr Size kRows = 5 * dense_row_block(16) + 123;
+
+TEST(DenseRandom, MatrixIsThreadCountInvariant)
+{
+    expect_thread_invariant([] {
+        Rng rng(7);
+        return DenseMatrix::random(kRows, 16, rng);
+    });
+}
+
+TEST(DenseRandom, VectorIsThreadCountInvariant)
+{
+    expect_thread_invariant([] {
+        Rng rng(8);
+        return DenseVector::random(3 * kDenseBlock + 5, rng);
+    });
+}
+
+TEST(DenseFill, IsThreadCountInvariant)
+{
+    expect_thread_invariant([] {
+        Rng rng(9);
+        DenseMatrix m = DenseMatrix::random(kRows, 16, rng);
+        m.fill(0.75f);
+        return m;
+    });
+}
+
+TEST(DenseRandom, ElementsFollowTheCounterStream)
+{
+    // Element i is unit_float(splitmix64_at(key, i)) with the key drawn
+    // once from the caller's generator: a function of (key, i) alone.
+    Rng rng(11);
+    const DenseVector v = DenseVector::random(2 * kDenseBlock + 7, rng);
+    Rng replay(11);
+    const std::uint64_t key = replay.next_u64();
+    std::uint64_t state = key;
+    for (Size i = 0; i < v.size(); ++i) {
+        const std::uint64_t bits = splitmix64_at(key, i);
+        ASSERT_EQ(bits, splitmix64(state)) << i;
+        ASSERT_EQ(v[i], unit_float(bits)) << i;
+    }
+}
+
+TEST(DenseRandom, UniformInUnitIntervalWithMeanOneHalf)
+{
+    Rng rng(12);
+    const DenseVector v = DenseVector::random(Size{1} << 20, rng);
+    double sum = 0.0;
+    for (Size i = 0; i < v.size(); ++i) {
+        ASSERT_GE(v[i], 0.0f);
+        ASSERT_LT(v[i], 1.0f);
+        sum += v[i];
+    }
+    EXPECT_NEAR(sum / static_cast<double>(v.size()), 0.5, 0.01);
+}
+
+TEST(DenseRandom, AdvancesCallerRngByExactlyOneDraw)
+{
+    for (Size n : {Size{0}, Size{1}, kDenseBlock + 1}) {
+        Rng used(13);
+        Rng expected(13);
+        DenseMatrix::random(n, 4, used);
+        DenseVector::random(n, used);
+        expected.next_u64();
+        expected.next_u64();
+        EXPECT_EQ(used.next_u64(), expected.next_u64()) << n;
+    }
+}
+
+TEST(DenseRandom, SuccessiveDrawsDiffer)
+{
+    Rng rng(14);
+    const DenseMatrix a = DenseMatrix::random(100, 16, rng);
+    const DenseMatrix b = DenseMatrix::random(100, 16, rng);
+    EXPECT_FALSE(a == b);
+    const DenseVector u = DenseVector::random(100, rng);
+    const DenseVector v = DenseVector::random(100, rng);
+    EXPECT_FALSE(u == v);
+}
+
+TEST(DenseFill, ExactAtBlockEdges)
+{
+    for (Size n : {Size{0}, Size{1}, kDenseBlock - 1, kDenseBlock,
+                   kDenseBlock + 1, Size{1} << 22}) {
+        // A freed buffer of non-zeros first, so a small allocation that
+        // reuses it would show a missed zero-fill.
+        { DenseVector junk(n, 7.0f); }
+        const DenseVector zeros(n);
+        ASSERT_EQ(zeros.size(), n);
+        for (Size i = 0; i < n; ++i)
+            ASSERT_EQ(zeros[i], 0.0f) << "n=" << n << " i=" << i;
+
+        DenseMatrix m(n, 1);
+        for (Size i = 0; i < n; ++i)
+            ASSERT_EQ(m(i, 0), 0.0f) << "n=" << n << " i=" << i;
+        m.fill(-1.25f);
+        for (Size i = 0; i < n; ++i)
+            ASSERT_EQ(m(i, 0), -1.25f) << "n=" << n << " i=" << i;
+
+        DenseVector v(n, 2.5f);
+        for (Size i = 0; i < n; ++i)
+            ASSERT_EQ(v[i], 2.5f) << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(DenseLinalg, GramMatrixIsThreadCountInvariant)
+{
+    Rng rng(15);
+    const DenseMatrix a = DenseMatrix::random(kRows, 16, rng);
+    expect_thread_invariant([&] { return gram_matrix(a); });
+}
+
+TEST(DenseLinalg, GramMatrixIsSymmetric)
+{
+    Rng rng(16);
+    const DenseMatrix a = DenseMatrix::random(kRows, 5, rng);
+    const std::vector<double> g = gram_matrix(a);
+    for (Size p = 0; p < 5; ++p)
+        for (Size q = 0; q < 5; ++q)
+            EXPECT_EQ(g[p * 5 + q], g[q * 5 + p]);
+}
+
+TEST(DenseLinalg, NormalizeColumnsIsThreadCountInvariant)
+{
+    Rng rng(17);
+    const DenseMatrix a = DenseMatrix::random(kRows, 16, rng);
+    expect_thread_invariant([&] {
+        DenseMatrix m = a;
+        return normalize_columns(m);
+    });
+    expect_thread_invariant([&] {
+        DenseMatrix m = a;
+        normalize_columns(m);
+        return m;
+    });
+}
+
+TEST(DenseLinalg, MatmulSmallIsThreadCountInvariant)
+{
+    Rng rng(18);
+    const DenseMatrix a = DenseMatrix::random(kRows, 16, rng);
+    std::vector<double> rhs(16 * 16);
+    for (auto& v : rhs)
+        v = rng.next_double() - 0.5;
+    expect_thread_invariant([&] {
+        DenseMatrix out(kRows, 16);
+        matmul_small(a, rhs, out);
+        return out;
+    });
+}
+
+}  // namespace
+}  // namespace pasta

@@ -17,6 +17,7 @@
 #include "io/binary_io.hpp"
 #include "io/registry.hpp"
 #include "io/tns_io.hpp"
+#include "validate/validate.hpp"
 
 namespace pasta {
 namespace {
@@ -142,6 +143,31 @@ TEST(BinaryIo, RoundTripIsExact)
     CooTensor x = CooTensor::random({100, 50, 25, 10}, 500, rng);
     write_binary_file(tmp.file("t.pstb"), x);
     CooTensor back = read_binary_file(tmp.file("t.pstb"));
+    EXPECT_EQ(back.dims(), x.dims());
+    EXPECT_TRUE(back.same_pattern(x));
+    EXPECT_EQ(back.values(), x.values());
+}
+
+TEST(BinaryIo, UnsortedFileWithDuplicatesLoadsUnderFullValidation)
+{
+    // PSTB promises lengths, index ranges and finite values, not sorted
+    // or duplicate-free order: the reader must not apply the canonical
+    // COO checks, even under PASTA_VALIDATE=full.
+    TempDir tmp;
+    CooTensor x({8, 8, 8});
+    x.append({5, 1, 2}, 1.0f);
+    x.append({0, 7, 3}, 2.0f);
+    x.append({5, 1, 2}, 3.0f);
+    x.append({2, 0, 0}, 4.0f);
+    // The canonical checker rejects it: unsorted, with one duplicate.
+    ASSERT_FALSE(validate::validate(x).ok());
+    write_binary_file(tmp.file("t.pstb"), x);
+
+    const validate::Mode prev = validate::current_mode();
+    validate::set_mode(validate::Mode::kFull);
+    CooTensor back;
+    EXPECT_NO_THROW(back = read_binary_file(tmp.file("t.pstb")));
+    validate::set_mode(prev);
     EXPECT_EQ(back.dims(), x.dims());
     EXPECT_TRUE(back.same_pattern(x));
     EXPECT_EQ(back.values(), x.values());

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "kernels/ttm.hpp"
@@ -153,6 +155,70 @@ TEST(CpAls, HicooBackendMatchesCoo)
     const CpdResult a = cp_als(x, coo_options);
     const CpdResult b = cp_als(x, hicoo_options);
     EXPECT_NEAR(a.fit, b.fit, 1e-3);
+}
+
+/// Runs cp_als on 1, 3 and 4 threads and inside ThreadBudgetScope(1);
+/// expects bit-identical factors, lambdas and fit history.
+void
+expect_cp_als_thread_invariant(const CooTensor& x, Format format)
+{
+    CpdOptions options;
+    options.rank = 16;
+    options.max_sweeps = 3;
+    options.tolerance = 0;
+    options.mttkrp_format = format;
+    const auto same = [](const CpdResult& a, const CpdResult& b) {
+        bool same = a.sweeps == b.sweeps && a.lambdas == b.lambdas &&
+                    a.fit_history == b.fit_history &&
+                    a.factors.size() == b.factors.size();
+        for (Size m = 0; same && m < a.factors.size(); ++m)
+            same = a.factors[m].rows() == b.factors[m].rows() &&
+                   std::memcmp(a.factors[m].data(), b.factors[m].data(),
+                               a.factors[m].storage_bytes()) == 0;
+        return same;
+    };
+    const char* name = format == Format::kCoo ? "COO" : "HiCOO";
+    set_num_threads(1);
+    const CpdResult reference = cp_als(x, options);
+    for (int threads : {3, 4}) {
+        set_num_threads(threads);
+        EXPECT_TRUE(same(cp_als(x, options), reference))
+            << name << ", " << threads << " threads";
+    }
+    {
+        ThreadBudgetScope budget(1);
+        EXPECT_TRUE(same(cp_als(x, options), reference))
+            << name << ", ThreadBudgetScope(1)";
+    }
+    set_num_threads(0);
+}
+
+TEST(CpAls, BitIdenticalAtAnyThreadCount)
+{
+    // Factors span several of the dense layer's row blocks, so Grams,
+    // column norms, the fit and the solves all cross block boundaries.
+    constexpr auto kDim = static_cast<Index>(3 * dense_row_block(16) + 77);
+    Rng rng(21);
+    // One non-zero per slice in every mode: each MTTKRP output row is a
+    // single product, so even the atomic and privatized COO schedules are
+    // order-free and the test isolates the dense algebra.
+    std::vector<Index> p1(kDim), p2(kDim);
+    for (Index i = 0; i < kDim; ++i)
+        p1[i] = p2[i] = i;
+    for (Index i = kDim; i-- > 1;) {
+        std::swap(p1[i], p1[rng.next_index(i + 1)]);
+        std::swap(p2[i], p2[rng.next_index(i + 1)]);
+    }
+    CooTensor diagonal({kDim, kDim, kDim});
+    for (Index i = 0; i < kDim; ++i)
+        diagonal.append({i, p1[i], p2[i]}, 0.5f + rng.next_float());
+    expect_cp_als_thread_invariant(diagonal, Format::kCoo);
+    expect_cp_als_thread_invariant(diagonal, Format::kHicoo);
+
+    // HiCOO's block-owner schedule gives each output tile one writer in a
+    // fixed order, so a general tensor is thread-count invariant too.
+    const CooTensor x = CooTensor::random({kDim, kDim, kDim}, 20000, rng);
+    expect_cp_als_thread_invariant(x, Format::kHicoo);
 }
 
 TEST(CpAls, ModelEvaluatesCloseToData)
