@@ -6,17 +6,12 @@ Usage: scripts/bench_compare.py BASELINE CANDIDATE [--threshold PCT]
 Inputs may be google-benchmark JSON files (BENCH_kernels.json as written
 by scripts/bench_smoke.sh) or pasta suite CSVs (written by the figure
 binaries under PASTA_CSV_DIR); the format is chosen by file extension.
-Either side may also be a comma-separated list of files and/or shell
-globs ('out/profile_*.csv' or 'a.csv,b.csv') — the matched files are
-merged into one profile before comparing, which is how the per-shard
-CSVs of a sharded pasta_campaign run compare against a single-process
-baseline.  Benchmarks are matched by name (JSON) or by
-tensor/kernel/format (CSV, plus the variant column when present — so a
-run forced to PASTA_SIMD=scalar never gates against an avx2/avx512 run
-as a "regression", it simply shows up as only-in-one-side — plus the
-shard column when present, so the partition-range shards of one sweep
-stay distinct); for each pair the relative change in throughput
-(items_per_second or gflops) is reported.
+Benchmarks are matched by name (JSON) or by tensor/kernel/format (CSV,
+plus the variant column when present — so a run forced to
+PASTA_SIMD=scalar never gates against an avx2/avx512 run as a
+"regression", it simply shows up as only-in-one-side); for each pair
+the relative change in throughput (items_per_second or gflops) is
+reported.
 Entries with missing or malformed names/rates are skipped rather than
 crashing, so profiles from newer or older binaries with extra keys
 still compare.
@@ -39,10 +34,10 @@ more than --threshold percent prints a loud warning without failing
 the gate (the p99 of an open-loop phase legitimately moves with the
 arrival-rate draw and machine load).
 
-Either side may also include a PASTA_METRICS heartbeat (*.jsonl, as
-written by the live metrics exporter or the campaign aggregator): the
-LAST parseable snapshot's histograms are decoded with the same
-log-linear bucket math as obs/metrics.hpp and their p99s compared.
+Either side may also be a PASTA_METRICS heartbeat (*.jsonl, as
+written by the live metrics exporter): the LAST parseable snapshot's
+histograms are decoded with the same log-linear bucket math as
+obs/metrics.hpp and their p99s compared.
 Unlike the CSV p99_ms column, histogram-derived p99s ARE a real gate
 when both sides carry them — the histogram pools every recorded value
 (not one open-loop draw), so a grown p99 there is signal, not noise.
@@ -62,7 +57,6 @@ check, and aggregate entries (mean/median/stddev rows emitted under
 
 import argparse
 import csv
-import glob
 import json
 import math
 import sys
@@ -175,10 +169,6 @@ def load_csv_throughputs(path):
             # are different benchmarks, not regressions of one another.
             if row.get("variant"):
                 key += "#" + row["variant"]
-            # Campaign shard CSVs carry a shard column; keep the
-            # partition-range shards of one sweep distinct.
-            if row.get("shard"):
-                key += "@" + row["shard"]
             # Serving CSVs report jobs/s rather than gflops; either one
             # is the row's gated throughput.
             rate = parse_rate(row.get("gflops")) or parse_rate(
@@ -197,36 +187,13 @@ def load_csv_throughputs(path):
     return rates, roofline, mem_peak, p99, {}
 
 
-def expand_inputs(spec):
-    """Expands a comma-separated list of paths/globs into file paths.
-    A pattern with no match is kept verbatim so open() reports it."""
-    paths = []
-    for part in spec.split(","):
-        if not part:
-            continue
-        matches = sorted(glob.glob(part))
-        paths.extend(matches if matches else [part])
-    return paths
-
-
-def load_throughputs(spec):
-    """Loads one profile side: every matched file parsed by extension
-    and merged into one map (later files win on duplicate keys)."""
-    rates, roofline, mem_peak, p99, hist_p99 = {}, {}, {}, {}, {}
-    for path in expand_inputs(spec):
-        if path.endswith(".csv"):
-            loader = load_csv_throughputs
-        elif path.endswith(".jsonl"):
-            loader = load_metrics_histograms
-        else:
-            loader = load_json_throughputs
-        r, roof, mem, tail, hist = loader(path)
-        rates.update(r)
-        roofline.update(roof)
-        mem_peak.update(mem)
-        p99.update(tail)
-        hist_p99.update(hist)
-    return rates, roofline, mem_peak, p99, hist_p99
+def load_throughputs(path):
+    """Loads one profile, parsed by file extension."""
+    if path.endswith(".csv"):
+        return load_csv_throughputs(path)
+    if path.endswith(".jsonl"):
+        return load_metrics_histograms(path)
+    return load_json_throughputs(path)
 
 
 def compare(base, cand, threshold, metric, regressions):

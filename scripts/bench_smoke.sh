@@ -34,19 +34,6 @@
 #                    chaos-flood accounting, cache speedup gate,
 #                    open-loop latency percentiles); off by default —
 #                    it runs several thousand jobs per phase
-#   BENCH_CAMPAIGN   when 1, also run scripts/check_campaign.sh against
-#                    the same build dir (crash-isolated multi-process
-#                    campaign: PASTA_CHAOS SIGKILLs workers mid-trial
-#                    and the merged journal must match an unkilled
-#                    baseline); off by default — it forks worker pools
-#                    and takes several seconds
-#   BENCH_METRICS    when 1, also run scripts/check_metrics.sh against
-#                    the same build dir (live telemetry smoke: a chaos
-#                    campaign with PASTA_METRICS armed must keep
-#                    per-shard heartbeats gap-free across the kill,
-#                    aggregate counters equal to the merged journal,
-#                    and merge per-worker traces into one valid
-#                    campaign.trace.json); off by default
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,17 +91,4 @@ fi
 # open-loop phase must report latency percentiles.
 if [ "${BENCH_SERVE:-0}" = "1" ]; then
     scripts/check_serve.sh "${BUILD_DIR}"
-fi
-
-# Crash-isolation smoke: a chaos campaign (workers SIGKILL'd mid-trial)
-# must produce the same merged journal as an unkilled baseline.
-if [ "${BENCH_CAMPAIGN:-0}" = "1" ]; then
-    scripts/check_campaign.sh "${BUILD_DIR}"
-fi
-
-# Telemetry smoke: heartbeats must survive a chaos kill, the campaign
-# aggregate must equal the merged journal, and the per-worker traces
-# must merge into one clock-aligned timeline.
-if [ "${BENCH_METRICS:-0}" = "1" ]; then
-    scripts/check_metrics.sh "${BUILD_DIR}"
 fi

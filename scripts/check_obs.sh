@@ -10,6 +10,12 @@
 #   - the suite CSV carries the obs columns (variant, obs_flops,
 #     obs_bytes, obs_ai, roofline_pct) with nonzero counter totals
 #   - the run journal carries obs_flops/obs_bytes per trial
+#   - the CPU figure's PASTA_METRICS heartbeat (hb.jsonl, every
+#     200 ms) parses line by line, its seq is strictly
+#     increasing, no gap between heartbeats exceeds 3x the interval,
+#     and the last snapshot's trial.ok/trial.failed counters equal the
+#     figure journal's ok/failed line counts plus its context-build
+#     trials (one per tensor)
 #
 # Pass a sanitizer build dir (see scripts/check_sanitizers.sh) to run
 # the same checks under ASan/UBSan; the script only needs the bench
@@ -38,6 +44,7 @@ PASTA_CSV_DIR="${WORK_DIR}" \
 PASTA_TRACE_DIR="${WORK_DIR}" \
 PASTA_SCALE=2e-5 \
 PASTA_RUNS=1 \
+PASTA_METRICS="${WORK_DIR}/hb.jsonl,200" \
 PASTA_LOG=warn \
     "${BUILD_DIR}/bench/bench_fig4_cpu_bluesky" > /dev/null
 
@@ -58,6 +65,7 @@ import os
 import sys
 
 work = sys.argv[1]
+interval_s = 0.2  # the PASTA_METRICS period above
 failures = []
 
 traces = glob.glob(os.path.join(work, "*.trace.json"))
@@ -134,6 +142,48 @@ for path in journals:
     if bad:
         failures.append(f"{path}: {len(bad)} entries missing obs fields")
     print(f"ok: {os.path.basename(path)} ({len(entries)} entries)")
+
+# The heartbeat of the CPU figure, checked against that figure's journal.
+# The exporter fsyncs whole lines and writes a final snapshot at exit,
+# so every line must parse and the last one counts every trial.  Each
+# tensor's context build is a guarded trial too: it adds one trial.ok
+# per tensor in the journal, or one trial.failed per "*" failure row.
+hb_path = os.path.join(work, "hb.jsonl")
+beats = []
+if os.path.exists(hb_path):
+    with open(hb_path) as f:
+        beats = [json.loads(line) for line in f if line.strip()]
+if not beats:
+    failures.append(f"{hb_path}: no heartbeat written")
+else:
+    seqs = [b["seq"] for b in beats]
+    if any(cur <= prev for prev, cur in zip(seqs, seqs[1:])):
+        failures.append(f"{hb_path}: seq not strictly increasing: {seqs}")
+    gap = max((cur["ts"] - prev["ts"] for prev, cur in zip(beats, beats[1:])),
+              default=0.0)
+    if gap > 3 * interval_s:
+        failures.append(f"{hb_path}: heartbeat gap {gap:.3f} s exceeds "
+                        f"3 x {interval_s:.3f} s")
+    counters = beats[-1].get("counters", {})
+    got = (counters.get("trial.ok", 0), counters.get("trial.failed", 0))
+    with open(os.path.join(work, "cache",
+                           "fig4_cpu_bluesky.cpu.journal.jsonl")) as f:
+        entries = [json.loads(line) for line in f if line.strip()]
+    # Written only when some trial failed.
+    fail_csv = os.path.join(work, "fig4_cpu_bluesky_failures.csv")
+    context_failed = 0
+    if os.path.exists(fail_csv):
+        with open(fail_csv, newline="") as f:
+            context_failed = sum(r["kernel"] == "*"
+                                 for r in csv.DictReader(f))
+    ok = sum(e["ok"] for e in entries)
+    want = (ok + len({e["tensor"] for e in entries}),
+            len(entries) - ok + context_failed)
+    if got != want:
+        failures.append(f"{hb_path}: trial.ok/trial.failed {got} != "
+                        f"{want} from the journal")
+    print(f"ok: hb.jsonl ({len(beats)} heartbeats, max gap {gap:.3f} s, "
+          f"trial.ok={got[0]} trial.failed={got[1]})")
 
 if failures:
     for f in failures:

@@ -9,9 +9,9 @@
 # thread: ThreadSanitizer over the tests that exercise the lock-free and
 # multi-threaded code — the telemetry registry (CAS-installed histogram
 # shards, per-worker counter slots, the exporter thread), the serving
-# scheduler's Chase-Lev deques and plan cache, the campaign supervisor,
-# the parallel runtime, and the block-parallel dense layer:
-#   test_obs test_metrics test_serve test_campaign test_common test_dense
+# scheduler's Chase-Lev deques and plan cache, the parallel runtime, and
+# the block-parallel dense layer:
+#   test_obs test_metrics test_serve test_common test_dense
 # plus, with one OpenMP thread, the trial watchdog's hand-off to the
 # worker it abandons on timeout (AttemptState and the detached
 # std::thread, still running after the suite returns):
@@ -46,8 +46,7 @@ cmake -B "${BUILD_DIR}" -S . \
     -DPASTA_SANITIZE="${SANITIZERS}"
 
 if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
-    TSAN_TESTS=(test_obs test_metrics test_serve test_campaign test_common
-                test_dense)
+    TSAN_TESTS=(test_obs test_metrics test_serve test_common test_dense)
     cmake --build "${BUILD_DIR}" -j "$(nproc)" \
         --target "${TSAN_TESTS[@]}" test_bench_common
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${PWD}/scripts/tsan.supp"

@@ -3,10 +3,8 @@
 
 Usage: scripts/metrics_summary.py METRICS.jsonl [--tail N] [--top N]
 
-METRICS.jsonl is any heartbeat written by the live metrics exporter: a
-bench run's PASTA_METRICS file, a campaign's per-shard
-metrics.<shard>.jsonl, or the supervisor's aggregated
-metrics.campaign.jsonl.  Each line is one snapshot
+METRICS.jsonl is a heartbeat written by the live metrics exporter (a
+bench run's PASTA_METRICS file).  Each line is one snapshot
 ({"ts":..,"seq":..,"source":..,"counters":{},"gauges":{},"hists":{}});
 torn final lines from a killed writer are skipped, matching the C++
 loader's behavior.

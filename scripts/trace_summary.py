@@ -6,10 +6,7 @@ Usage: scripts/trace_summary.py TRACE [--top N]
 TRACE is either a <stem>.trace.json (Chrome trace-event JSON as written
 by the bench suites with PASTA_TRACE=spans/full) or a <stem>.spans.jsonl
 (one span object per line); the format is chosen by file extension.
-Merged multi-process campaign traces (campaign.trace.json) work too:
-spans from different workers keep distinct "pid/tid" rows in the
-thread-balance table, and the leading pastaMeta header lines of
-spans.jsonl files are skipped.
+The leading pastaMeta header line of spans.jsonl files is skipped.
 
 Two tables are printed:
   - the top-N phases by cumulative duration (count, total, mean, max),
@@ -38,12 +35,7 @@ _INSTANCE = re.compile(r"^(.*)#(\d+)$")
 
 
 def load_spans(path):
-    """Yield (name, track, depth, dur_us) from either trace format.
-
-    `track` is the recording thread id, prefixed with the process id for
-    merged multi-process traces (campaign.trace.json) so two workers'
-    thread 0 stay distinct rows in the balance table.
-    """
+    """Yield (name, tid, depth, dur_us) from either trace format."""
     if path.endswith(".jsonl"):
         with open(path) as f:
             for line in f:
@@ -57,16 +49,11 @@ def load_spans(path):
         return
     with open(path) as f:
         doc = json.load(f)
-    events = doc.get("traceEvents", [])
-    pids = {e.get("pid", 1) for e in events if e.get("ph") == "X"}
-    multi = len(pids) > 1
-    for event in events:
+    for event in doc.get("traceEvents", []):
         if event.get("ph") != "X":
             continue  # counter/metadata events carry no duration
         args = event.get("args", {})
-        tid = event.get("tid", 0)
-        track = f"{event.get('pid', 1)}/{tid}" if multi else tid
-        yield (event.get("name", "?"), track,
+        yield (event.get("name", "?"), event.get("tid", 0),
                args.get("depth", 0), float(event.get("dur", 0)))
 
 

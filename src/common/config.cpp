@@ -44,7 +44,7 @@ const Knob kKnobs[] = {
      .doc = "fault rules point:action[:p][@N],...; unset = none"},
     {.name = "PASTA_FAULT_SEED", .kind = K::kInt, .fallback = "42",
      .lo = 0, .hi = 1e18,
-     .doc = "seed of the fault probability and chaos-kill streams"},
+     .doc = "seed of the fault probability stream"},
     {.name = "PASTA_LOG", .kind = K::kChoice, .fallback = "info",
      .words = "debug|info|warn|error", .doc = "log threshold"},
     {.name = "PASTA_VALIDATE", .kind = K::kChoice, .fallback = "off",
@@ -75,19 +75,7 @@ const Knob kKnobs[] = {
      .doc = "Table II id bench_oocore synthesizes"},
     {.name = "PASTA_OOCORE_BUDGET", .kind = K::kBytes,
      .fallback = "100000",
-     .doc = "PASTA_MEM_BYTES the oocore/campaign scripts arm"},
-    // Campaigns (pasta_campaign).
-    {.name = "PASTA_SHARDS", .kind = K::kInt, .fallback = "2", .lo = 1,
-     .hi = 256, .doc = "campaign worker processes"},
-    {.name = "PASTA_CHAOS", .kind = K::kInt, .fallback = "0", .lo = 0,
-     .hi = 100000, .doc = "SIGKILLs dealt to mid-trial workers"},
-    {.name = "PASTA_CAMPAIGN_DIR", .kind = K::kText, .fallback = "",
-     .doc = "campaign state directory; unset = <PASTA_CACHE>/campaign"},
-    {.name = "PASTA_CAMPAIGN_DATASETS", .kind = K::kText,
-     .fallback = "s1", .doc = "comma-separated Table II ids to shard"},
-    {.name = "PASTA_CAMPAIGN_DELAY_MS", .kind = K::kInt, .fallback = "0",
-     .lo = 0, .hi = 3600000,
-     .doc = "per-shard delay before the kernel runs"},
+     .doc = "PASTA_MEM_BYTES scripts/check_oocore.sh arms"},
     // Serving (src/serve, bench_serving).
     {.name = "PASTA_SERVE_WORKERS", .kind = K::kInt, .fallback = "0",
      .lo = 0, .hi = 4096,

@@ -51,6 +51,10 @@ fsync_path(const std::string& path)
     return ok;
 }
 
+namespace {
+
+/// fsyncs the directory containing `path` (or `path` itself when it is
+/// a directory), making a completed rename in it durable.
 bool
 fsync_parent_dir(const std::string& path)
 {
@@ -71,6 +75,8 @@ fsync_parent_dir(const std::string& path)
     ::close(fd);
     return ok;
 }
+
+}  // namespace
 
 void
 write_file_durable(const std::string& path, const std::string& contents)

@@ -1,10 +1,10 @@
 /// \file
-/// Small POSIX filesystem durability helpers shared by the journal, the
-/// stream checkpoints, and the campaign lease/marker files.
+/// Small POSIX filesystem durability helpers shared by the run journal,
+/// the stream checkpoints and the metrics heartbeat.
 ///
-/// The crash model these serve: a worker process can be SIGKILL'd (or
-/// the host can lose power) between any two syscalls, and the state
-/// files the supervisor resumes from must either be absent or complete.
+/// The crash model these serve: a run can be SIGKILL'd (or the host can
+/// lose power) between any two syscalls, and the state files the rerun
+/// resumes from must either be absent or complete.
 /// The standard recipe is write-temp + fsync(file) + rename + fsync(dir);
 /// the directory fsync is the step that makes the *rename itself*
 /// durable — without it a power loss can resurrect the old name.
@@ -27,11 +27,6 @@ bool fsync_fd(int fd);
 /// Opens `path` read-only, fsyncs it, closes.  Returns false when the
 /// file cannot be opened or synced.
 bool fsync_path(const std::string& path);
-
-/// fsyncs the directory containing `path` (or `path` itself when it is
-/// a directory), making a completed rename/unlink/create in it durable.
-/// Returns false when the directory cannot be opened or synced.
-bool fsync_parent_dir(const std::string& path);
 
 /// Durable small-file write: temp file + fsync + rename + parent-dir
 /// fsync.  Throws PastaError when any step fails (these files are tiny

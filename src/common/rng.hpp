@@ -33,7 +33,7 @@ splitmix64_mix(std::uint64_t z)
 }
 
 /// Sequential SplitMix64: advances `state` and returns the next output.
-/// Also expands Rng seeds and drives the fault and chaos draws.
+/// Also expands Rng seeds and drives the fault draws.
 constexpr std::uint64_t
 splitmix64(std::uint64_t& state)
 {

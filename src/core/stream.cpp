@@ -197,16 +197,16 @@ class CheckpointLog {
     CheckpointLog& operator=(const CheckpointLog&) = delete;
     ~CheckpointLog() { ::close(fd_); }
 
-    /// Replays records for partitions lo, lo+1, ... into the output
+    /// Replays records for partitions 0, 1, ... into the output
     /// (which must be zero) and stops at the first one that is missing,
     /// torn, out of sequence, or fails its checksum — re-zeroing any
     /// rows a bad record partly filled.  Truncates the file to the valid
     /// prefix so appends continue from there; returns the first
     /// partition the sweep still has to compute.
-    Size replay(Size lo, Size hi)
+    Size replay()
     {
-        Size p = lo;
-        for (; p < hi; ++p) {
+        Size p = 0;
+        for (; p < plan_.partitions; ++p) {
             const RowRange rows = partition_rows(plan_, p, out_.rows());
             CkptRecordHead head{};
             // Framing is checked against the plan before any data is
@@ -373,44 +373,28 @@ mttkrp_coo_stream(const MappedCooTensor& x, const FactorList& factors,
     PartitionPlan plan = plan_partitions(x, mode, default_chunk_budget(x),
                                          opts.max_partitions);
 
-    // Campaign shards sweep a subrange [lo, hi) of the plan; rows are
-    // disjoint across partitions, so a range shard owns its output rows
-    // outright and ranges union to the full sweep.
-    const Size lo = std::min(opts.part_begin, plan.partitions);
-    const Size hi = opts.part_end == 0
-                        ? plan.partitions
-                        : std::min(opts.part_end, plan.partitions);
-    PASTA_CHECK_MSG(lo <= hi, "partition range [" << opts.part_begin
-                                                  << ", " << opts.part_end
-                                                  << ") is inverted");
-    const bool ranged = lo != 0 || hi != plan.partitions;
-
     StreamDecision d;
     d.streamed = true;
-    d.partitions = hi - lo;
+    d.partitions = plan.partitions;
     d.variant = stream_variant_name("mttkrp", plan.partitions);
-    if (ranged)
-        d.variant += "_r" + std::to_string(lo) + "-" + std::to_string(hi);
     note_decision(d);
 
     out.fill(0);
     std::optional<CheckpointLog> log;
-    Size start = lo;
+    Size start = 0;
     if (!opts.checkpoint_path.empty()) {
-        // Each range shard's log starts at its own `lo`, so a log left
-        // by another range (or another sweep) replays nothing.
         log.emplace(opts.checkpoint_path, mode, plan, out);
-        start = log->replay(lo, hi);
-        d.resumed_from = start - lo;
-        if (start > lo) {
+        start = log->replay();
+        d.resumed_from = start;
+        if (start > 0) {
             PASTA_LOG_INFO << "streaming MTTKRP resuming at partition "
-                           << start << "/" << hi << " from "
+                           << start << "/" << plan.partitions << " from "
                            << opts.checkpoint_path;
         }
     }
 
     const Size order = x.order();
-    for (Size p = start; p < hi; ++p) {
+    for (Size p = start; p < plan.partitions; ++p) {
         const Size n = plan.counts[p];
         if (n != 0) {
             // Keys + permutation are the sweep's only scratch beyond the
@@ -467,18 +451,9 @@ mttkrp_coo_stream(const MappedCooTensor& x, const FactorList& factors,
         if (log)
             log->append(p);
         if (opts.progress)
-            opts.progress(p + 1 - lo, hi - lo);
+            opts.progress(p + 1, plan.partitions);
     }
     return d;
-}
-
-Size
-mttkrp_partition_count(const MappedCooTensor& x, Size mode,
-                       Size max_partitions)
-{
-    return plan_partitions(x, mode, default_chunk_budget(x),
-                           max_partitions)
-        .partitions;
 }
 
 StreamDecision

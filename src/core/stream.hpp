@@ -72,27 +72,19 @@ struct StreamOptions {
 
     /// Called after each completed partition with (done, total).  A
     /// throwing hook aborts the sweep — tests use this to simulate a
-    /// mid-campaign kill between checkpoints.
+    /// kill between checkpoints.
     std::function<void(Size done, Size total)> progress;
 
     /// When non-empty, mttkrp_coo_stream keeps a PSCK v2 log here: the
     /// header is published once (write-temp + fsync + rename + dir
     /// fsync), then each finished partition appends its own rows as an
     /// FNV-checksummed record and fsyncs.  The next run replays records
-    /// from part_begin on until the first missing, torn or corrupt one,
+    /// from partition 0 on until the first missing, torn or corrupt one,
     /// truncates the file there and appends from that point; a missing,
     /// foreign-version or mismatched header starts a fresh log.  A stale
     /// `<path>.tmp` left by a SIGKILL'd writer is removed at sweep
     /// entry.
     std::string checkpoint_path;
-
-    /// Partition subrange [part_begin, part_end) for campaign shards
-    /// that split one sweep across worker processes (MTTKRP only:
-    /// output rows are disjoint across partitions, so each range owns
-    /// its rows outright).  part_end == 0 means "through the last
-    /// partition"; the default (0, 0) sweeps everything.
-    Size part_begin = 0;
-    Size part_end = 0;
 };
 
 /// How a budgeted entry point routed and how far it got; mirrored into
@@ -155,13 +147,6 @@ StreamDecision ttv_coo_stream(const MappedCooTensor& x,
                               const DenseVector& v, Size mode,
                               CooTensor& out,
                               const StreamOptions& opts = {});
-
-/// The partition count the default-budget streaming MTTKRP sweep over
-/// `x` would use for product mode `mode` — campaign drivers call this
-/// to split one sweep into deterministic partition-range shards (every
-/// process sees the same mapped file and budget, hence the same plan).
-Size mttkrp_partition_count(const MappedCooTensor& x, Size mode,
-                            Size max_partitions = 4096);
 
 /// Budgeted MTTKRP over a mapped tensor: materializes and runs the
 /// in-memory kernel when the governor grants the full COO footprint and

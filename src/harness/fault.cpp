@@ -46,7 +46,7 @@ known_fault_points()
 {
     static const std::vector<std::string> points = {
         "io.read", "cache.load", "alloc", "kernel.run",
-        "mem.reserve", "io.mmap", "proc.spawn"};
+        "mem.reserve", "io.mmap"};
     return points;
 }
 

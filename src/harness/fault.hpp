@@ -15,9 +15,6 @@
 ///   kernel.run  entering one guarded (tensor, kernel, format) trial
 ///   mem.reserve entering a memory-governor reservation (membudget)
 ///   io.mmap     entering a MappedCooTensor mmap open (binary_io)
-///   proc.spawn  entering a campaign worker fork/exec (supervisor) —
-///               lets the respawn/backoff ladder run without real
-///               crashes
 ///
 /// A spec is a comma-separated rule list, configured via $PASTA_FAULT:
 ///

@@ -36,12 +36,8 @@ to_json_line(const JournalEntry& entry)
         .key("obs_bytes").num(entry.obs_bytes)
         .key("mem_peak").num(entry.mem_peak)
         .key("partitions_done").i64(entry.partitions_done)
-        .key("partitions_total").i64(entry.partitions_total);
-    // Optional field: omitted when empty so unsharded journal lines stay
-    // byte-identical to pre-campaign ones.
-    if (!entry.shard.empty())
-        w.key("shard").str(entry.shard);
-    w.end_object();
+        .key("partitions_total").i64(entry.partitions_total)
+        .end_object();
     return line;
 }
 
@@ -63,8 +59,7 @@ parse_json_line(const std::string& line, JournalEntry& entry)
         !doc.get_optional("obs_bytes", e.obs_bytes) ||
         !doc.get_optional("mem_peak", e.mem_peak) ||
         !doc.get_optional("partitions_done", e.partitions_done) ||
-        !doc.get_optional("partitions_total", e.partitions_total) ||
-        !doc.get_optional("shard", e.shard))
+        !doc.get_optional("partitions_total", e.partitions_total))
         return false;
     entry = std::move(e);
     return true;
@@ -108,8 +103,8 @@ RunJournal::RunJournal(std::string path) : path_(std::move(path))
         JournalEntry entry;
         const bool parsed = parse_json_line(line, entry);
         if (parsed && terminated) {
-            entries_[key(entry.tensor_id, entry.kernel, entry.format,
-                         entry.shard)] = entry;
+            entries_[key(entry.tensor_id, entry.kernel, entry.format)] =
+                entry;
             continue;
         }
         if (pos >= text.size()) {
@@ -175,26 +170,24 @@ RunJournal::close_fd()
 
 std::string
 RunJournal::key(const std::string& tensor_id, const std::string& kernel,
-                const std::string& format, const std::string& shard)
+                const std::string& format)
 {
-    return tensor_id + "\x1f" + kernel + "\x1f" + format + "\x1f" + shard;
+    return tensor_id + "\x1f" + kernel + "\x1f" + format;
 }
 
 const JournalEntry*
 RunJournal::find(const std::string& tensor_id, const std::string& kernel,
-                 const std::string& format,
-                 const std::string& shard) const
+                 const std::string& format) const
 {
-    auto it = entries_.find(key(tensor_id, kernel, format, shard));
+    auto it = entries_.find(key(tensor_id, kernel, format));
     return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool
 RunJournal::has_ok(const std::string& tensor_id, const std::string& kernel,
-                   const std::string& format,
-                   const std::string& shard) const
+                   const std::string& format) const
 {
-    const JournalEntry* entry = find(tensor_id, kernel, format, shard);
+    const JournalEntry* entry = find(tensor_id, kernel, format);
     return entry && entry->ok;
 }
 
@@ -203,8 +196,7 @@ RunJournal::append(const JournalEntry& entry)
 {
     if (!enabled())
         return;
-    entries_[key(entry.tensor_id, entry.kernel, entry.format,
-                 entry.shard)] = entry;
+    entries_[key(entry.tensor_id, entry.kernel, entry.format)] = entry;
     if (fd_ < 0) {
         fd_ = ::open(path_.c_str(),
                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -214,7 +206,7 @@ RunJournal::append(const JournalEntry& entry)
         }
     }
     // One write() per line: O_APPEND makes the line land atomically at
-    // the end even when several shard writers share a file by mistake.
+    // the end even when several writers share a file by mistake.
     const std::string line = to_json_line(entry) + "\n";
     if (!fsutil::write_all(fd_, line.data(), line.size())) {
         PASTA_LOG_WARN << "journal " << path_ << ": append failed";

@@ -53,11 +53,6 @@ struct JournalEntry {
     double mem_peak = 0;
     int partitions_done = 0;
     int partitions_total = 0;
-    /// Campaign channel: the shard this entry was produced under (e.g.
-    /// a partition-range shard "s1.MTTKRP.p0-8").  Distinguishes the
-    /// pieces of one sharded sweep in the merged journal; empty (and
-    /// absent from the serialized line) for unsharded trials.
-    std::string shard;
 };
 
 /// Serializes an entry as one JSON line (no trailing newline).
@@ -69,8 +64,9 @@ std::string to_json_line(const JournalEntry& entry);
 /// range — so the loader can skip it.
 bool parse_json_line(const std::string& line, JournalEntry& entry);
 
-/// Append-only JSONL journal keyed by (tensor, kernel, format, shard);
-/// the last line for a key wins on reload.
+/// Append-only JSONL journal keyed by (tensor, kernel, format); the last
+/// line for a key wins on reload.  Unknown fields are ignored, so lines
+/// written by older or newer builds still load.
 class RunJournal {
   public:
     /// A disabled journal: has() is always false, append() is a no-op.
@@ -92,33 +88,24 @@ class RunJournal {
     /// Entries replayed from disk at open (after last-wins dedup).
     std::size_t size() const { return entries_.size(); }
 
-    /// The entry for a key, or nullptr.  The three-argument form looks
-    /// up unsharded entries (shard "").
+    /// The entry for a key, or nullptr.
     const JournalEntry* find(const std::string& tensor_id,
                              const std::string& kernel,
-                             const std::string& format,
-                             const std::string& shard = "") const;
+                             const std::string& format) const;
 
     /// True when the key has a *successful* entry (the resume filter).
     bool has_ok(const std::string& tensor_id, const std::string& kernel,
-                const std::string& format,
-                const std::string& shard = "") const;
+                const std::string& format) const;
 
     /// Appends one entry and makes it durable (write + fsync).
     void append(const JournalEntry& entry);
 
-    /// Every append is already durable; a no-op kept for callers that
-    /// mark a durability point.
-    void flush() {}
-
-    /// Dedup key over the serialized identity fields; shared with the
-    /// campaign journal merge.
+  private:
+    /// Dedup key over the serialized identity fields.
     static std::string key(const std::string& tensor_id,
                            const std::string& kernel,
-                           const std::string& format,
-                           const std::string& shard = "");
+                           const std::string& format);
 
-  private:
     void close_fd();
 
     std::string path_;

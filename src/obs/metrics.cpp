@@ -9,7 +9,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -149,39 +148,6 @@ HistSample::percentile(double q) const
         }
     }
     return static_cast<double>(max);  // unreachable with consistent counts
-}
-
-void
-HistSample::merge_from(const HistSample& other)
-{
-    if (other.count == 0)
-        return;
-    if (count == 0 || other.min < min)
-        min = other.min;
-    if (other.max > max)
-        max = other.max;
-    count += other.count;
-    sum += other.sum;
-    // Merge two sorted sparse bucket lists.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> merged;
-    merged.reserve(buckets.size() + other.buckets.size());
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < buckets.size() || b < other.buckets.size()) {
-        if (b >= other.buckets.size() ||
-            (a < buckets.size() && buckets[a].first < other.buckets[b].first))
-            merged.push_back(buckets[a++]);
-        else if (a >= buckets.size() ||
-                 other.buckets[b].first < buckets[a].first)
-            merged.push_back(other.buckets[b++]);
-        else {
-            merged.emplace_back(buckets[a].first,
-                                buckets[a].second + other.buckets[b].second);
-            ++a;
-            ++b;
-        }
-    }
-    buckets = std::move(merged);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,55 +467,6 @@ parse_snapshot_line(const std::string& line, MetricsSnapshot& out)
         return false;
     out = std::move(snap);
     return true;
-}
-
-bool
-load_last_snapshot(const std::string& path, MetricsSnapshot& out)
-{
-    std::ifstream in(path);
-    if (!in.good())
-        return false;
-    bool found = false;
-    std::string line;
-    MetricsSnapshot snap;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        MetricsSnapshot parsed;
-        if (parse_snapshot_line(line, parsed)) {
-            snap = std::move(parsed);
-            found = true;
-        }
-        // Unparseable lines (torn tail of a SIGKILL'd writer) are
-        // skipped; the last complete heartbeat wins.
-    }
-    if (found)
-        out = std::move(snap);
-    return found;
-}
-
-MetricsSnapshot
-merge_snapshots(const std::vector<MetricsSnapshot>& snaps,
-                const std::string& source)
-{
-    MetricsSnapshot out;
-    out.source = source;
-    for (const auto& s : snaps) {
-        if (s.ts > out.ts)
-            out.ts = s.ts;
-        if (s.seq > out.seq)
-            out.seq = s.seq;
-        for (const auto& [name, c] : s.counters)
-            out.counters[name].total += c.total;
-        for (const auto& [name, v] : s.gauges) {
-            auto [it, inserted] = out.gauges.emplace(name, v);
-            if (!inserted && v > it->second)
-                it->second = v;
-        }
-        for (const auto& [name, h] : s.hists)
-            out.hists[name].merge_from(h);
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@
 /// Nothing here is gated.  The PASTA_TRACE gate belongs to the model
 /// counters of obs/counters.hpp (add, add_worker, record_max, set_label),
 /// which forward into this registry only when counters are armed; live
-/// serving, trial and campaign sites record unconditionally.
+/// serving and trial sites record unconditionally.
 ///
 /// The snapshot (MetricsSnapshot) feeds per-trial deltas, the text
-/// report (obs/report.hpp), the heartbeat JSONL and the campaign-wide
-/// merge.  A heartbeat line is snapshot_to_json() of it:
+/// report (obs/report.hpp) and the heartbeat JSONL.  A heartbeat line is snapshot_to_json() of it:
 ///   {"ts":..,"seq":N,"source":"..","counters":{"name":total,..},
 ///    "gauges":{"name":value,..},"hists":{"name":{"count":..,"sum":..,
 ///    "min":..,"max":..,"buckets":[[idx,count],..]},..}}
@@ -101,8 +100,7 @@ bucket_width(std::size_t idx)
 
 /// One histogram read out of the registry (or parsed back from JSONL):
 /// sparse nonzero buckets sorted by index, plus the moments needed for
-/// means and exact-extreme reporting.  This is the mergeable unit the
-/// campaign aggregator sums across shards.
+/// means and exact-extreme reporting.
 struct HistSample {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -122,9 +120,6 @@ struct HistSample {
     /// sorted sample vector at ceil(q*n)-1, so the estimate is always
     /// inside the bucket that contains the exact percentile.
     double percentile(double q) const;
-
-    /// Accumulates `other` into this sample (commutative, associative).
-    void merge_from(const HistSample& other);
 };
 
 /// A monotone counter with per-worker attribution.
@@ -239,7 +234,7 @@ struct LabelSample {
 struct MetricsSnapshot {
     double ts = 0.0;        ///< unix seconds (system clock)
     std::uint64_t seq = 0;  ///< per-exporter snapshot ordinal
-    std::string source;     ///< who exported: "bench", shard id, ...
+    std::string source;     ///< who exported: "bench", ...
     std::map<std::string, CounterSample> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistSample> hists;
@@ -267,18 +262,8 @@ std::string snapshot_to_json(const MetricsSnapshot& snap);
 
 /// Parses one heartbeat line.  Returns false (leaving `out` untouched)
 /// on malformed input — torn tails from a killed writer are expected and
-/// must not abort aggregation.  Unknown keys are skipped.
+/// must not abort the reader.  Unknown keys are skipped.
 bool parse_snapshot_line(const std::string& line, MetricsSnapshot& out);
-
-/// Reads the LAST parseable snapshot of a heartbeat file (the newest
-/// complete state of that exporter).  False when none parses.
-bool load_last_snapshot(const std::string& path, MetricsSnapshot& out);
-
-/// Campaign-wide aggregate: counters summed, gauges maxed, histograms
-/// merged.  ts is the max input ts, seq the max seq, source taken from
-/// the caller.
-MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& snaps,
-                                const std::string& source);
 
 /// Exporter arming, parsed from PASTA_METRICS=<path>[,interval_ms].
 struct ExporterOptions {

@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -153,7 +151,7 @@ write_text(const std::string& path, const std::string& text)
 }
 
 /// Opens the writer-identity block every export carries: this process's
-/// pid, its clock offset (the merge alignment contract) and the dropped
+/// pid, its clock offset (monotonic to wall clock) and the dropped
 /// span count.  The caller closes the object.
 json::Writer&
 begin_meta(json::Writer& w, std::uint64_t dropped)
@@ -312,8 +310,7 @@ write_chrome_trace(const std::string& path)
             .key("args").begin_object().key("count").u64(dropped).end_object()
             .end_object();
     }
-    // Viewers ignore unknown top-level keys; merge_chrome_traces reads
-    // this block for pid tracks and clock alignment.
+    // Viewers ignore unknown top-level keys.
     out += "\n],\"pastaMeta\":";
     json::Writer meta(out);
     begin_meta(meta, dropped).end_object();
@@ -356,118 +353,6 @@ write_spans_jsonl(const std::string& path)
     }
     warn_dropped_once(dropped, path);
     PASTA_LOG_INFO << "wrote " << path << " (" << spans.size() << " spans)";
-    return true;
-}
-
-bool
-merge_chrome_traces(const std::vector<TraceMergeInput>& inputs,
-                    const std::string& out_path)
-{
-    struct Loaded {
-        json::Value doc;
-        std::string label;
-        bool has_meta = false;
-        std::int64_t pid = 0;
-        std::int64_t offset_us = 0;  ///< the writer's monoToEpochUs
-        std::uint64_t dropped = 0;
-    };
-    std::vector<Loaded> traces;
-    std::int64_t min_offset = 0;
-    bool have_offset = false;
-    std::int64_t synthetic_pid = 1000000;  // above any real pid range
-    for (const auto& input : inputs) {
-        std::ifstream in(input.path);
-        std::stringstream buf;
-        buf << in.rdbuf();
-        Loaded t;
-        if (!in.good() || !json::parse(buf.str(), t.doc)) {
-            PASTA_LOG_WARN << "merge: cannot read " << input.path
-                           << "; skipping";
-            continue;
-        }
-        t.label = input.label;
-        const json::Value* meta = t.doc.find("pastaMeta");
-        t.has_meta = meta && meta->is_object();
-        if (t.has_meta) {
-            meta->get_optional("pid", t.pid);
-            meta->get_optional("monoToEpochUs", t.offset_us);
-            meta->get_optional("spansDropped", t.dropped);
-            if (!have_offset || t.offset_us < min_offset) {
-                min_offset = t.offset_us;
-                have_offset = true;
-            }
-        } else {
-            t.pid = ++synthetic_pid;
-        }
-        traces.push_back(std::move(t));
-    }
-    if (traces.empty()) {
-        PASTA_LOG_WARN << "merge: no readable traces for " << out_path;
-        return false;
-    }
-
-    // Each input goes on its own pid track, behind a process_name event
-    // carrying its label, with every event's ts shifted onto the
-    // earliest input's clock.  Everything else is copied verbatim.
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    const char* sep = "\n";
-    std::uint64_t dropped_total = 0;
-    std::size_t events_total = 0;
-    for (const Loaded& t : traces) {
-        dropped_total += t.dropped;
-        out += sep;
-        sep = ",\n";
-        json::Writer(out)
-            .begin_object()
-            .key("name").str("process_name")
-            .key("ph").str("M")
-            .key("pid").i64(t.pid)
-            .key("tid").i64(0)
-            .key("args").begin_object().key("name").str(t.label).end_object()
-            .end_object();
-        const double shift =
-            t.has_meta ? static_cast<double>(t.offset_us - min_offset) : 0.0;
-        const json::Value* events =
-            t.doc.is_array() ? &t.doc : t.doc.find("traceEvents");
-        if (!events || !events->is_array())
-            continue;
-        for (const json::Value& ev : events->items()) {
-            out += sep;
-            json::Writer w(out);
-            ++events_total;
-            if (!ev.is_object()) {
-                w.value(ev);
-                continue;
-            }
-            w.begin_object();
-            for (const json::Member& m : ev.members()) {
-                w.key(m.key);
-                double ts;
-                if (m.key == "ts" && m.value.get(ts))
-                    w.fixed(ts + shift, 3);
-                else if (m.key == "pid" && m.value.is_number())
-                    w.i64(t.pid);
-                else
-                    w.value(m.value);
-            }
-            w.end_object();
-        }
-    }
-    out += "\n],\"pastaMeta\":";
-    json::Writer(out)
-        .begin_object()
-        .key("pid").i64(::getpid())
-        .key("monoToEpochUs").i64(min_offset)
-        .key("spansDropped").u64(dropped_total)
-        .key("merged").u64(traces.size())
-        .end_object();
-    out += "}\n";
-    if (!write_text(out_path, out)) {
-        PASTA_LOG_WARN << "cannot write merged trace " << out_path;
-        return false;
-    }
-    PASTA_LOG_INFO << "wrote " << out_path << " (" << events_total
-                   << " events from " << traces.size() << " trace(s))";
     return true;
 }
 

@@ -161,24 +161,6 @@ bool write_chrome_trace(const std::string& path);
 ///   {"name":"convert.hicoo","tid":0,"depth":1,"ts_us":12.5,"dur_us":3.1}
 bool write_spans_jsonl(const std::string& path);
 
-/// One per-process trace to merge into a campaign-wide timeline.
-struct TraceMergeInput {
-    std::string path;   ///< a write_chrome_trace output
-    std::string label;  ///< process-track name ("shard 3", "supervisor")
-};
-
-/// Merges per-process Chrome traces into one clock-aligned timeline:
-/// each input's events are shifted by its pastaMeta clock offset
-/// (relative to the earliest input epoch) and moved onto that writer's
-/// own pid track, with a "process_name" metadata event carrying the
-/// label.  Inputs without a pastaMeta block (foreign traces, either a
-/// traceEvents object or a bare event array) are merged unshifted on a
-/// synthetic pid.  Inputs that cannot be read or are not valid JSON (a
-/// writer killed mid-export) are skipped with a warning; returns false
-/// when none could be read or the output cannot be written.
-bool merge_chrome_traces(const std::vector<TraceMergeInput>& inputs,
-                         const std::string& out_path);
-
 #define PASTA_OBS_CONCAT2(a, b) a##b
 #define PASTA_OBS_CONCAT(a, b) PASTA_OBS_CONCAT2(a, b)
 

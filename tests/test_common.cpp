@@ -27,7 +27,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "harness/campaign.hpp"
+#include "harness/fault.hpp"
 #include "harness/trial.hpp"
 #include "serve/job.hpp"
 
@@ -425,8 +425,13 @@ read_knob(const config::Knob& k)
 TEST(Config, ValuesTheOldParsersAcceptedAreRejected)
 {
     {
+        // The seed is only read once a fault spec is armed.
+        ScopedEnv spec("PASTA_FAULT", "io.read:throw@1000000");
         ScopedEnv env("PASTA_FAULT_SEED", "abc");
-        EXPECT_THROW(harness::CampaignOptions::from_env(), PastaError);
+        auto& injector = harness::FaultInjector::instance();
+        EXPECT_THROW(injector.configure_from_env(), PastaError);
+        EXPECT_FALSE(injector.enabled());
+        injector.clear();
         EXPECT_NE(error_of(bench::options_from_env).find("PASTA_FAULT_SEED"),
                   std::string::npos);
     }
@@ -434,12 +439,6 @@ TEST(Config, ValuesTheOldParsersAcceptedAreRejected)
         ScopedEnv env("PASTA_LOG", "verbose");
         EXPECT_THROW(set_log_threshold_from_env(), PastaError);
         EXPECT_NE(error_of(bench::options_from_env).find("PASTA_LOG"),
-                  std::string::npos);
-    }
-    {
-        ScopedEnv env("PASTA_CAMPAIGN_DELAY_MS", "-5");
-        EXPECT_NE(error_of(bench::options_from_env)
-                      .find("PASTA_CAMPAIGN_DELAY_MS"),
                   std::string::npos);
     }
     {
@@ -514,12 +513,6 @@ TEST(Config, TableDefaultsMatchTheOptionStructs)
     const harness::TrialPolicy policy = harness::TrialPolicy::from_env();
     EXPECT_EQ(policy.timeout_seconds, harness::TrialPolicy{}.timeout_seconds);
     EXPECT_EQ(policy.max_attempts, harness::TrialPolicy{}.max_attempts);
-
-    const harness::CampaignOptions campaign =
-        harness::CampaignOptions::from_env();
-    EXPECT_EQ(campaign.workers, harness::CampaignOptions{}.workers);
-    EXPECT_EQ(campaign.chaos_kills, harness::CampaignOptions{}.chaos_kills);
-    EXPECT_EQ(campaign.chaos_seed, harness::CampaignOptions{}.chaos_seed);
 
     const serve::ServeOptions serve = serve::ServeOptions::from_env();
     EXPECT_EQ(serve.workers, serve::ServeOptions{}.workers);

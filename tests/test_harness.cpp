@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -331,7 +333,7 @@ golden_entry()
 TEST(Journal, LineBytesArePinned)
 {
     // Journals written by earlier builds must stay byte-comparable with
-    // new ones: field order, %.17g doubles, escapes, optional shard.
+    // new ones: field order, %.17g doubles, escapes.
     JournalEntry e = golden_entry();
     EXPECT_EQ(to_json_line(e),
               "{\"tensor\":\"r7\",\"kernel\":\"MTTKRP\",\"format\":\"HiCOO\","
@@ -343,7 +345,6 @@ TEST(Journal, LineBytesArePinned)
               "\"mem_peak\":65536,\"partitions_done\":2,"
               "\"partitions_total\":8}");
     e.ok = false;
-    e.shard = "s1.MTTKRP.p0-8";
     e.seconds = 3.0;
     e.attempts = -1;
     EXPECT_EQ(to_json_line(e),
@@ -354,14 +355,20 @@ TEST(Journal, LineBytesArePinned)
               "\"class\":\"error\",\"variant\":\"atomic_avx2\","
               "\"obs_flops\":1234.5,\"obs_bytes\":0.10000000000000001,"
               "\"mem_peak\":65536,\"partitions_done\":2,"
-              "\"partitions_total\":8,\"shard\":\"s1.MTTKRP.p0-8\"}");
+              "\"partitions_total\":8}");
     JournalEntry back;
     ASSERT_TRUE(parse_json_line(to_json_line(e), back));
     EXPECT_EQ(back.error, e.error);
-    EXPECT_EQ(back.shard, e.shard);
     EXPECT_EQ(back.attempts, -1);
     EXPECT_EQ(back.partitions_total, 8);
     EXPECT_DOUBLE_EQ(back.obs_bytes, 0.1);
+    // Unknown fields, such as the "shard" older builds wrote, are
+    // ignored, so old journals still load.
+    ASSERT_TRUE(parse_json_line(
+        "{\"tensor\":\"r7\",\"kernel\":\"TTV\",\"format\":\"COO\","
+        "\"ok\":true,\"shard\":\"s1.MTTKRP.p0-8\"}",
+        back));
+    EXPECT_EQ(back.kernel, "TTV");
 }
 
 TEST(Journal, UnicodeEscapesDecodeToUtf8)
@@ -455,10 +462,10 @@ TEST(Journal, ReplaySurvivesTornTrailingLine)
     fs::remove_all(dir);
     fs::create_directories(dir);
     const std::string path = (dir / "torn.journal.jsonl").string();
+    const JournalEntry a{"r1", "TEW", "COO", true, 0.5, 1e6, 2e6, 1, ""};
+    const JournalEntry b{"r1", "TTV", "COO", false, 0, 0, 0, 3, "boom"};
     {
         RunJournal journal(path);
-        JournalEntry a{"r1", "TEW", "COO", true, 0.5, 1e6, 2e6, 1, ""};
-        JournalEntry b{"r1", "TTV", "COO", false, 0, 0, 0, 3, "boom"};
         journal.append(a);
         journal.append(b);
     }
@@ -474,6 +481,20 @@ TEST(Journal, ReplaySurvivesTornTrailingLine)
     ASSERT_NE(replayed.find("r1", "TTV", "COO"), nullptr);
     EXPECT_FALSE(replayed.has_ok("r1", "TTV", "COO"));
     EXPECT_EQ(replayed.find("r1", "TS", "COO"), nullptr);
+    // The torn tail was cut off the file itself ...
+    {
+        std::ifstream in(path, std::ios::binary);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_EQ(text, to_json_line(a) + "\n" + to_json_line(b) + "\n");
+    }
+    // ... so the next append starts on a clean line and reloads.
+    JournalEntry c = a;
+    c.kernel = "TS";
+    replayed.append(c);
+    RunJournal reloaded(path);
+    EXPECT_EQ(reloaded.size(), 3u);
+    EXPECT_TRUE(reloaded.has_ok("r1", "TS", "COO"));
     fs::remove_all(dir);
 }
 

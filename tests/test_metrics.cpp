@@ -1,8 +1,8 @@
 // Tests for the live metrics registry (src/obs/metrics): log-linear
-// histogram bucket math and percentile error bounds, merge algebra,
-// registry round-trips, snapshot JSONL serialization/parsing, torn-tail
-// tolerance, campaign-style aggregation, hostile heartbeat lines, and
-// the background exporter (including a process exiting under it).
+// histogram bucket math and percentile error bounds, registry
+// round-trips, snapshot JSONL serialization/parsing, torn-tail
+// tolerance, hostile heartbeat lines, and the background exporter
+// (including a process exiting under it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,46 +170,6 @@ TEST_F(MetricsTest, SnapshotTracksMomentsExactly)
     EXPECT_DOUBLE_EQ(s.mean(), 100044.0 / 3.0);
 }
 
-TEST_F(MetricsTest, MergeIsCommutativeAndAssociative)
-{
-    Rng rng(2024);
-    Histogram ha, hb, hc;
-    for (int i = 0; i < 3000; ++i)
-        ha.record(rng.next_u64() % 1000);
-    for (int i = 0; i < 3000; ++i)
-        hb.record(1000 + rng.next_u64() % 100000);
-    for (int i = 0; i < 100; ++i)
-        hc.record(rng.next_u64());
-    const HistSample a = ha.snapshot();
-    const HistSample b = hb.snapshot();
-    const HistSample c = hc.snapshot();
-
-    auto merged = [](const HistSample& x, const HistSample& y) {
-        HistSample out = x;
-        out.merge_from(y);
-        return out;
-    };
-    auto equal = [](const HistSample& x, const HistSample& y) {
-        return x.count == y.count && x.sum == y.sum && x.min == y.min &&
-               x.max == y.max && x.buckets == y.buckets;
-    };
-    EXPECT_TRUE(equal(merged(a, b), merged(b, a)));
-    EXPECT_TRUE(
-        equal(merged(merged(a, b), c), merged(a, merged(b, c))));
-    // Merging an empty sample is the identity.
-    EXPECT_TRUE(equal(merged(a, HistSample{}), a));
-    EXPECT_TRUE(equal(merged(HistSample{}, a), a));
-    // Merged percentiles equal the percentiles of the pooled sample.
-    Histogram pooled;
-    Rng rng2(2024);
-    for (int i = 0; i < 3000; ++i)
-        pooled.record(rng2.next_u64() % 1000);
-    for (int i = 0; i < 3000; ++i)
-        pooled.record(1000 + rng2.next_u64() % 100000);
-    const HistSample p = pooled.snapshot();
-    EXPECT_DOUBLE_EQ(merged(a, b).percentile(0.95), p.percentile(0.95));
-}
-
 TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
 {
     Histogram h;
@@ -312,8 +272,8 @@ TEST_F(MetricsTest, ParseRejectsGarbageAndAcceptsUnknownKeys)
 
 TEST_F(MetricsTest, HeartbeatLineBytesArePinned)
 {
-    // Heartbeat files outlive the binary that wrote them (campaign
-    // resume, metrics_summary.py): the serialization is pinned.
+    // Heartbeat files outlive the binary that wrote them (resumed runs,
+    // metrics_summary.py): the serialization is pinned.
     MetricsSnapshot s;
     s.ts = 1754700000.25;
     s.seq = 9;
@@ -396,11 +356,10 @@ TEST_F(MetricsTest, ParseRejectsNonJsonNumbers)
         EXPECT_FALSE(parse_snapshot_line(bad, out)) << bad;
 }
 
-TEST_F(MetricsTest, LoadLastSnapshotToleratesTornTail)
+TEST_F(MetricsTest, TornTailKeepsTheLastCompleteSnapshot)
 {
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "pasta_test_hb.jsonl")
-            .string();
+    // A reader walks the heartbeat lines and keeps the last one that
+    // parses; a SIGKILL'd writer's torn tail must leave it untouched.
     MetricsSnapshot a;
     a.ts = 1.0;
     a.seq = 1;
@@ -410,60 +369,12 @@ TEST_F(MetricsTest, LoadLastSnapshotToleratesTornTail)
     b.ts = 2.0;
     b.seq = 2;
     b.counters["done"].total = 20;
-    {
-        std::ofstream out(path);
-        out << snapshot_to_json(a) << "\n"
-            << snapshot_to_json(b) << "\n"
-            << "{\"ts\":3.0,\"seq\":3,\"coun";  // SIGKILL mid-write
-    }
     MetricsSnapshot last;
-    ASSERT_TRUE(load_last_snapshot(path, last));
+    ASSERT_TRUE(parse_snapshot_line(snapshot_to_json(a), last));
+    ASSERT_TRUE(parse_snapshot_line(snapshot_to_json(b), last));
+    EXPECT_FALSE(parse_snapshot_line("{\"ts\":3.0,\"seq\":3,\"coun", last));
     EXPECT_EQ(last.seq, 2u);
     EXPECT_EQ(last.counter("done"), 20u);
-    std::remove(path.c_str());
-    EXPECT_FALSE(load_last_snapshot(path, last));  // gone now
-}
-
-TEST_F(MetricsTest, MergeSnapshotsSumsMaxesAndMerges)
-{
-    MetricsSnapshot a;
-    a.ts = 10.0;
-    a.seq = 3;
-    a.counters["trial.ok"].total = 4;
-    a.counters["only.a"].total = 1;
-    a.gauges["mem.peak"] = 100.0;
-    a.hists["lat"].count = 2;
-    a.hists["lat"].sum = 20;
-    a.hists["lat"].min = 5;
-    a.hists["lat"].max = 15;
-    a.hists["lat"].buckets = {{5, 1}, {15, 1}};
-    MetricsSnapshot b;
-    b.ts = 12.0;
-    b.seq = 2;
-    b.counters["trial.ok"].total = 6;
-    b.gauges["mem.peak"] = 250.0;
-    b.hists["lat"].count = 1;
-    b.hists["lat"].sum = 9;
-    b.hists["lat"].min = 9;
-    b.hists["lat"].max = 9;
-    b.hists["lat"].buckets = {{9, 1}};
-
-    const MetricsSnapshot m = merge_snapshots({a, b}, "campaign");
-    EXPECT_EQ(m.source, "campaign");
-    EXPECT_DOUBLE_EQ(m.ts, 12.0);
-    EXPECT_EQ(m.seq, 3u);
-    EXPECT_EQ(m.counter("trial.ok"), 10u);
-    EXPECT_EQ(m.counter("only.a"), 1u);
-    EXPECT_DOUBLE_EQ(m.gauge("mem.peak"), 250.0);
-    const HistSample* lat = m.hist("lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count, 3u);
-    EXPECT_EQ(lat->sum, 29u);
-    EXPECT_EQ(lat->min, 5u);
-    EXPECT_EQ(lat->max, 15u);
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> want = {
-        {5, 1}, {9, 1}, {15, 1}};
-    EXPECT_EQ(lat->buckets, want);
 }
 
 TEST_F(MetricsTest, ExporterOptionsParse)
@@ -549,8 +460,12 @@ TEST_F(MetricsTest, ExitWithRunningExporterWritesFinalSnapshot)
             std::exit(0);
         },
         ::testing::ExitedWithCode(0), "");
+    std::ifstream in(path);
+    std::string line, tail;
+    while (std::getline(in, line))
+        tail = line;
     MetricsSnapshot last;
-    ASSERT_TRUE(load_last_snapshot(path, last));
+    ASSERT_TRUE(parse_snapshot_line(tail, last)) << tail;
     EXPECT_EQ(last.source, "exit");
     EXPECT_EQ(last.counter("exit.recorded"), 3u);
     std::remove(path.c_str());

@@ -621,42 +621,6 @@ TEST_F(Oocore, MttkrpCheckpointForeignOrCorruptHeaderStartsFresh)
     EXPECT_TRUE(c.matches(out));
 }
 
-TEST_F(Oocore, MttkrpRangedShardResumesFromCheckpoint)
-{
-    CheckpointCase c(59);
-    const Size parts = c.partitions();
-    ASSERT_GE(parts, 4u);
-    const Size lo = 1, hi = parts - 1;
-    stream::StreamOptions range;
-    range.part_begin = lo;
-    range.part_end = hi;
-
-    // The shard dies after its first partition's record lands.
-    stream::StreamOptions die = range;
-    die.progress = kill_after(1);
-    DenseMatrix out;
-    EXPECT_THROW(c.run(out, die), std::runtime_error);
-
-    const stream::StreamDecision d = c.run(out, range);
-    EXPECT_EQ(d.resumed_from, 1u);
-    EXPECT_EQ(d.partitions, hi - lo);
-
-    // The range's rows match the full sweep; every other row is zero.
-    const Size begin = c.row_begin(lo), end = c.row_begin(hi);
-    ASSERT_LT(begin, end);
-    const Size cols = CheckpointCase::kRank;
-    for (Size r = 0; r < c.rows(); ++r) {
-        if (r >= begin && r < end) {
-            EXPECT_EQ(0, std::memcmp(out.row(r), c.expected().row(r),
-                                     cols * sizeof(Value)))
-                << "row " << r;
-        } else {
-            for (Size j = 0; j < cols; ++j)
-                EXPECT_EQ(out(r, j), 0.0f) << "row " << r;
-        }
-    }
-}
-
 TEST_F(Oocore, MttkrpCheckpointBytesAreOutputSized)
 {
     const obs::TraceMode saved = obs::current_mode();
