@@ -490,7 +490,9 @@ BENCHMARK(BM_TuckerChain)->Arg(0)->Arg(1);
 
 /// Dense-layer ablations on a 2^20 x 16 factor (64 MiB): Arg is the
 /// thread count (0 = the OpenMP default), so Arg(1) against Arg(0) is the
-/// serial-vs-block-parallel split of the dense layer.
+/// serial-vs-block-parallel split of the dense layer.  The allocation
+/// benchmarks take log2(rows) as a second argument: 2^15 x 16 (2 MiB)
+/// stays on the heap, 2^20 x 16 is mapped (kDenseMapBytes).
 constexpr Size kDenseBenchRows = Size{1} << 20;
 constexpr Size kDenseBenchRank = 16;
 
@@ -506,10 +508,10 @@ class BenchThreads {
 };
 
 void
-set_dense_bytes(benchmark::State& state)
+set_dense_bytes(benchmark::State& state, Size rows)
 {
-    state.SetBytesProcessed(state.iterations() * kDenseBenchRows *
-                            kDenseBenchRank * kValueBytes);
+    state.SetBytesProcessed(state.iterations() * rows * kDenseBenchRank *
+                            kValueBytes);
 }
 
 /// Counter-based random init of a fresh factor (allocation included, as
@@ -518,31 +520,38 @@ void
 BM_DenseRandom(benchmark::State& state)
 {
     BenchThreads threads(state);
+    const Size rows = Size{1} << state.range(1);
     Rng rng(10);
     for (auto _ : state) {
-        DenseMatrix m =
-            DenseMatrix::random(kDenseBenchRows, kDenseBenchRank, rng);
+        DenseMatrix m = DenseMatrix::random(rows, kDenseBenchRank, rng);
         benchmark::DoNotOptimize(m.data());
         benchmark::ClobberMemory();
     }
-    set_dense_bytes(state);
+    set_dense_bytes(state, rows);
 }
-BENCHMARK(BM_DenseRandom)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK(BM_DenseRandom)
+    ->Args({1, 15})->Args({0, 15})->Args({1, 20})->Args({0, 20})
+    ->UseRealTime();
 
 /// Zero-initialized construction of a fresh output (allocation included,
-/// as before every MTTKRP call that allocates its output).
+/// as before every MTTKRP call that allocates its output).  A mapped
+/// buffer arrives zeroed and is not touched here: its first-touch cost
+/// moves to the first pass that writes it.
 void
 BM_DenseZero(benchmark::State& state)
 {
     BenchThreads threads(state);
+    const Size rows = Size{1} << state.range(1);
     for (auto _ : state) {
-        DenseMatrix m(kDenseBenchRows, kDenseBenchRank);
+        DenseMatrix m(rows, kDenseBenchRank);
         benchmark::DoNotOptimize(m.data());
         benchmark::ClobberMemory();
     }
-    set_dense_bytes(state);
+    set_dense_bytes(state, rows);
 }
-BENCHMARK(BM_DenseZero)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK(BM_DenseZero)
+    ->Args({1, 15})->Args({0, 15})->Args({1, 20})->Args({0, 20})
+    ->UseRealTime();
 
 /// Block-ordered Gram matrix A^T A, the CP-ALS per-mode reduction.
 void
@@ -556,7 +565,7 @@ BM_GramMatrix(benchmark::State& state)
         std::vector<double> g = gram_matrix(a);
         benchmark::DoNotOptimize(g.data());
     }
-    set_dense_bytes(state);
+    set_dense_bytes(state, kDenseBenchRows);
     set_flops(state, static_cast<double>(kDenseBenchRows) *
                          kDenseBenchRank * (kDenseBenchRank + 1));
 }

@@ -1,11 +1,49 @@
 #include "core/dense.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "obs/counters.hpp"
 
 namespace pasta {
 
 namespace {
+
+constexpr std::uintptr_t kHugePage = std::uintptr_t{1} << 21;
+
+std::uintptr_t
+round_up(std::uintptr_t v, std::uintptr_t to)
+{
+    return (v + to - 1) / to * to;
+}
+
+std::size_t
+base_page()
+{
+    static const std::size_t page =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return page;
+}
+
+/// True when transparent huge pages are switched off host-wide
+/// ("[never]"): MADV_HUGEPAGE is then accepted but has no effect.
+bool
+thp_never()
+{
+    static const bool never = [] {
+        std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+        const std::string mode{std::istreambuf_iterator<char>(in), {}};
+        return mode.find("[never]") != std::string::npos;
+    }();
+    return never;
+}
 
 void
 fill_blocks(DenseStorage& data, Value v)
@@ -30,6 +68,40 @@ randomize_blocks(DenseStorage& data, Rng& rng)
 }
 
 }  // namespace
+
+void*
+dense_map(std::size_t bytes)
+{
+    const std::size_t len = round_up(bytes, base_page());
+    // Over-map so a 2 MiB-aligned start exists, then trim both ends.
+    const std::size_t span = len + kHugePage - base_page();
+    if (len < bytes || span < len)  // wrapped around
+        throw std::bad_alloc();
+    void* raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    char* base = static_cast<char*>(raw);
+    const std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(raw);
+    const std::size_t head = round_up(addr, kHugePage) - addr;
+    if (head != 0)
+        munmap(base, head);
+    if (span - head - len != 0)
+        munmap(base + head + len, span - head - len);
+    char* start = base + head;
+    const bool huge = madvise(start, len, MADV_HUGEPAGE) == 0 && !thp_never();
+    if (obs::counters_enabled()) {
+        obs::add("dense.mapped_bytes", len);
+        obs::set_label("dense.pages", huge ? "huge" : "base");
+    }
+    return start;
+}
+
+void
+dense_unmap(void* p, std::size_t bytes) noexcept
+{
+    munmap(p, round_up(bytes, base_page()));
+}
 
 void
 DenseMatrix::fill(Value v)

@@ -15,7 +15,9 @@
 /// constant, never a function of the thread count, so the contract is:
 /// every value these passes produce is bit-identical at any thread count.
 ///   - Storage is allocated uninitialized; the parallel fill is the first
-///     write to each page.
+///     write to each page.  Buffers of kDenseMapBytes and more are mapped
+///     on 2 MiB-aligned, MADV_HUGEPAGE memory that arrives zeroed, so
+///     zero-initialised construction skips its fill there.
 ///   - randomize() is counter-based: it draws one 64-bit key from the
 ///     caller's Rng (which therefore always advances by exactly one draw)
 ///     and sets element i to unit_float(splitmix64_at(key, i)).
@@ -27,6 +29,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <utility>
@@ -97,16 +102,71 @@ dense_block_sum(Size n, Size block, Size width, Body body)
     return total;
 }
 
-/// Allocator whose value-initialization is default-initialization: a
-/// vector<Value> resized through it leaves its storage unwritten, so the
-/// first touch of each page happens in the parallel fill that follows.
+#if defined(__SANITIZE_ADDRESS__)
+#define PASTA_DENSE_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PASTA_DENSE_ASAN 1
+#endif
+#endif
+
+/// Buffers of at least this many bytes are mapped with anonymous mmap
+/// (dense_map) instead of coming from the heap.
+inline constexpr std::size_t kDenseMapBytes = std::size_t{4} << 20;
+
+/// AddressSanitizer cannot see overflows on mmap'ed memory, so its builds
+/// never map.
+#if defined(PASTA_DENSE_ASAN)
+inline constexpr bool kDenseMapEnabled = false;
+#else
+inline constexpr bool kDenseMapEnabled = true;
+#endif
+
+/// True when dense storage of `bytes` is mapped.  The one predicate of
+/// both the allocator and the zero-initialising constructors: mapped
+/// pages arrive zeroed, so those skip their fill exactly when it holds.
+constexpr bool
+dense_storage_mapped(std::size_t bytes)
+{
+    return kDenseMapEnabled && bytes >= kDenseMapBytes;
+}
+
+/// Maps `bytes` of zeroed memory: 2 MiB-aligned start, length rounded up
+/// to the base page, MADV_HUGEPAGE applied.  Throws std::bad_alloc.
+void* dense_map(std::size_t bytes);
+
+/// Unmaps a dense_map(bytes) buffer.
+void dense_unmap(void* p, std::size_t bytes) noexcept;
+
+/// Allocator of the dense containers: dense_map at or above
+/// kDenseMapBytes, std::allocator below.  Value-initialization is
+/// default-initialization, so a vector resized through it leaves its
+/// storage unwritten and the first touch of each page happens in the
+/// parallel pass that follows (or, for a mapped zero buffer, in the
+/// first kernel that writes it).
 template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
+struct DenseAllocator {
+    using value_type = T;
+
+    DenseAllocator() = default;
     template <typename U>
-    struct rebind {
-        using other = DefaultInitAllocator<U>;
-    };
-    using std::allocator<T>::allocator;
+    DenseAllocator(const DenseAllocator<U>&) noexcept
+    {
+    }
+
+    T* allocate(std::size_t n)
+    {
+        if (dense_storage_mapped(n * sizeof(T)))
+            return static_cast<T*>(dense_map(n * sizeof(T)));
+        return std::allocator<T>().allocate(n);
+    }
+    void deallocate(T* p, std::size_t n) noexcept
+    {
+        if (dense_storage_mapped(n * sizeof(T)))
+            dense_unmap(p, n * sizeof(T));
+        else
+            std::allocator<T>().deallocate(p, n);
+    }
 
     template <typename U>
     void construct(U* p)
@@ -118,10 +178,24 @@ struct DefaultInitAllocator : std::allocator<T> {
     {
         ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
     }
+
+    friend bool operator==(const DenseAllocator&, const DenseAllocator&)
+    {
+        return true;
+    }
 };
 
 /// Value storage of the dense containers.
-using DenseStorage = std::vector<Value, DefaultInitAllocator<Value>>;
+using DenseStorage = std::vector<Value, DenseAllocator<Value>>;
+
+/// True when fresh storage of `bytes` must be filled to hold `init`
+/// everywhere: always, unless it is mapped (all +0 already) and `init`
+/// is +0.
+inline bool
+dense_fill_needed(std::size_t bytes, Value init)
+{
+    return !dense_storage_mapped(bytes) || init != 0 || std::signbit(init);
+}
 
 /// Dense row-major matrix of Value.
 class DenseMatrix {
@@ -132,7 +206,8 @@ class DenseMatrix {
     DenseMatrix(Size rows, Size cols, Value init = 0)
         : rows_(rows), cols_(cols), data_(rows * cols)
     {
-        fill(init);
+        if (dense_fill_needed(storage_bytes(), init))
+            fill(init);
     }
 
     Size rows() const { return rows_; }
@@ -176,7 +251,11 @@ class DenseVector {
     DenseVector() = default;
 
     /// Creates a length-n vector initialized to `init`.
-    explicit DenseVector(Size n, Value init = 0) : data_(n) { fill(init); }
+    explicit DenseVector(Size n, Value init = 0) : data_(n)
+    {
+        if (dense_fill_needed(storage_bytes(), init))
+            fill(init);
+    }
 
     Size size() const { return data_.size(); }
 

@@ -136,11 +136,12 @@ mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank)
     if (!membudget::would_fit(std::uint64_t{4} * threads *
                               static_cast<Size>(dim_mode) * rank))
         return MttkrpVariant::kAtomic;
-    // The replicated buffers cost a zero + reduce sweep over
-    // threads x dim_mode rows; the atomic path (with run fusion) costs
-    // roughly one atomic set per distinct output row per chunk.
-    // Privatize only when the stream is dense enough in output rows for
-    // the sweep to be clearly amortized.
+    // The replicated buffers cost a reduce sweep over threads x dim_mode
+    // rows, plus a zero pass when a copy is below kDenseMapBytes (a
+    // mapped copy arrives zeroed and pays only its first-touch faults);
+    // the atomic path (with run fusion) costs roughly one atomic set per
+    // distinct output row per chunk.  Privatize only when the stream is
+    // dense enough in output rows for the sweep to be clearly amortized.
     if (2 * threads * static_cast<Size>(dim_mode) > nnz)
         return MttkrpVariant::kAtomic;
     return MttkrpVariant::kPrivatized;

@@ -1,9 +1,14 @@
 // Tests for the dense layer: block-parallel zero-fill, fill and
 // counter-based random init, and the CP-ALS algebra built on them — all
-// bit-identical at any thread count.
+// bit-identical at any thread count — and the mapped storage of large
+// buffers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -145,10 +150,19 @@ TEST(DenseRandom, SuccessiveDrawsDiffer)
     EXPECT_FALSE(u == v);
 }
 
+/// Elements in the smallest mapped buffer.
+constexpr Size kMapElems = kDenseMapBytes / kValueBytes;
+
+/// Elements in three huge pages, plus five.
+constexpr Size kHugeElems = 3 * (Size{2} << 20) / kValueBytes + 5;
+
 TEST(DenseFill, ExactAtBlockEdges)
 {
+    // Block edges, then the edges of mapped storage (whose zero
+    // construction skips the fill).
     for (Size n : {Size{0}, Size{1}, kDenseBlock - 1, kDenseBlock,
-                   kDenseBlock + 1, Size{1} << 22}) {
+                   kDenseBlock + 1, Size{1} << 22, kMapElems - 1, kMapElems,
+                   kMapElems + 1, kHugeElems}) {
         // A freed buffer of non-zeros first, so a small allocation that
         // reuses it would show a missed zero-fill.
         { DenseVector junk(n, 7.0f); }
@@ -167,7 +181,117 @@ TEST(DenseFill, ExactAtBlockEdges)
         DenseVector v(n, 2.5f);
         for (Size i = 0; i < n; ++i)
             ASSERT_EQ(v[i], 2.5f) << "n=" << n << " i=" << i;
+
+        const DenseMatrix a(n, 1, -3.0f);
+        const DenseVector neg(n, -0.0f);
+        for (Size i = 0; i < n; ++i) {
+            ASSERT_EQ(a(i, 0), -3.0f) << "n=" << n << " i=" << i;
+            ASSERT_TRUE(std::signbit(neg[i])) << "n=" << n << " i=" << i;
+        }
     }
+}
+
+TEST(DenseMapped, PredicateFollowsTheThreshold)
+{
+    EXPECT_FALSE(dense_storage_mapped((kMapElems - 1) * kValueBytes));
+    EXPECT_EQ(dense_storage_mapped(kMapElems * kValueBytes),
+              kDenseMapEnabled);
+    EXPECT_TRUE(dense_fill_needed((kMapElems - 1) * kValueBytes, 0.0f));
+    EXPECT_EQ(dense_fill_needed(kMapElems * kValueBytes, 0.0f),
+              !kDenseMapEnabled);
+    EXPECT_TRUE(dense_fill_needed(kMapElems * kValueBytes, 1.0f));
+    EXPECT_TRUE(dense_fill_needed(kMapElems * kValueBytes, -0.0f));
+}
+
+TEST(DenseMapped, BuffersAreHugePageAligned)
+{
+    if (!kDenseMapEnabled)
+        GTEST_SKIP() << "AddressSanitizer build: storage is never mapped";
+    for (Size n : {kMapElems, kMapElems + 1, kHugeElems}) {
+        const DenseVector v(n);
+        const DenseMatrix m(n / 16, 16, 1.0f);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % (2u << 20),
+                  0u) << n;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % (2u << 20),
+                  0u) << n;
+    }
+}
+
+TEST(DenseMapped, CopyMoveAndRandomKeepValues)
+{
+    const Size rows = kHugeElems / 16 + 1;
+    Rng rng(19);
+    const DenseMatrix a = DenseMatrix::random(rows, 16, rng);
+    Rng replay(19);
+    const std::uint64_t key = replay.next_u64();
+    for (Size i = 0; i < rows * 16; ++i)
+        ASSERT_EQ(a.data()[i], unit_float(splitmix64_at(key, i))) << i;
+
+    DenseMatrix copy(a);
+    EXPECT_TRUE(same_bits(copy, a));
+    DenseMatrix moved(std::move(copy));
+    EXPECT_TRUE(same_bits(moved, a));
+
+    DenseMatrix assigned(7, 3, 1.0f);
+    assigned = a;
+    EXPECT_TRUE(same_bits(assigned, a));
+    DenseMatrix& alias = assigned;
+    assigned = alias;
+    EXPECT_TRUE(same_bits(assigned, a));
+
+    DenseMatrix move_assigned;
+    move_assigned = std::move(moved);
+    EXPECT_TRUE(same_bits(move_assigned, a));
+
+    // Copy-assigning a smaller matrix into mapped storage, and back.
+    DenseMatrix small(3, 16, 0.5f);
+    assigned = small;
+    EXPECT_TRUE(same_bits(assigned, small));
+    assigned = a;
+    EXPECT_TRUE(same_bits(assigned, a));
+}
+
+/// Fields 1 (program size) and 2 (resident set) of /proc/self/statm, in
+/// pages.
+std::pair<long, long>
+statm_pages()
+{
+    std::ifstream in("/proc/self/statm");
+    long size = 0;
+    long resident = 0;
+    in >> size >> resident;
+    return {size, resident};
+}
+
+TEST(DenseMapped, RepeatedAllocationReturnsItsMemory)
+{
+    // The heap path is AddressSanitizer's, whose quarantine keeps freed
+    // memory resident by design.
+    if (!kDenseMapEnabled)
+        GTEST_SKIP() << "AddressSanitizer build: storage is never mapped";
+    // A 64 MiB matrix and a vector of 3 huge pages + 5 elements (its
+    // over-map has a tail to trim wherever the mapping lands), each with
+    // its first and last element touched: a short munmap shows in the
+    // resident set, a leaked over-map in the program size.
+    const Size rows = (Size{64} << 20) / kValueBytes / 16;
+    const auto cycle = [&] {
+        DenseMatrix m(rows, 16);
+        m(0, 0) = 1.0f;
+        m(rows - 1, 15) = 1.0f;
+        DenseVector v(kHugeElems);
+        v[0] = 1.0f;
+        v[kHugeElems - 1] = 1.0f;
+    };
+    cycle();
+    const auto [size0, resident0] = statm_pages();
+    ASSERT_GT(size0, 0);
+    for (int i = 0; i < 200; ++i)
+        cycle();
+    const auto [size1, resident1] = statm_pages();
+    // One leaked page per cycle is 200 pages.
+    const long bound = 64;
+    EXPECT_LT(size1 - size0, bound);
+    EXPECT_LT(resident1 - resident0, bound);
 }
 
 TEST(DenseLinalg, GramMatrixIsThreadCountInvariant)

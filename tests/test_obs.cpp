@@ -1,19 +1,22 @@
 // Tests for the instrumentation layer (src/obs): mode arming, span
 // recording/nesting/thread attribution, Chrome-trace export, the gated
-// model counters, trial delta accounting, the text report, and the
-// GPU-sim counter feed.
+// model counters, trial delta accounting, the text report, the
+// mapped-dense-storage counter and label, and the GPU-sim counter feed.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
+#include "core/dense.hpp"
 #include "gpusim/gpu_kernels.hpp"
 #include "gpusim/timing_model.hpp"
 #include "kernels/mttkrp.hpp"
@@ -363,6 +366,37 @@ TEST_F(ObsTest, KernelCountersMatchCostModel)
               static_cast<std::uint64_t>(x.order() * x.nnz() * rank));
     EXPECT_GT(snap.counter("mttkrp.bytes"), 0u);
     EXPECT_NE(snap.label("mttkrp.variant"), "");
+}
+
+TEST_F(ObsTest, MappedDenseStorageReportsBytesAndPageKind)
+{
+    // Off: a mapped allocation records nothing.
+    { DenseVector off(kDenseMapBytes / kValueBytes); }
+    EXPECT_EQ(snapshot_metrics().counter("dense.mapped_bytes"), 0u);
+
+    set_mode(TraceMode::kCounters);
+    { DenseVector below(kDenseMapBytes / kValueBytes - 1); }
+    EXPECT_EQ(snapshot_metrics().counter("dense.mapped_bytes"), 0u);
+    EXPECT_EQ(last_label("dense.pages"), "");
+
+    { DenseVector mapped(kDenseMapBytes / kValueBytes + 1); }
+    const MetricsSnapshot snap = snapshot_metrics();
+    if (!kDenseMapEnabled) {
+        EXPECT_EQ(snap.counter("dense.mapped_bytes"), 0u);
+        EXPECT_EQ(snap.label("dense.pages"), "");
+        return;
+    }
+    // The length is rounded up to the base page.
+    const std::uint64_t page = sysconf(_SC_PAGESIZE);
+    EXPECT_EQ(snap.counter("dense.mapped_bytes"),
+              (kDenseMapBytes + kValueBytes + page - 1) / page * page);
+    // "huge" exactly when the host offers transparent huge pages.
+    std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string mode;
+    std::getline(thp, mode);
+    const bool offered =
+        !mode.empty() && mode.find("[never]") == std::string::npos;
+    EXPECT_EQ(snap.label("dense.pages"), offered ? "huge" : "base");
 }
 
 TEST_F(ObsTest, GpusimCountersRecordLaunchesAndTraffic)
