@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <memory>
 #include <optional>
 
 #include "common/config.hpp"
@@ -57,16 +56,6 @@ options_from_env()
     options.scale = config::real("PASTA_SCALE");
     options.runs = static_cast<std::size_t>(config::integer("PASTA_RUNS"));
     options.cache_dir = config::text("PASTA_CACHE");
-    options.trial_policy = harness::TrialPolicy::from_env();
-    if (!config::is_set("PASTA_TRIAL_TIMEOUT") &&
-        config::text("PASTA_FAULT").find("hang") != std::string::npos) {
-        // An armed hang with no explicit watchdog would stall the suite
-        // forever; arm a generous default instead.
-        options.trial_policy.timeout_seconds = 60.0;
-        PASTA_LOG_WARN << "PASTA_FAULT has a hang rule and "
-                          "PASTA_TRIAL_TIMEOUT is unset; defaulting the "
-                          "watchdog to 60 s";
-    }
     options.journal_enabled = config::flag("PASTA_JOURNAL");
     return options;
 }
@@ -122,15 +111,19 @@ sibling(const CooTensor& x, std::uint64_t seed)
 }
 
 /// Per-tensor measurement context: everything the context builder and
-/// the trial bodies read, the input tensor included.  It is shared
-/// (shared_ptr) with every body and owns all of it because a timed-out
-/// body keeps running on the watchdog's detached worker after the suite
-/// has moved on, possibly after the caller freed its tensors.
+/// the trial bodies read.  It borrows the suite's tensor, which outlives
+/// every trial on it.
 struct TensorContext {
+    TensorContext(const NamedTensor& entry, const BenchOptions& options)
+        : id(entry.id), x(entry.tensor), rank(options.rank),
+          block_bits(options.block_bits)
+    {
+    }
+
     std::string id;
-    CooTensor x;                    ///< copy of the suite tensor
-    Size rank = 16;
-    unsigned block_bits = 7;
+    const CooTensor& x;             ///< the suite tensor
+    Size rank;
+    unsigned block_bits;
     CooTensor y;                    ///< TEW sibling
     HiCooTensor hx;                 ///< HiCOO form of x
     HiCooTensor hy;                 ///< HiCOO form of y
@@ -439,24 +432,6 @@ trial_variant(const obs::MetricsSnapshot& before,
     return isa;
 }
 
-/// Failure class recorded in the journal and failure CSVs: "" (ok),
-/// "timeout", "validation" (structural/differential check failed), "oom"
-/// (memory budget exhausted even after the degrade retry), or "error"
-/// (any other trial error).
-std::string
-failure_class(const harness::TrialResult& trial)
-{
-    if (trial.ok)
-        return "";
-    if (trial.timed_out)
-        return "timeout";
-    if (trial.validation)
-        return "validation";
-    if (trial.oom)
-        return "oom";
-    return "error";
-}
-
 /// Drives one suite on one backend: journal lookup, guarded execution,
 /// and partial-result bookkeeping for every (tensor, kernel, format)
 /// trial.
@@ -464,8 +439,7 @@ class SuiteRunner {
   public:
     SuiteRunner(const BenchOptions& options, const std::string& platform,
                 Executor exec)
-        : options_(options), policy_(options.trial_policy),
-          exec_(std::move(exec))
+        : policy_(options.trial_policy), exec_(std::move(exec))
     {
         if (options.journal_enabled && !options.journal_stem.empty() &&
             !options.cache_dir.empty())
@@ -503,25 +477,22 @@ class SuiteRunner {
     }
 
     /// Journal, then guarded execution of one cell on `ctx`.
-    void run_trial(const std::shared_ptr<const TensorContext>& ctx,
-                   const Cell& cell)
+    void run_trial(const TensorContext& ctx, const Cell& cell)
     {
-        if (restore(ctx->id, cell))
+        if (restore(ctx.id, cell))
             return;
         const char* kname = kernel_name(cell.kernel);
         const char* fname = format_name(cell.format);
         const std::string label =
-            std::string(kname) + "/" + fname + " on " + ctx->id;
-        const KernelCost cost = cell_cost(cell, *ctx);
-        // The body holds its own copies of all it reads, since the
-        // watchdog may abandon it still running.
-        auto body = [ctx, cell, exec = exec_] {
+            std::string(kname) + "/" + fname + " on " + ctx.id;
+        const KernelCost cost = cell_cost(cell, ctx);
+        auto body = [&] {
             harness::fault_point("kernel.run");
             const Size modes =
-                averaged_over_modes(cell.kernel) ? ctx->x.order() : 1;
+                averaged_over_modes(cell.kernel) ? ctx.x.order() : 1;
             double total = 0;
             for (Size mode = 0; mode < modes; ++mode)
-                total += cell.invoke(*ctx, mode, exec);
+                total += cell.invoke(ctx, mode, exec_);
             return total / static_cast<double>(modes);
         };
         // Counter deltas around the guarded trial give the trial's
@@ -539,18 +510,18 @@ class SuiteRunner {
             membudget::MemGovernor::instance().peak());
 
         harness::JournalEntry record;
-        record.tensor_id = ctx->id;
+        record.tensor_id = ctx.id;
         record.kernel = kname;
         record.format = fname;
         record.ok = trial.ok;
         record.seconds = trial.seconds;
         record.attempts = trial.attempts;
         record.error = trial.error;
-        record.failure_class = failure_class(trial);
+        record.failure_class = harness::failure_class(trial);
         record.mem_peak = mem_peak;
         if (trial.ok) {
             MeasuredRun run;
-            run.tensor_id = ctx->id;
+            run.tensor_id = ctx.id;
             run.kernel = cell.kernel;
             run.format = cell.format;
             run.seconds = trial.seconds;
@@ -572,9 +543,8 @@ class SuiteRunner {
             record.obs_bytes = run.obs_bytes;
             result_.runs.push_back(run);
         } else {
-            result_.failures.push_back({ctx->id, kname, fname, trial.error,
-                                        trial.timed_out, trial.attempts,
-                                        failure_class(trial)});
+            result_.failures.push_back({ctx.id, kname, fname, trial.error,
+                                        trial.attempts, record.failure_class});
         }
         journal_.append(record);
     }
@@ -592,36 +562,27 @@ class SuiteRunner {
         return true;
     }
 
-    /// Builds the per-tensor context under the same guard as trials.
-    /// Returns nullptr (and records a whole-tensor failure) on failure.
-    std::shared_ptr<const TensorContext>
-    make_context(const NamedTensor& entry)
+    /// Fills the per-tensor context under the same guard as trials.
+    /// Returns false (and records a whole-tensor failure) on failure.
+    bool build_context(TensorContext& ctx)
     {
-        auto ctx = std::make_shared<TensorContext>();
-        ctx->id = entry.id;
-        // Copied on this thread: the guarded build below may be abandoned
-        // and must never read the caller's tensor.
-        ctx->x = entry.tensor;
-        ctx->rank = options_.rank;
-        ctx->block_bits = options_.block_bits;
         const harness::TrialResult trial = harness::run_guarded_trial(
-            "context on " + entry.id,
-            [ctx] {
-                fill_context(*ctx);
+            "context on " + ctx.id,
+            [&] {
+                fill_context(ctx);
                 return 0.0;
             },
             policy_);
         if (trial.ok)
-            return ctx;
-        result_.failures.push_back({entry.id, "*", "*",
+            return true;
+        result_.failures.push_back({ctx.id, "*", "*",
                                     "context setup failed: " + trial.error,
-                                    trial.timed_out, trial.attempts,
-                                    failure_class(trial)});
-        return nullptr;
+                                    trial.attempts,
+                                    harness::failure_class(trial)});
+        return false;
     }
 
   private:
-    const BenchOptions& options_;
     harness::TrialPolicy policy_;
     Executor exec_;
     harness::RunJournal journal_;
@@ -646,9 +607,8 @@ run_suite(const std::vector<NamedTensor>& suite, const BenchOptions& options,
         }
         PASTA_LOG_INFO << platform << " suite: " << entry.id << " ("
                        << entry.tensor.describe() << ")";
-        const std::shared_ptr<const TensorContext> ctx =
-            runner.make_context(entry);
-        if (!ctx)
+        TensorContext ctx(entry, options);
+        if (!runner.build_context(ctx))
             continue;
         for (const Cell& cell : kCells)
             runner.run_trial(ctx, cell);
@@ -808,17 +768,16 @@ export_failures_csv(const std::string& path,
         PASTA_LOG_WARN << "cannot write CSV " << path;
         return;
     }
-    std::fprintf(f, "tensor,kernel,format,class,timed_out,attempts,"
-                    "error\n");
+    std::fprintf(f, "tensor,kernel,format,class,attempts,error\n");
     for (const auto& fail : failures) {
         std::string error = fail.error;
         for (auto& c : error)
             if (c == ',' || c == '\n')
                 c = ';';
-        std::fprintf(f, "%s,%s,%s,%s,%d,%d,%s\n", fail.tensor_id.c_str(),
+        std::fprintf(f, "%s,%s,%s,%s,%d,%s\n", fail.tensor_id.c_str(),
                      fail.kernel.c_str(), fail.format.c_str(),
-                     fail.failure_class.c_str(), fail.timed_out ? 1 : 0,
-                     fail.attempts, error.c_str());
+                     fail.failure_class.c_str(), fail.attempts,
+                     error.c_str());
     }
     std::fclose(f);
     PASTA_LOG_INFO << "wrote " << path;

@@ -11,10 +11,11 @@
 ///
 /// A full campaign is hundreds of trials per binary, so the suites run
 /// through the src/harness robustness layer: every (tensor, kernel,
-/// format) trial executes under a watchdog/retry guard
+/// format) trial executes inline under a retry guard
 /// (harness::run_guarded_trial), failures are collected instead of
 /// propagated, and completed trials are checkpointed to a JSONL journal
-/// under the cache dir so a killed run resumes where it left off.
+/// under the cache dir so a killed (or hung, then stopped) run resumes
+/// where it left off.
 #pragma once
 
 #include <string>
@@ -54,10 +55,9 @@ struct TrialFailure {
     std::string kernel;   ///< kernel_name() or "*" for a whole tensor
     std::string format;   ///< format_name() or "*"
     std::string error;
-    bool timed_out = false;
     int attempts = 0;
-    std::string failure_class;  ///< "timeout", "validation", "oom", or
-                                ///< "error"
+    std::string failure_class;  ///< harness::failure_class: "validation",
+                                ///< "oom", or "error"
 };
 
 /// Partial results of a suite: successful measurements plus a failure
@@ -77,7 +77,7 @@ std::vector<NamedTensor> load_suite(const BenchOptions& options);
 
 /// Measures all five kernels x {COO, HiCOO} on the host CPU for every
 /// tensor; one MeasuredRun per (tensor, kernel, format), times averaged
-/// over runs and modes.  Failed/hung trials land in `failures`.
+/// over runs and modes.  Failed trials land in `failures`.
 SuiteResult run_cpu_suite(const std::vector<NamedTensor>& suite,
                           const BenchOptions& options);
 
@@ -114,7 +114,7 @@ void export_csv(const std::string& path,
                 const MachineSpec& platform);
 
 /// Writes the failure summary as CSV (tensor, kernel, format, class,
-/// timed_out, attempts, error), where class is "timeout", "validation",
+/// attempts, error), where class is harness::failure_class: "validation",
 /// "oom", or "error".
 void export_failures_csv(const std::string& path,
                          const std::vector<TrialFailure>& failures);

@@ -20,7 +20,6 @@
 ///   PASTA_OOCORE_DATASET  Table II id/name to synthesize (default "s1")
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 
 #include "bench_common.hpp"
@@ -77,8 +76,7 @@ journal_progress(harness::RunJournal& journal, const std::string& id,
 void
 run_oocore_trial(harness::RunJournal& journal,
                  const harness::TrialPolicy& policy, const std::string& id,
-                 const char* kernel,
-                 const std::shared_ptr<stream::StreamDecision>& decision,
+                 const char* kernel, const stream::StreamDecision& decision,
                  std::vector<OocoreRow>& rows,
                  const std::function<double()>& body)
 {
@@ -106,19 +104,16 @@ run_oocore_trial(harness::RunJournal& journal,
     entry.seconds = trial.seconds;
     entry.attempts = trial.attempts;
     entry.error = trial.error;
-    entry.failure_class = trial.ok          ? ""
-                          : trial.timed_out ? "timeout"
-                          : trial.oom       ? "oom"
-                                            : "error";
-    entry.variant = decision->variant;
+    entry.failure_class = harness::failure_class(trial);
+    entry.variant = decision.variant;
     entry.mem_peak = mem_peak;
     entry.partitions_done =
-        static_cast<int>(trial.ok ? decision->partitions : 0);
-    entry.partitions_total = static_cast<int>(decision->partitions);
+        static_cast<int>(trial.ok ? decision.partitions : 0);
+    entry.partitions_total = static_cast<int>(decision.partitions);
     journal.append(entry);
 
-    rows.push_back({kernel, decision->variant, decision->partitions,
-                    decision->resumed_from, trial.seconds, mem_peak,
+    rows.push_back({kernel, decision.variant, decision.partitions,
+                    decision.resumed_from, trial.seconds, mem_peak,
                     trial.ok ? "ok" : entry.failure_class});
 }
 
@@ -168,10 +163,9 @@ main()
 
     // ---- MTTKRP (mode 0), checkpointed per partition ----
     {
-        auto decision = std::make_shared<stream::StreamDecision>();
+        stream::StreamDecision decision;
         run_oocore_trial(
-            journal, policy, id, "MTTKRP", decision, rows,
-            [&, decision] {
+            journal, policy, id, "MTTKRP", decision, rows, [&] {
                 Rng rng(23);
                 std::vector<DenseMatrix> mats;
                 for (Size m = 0; m < mapped.order(); ++m)
@@ -188,8 +182,8 @@ main()
                 };
                 Timer timer;
                 timer.start();
-                *decision = stream::mttkrp_coo_budgeted(mapped, factors, 0,
-                                                        out, sopts);
+                decision = stream::mttkrp_coo_budgeted(mapped, factors, 0,
+                                                       out, sopts);
                 return timer.elapsed_seconds();
             });
         // The sweep finished; the next run must start fresh.
@@ -198,9 +192,9 @@ main()
 
     // ---- TTV (contract the last mode) ----
     {
-        auto decision = std::make_shared<stream::StreamDecision>();
+        stream::StreamDecision decision;
         run_oocore_trial(
-            journal, policy, id, "TTV", decision, rows, [&, decision] {
+            journal, policy, id, "TTV", decision, rows, [&] {
                 const Size mode = mapped.order() - 1;
                 Rng rng(31);
                 DenseVector v = DenseVector::random(mapped.dim(mode), rng);
@@ -211,7 +205,7 @@ main()
                 };
                 Timer timer;
                 timer.start();
-                *decision =
+                decision =
                     stream::ttv_coo_budgeted(mapped, v, mode, out, sopts);
                 return timer.elapsed_seconds();
             });
@@ -219,18 +213,17 @@ main()
 
     // ---- Streamed coalesce to a fresh PSTB v3 file ----
     {
-        auto decision = std::make_shared<stream::StreamDecision>();
+        stream::StreamDecision decision;
         const std::string out_path = stem + ".coalesced.pstb";
         run_oocore_trial(
-            journal, policy, id, "COALESCE", decision, rows,
-            [&, decision, out_path] {
+            journal, policy, id, "COALESCE", decision, rows, [&] {
                 stream::StreamOptions sopts;
                 sopts.progress = [&](Size done, Size total) {
                     journal_progress(journal, id, "COALESCE", done, total);
                 };
                 Timer timer;
                 timer.start();
-                *decision =
+                decision =
                     stream::coalesce_budgeted(mapped, out_path, sopts);
                 return timer.elapsed_seconds();
             });

@@ -2,9 +2,7 @@
 # Builds the suite with sanitizers and runs the tier-1 tests under them.
 #
 # Default (address,undefined): every test, then a second pass with
-# PASTA_VALIDATE=full.  The robustness harness detaches worker threads on
-# watchdog timeout by design, so LSAN's exit-time leak check is told to
-# ignore still-running detached workers' allocations.
+# PASTA_VALIDATE=full.
 #
 # thread: ThreadSanitizer over the tests that exercise the lock-free and
 # multi-threaded code — the telemetry registry (CAS-installed histogram
@@ -12,9 +10,10 @@
 # scheduler's Chase-Lev deques and plan cache, the parallel runtime, and
 # the block-parallel dense layer:
 #   test_obs test_metrics test_serve test_common test_dense
-# plus, with one OpenMP thread, the trial watchdog's hand-off to the
-# worker it abandons on timeout (AttemptState and the detached
-# std::thread, still running after the suite returns):
+# plus, with one OpenMP thread, the suite driver end to end: every
+# kernel's counter and memory-governor updates, the guarded trials (run
+# inline on the calling thread) and the journal, so a thread the driver
+# or a kernel starts outside OpenMP is checked:
 #   test_bench_common
 # Only those targets are built, and the PASTA_VALIDATE=full pass is
 # skipped (it re-checks kernel results, not concurrency).  libgomp is

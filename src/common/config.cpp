@@ -35,11 +35,6 @@ const Knob kKnobs[] = {
      .doc = "directory for <figure>.csv exports; unset = none"},
     {.name = "PASTA_JOURNAL", .kind = K::kFlag, .fallback = "1",
      .doc = "checkpoint/resume journaling"},
-    {.name = "PASTA_TRIAL_TIMEOUT", .kind = K::kReal, .fallback = "0",
-     .lo = 0, .hi = 1e6,
-     .doc = "watchdog seconds per attempt; 0 = inline, no watchdog"},
-    {.name = "PASTA_TRIAL_RETRIES", .kind = K::kInt, .fallback = "3",
-     .lo = 1, .hi = 100, .doc = "attempts per trial"},
     {.name = "PASTA_FAULT", .kind = K::kText, .fallback = "",
      .doc = "fault rules point:action[:p][@N],...; unset = none"},
     {.name = "PASTA_FAULT_SEED", .kind = K::kInt, .fallback = "42",

@@ -30,9 +30,9 @@ class Timer {
     Clock::time_point begin_{Clock::now()};
 };
 
-/// Monotonic deadline built on the same steady clock as Timer; the
-/// harness watchdog and fault-injection hangs use it so wall-clock
-/// adjustments can never extend (or cut short) a timeout.
+/// Monotonic deadline built on the same steady clock as Timer;
+/// fault-injection hangs use it so wall-clock adjustments can never
+/// extend (or cut short) a stall.
 class Deadline {
   public:
     /// A deadline `seconds` from now; non-positive means already expired.

@@ -2,12 +2,12 @@
 /// Deterministic fault injection for the benchmark harness.
 ///
 /// Long suite campaigns fail partially, not atomically: a corrupt cache
-/// entry, an OOM during factor allocation, or one hung kernel must not
-/// discard hundreds of completed measurements.  Every guard the harness
-/// grows (retry, watchdog, cache regeneration) is only trustworthy if it
-/// can be exercised, so production code is instrumented with *named
-/// injection points* that are zero-cost no-ops unless a fault spec is
-/// active:
+/// entry, an OOM during factor allocation, or one failing kernel must
+/// not discard hundreds of completed measurements.  Every guard the
+/// harness grows (retry, OOM degradation, cache regeneration) is only
+/// trustworthy if it can be exercised, so production code is instrumented
+/// with *named injection points* that are zero-cost no-ops unless a fault
+/// spec is active:
 ///
 ///   io.read     entering a tensor file read (.tns / .pstb)
 ///   cache.load  entering a .pasta_cache lookup in TensorRegistry
@@ -21,8 +21,9 @@
 ///   PASTA_FAULT=io.read:throw:0.1,kernel.run:hang@3
 ///
 /// Each rule is `point:action[:probability][@N]`.  Actions: `throw`
-/// (PastaError), `oom` (std::bad_alloc), `hang` (sleep past any sane
-/// watchdog; FaultRule::hang_seconds, 30 s by default).  A
+/// (PastaError), `oom` (std::bad_alloc), `hang` (a plain stall of
+/// FaultRule::hang_seconds, 30 s by default, after which the point
+/// returns normally; nothing interrupts it).  A
 /// `:p` suffix fires with probability p from a SplitMix64 stream seeded
 /// by $PASTA_FAULT_SEED (default 42) — deterministic across reruns —
 /// while `@N` fires on exactly the Nth hit of that point.  With neither,

@@ -35,7 +35,8 @@ struct JournalEntry {
     double bytes = 0;
     int attempts = 0;
     std::string error;
-    /// Failure class: "" (success), "error", "timeout", or "validation".
+    /// Failure class: "" (success), "error", "oom", or "validation"
+    /// (harness::failure_class); bench_oocore adds "progress" lines.
     /// Serialized as the optional "class" field; absent in pre-PR-2
     /// journals, which parse as "".
     std::string failure_class;

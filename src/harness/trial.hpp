@@ -1,16 +1,14 @@
 /// \file
 /// Guarded trial execution: one (tensor, kernel, format, mode) benchmark
-/// trial runs under a monotonic watchdog timeout and a capped-backoff
-/// retry loop, and failure comes back as data instead of unwinding the
-/// whole suite.
+/// trial runs inline on the calling thread under a capped-backoff retry
+/// loop, and failure comes back as data instead of unwinding the whole
+/// suite.
 ///
 /// Contract for the trial body: it returns the measured seconds for the
 /// trial and may throw PastaError / std::bad_alloc (both treated as
 /// transient and retried) or any std::exception (reported, retried).
-/// When a watchdog is armed the body runs on a worker thread; if the
-/// deadline passes, the attempt is abandoned — the worker is detached
-/// and may still be running — so the body must only touch state it owns
-/// or shares via shared_ptr, never references to the caller's stack.
+/// A body that never returns stalls the run; nothing here can stop it,
+/// so the remedy is to stop the process and resume from the journal.
 #pragma once
 
 #include <functional>
@@ -18,23 +16,16 @@
 
 namespace pasta::harness {
 
-/// Retry/timeout policy for guarded trials.
+/// Retry policy for guarded trials.
 struct TrialPolicy {
-    double timeout_seconds = 0.0;  ///< 0 = no watchdog, run inline
     int max_attempts = 3;
     double backoff_initial_s = 0.05;  ///< sleep before the 2nd attempt
     double backoff_max_s = 2.0;       ///< exponential backoff cap
-
-    /// Policy from PASTA_TRIAL_TIMEOUT / PASTA_TRIAL_RETRIES; malformed
-    /// values throw PastaError.
-    static TrialPolicy from_env();
 };
 
 /// Structured outcome of one guarded trial.
 struct TrialResult {
     bool ok = false;        ///< trial produced a measurement
-    bool skipped = false;   ///< abandoned: timed out or retries exhausted
-    bool timed_out = false; ///< skipped specifically by the watchdog
     bool validation = false; ///< failed a structural/differential check
     bool oom = false;       ///< last failure was a membudget::HostOomError
     std::string error;      ///< last failure message when !ok
@@ -43,11 +34,10 @@ struct TrialResult {
 };
 
 /// Runs `body` under `policy`.  Never throws for trial failures; the
-/// returned TrialResult carries success or the last error.  A watchdog
-/// timeout is terminal (no retry — a hung kernel will hang again), and so
-/// is a validate::ValidationError (deterministic: the same wrong answer
-/// would come back on every retry); other thrown errors are retried with
-/// capped exponential backoff.
+/// returned TrialResult carries success or the last error.  A
+/// validate::ValidationError is terminal (deterministic: the same wrong
+/// answer would come back on every retry); other thrown errors are
+/// retried with capped exponential backoff.
 ///
 /// membudget::HostOomError is *degradable*: before the retry the governor
 /// is switched to degraded mode, so budget-aware paths (the stream
@@ -57,5 +47,11 @@ struct TrialResult {
 TrialResult run_guarded_trial(const std::string& label,
                               const std::function<double()>& body,
                               const TrialPolicy& policy);
+
+/// Failure class recorded in the journal and failure CSVs: "" (ok),
+/// "validation" (structural/differential check failed), "oom" (memory
+/// budget exhausted even after the degrade retry), or "error" (any other
+/// trial error).
+std::string failure_class(const TrialResult& trial);
 
 }  // namespace pasta::harness

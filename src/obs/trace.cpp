@@ -104,7 +104,7 @@ local_buffer()
 }
 
 /// Nanoseconds since the process trace epoch (first call), on the same
-/// steady clock as the harness watchdog.
+/// steady clock as Timer.
 std::uint64_t
 now_ns()
 {

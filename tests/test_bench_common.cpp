@@ -1,16 +1,13 @@
 // Tests for the bench harness plumbing: option parsing (including the
 // strict env validation), suite loading, the CPU/GPU measurement
 // pipelines at tiny scale, and the robustness layer wiring: fault-driven
-// partial results, retry recovery, watchdog timeouts, journal
-// checkpoint/resume (each on the CPU and the simulated GPU), and the
-// Table I cost each backend reports.
+// partial results, retry recovery, journal checkpoint/resume (each on the
+// CPU and the simulated GPU), and the Table I cost each backend reports.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "analysis/cost_model.hpp"
 #include "bench_common.hpp"
@@ -68,30 +65,6 @@ TEST(BenchOptions, MalformedRunsRejected)
         EXPECT_THROW(options_from_env(), PastaError) << "'" << bad << "'";
     }
     ::unsetenv("PASTA_RUNS");
-}
-
-TEST(BenchOptions, MalformedTrialPolicyRejected)
-{
-    ::setenv("PASTA_TRIAL_TIMEOUT", "soon", 1);
-    EXPECT_THROW(options_from_env(), PastaError);
-    ::setenv("PASTA_TRIAL_TIMEOUT", "-5", 1);
-    EXPECT_THROW(options_from_env(), PastaError);
-    ::unsetenv("PASTA_TRIAL_TIMEOUT");
-    ::setenv("PASTA_TRIAL_RETRIES", "0", 1);
-    EXPECT_THROW(options_from_env(), PastaError);
-    ::unsetenv("PASTA_TRIAL_RETRIES");
-    const BenchOptions options = options_from_env();
-    EXPECT_EQ(options.trial_policy.max_attempts, 3);
-}
-
-TEST(BenchOptions, HangFaultArmsDefaultWatchdog)
-{
-    FaultGuard guard;
-    ::setenv("PASTA_FAULT", "kernel.run:hang@99999", 1);
-    ::unsetenv("PASTA_TRIAL_TIMEOUT");
-    const BenchOptions options = options_from_env();
-    EXPECT_GT(options.trial_policy.timeout_seconds, 0.0);
-    ::unsetenv("PASTA_FAULT");
 }
 
 class SuitePipeline : public ::testing::Test {
@@ -208,7 +181,7 @@ TEST_P(SuiteBackend, InjectedKernelFaultsYieldPartialResults)
     EXPECT_EQ(result.runs.size(), 0u);
     EXPECT_EQ(result.failures.size(), 20u);
     for (const auto& f : result.failures) {
-        EXPECT_FALSE(f.timed_out);
+        EXPECT_EQ(f.failure_class, "error");
         EXPECT_NE(f.error.find("injected fault"), std::string::npos);
     }
     // Partial rendering must not crash on fully-missing series.
@@ -328,72 +301,6 @@ TEST_P(SuiteBackend, JournalResumeRetriesFailedTrials)
     fs::remove_all(dir);
 }
 
-// The two tests below abandon a hung body on the watchdog, return from
-// the suite, free the caller's tensors, and sleep until the detached
-// worker has woken and finished: everything it reads must be owned by
-// the suite, never borrowed from the caller.  Besides the hung body,
-// at most the context build of one small tensor runs under the
-// watchdog, so a slow, loaded or sanitized build does not trip it.
-
-TEST_P(SuiteBackend, TimedOutTrialOutlivesTheCallersSuite)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "pasta_timeout_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    options_.cache_dir = dir.string();
-    options_.journal_stem = "timeout_test";
-    options_.trial_policy.max_attempts = 1;
-    FaultGuard guard;
-    SuiteResult result;
-    {
-        const std::vector<NamedTensor> one(suite_.begin(),
-                                           suite_.begin() + 1);
-        // Journal nine cells; the last one (MTTKRP/HiCOO) fails, so the
-        // rerun measures only that cell.
-        harness::FaultInjector::instance().configure(
-            harness::parse_fault_spec("kernel.run:throw@10"), 7);
-        ASSERT_EQ(run(one).failures.size(), 1u);
-        harness::FaultSpec spec =
-            harness::parse_fault_spec("kernel.run:hang@1");
-        spec.rules[0].hang_seconds = 1.4;
-        harness::FaultInjector::instance().configure(spec, 7);
-        options_.trial_policy.timeout_seconds = 1.0;
-        result = run(one);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(700));
-    ASSERT_EQ(result.failures.size(), 1u);
-    EXPECT_EQ(result.failures[0].kernel, "MTTKRP");
-    EXPECT_EQ(result.failures[0].format, "HiCOO");
-    EXPECT_TRUE(result.failures[0].timed_out);
-    EXPECT_EQ(result.failures[0].failure_class, "timeout");
-    EXPECT_EQ(result.runs.size(), 9u);
-    EXPECT_EQ(result.resumed, 9u);
-    fs::remove_all(dir);
-}
-
-TEST_P(SuiteBackend, TimedOutContextBuildOutlivesTheCallersSuite)
-{
-    FaultGuard guard;
-    harness::FaultSpec spec = harness::parse_fault_spec("alloc:hang@1");
-    spec.rules[0].hang_seconds = 0.25;
-    harness::FaultInjector::instance().configure(spec, 7);
-    options_.trial_policy.timeout_seconds = 0.05;
-    options_.trial_policy.max_attempts = 1;
-    SuiteResult result;
-    {
-        const std::vector<NamedTensor> one(suite_.begin(),
-                                           suite_.begin() + 1);
-        result = run(one);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    EXPECT_EQ(result.runs.size(), 0u);
-    ASSERT_EQ(result.failures.size(), 1u);
-    EXPECT_EQ(result.failures[0].kernel, "*");
-    EXPECT_TRUE(result.failures[0].timed_out);
-    EXPECT_EQ(result.failures[0].failure_class, "timeout");
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Backends, SuiteBackend,
     ::testing::Values(Backend::kCpu, Backend::kGpuV100),
@@ -479,18 +386,16 @@ TEST(CsvEnv, SuiteResultExportWritesFailuresCsv)
     ::setenv("PASTA_CSV_DIR", dir.c_str(), 1);
     SuiteResult result;
     result.failures.push_back({"r1", "TTV", "COO",
-                               "injected fault, with comma", true, 2,
-                               "timeout"});
+                               "injected fault, with comma", 2, "error"});
     maybe_export_csv("faulty", result, bluesky());
     EXPECT_TRUE(fs::exists(dir / "faulty.csv"));
     ASSERT_TRUE(fs::exists(dir / "faulty_failures.csv"));
     std::ifstream in(dir / "faulty_failures.csv");
     std::string header, row;
     std::getline(in, header);
-    EXPECT_EQ(header,
-              "tensor,kernel,format,class,timed_out,attempts,error");
+    EXPECT_EQ(header, "tensor,kernel,format,class,attempts,error");
     std::getline(in, row);
-    EXPECT_NE(row.find("r1,TTV,COO,timeout,1,2"), std::string::npos);
+    EXPECT_EQ(row, "r1,TTV,COO,error,2,injected fault; with comma");
     ::unsetenv("PASTA_CSV_DIR");
     fs::remove_all(dir);
 }

@@ -28,7 +28,6 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "harness/fault.hpp"
-#include "harness/trial.hpp"
 #include "serve/job.hpp"
 
 namespace pasta {
@@ -452,9 +451,13 @@ TEST(Config, UnknownNamesAreRejectedByName)
 {
     ScopedEnv typo("PASTA_VALIDTE", "full");
     ScopedEnv other("PASTA_THREADS", "3");
+    // Retired knobs: a stale export must fail, not be silently ignored.
+    ScopedEnv timeout("PASTA_TRIAL_TIMEOUT", "1");
+    ScopedEnv retries("PASTA_TRIAL_RETRIES", "3");
     const std::string error = error_of(bench::options_from_env);
-    EXPECT_NE(error.find("PASTA_VALIDTE"), std::string::npos) << error;
-    EXPECT_NE(error.find("PASTA_THREADS"), std::string::npos) << error;
+    for (const char* name : {"PASTA_VALIDTE", "PASTA_THREADS",
+                             "PASTA_TRIAL_TIMEOUT", "PASTA_TRIAL_RETRIES"})
+        EXPECT_NE(error.find(name), std::string::npos) << error;
 }
 
 TEST(Config, EveryKnobDefaultsWhenUnsetAndRejectsBadValues)
@@ -509,10 +512,6 @@ TEST(Config, TableDefaultsMatchTheOptionStructs)
     EXPECT_EQ(bench.runs, bench::BenchOptions{}.runs);
     EXPECT_EQ(bench.cache_dir, bench::BenchOptions{}.cache_dir);
     EXPECT_EQ(bench.journal_enabled, bench::BenchOptions{}.journal_enabled);
-
-    const harness::TrialPolicy policy = harness::TrialPolicy::from_env();
-    EXPECT_EQ(policy.timeout_seconds, harness::TrialPolicy{}.timeout_seconds);
-    EXPECT_EQ(policy.max_attempts, harness::TrialPolicy{}.max_attempts);
 
     const serve::ServeOptions serve = serve::ServeOptions::from_env();
     EXPECT_EQ(serve.workers, serve::ServeOptions{}.workers);

@@ -1,25 +1,27 @@
 // Tests for the robustness harness itself: fault-spec parsing and
-// deterministic injection, guarded trial retry/timeout semantics, the
+// deterministic injection, guarded trial retry/classification, the
 // JSONL run journal (including torn-line tolerance), and corrupt-cache
 // regeneration through TensorRegistry.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/membudget.hpp"
 #include "common/timer.hpp"
 #include "harness/fault.hpp"
 #include "harness/journal.hpp"
 #include "harness/trial.hpp"
 #include "io/binary_io.hpp"
 #include "io/registry.hpp"
+#include "validate/validate.hpp"
 
 namespace pasta::harness {
 namespace {
@@ -169,7 +171,6 @@ TEST(GuardedTrial, SuccessfulBodyReportsSeconds)
     const TrialResult r =
         run_guarded_trial("ok", [] { return 0.125; }, policy);
     EXPECT_TRUE(r.ok);
-    EXPECT_FALSE(r.skipped);
     EXPECT_EQ(r.attempts, 1);
     EXPECT_DOUBLE_EQ(r.seconds, 0.125);
 }
@@ -207,8 +208,6 @@ TEST(GuardedTrial, ExhaustedRetriesReportLastError)
         },
         policy);
     EXPECT_FALSE(r.ok);
-    EXPECT_TRUE(r.skipped);
-    EXPECT_FALSE(r.timed_out);
     EXPECT_EQ(r.attempts, 2);
     EXPECT_EQ(calls, 2);
     EXPECT_NE(r.error.find("permanent failure"), std::string::npos);
@@ -232,40 +231,39 @@ TEST(GuardedTrial, BadAllocIsCaughtAndRetried)
     EXPECT_EQ(r.attempts, 2);
 }
 
-TEST(GuardedTrial, WatchdogMarksHungTrialSkipped)
+TEST(GuardedTrial, EachFailureKindMapsToItsClass)
 {
     TrialPolicy policy;
-    policy.timeout_seconds = 0.2;
-    policy.max_attempts = 3;  // timeout must be terminal regardless
-    Timer timer;
-    timer.start();
-    const TrialResult r = run_guarded_trial(
-        "hung",
-        []() -> double {
-            // Sleep well past the watchdog; runs on a detached worker.
-            Deadline deadline(2.0);
-            while (!deadline.expired())
-                std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            return 0.0;
-        },
-        policy);
-    const double waited = timer.elapsed_seconds();
-    EXPECT_FALSE(r.ok);
-    EXPECT_TRUE(r.skipped);
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_EQ(r.attempts, 1);  // no retry after a timeout
-    EXPECT_LT(waited, 1.5);    // returned before the body finished
-}
-
-TEST(GuardedTrial, WatchdogPassesFastTrialsThrough)
-{
-    TrialPolicy policy;
-    policy.timeout_seconds = 5.0;
-    const TrialResult r =
-        run_guarded_trial("fast", [] { return 0.5; }, policy);
-    EXPECT_TRUE(r.ok);
-    EXPECT_FALSE(r.timed_out);
-    EXPECT_DOUBLE_EQ(r.seconds, 0.5);
+    policy.max_attempts = 2;
+    policy.backoff_initial_s = 0.0;
+    policy.backoff_max_s = 0.0;
+    struct Case {
+        const char* name;
+        std::function<double()> body;
+        std::string klass;
+        int attempts;
+    };
+    const Case cases[] = {
+        {"success", [] { return 1.0; }, "", 1},
+        // Validation is terminal: the same wrong answer would come back.
+        {"validation",
+         []() -> double { throw validate::ValidationError("bad answer"); },
+         "validation", 1},
+        {"host oom",
+         []() -> double { throw membudget::HostOomError("over budget"); },
+         "oom", 2},
+        {"bad_alloc", []() -> double { throw std::bad_alloc(); }, "oom", 2},
+        {"error", []() -> double { throw PastaError("broken"); }, "error",
+         2},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const TrialResult r = run_guarded_trial(c.name, c.body, policy);
+        EXPECT_EQ(failure_class(r), c.klass);
+        EXPECT_EQ(r.ok, c.klass.empty());
+        EXPECT_EQ(r.attempts, c.attempts);
+    }
+    membudget::MemGovernor::instance().set_degraded(false);
 }
 
 // ---------------------------------------------------------------------

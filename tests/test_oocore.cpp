@@ -724,7 +724,6 @@ TEST_F(Oocore, BudgetedEntryPointsRouteByBudget)
 TEST_F(Oocore, TrialHarnessDegradesOnHostOom)
 {
     harness::TrialPolicy policy;
-    policy.timeout_seconds = 0;
     policy.max_attempts = 3;
     policy.backoff_initial_s = 0.0;
     policy.backoff_max_s = 0.0;
