@@ -3,7 +3,7 @@
 ///   1. HiCOO block size B sweep (storage + MTTKRP time; paper fixes 128),
 ///   2. gHiCOO: compressing vs. not compressing the product mode for TTV,
 ///   3. COO sort order (lexicographic vs. Morton) effect on MTTKRP,
-///   4. MTTKRP parallel schedule (static/dynamic/guided).
+///   4. MTTKRP output protection (atomic/privatized/sequential).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -95,37 +95,17 @@ ablate_sort_order(const CooTensor& x, const FactorList& factors, Size rank,
 }
 
 void
-ablate_schedule(const CooTensor& x, const FactorList& factors, Size rank,
-                Size runs)
-{
-    std::printf("\n== Ablation 4: OpenMP schedule for COO-MTTKRP ==\n");
-    std::printf("%-10s %14s\n", "schedule", "MTTKRP ms");
-    DenseMatrix out(x.dim(0), rank);
-    const struct {
-        const char* name;
-        Schedule schedule;
-    } schedules[] = {{"static", Schedule::kStatic},
-                     {"dynamic", Schedule::kDynamic},
-                     {"guided", Schedule::kGuided}};
-    for (const auto& s : schedules) {
-        const RunStats t = timed_runs(
-            [&] { mttkrp_coo(x, factors, 0, out, s.schedule); }, runs);
-        std::printf("%-10s %14.3f\n", s.name, t.mean_seconds * 1e3);
-    }
-}
-
-void
 ablate_output_protection(const CooTensor& x, const FactorList& factors,
                          Size rank, Size runs)
 {
     // §III-D: the reference suite uses atomics and skips privatization;
     // quantify what that choice costs (or saves).
-    std::printf("\n== Ablation 5: MTTKRP output protection ==\n");
+    std::printf("\n== Ablation 4: MTTKRP output protection ==\n");
     std::printf("%-14s %14s\n", "strategy", "MTTKRP ms");
     DenseMatrix out(x.dim(0), rank);
     {
         const RunStats t = timed_runs(
-            [&] { mttkrp_coo(x, factors, 0, out); }, runs);
+            [&] { mttkrp_coo_atomic(x, factors, 0, out); }, runs);
         std::printf("%-14s %14.3f\n", "atomic", t.mean_seconds * 1e3);
     }
     {
@@ -164,7 +144,6 @@ main()
     ablate_block_size(x, factors, options.rank, options.runs);
     ablate_ghicoo_mode_choice(x, options.runs, options.block_bits);
     ablate_sort_order(x, factors, options.rank, options.runs);
-    ablate_schedule(x, factors, options.rank, options.runs);
     ablate_output_protection(x, factors, options.rank, options.runs);
     return 0;
 }

@@ -41,13 +41,12 @@ options_from_env()
     // Arm the memory governor ($PASTA_MEM_BYTES) before the first large
     // allocation so bounded-memory campaigns degrade instead of dying.
     membudget::MemGovernor::instance().configure_from_env();
-    // Parse PASTA_VALIDATE, PASTA_TRACE, and the SIMD dispatch knobs up
+    // Parse PASTA_VALIDATE, PASTA_TRACE, and the SIMD dispatch knob up
     // front so a malformed value fails the run immediately instead of
     // being classified (and retried) as a per-trial failure.
     (void)validate::current_mode();
     (void)obs::current_mode();
     (void)simd::active_isa();
-    (void)simd::prefetch_distance();
     // Arm the live metrics heartbeat ($PASTA_METRICS=<path>[,interval_ms])
     // so long bench runs are tailable mid-flight; a no-op when unset.
     (void)obs::arm_from_env("bench");

@@ -19,14 +19,14 @@
 #   build-dir  defaults to build
 #
 # Environment:
-#   PASTA_OOCORE_BUDGET  byte budget to arm (default 100000, below the
-#                        ~176 KB footprint of s1 at the default scale)
+#   OOCORE_BUDGET  byte budget to arm (default 100000, below the
+#                  ~176 KB footprint of s1 at the default scale)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
-BUDGET="${PASTA_OOCORE_BUDGET:-100000}"
+BUDGET="${OOCORE_BUDGET:-100000}"
 if [[ ! -x "${BUILD_DIR}/bench/bench_oocore" ]]; then
     cmake -B "${BUILD_DIR}" -S .
     cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_oocore

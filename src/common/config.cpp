@@ -62,15 +62,9 @@ const Knob kKnobs[] = {
     {.name = "PASTA_SIMD", .kind = K::kChoice, .fallback = "auto",
      .words = "auto|avx512|avx2|scalar",
      .doc = "rank-loop micro-kernel ISA; auto = widest supported"},
-    {.name = "PASTA_SIMD_PREFETCH", .kind = K::kInt, .fallback = "8",
-     .lo = 0, .hi = 4096,
-     .doc = "software-prefetch distance in non-zeros; 0 = off"},
     // Out-of-core driver (bench_oocore, scripts/check_oocore.sh).
     {.name = "PASTA_OOCORE_DATASET", .kind = K::kText, .fallback = "s1",
      .doc = "Table II id bench_oocore synthesizes"},
-    {.name = "PASTA_OOCORE_BUDGET", .kind = K::kBytes,
-     .fallback = "100000",
-     .doc = "PASTA_MEM_BYTES scripts/check_oocore.sh arms"},
     // Serving (src/serve, bench_serving).
     {.name = "PASTA_SERVE_WORKERS", .kind = K::kInt, .fallback = "0",
      .lo = 0, .hi = 4096,

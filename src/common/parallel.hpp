@@ -1,13 +1,14 @@
 /// \file
 /// Zero-overhead parallel runtime over OpenMP.
 ///
-/// The paper's CPU kernels are OpenMP-parallel with configurable schedules
-/// (§V-A2).  This layer is a set of header-only templates: each entry point
-/// takes its callable by value as a template parameter, so the body inlines
-/// into the OpenMP loop and the hot path compiles down to a plain
-/// `#pragma omp parallel for` — no type-erased dispatch per index.  The
-/// scheduling decision stays explicit at each call site, and tests can pin
-/// the thread count for deterministic runs.
+/// The paper's CPU kernels are OpenMP-parallel (§V-A2).  This layer is a
+/// set of header-only templates: each entry point takes its callable by
+/// value as a template parameter, so the body inlines into the OpenMP
+/// loop and the hot path compiles down to a plain
+/// `#pragma omp parallel for` — no type-erased dispatch per index.  Each
+/// kernel names its schedule at its own parallel_for call (callers of a
+/// kernel cannot change it), and tests can pin the thread count for
+/// deterministic runs.
 #pragma once
 
 #include <omp.h>
@@ -19,8 +20,9 @@
 
 namespace pasta {
 
-/// OpenMP loop schedule choices used by the kernels.
-enum class Schedule { kStatic, kDynamic, kGuided };
+/// OpenMP loop schedule of one parallel_for call: static for uniform
+/// work, dynamic for skewed work (fibers, blocks, tree roots).
+enum class Schedule { kStatic, kDynamic };
 
 /// Returns the number of threads parallel_for will use.  Three guards
 /// stack on top of the OpenMP default: the process-wide override
@@ -102,11 +104,6 @@ parallel_for(Size begin, Size end, Schedule schedule, Body body,
             for (long long i = b; i < e; ++i)
                 body(static_cast<Size>(i));
         }
-        break;
-      case Schedule::kGuided:
-#pragma omp parallel for num_threads(nt) schedule(guided)
-        for (long long i = b; i < e; ++i)
-            body(static_cast<Size>(i));
         break;
     }
 }

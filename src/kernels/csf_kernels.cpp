@@ -1,10 +1,8 @@
 #include "kernels/csf_kernels.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/counters.hpp"
 #include "simd/microkernels.hpp"
 
 namespace pasta {
@@ -22,8 +20,7 @@ namespace {
 void
 accumulate_subtree(const CsfTensor& x, const FactorList& factors,
                    Size level, Size id, Value* acc, Size rank,
-                   Value* scratch, simd::Isa isa, Size pf,
-                   Size& prefetched)
+                   Value* scratch, simd::Isa isa)
 {
     const Size n = x.order();
     if (level + 1 == n) {
@@ -41,15 +38,8 @@ accumulate_subtree(const CsfTensor& x, const FactorList& factors,
     const DenseMatrix* child_factor =
         level + 2 < n ? factors[x.mode_order()[level + 1]] : nullptr;
     for (Size child = child_first; child < child_last; ++child) {
-        // Hint the sibling's gathered factor row while this subtree
-        // recurses; the idx stream itself is sequential.
-        if (child_factor != nullptr && pf != 0 && child + pf < child_last) {
-            simd::prefetch_read(
-                child_factor->row(child_level.idx[child + pf]));
-            ++prefetched;
-        }
         accumulate_subtree(x, factors, level + 1, child, child_acc, rank,
-                           scratch, isa, pf, prefetched);
+                           scratch, isa);
         if (child_factor == nullptr) {
             // Child is a leaf: child_acc already includes its factor row.
             simd::vadd_inplace(isa, acc, child_acc, rank);
@@ -77,7 +67,7 @@ csf_worker_scratch(Size needed)
 
 void
 mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
-           DenseMatrix& out, Schedule schedule)
+           DenseMatrix& out)
 {
     const Size rank = check_factors(x.dims(), factors);
     PASTA_CHECK_MSG(mode < x.order(), "mode out of range");
@@ -94,12 +84,8 @@ mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
 
     const Size n = x.order();
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, x.level_size(0), schedule,
+        0, x.level_size(0), Schedule::kDynamic,
         [&](Size root) {
             // Each root owns one distinct output row: race-free.
             // Layout of the worker scratch: n*rank child accumulators
@@ -113,11 +99,8 @@ mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
                     out_row[r] += x.values()[root];
                 return;
             }
-            Size issued = 0;
             accumulate_subtree(x, factors, 0, root, acc, rank, scratch,
-                               isa, pf, issued);
-            if (prefetches && issued)
-                prefetches->add(issued);
+                               isa);
             // acc holds sum over children c of (subtree(c) * U(idx_c)):
             // accumulate_subtree at level 0 already applied the level-1
             // factor rows, so acc is the full Khatri-Rao partial.
@@ -128,8 +111,7 @@ mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
 }
 
 CooTensor
-ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode,
-        Schedule schedule)
+ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode)
 {
     const Size n = x.order();
     PASTA_CHECK_MSG(n >= 2, "TTV needs an order >= 2 tensor");
@@ -184,22 +166,11 @@ ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode,
     const Index* leaf_idx = x.level(n - 1).idx.data();
     const Value* vv = v.data();
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, fibers, schedule,
+        0, fibers, Schedule::kDynamic,
         [&](Size f) {
             const Size first = x.level(n - 2).ptr[f];
             const Size last = x.level(n - 2).ptr[f + 1];
-            if (pf != 0) {
-                const Size lim = std::min(first + pf, last);
-                for (Size p = first; p < lim; ++p)
-                    simd::prefetch_read(vv + leaf_idx[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
-            }
             out.values()[f] = simd::vdot_gather(
                 isa, xv + first, leaf_idx + first, vv, last - first);
             // Walk ancestors to fill the output coordinate.

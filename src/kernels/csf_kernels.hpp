@@ -22,12 +22,11 @@ namespace pasta {
 /// distinct roots update distinct output rows.  Throws when `mode` is not
 /// the root mode — build the tree for the mode you need.
 void mttkrp_csf(const CsfTensor& x, const FactorList& factors, Size mode,
-                DenseMatrix& out, Schedule schedule = Schedule::kDynamic);
+                DenseMatrix& out);
 
 /// CSF-TTV-OMP contracting the tree's leaf mode
 /// (x.mode_order().back()).  Returns the (N-1)-order result in COO.
 /// Parallel over the next-to-leaf fibers.
-CooTensor ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode,
-                  Schedule schedule = Schedule::kDynamic);
+CooTensor ttv_csf(const CsfTensor& x, const DenseVector& v, Size mode);
 
 }  // namespace pasta

@@ -52,15 +52,16 @@ namespace {
 /// schedule may allocate (values, not bytes): 2^24 floats = 64 MiB.
 constexpr Size kPrivatizedBudgetValues = Size{1} << 24;
 
-void
-check_mttkrp_args(const std::vector<Index>& dims, Size order_mode,
-                  Size rank, const DenseMatrix& out, Size mode)
+/// Validates the factors, `mode` and the output shape; returns the rank.
+Size
+check_mttkrp_args(const std::vector<Index>& dims, const FactorList& factors,
+                  const DenseMatrix& out, Size mode)
 {
+    const Size rank = check_factors(dims, factors);
     PASTA_CHECK_MSG(mode < dims.size(), "mode out of range");
     PASTA_CHECK_MSG(out.rows() == dims[mode] && out.cols() == rank,
                     "output matrix shape mismatch");
-    (void)order_mode;
-    (void)rank;
+    return rank;
 }
 
 /// Table I COO-MTTKRP model counters (flops = NMR, bytes = 4NMR +
@@ -103,23 +104,6 @@ khatri_rao_row(simd::Isa isa, const CooTensor& x,
         simd::vfill(isa, tmp, xval, rank);
 }
 
-/// Prefetches the factor rows non-zero q will gather.  The index
-/// streams themselves are sequential (hardware-prefetched); the factor
-/// rows they select are the random accesses worth hinting.
-inline Size
-prefetch_factor_rows(const CooTensor& x, const FactorList& factors,
-                     Size mode, Size order, Size q)
-{
-    Size issued = 0;
-    for (Size m = 0; m < order; ++m) {
-        if (m == mode)
-            continue;
-        simd::prefetch_read(factors[m]->row(x.index(m, q)));
-        ++issued;
-    }
-    return issued;
-}
-
 }  // namespace
 
 MttkrpVariant
@@ -149,39 +133,35 @@ mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank)
 
 MttkrpVariant
 mttkrp_coo(const CooTensor& x, const FactorList& factors, Size mode,
-           DenseMatrix& out, Schedule schedule)
+           DenseMatrix& out)
 {
-    const Size rank = check_factors(x.dims(), factors);
-    check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
     const MttkrpVariant pick = mttkrp_coo_pick(x.dim(mode), x.nnz(), rank);
     obs::set_label("mttkrp.variant", mttkrp_variant_name(pick));
     note_mttkrp_coo(x.order(), x.nnz(), rank);
     if (pick == MttkrpVariant::kPrivatized)
         mttkrp_coo_privatized(x, factors, mode, out);
     else
-        mttkrp_coo_atomic(x, factors, mode, out, schedule);
+        mttkrp_coo_atomic(x, factors, mode, out);
     return pick;
 }
 
 void
 mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
-                  DenseMatrix& out, Schedule schedule)
+                  DenseMatrix& out)
 {
-    const Size rank = check_factors(x.dims(), factors);
-    check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
     out.fill(0);
-    (void)schedule;  // contiguous static ranges preserve index runs
 
     const Size order = x.order();
     const Value* xv = x.values().data();
     const Index* out_idx = x.mode_indices(mode).data();
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
     // Runs of equal output index (ubiquitous when the stream is sorted
     // with `mode` leading, frequent otherwise) are accumulated locally
-    // and flushed with one atomic set per run, not one per non-zero.
-    // Correct for arbitrary streams: an unsorted stream just flushes
-    // more often.
+    // and flushed with one atomic set per run, not one per non-zero;
+    // contiguous static ranges preserve the runs.  Correct for arbitrary
+    // streams: an unsorted stream just flushes more often.
     parallel_for_ranges(0, x.nnz(), [&](Size first, Size last) {
         RankScratch acc_buf(rank);
         RankScratch tmp_buf(rank);
@@ -190,7 +170,6 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         Index run_row = 0;
         bool in_run = false;
         Size flushes = 0;
-        Size prefetched = 0;
         const auto flush = [&] {
             ++flushes;
             Value* out_row = out.row(run_row);
@@ -198,9 +177,6 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
                 atomic_add(out_row + r, acc[r]);
         };
         for (Size p = first; p < last; ++p) {
-            if (pf != 0 && p + pf < last)
-                prefetched +=
-                    prefetch_factor_rows(x, factors, mode, order, p + pf);
             khatri_rao_row(isa, x, factors, mode, order, p, xv[p], tmp,
                            rank);
             if (in_run && out_idx[p] == run_row) {
@@ -219,7 +195,6 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         if (in_run)
             flush();
         obs::add("mttkrp.atomics", flushes * rank);
-        obs::add("simd.prefetch", prefetched);
         obs::add_worker("mttkrp.worker_items", worker_id(), last - first);
     });
 }
@@ -233,10 +208,10 @@ namespace {
 /// omp atomics for the contended schedule — inlined via template, not
 /// dispatched.
 template <typename AddFn>
-inline Size
+inline void
 hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
                     Size mode, DenseMatrix& out, Size rank, Size b,
-                    simd::Isa isa, Size pf, Value* acc, AddFn add)
+                    simd::Isa isa, Value* acc, AddFn add)
 {
     const Size order = x.order();
     const unsigned bits = x.block_bits();
@@ -249,20 +224,7 @@ hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
         base[m] = factors[m]->row(
             static_cast<Size>(x.block_index(m, b)) << bits);
     const Size rank_stride = out.cols();
-    Size prefetched = 0;
     for (Size p = bptr[b]; p < bptr[b + 1]; ++p) {
-        if (pf != 0 && p + pf < bptr[b + 1]) {
-            const Size q = p + pf;
-            for (Size m = 0; m < order; ++m) {
-                if (m == mode)
-                    continue;
-                simd::prefetch_read(
-                    base[m] +
-                    static_cast<Size>(x.element_index(m, q)) *
-                        rank_stride);
-                ++prefetched;
-            }
-        }
         const Value xval = xv[p];
         bool first = true;
         for (Size m = 0; m < order; ++m) {
@@ -285,7 +247,6 @@ hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
             static_cast<Size>(x.element_index(mode, p)) * rank_stride;
         add(out_row, acc, rank);
     }
-    return prefetched;
 }
 
 /// Owner partitioning pays off when the groups can keep the workers
@@ -323,17 +284,16 @@ note_mttkrp_hicoo(const HiCooTensor& x, Size rank)
 
 MttkrpVariant
 mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
-             DenseMatrix& out, Schedule schedule)
+             DenseMatrix& out)
 {
-    const Size rank = check_factors(x.dims(), factors);
-    check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
     PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
 
     const OwnerSchedule& sched = x.owner_schedule(mode);
     if (!hicoo_use_owner(sched, num_threads())) {
         obs::set_label("mttkrp.variant",
                        mttkrp_variant_name(MttkrpVariant::kAtomic));
-        mttkrp_hicoo_atomic(x, factors, mode, out, schedule);
+        mttkrp_hicoo_atomic(x, factors, mode, out);
         return MttkrpVariant::kAtomic;
     }
     obs::set_label("mttkrp.variant",
@@ -341,28 +301,25 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
     note_mttkrp_hicoo(x, rank);
     out.fill(0);
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
     const auto& bptr = x.bptr();
     // One thread owns every block of a group, and a group's blocks are
     // the only writers of its output tile: no atomics needed.  Dynamic
     // schedule absorbs the group-size skew.
     parallel_for(
-        0, sched.groups(), schedule,
+        0, sched.groups(), Schedule::kDynamic,
         [&](Size g) {
             RankScratch acc(rank);
             Size items = 0;
-            Size prefetched = 0;
             for (Size s = sched.group_ptr[g]; s < sched.group_ptr[g + 1];
                  ++s) {
                 const Size b = sched.blocks[s];
                 items += bptr[b + 1] - bptr[b];
-                prefetched += hicoo_process_block(
-                    x, factors, mode, out, rank, b, isa, pf, acc.data(),
+                hicoo_process_block(
+                    x, factors, mode, out, rank, b, isa, acc.data(),
                     [isa](Value* out_row, const Value* row, Size n) {
                         simd::vadd_inplace(isa, out_row, row, n);
                     });
             }
-            obs::add("simd.prefetch", prefetched);
             obs::add_worker("mttkrp.worker_items", worker_id(), items);
         },
         1);
@@ -371,40 +328,33 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
 
 void
 mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
-                    Size mode, DenseMatrix& out, Schedule schedule)
+                    Size mode, DenseMatrix& out)
 {
-    const Size rank = check_factors(x.dims(), factors);
-    check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
     PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
     note_mttkrp_hicoo(x, rank);
     obs::add("mttkrp.atomics", x.nnz() * rank);
     out.fill(0);
 
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
     // Hoisted registry lookup: the per-block body runs once per block,
     // too hot for a per-call map access when counters are armed.
     obs::Counter* witems = obs::counters_enabled()
                                ? &obs::counter("mttkrp.worker_items")
                                : nullptr;
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     const auto& bptr = x.bptr();
     parallel_for(
-        0, x.num_blocks(), schedule,
+        0, x.num_blocks(), Schedule::kDynamic,
         [&](Size b) {
             if (witems)
                 witems->add_worker(worker_id(), bptr[b + 1] - bptr[b]);
             RankScratch acc(rank);
-            const Size issued = hicoo_process_block(
-                x, factors, mode, out, rank, b, isa, pf, acc.data(),
+            hicoo_process_block(
+                x, factors, mode, out, rank, b, isa, acc.data(),
                 [](Value* out_row, const Value* row, Size n) {
                     for (Size r = 0; r < n; ++r)
                         atomic_add(out_row + r, row[r]);
                 });
-            if (prefetches)
-                prefetches->add(issued);
         },
         8);
 }
@@ -413,15 +363,13 @@ void
 mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
                       Size mode, DenseMatrix& out)
 {
-    const Size rank = check_factors(x.dims(), factors);
-    check_mttkrp_args(x.dims(), x.order(), rank, out, mode);
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
     out.fill(0);
 
     const int threads = num_threads();
     const Size order = x.order();
     const Value* xv = x.values().data();
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
     // One private output copy per worker, merged after the sweep.  The
     // buffer is keyed by worker id — chunk identity would alias if the
     // runtime delivered fewer threads than requested.
@@ -435,17 +383,12 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
             DenseMatrix& local = privates[worker];
             RankScratch acc_buf(rank);
             Value* acc = acc_buf.data();
-            Size prefetched = 0;
             for (Size p = first; p < last; ++p) {
-                if (pf != 0 && p + pf < last)
-                    prefetched += prefetch_factor_rows(x, factors, mode,
-                                                       order, p + pf);
                 khatri_rao_row(isa, x, factors, mode, order, p, xv[p],
                                acc, rank);
                 Value* out_row = local.row(x.index(mode, p));
                 simd::vadd_inplace(isa, out_row, acc, rank);
             }
-            obs::add("simd.prefetch", prefetched);
         });
     // Reduction (parallel over output rows, race-free).
     parallel_for(0, out.rows(), Schedule::kStatic, [&](Size i) {

@@ -65,32 +65,27 @@ MttkrpVariant mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank);
 /// accumulates.  Dispatches between the atomic and privatized schedules
 /// via mttkrp_coo_pick; returns the variant it ran.
 MttkrpVariant mttkrp_coo(const CooTensor& x, const FactorList& factors,
-                         Size mode, DenseMatrix& out,
-                         Schedule schedule = Schedule::kStatic);
+                         Size mode, DenseMatrix& out);
 
 /// Parallel-over-non-zeros COO MTTKRP with atomic output updates (the
 /// paper's reference strategy), available directly for ablations.
 /// Contiguous per-worker ranges fuse runs of equal output index into a
 /// local accumulator flushed by one atomic set per run, so a stream
 /// sorted with `mode` leading pays roughly one atomic set per distinct
-/// output row instead of one per non-zero; the schedule argument is
-/// accepted for signature compatibility but unused.
+/// output row instead of one per non-zero.
 void mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors,
-                       Size mode, DenseMatrix& out,
-                       Schedule schedule = Schedule::kStatic);
+                       Size mode, DenseMatrix& out);
 
 /// HiCOO-MTTKRP-OMP timed kernel (Algorithm 3): parallel over blocks.
 /// Uses the cached block-owner schedule when it offers enough parallel
 /// groups, atomics otherwise; returns the variant it ran.
 MttkrpVariant mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors,
-                           Size mode, DenseMatrix& out,
-                           Schedule schedule = Schedule::kDynamic);
+                           Size mode, DenseMatrix& out);
 
 /// Block-parallel HiCOO MTTKRP with atomic output updates, available
 /// directly for ablations.
 void mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
-                         Size mode, DenseMatrix& out,
-                         Schedule schedule = Schedule::kDynamic);
+                         Size mode, DenseMatrix& out);
 
 /// Sequential COO-MTTKRP (no atomics), used as a deterministic baseline by
 /// tests and by the single-thread crossover ablation.

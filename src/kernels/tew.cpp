@@ -13,8 +13,7 @@ tew_values(EwOp op, const Value* x, const Value* y, Value* z, Size count)
     // Table I TEW model: one flop and three value streams per non-zero.
     obs::add("tew.flops", count);
     obs::add("tew.bytes", 12 * count);
-    // Pure streaming: three sequential value arrays, no gathers, so no
-    // software prefetch — the hardware stride prefetcher owns this one.
+    // Pure streaming: three sequential value arrays, no gathers.
     const simd::Isa isa = simd::note_kernel();
     switch (op) {
       case EwOp::kAdd:

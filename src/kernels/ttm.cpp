@@ -46,8 +46,7 @@ ttm_plan_coo(const CooTensor& x, Size mode, Size rank)
 }
 
 void
-ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out,
-             Schedule schedule)
+ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out)
 {
     PASTA_CHECK_MSG(u.rows() == plan.sorted.dim(plan.mode),
                     "matrix rows " << u.rows() << " != mode extent "
@@ -68,25 +67,13 @@ ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out,
     const auto& fptr = plan.fibers.fptr;
     const Size rank = plan.rank;
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, plan.fibers.num_fibers(), schedule,
+        0, plan.fibers.num_fibers(), Schedule::kDynamic,
         [&](Size f) {
             Value* yb = out.stripe(f);
             simd::vfill(isa, yb, 0, rank);
-            Size issued = 0;
-            for (Size p = fptr[f]; p < fptr[f + 1]; ++p) {
-                if (pf != 0 && p + pf < fptr[f + 1]) {
-                    simd::prefetch_read(u.row(kind[p + pf]));
-                    ++issued;
-                }
+            for (Size p = fptr[f]; p < fptr[f + 1]; ++p)
                 simd::vaxpy(isa, yb, xv[p], u.row(kind[p]), rank);
-            }
-            if (prefetches)
-                prefetches->add(issued);
         },
         16);
 }
@@ -155,7 +142,7 @@ ttm_plan_hicoo(const CooTensor& x, Size mode, Size rank,
 
 void
 ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
-               SHiCooTensor& out, Schedule schedule)
+               SHiCooTensor& out)
 {
     const GHiCooTensor& g = plan.input;
     PASTA_CHECK_MSG(u.rows() == g.dim(plan.mode), "matrix rows mismatch");
@@ -175,25 +162,13 @@ ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
     const auto& fptr = plan.fptr;
     const Size rank = plan.rank;
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, num_fibers, schedule,
+        0, num_fibers, Schedule::kDynamic,
         [&](Size f) {
             Value* yb = out.stripe(f);
             simd::vfill(isa, yb, 0, rank);
-            Size issued = 0;
-            for (Size p = fptr[f]; p < fptr[f + 1]; ++p) {
-                if (pf != 0 && p + pf < fptr[f + 1]) {
-                    simd::prefetch_read(u.row(kind[p + pf]));
-                    ++issued;
-                }
+            for (Size p = fptr[f]; p < fptr[f + 1]; ++p)
                 simd::vaxpy(isa, yb, xv[p], u.row(kind[p]), rank);
-            }
-            if (prefetches)
-                prefetches->add(issued);
         },
         16);
 }

@@ -34,7 +34,7 @@ CooTtmPlan ttm_plan_coo(const CooTensor& x, Size mode, Size rank);
 
 /// COO-TTM-OMP timed kernel (fiber-parallel, simd over rank).
 void ttm_exec_coo(const CooTtmPlan& plan, const DenseMatrix& u,
-                  ScooTensor& out, Schedule schedule = Schedule::kDynamic);
+                  ScooTensor& out);
 
 /// Convenience one-shot COO-TTM.
 ScooTensor ttm_coo(const CooTensor& x, const DenseMatrix& u, Size mode);
@@ -54,8 +54,7 @@ HicooTtmPlan ttm_plan_hicoo(const CooTensor& x, Size mode, Size rank,
 
 /// HiCOO-TTM-OMP timed kernel.
 void ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
-                    SHiCooTensor& out,
-                    Schedule schedule = Schedule::kDynamic);
+                    SHiCooTensor& out);
 
 /// Convenience one-shot HiCOO-TTM.
 SHiCooTensor ttm_hicoo(const CooTensor& x, const DenseMatrix& u, Size mode,

@@ -11,8 +11,7 @@
 namespace pasta {
 
 ScooTensor
-ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
-         Schedule schedule)
+ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode)
 {
     PASTA_CHECK_MSG(mode < x.order(), "mode out of range");
     const auto& sparse = x.sparse_modes();
@@ -90,22 +89,12 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
     fptr.push_back(count);
 
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     const Size num_fibers = fptr.size() - 1;
     parallel_for(
-        0, num_fibers, schedule,
+        0, num_fibers, Schedule::kDynamic,
         [&](Size f) {
             Value* yb = out.stripe(f);
-            Size issued = 0;
             for (Size i = fptr[f]; i < fptr[f + 1]; ++i) {
-                if (pf != 0 && i + pf < fptr[f + 1]) {
-                    simd::prefetch_read(
-                        u.row(x.sparse_index(slot, perm[i + pf])));
-                    ++issued;
-                }
                 const Size p = perm[i];
                 const Value* urow = u.row(x.sparse_index(slot, p));
                 const Value* xs = x.stripe(p);
@@ -132,8 +121,6 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
                         base[r * suffix_vol] += xval * urow[r];
                 }
             }
-            if (prefetches && issued)
-                prefetches->add(issued);
         },
         16);
     return out;
@@ -141,7 +128,7 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
 
 CooTensor
 ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
-                const DenseMatrix& ub, Size mode_b, Schedule schedule)
+                const DenseMatrix& ub, Size mode_b)
 {
     PASTA_CHECK_MSG(mode_a < x.order() && mode_b < x.order(),
                     "mode out of range");
@@ -159,7 +146,6 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
                     "modes");
     PASTA_CHECK_MSG(u_lo.rows() == x.dim(lo) && u_hi.rows() == x.dim(hi),
                     "fused TTM matrix rows mismatch");
-    (void)schedule;
 
     const Size ra = u_lo.cols();
     const Size rb = u_hi.cols();
@@ -192,10 +178,6 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
                                       4 * out_vol);
     }
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     const Index* ia = x.sparse_mode_indices(0).data();
     const Index* ib = x.sparse_mode_indices(1).data();
 
@@ -208,13 +190,7 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
     parallel_for_worker_ranges(
         0, x.num_sparse(), [&](int worker, Size first, Size last) {
             Value* D = privates[worker].data();
-            Size issued = 0;
             for (Size p = first; p < last; ++p) {
-                if (pf != 0 && p + pf < last) {
-                    simd::prefetch_read(u_lo.row(ia[p + pf]));
-                    simd::prefetch_read(u_hi.row(ib[p + pf]));
-                    issued += 2;
-                }
                 const Value* arow = u_lo.row(ia[p]);
                 const Value* brow = u_hi.row(ib[p]);
                 const Value* xs = x.stripe(p);
@@ -240,8 +216,6 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
                     }
                 }
             }
-            if (prefetches && issued)
-                prefetches->add(issued);
         });
     // Reduce worker copies into the first.
     Value* D = privates[0].data();

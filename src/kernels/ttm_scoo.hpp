@@ -24,8 +24,7 @@ namespace pasta {
 /// coordinates are x's mode-`mode` fibers.  Throws when `mode` is dense
 /// in `x` or when it is x's only sparse mode (the result would have no
 /// sparse part; expand to dense yourself in that case).
-ScooTensor ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
-                    Schedule schedule = Schedule::kDynamic);
+ScooTensor ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode);
 
 /// Fused endgame of a TTM chain: contracts BOTH sparse modes of a
 /// two-sparse-mode sCOO tensor in one sweep, accumulating straight into
@@ -34,7 +33,6 @@ ScooTensor ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode,
 /// to_coo()/re-sort round trip between the two contractions.  `mode_a`/
 /// `mode_b` (either order) must be exactly the tensor's sparse modes.
 CooTensor ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua,
-                          Size mode_a, const DenseMatrix& ub, Size mode_b,
-                          Schedule schedule = Schedule::kDynamic);
+                          Size mode_a, const DenseMatrix& ub, Size mode_b);
 
 }  // namespace pasta

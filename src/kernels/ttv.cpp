@@ -1,7 +1,5 @@
 #include "kernels/ttv.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "core/convert.hpp"
 #include "obs/counters.hpp"
@@ -49,8 +47,7 @@ ttv_plan_coo(const CooTensor& x, Size mode)
 }
 
 void
-ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out,
-             Schedule schedule)
+ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out)
 {
     PASTA_CHECK_MSG(v.size() == plan.sorted.dim(plan.mode),
                     "vector length " << v.size() << " != mode extent "
@@ -69,24 +66,11 @@ ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out,
     Value* yv = out.values().data();
     const auto& fptr = plan.fibers.fptr;
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, plan.fibers.num_fibers(), schedule,
+        0, plan.fibers.num_fibers(), Schedule::kDynamic,
         [&](Size f) {
             const Size first = fptr[f];
             const Size last = fptr[f + 1];
-            // Hint the gathered vector entries at the fiber head before
-            // the dot dives in; the rest of the fiber rides the gather.
-            if (pf != 0) {
-                const Size lim = std::min(first + pf, last);
-                for (Size p = first; p < lim; ++p)
-                    simd::prefetch_read(vv + kind[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
-            }
             yv[f] = simd::vdot_gather(isa, xv + first, kind + first, vv,
                                       last - first);
         },
@@ -162,7 +146,7 @@ ttv_plan_hicoo(const CooTensor& x, Size mode, unsigned block_bits)
 
 void
 ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
-               HiCooTensor& out, Schedule schedule)
+               HiCooTensor& out)
 {
     const GHiCooTensor& g = plan.input;
     PASTA_CHECK_MSG(v.size() == g.dim(plan.mode),
@@ -179,22 +163,11 @@ ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
     Value* yv = out.values().data();
     const auto& fptr = plan.fptr;
     const simd::Isa isa = simd::note_kernel();
-    const Size pf = simd::prefetch_distance();
-    obs::Counter* prefetches = obs::counters_enabled()
-                                   ? &obs::counter("simd.prefetch")
-                                   : nullptr;
     parallel_for(
-        0, num_fibers, schedule,
+        0, num_fibers, Schedule::kDynamic,
         [&](Size f) {
             const Size first = fptr[f];
             const Size last = fptr[f + 1];
-            if (pf != 0) {
-                const Size lim = std::min(first + pf, last);
-                for (Size p = first; p < lim; ++p)
-                    simd::prefetch_read(vv + kind[p]);
-                if (prefetches)
-                    prefetches->add(lim - first);
-            }
             yv[f] = simd::vdot_gather(isa, xv + first, kind + first, vv,
                                       last - first);
         },

@@ -35,10 +35,11 @@ struct CooTtvPlan {
 CooTtvPlan ttv_plan_coo(const CooTensor& x, Size mode);
 
 /// COO-TTV-OMP timed kernel: accumulates into `out` (same pattern as
-/// plan.out_pattern; values are overwritten).  Fiber-parallel; `schedule`
-/// controls OpenMP scheduling (fiber lengths are imbalanced).
+/// plan.out_pattern; values are overwritten).  Fiber-parallel with a
+/// dynamic schedule (fiber lengths are imbalanced); each output value is
+/// written by one worker, so the result is identical at any thread count.
 void ttv_exec_coo(const CooTtvPlan& plan, const DenseVector& v,
-                  CooTensor& out, Schedule schedule = Schedule::kDynamic);
+                  CooTensor& out);
 
 /// Convenience one-shot COO-TTV.
 CooTensor ttv_coo(const CooTensor& x, const DenseVector& v, Size mode);
@@ -59,8 +60,7 @@ HicooTtvPlan ttv_plan_hicoo(const CooTensor& x, Size mode,
 
 /// HiCOO-TTV-OMP timed kernel.
 void ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
-                    HiCooTensor& out,
-                    Schedule schedule = Schedule::kDynamic);
+                    HiCooTensor& out);
 
 /// Convenience one-shot HiCOO-TTV.
 HiCooTensor ttv_hicoo(const CooTensor& x, const DenseVector& v, Size mode,

@@ -21,12 +21,6 @@
 /// which stamps the "simd.isa" decision label and the "simd.width"
 /// high-water counter into the PR 5 registry, so the ISA a trial ran
 /// with lands in every CSV/journal row (variant suffix "_avx2" etc.).
-///
-/// Software prefetch: the gather-heavy streams (factor rows selected by
-/// non-zero indices, TTV vector gathers) issue __builtin_prefetch
-/// `prefetch_distance()` non-zeros ahead; the distance is tunable via
-/// $PASTA_SIMD_PREFETCH (default 8, 0 disables) and kernels report the
-/// issued prefetches under the "simd.prefetch" counter.
 #pragma once
 
 #include <atomic>
@@ -135,7 +129,6 @@ parse_isa(const char* text)
 namespace detail {
 // -1 = not yet resolved; otherwise static_cast<int>(Isa).
 inline std::atomic<int> g_isa{-1};
-inline std::atomic<long> g_prefetch{-1};
 }  // namespace detail
 
 /// The process-wide active ISA: resolved from $PASTA_SIMD + cpuid on
@@ -171,41 +164,6 @@ inline void
 reset_isa_cache()
 {
     detail::g_isa.store(-1, std::memory_order_relaxed);
-}
-
-/// How many non-zeros ahead the gather-heavy kernels prefetch factor
-/// rows / vector entries ($PASTA_SIMD_PREFETCH, default 8; 0 disables).
-inline Size
-prefetch_distance()
-{
-    long v = detail::g_prefetch.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<long>(config::integer("PASTA_SIMD_PREFETCH"));
-        detail::g_prefetch.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<Size>(v);
-}
-
-/// Override + cache-reset for tests.
-inline void
-set_prefetch_distance(Size d)
-{
-    detail::g_prefetch.store(static_cast<long>(d),
-                             std::memory_order_relaxed);
-}
-
-inline void
-reset_prefetch_cache()
-{
-    detail::g_prefetch.store(-1, std::memory_order_relaxed);
-}
-
-/// Issues a read prefetch for the cache line at `p` (no-op target hint
-/// on ISAs without one; compiles to prefetcht0 on x86).
-inline void
-prefetch_read(const void* p)
-{
-    __builtin_prefetch(p, 0, 3);
 }
 
 /// Stamps the active SIMD path into the counter registry: the

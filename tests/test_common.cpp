@@ -133,8 +133,7 @@ TEST(Parallel, ForCoversRangeExactlyOnce)
 {
     const Size n = 10000;
     std::vector<std::atomic<int>> hits(n);
-    for (auto sched :
-         {Schedule::kStatic, Schedule::kDynamic, Schedule::kGuided}) {
+    for (auto sched : {Schedule::kStatic, Schedule::kDynamic}) {
         for (auto& h : hits)
             h = 0;
         parallel_for(0, n, sched, [&](Size i) { ++hits[i]; });
@@ -454,9 +453,13 @@ TEST(Config, UnknownNamesAreRejectedByName)
     // Retired knobs: a stale export must fail, not be silently ignored.
     ScopedEnv timeout("PASTA_TRIAL_TIMEOUT", "1");
     ScopedEnv retries("PASTA_TRIAL_RETRIES", "3");
+    ScopedEnv prefetch("PASTA_SIMD_PREFETCH", "8");
+    ScopedEnv budget("PASTA_OOCORE_BUDGET", "100000");
     const std::string error = error_of(bench::options_from_env);
-    for (const char* name : {"PASTA_VALIDTE", "PASTA_THREADS",
-                             "PASTA_TRIAL_TIMEOUT", "PASTA_TRIAL_RETRIES"})
+    for (const char* name :
+         {"PASTA_VALIDTE", "PASTA_THREADS", "PASTA_TRIAL_TIMEOUT",
+          "PASTA_TRIAL_RETRIES", "PASTA_SIMD_PREFETCH",
+          "PASTA_OOCORE_BUDGET"})
         EXPECT_NE(error.find(name), std::string::npos) << error;
 }
 

@@ -39,7 +39,7 @@ supported_vector_isas()
     return isas;
 }
 
-/// The dispatch caches and PASTA_SIMD* env are process-global; every
+/// The ISA cache and PASTA_SIMD are process-global; every
 /// test starts and ends with a clean slate.
 class SimdTest : public ::testing::Test {
   protected:
@@ -55,9 +55,7 @@ class SimdTest : public ::testing::Test {
     static void clean()
     {
         unsetenv("PASTA_SIMD");
-        unsetenv("PASTA_SIMD_PREFETCH");
         simd::reset_isa_cache();
-        simd::reset_prefetch_cache();
     }
 };
 
@@ -130,22 +128,6 @@ TEST_F(SimdTest, MalformedEnvThrows)
     setenv("PASTA_SIMD", "avx9000", 1);
     simd::reset_isa_cache();
     EXPECT_THROW(simd::active_isa(), PastaError);
-}
-
-TEST_F(SimdTest, PrefetchDistanceEnv)
-{
-    EXPECT_EQ(simd::prefetch_distance(), 8u);  // default
-    setenv("PASTA_SIMD_PREFETCH", "32", 1);
-    simd::reset_prefetch_cache();
-    EXPECT_EQ(simd::prefetch_distance(), 32u);
-    setenv("PASTA_SIMD_PREFETCH", "0", 1);
-    simd::reset_prefetch_cache();
-    EXPECT_EQ(simd::prefetch_distance(), 0u);
-    for (const char* bad : {"abc", "-1", "8x", "5000"}) {
-        setenv("PASTA_SIMD_PREFETCH", bad, 1);
-        simd::reset_prefetch_cache();
-        EXPECT_THROW(simd::prefetch_distance(), PastaError) << bad;
-    }
 }
 
 TEST_F(SimdTest, ElementwisePrimitivesBitIdenticalToScalar)

@@ -1,11 +1,14 @@
-// Tests for TTV (COO and HiCOO paths) against the dense reference.
+// Tests for TTV (COO and HiCOO paths) against the dense reference, and
+// the thread-count bit-identity of the TTV and TTM exec kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/ttm.hpp"
 #include "kernels/ttv.hpp"
 
 namespace pasta {
@@ -64,18 +67,57 @@ TEST(TtvCoo, RejectsBadInputs)
     EXPECT_THROW(ttv_exec_coo(plan, wrong, out), PastaError);
 }
 
-TEST(TtvCoo, AllSchedulesAgree)
+/// Restores the OpenMP default thread count on scope exit.
+struct ThreadOverrideGuard {
+    ~ThreadOverrideGuard() { set_num_threads(0); }
+};
+
+bool
+same_bits(const std::vector<Value>& a, const std::vector<Value>& b)
 {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Value)) == 0;
+}
+
+TEST(TtvTtmExec, OutputBitsIdenticalAtAnyThreadCount)
+{
+    // Each output fiber (TTV value, TTM stripe) is written by exactly
+    // one worker, so the in-memory exec kernels promise the same bits
+    // at any thread count.
+    ThreadOverrideGuard guard;
     Rng rng(4);
-    CooTensor x = CooTensor::random({32, 32, 32}, 600, rng);
-    DenseVector v = DenseVector::random(32, rng);
-    CooTtvPlan plan = ttv_plan_coo(x, 2);
-    CooTensor ref = plan.out_pattern;
-    ttv_exec_coo(plan, v, ref, Schedule::kStatic);
-    for (auto sched : {Schedule::kDynamic, Schedule::kGuided}) {
-        CooTensor out = plan.out_pattern;
-        ttv_exec_coo(plan, v, out, sched);
-        EXPECT_TRUE(tensors_almost_equal(out, ref, 1e-4));
+    const CooTensor x = CooTensor::random({64, 64, 64}, 20000, rng);
+    const Size rank = 16;
+    for (Size mode = 0; mode < 3; ++mode) {
+        const DenseVector v = DenseVector::random(x.dim(mode), rng);
+        const DenseMatrix u = DenseMatrix::random(x.dim(mode), rank, rng);
+        const CooTtvPlan ttv_c = ttv_plan_coo(x, mode);
+        const HicooTtvPlan ttv_h = ttv_plan_hicoo(x, mode, 3);
+        const CooTtmPlan ttm_c = ttm_plan_coo(x, mode, rank);
+        const HicooTtmPlan ttm_h = ttm_plan_hicoo(x, mode, rank, 3);
+        const auto run = [&](int threads) {
+            set_num_threads(threads);
+            CooTensor a = ttv_c.out_pattern;
+            ttv_exec_coo(ttv_c, v, a);
+            HiCooTensor b = ttv_h.out_pattern;
+            ttv_exec_hicoo(ttv_h, v, b);
+            ScooTensor c = ttm_c.out_pattern;
+            ttm_exec_coo(ttm_c, u, c);
+            SHiCooTensor d = ttm_h.out_pattern;
+            ttm_exec_hicoo(ttm_h, u, d);
+            return std::vector<std::vector<Value>>{a.values(), b.values(),
+                                                   c.values(), d.values()};
+        };
+        const char* names[] = {"ttv_exec_coo", "ttv_exec_hicoo",
+                               "ttm_exec_coo", "ttm_exec_hicoo"};
+        const auto reference = run(1);
+        for (int threads : {2, 4}) {
+            const auto got = run(threads);
+            for (Size k = 0; k < got.size(); ++k)
+                EXPECT_TRUE(same_bits(got[k], reference[k]))
+                    << names[k] << ", mode " << mode << ", " << threads
+                    << " threads";
+        }
     }
 }
 
