@@ -10,10 +10,8 @@
 #include "common/timer.hpp"
 #include "core/convert.hpp"
 #include "core/csf_tensor.hpp"
-#include "core/fcoo_tensor.hpp"
 #include "core/reorder.hpp"
 #include "kernels/csf_kernels.hpp"
-#include "kernels/fcoo_kernels.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/ttv.hpp"
 
@@ -84,19 +82,6 @@ compare_formats(const std::string& name, const CooTensor& x, Size rank,
         const GHiCooTensor g = coo_to_ghicoo(x, mask, block_bits);
         std::printf("%-10s %12.1f %14s %12s\n", "gHiCOO",
                     g.storage_bytes() / 1024.0, "-", "-");
-    }
-    {
-        // F-COO is computation-specific: one instance per mode.
-        const FcooTensor f = FcooTensor::build(x, x.order() - 1);
-        const RunStats tv = timed_runs(
-            [&] {
-                CooTensor out = ttv_fcoo(f, v);
-                (void)out;
-            },
-            runs);
-        std::printf("%-10s %12.1f %14s %12.3f\n", "F-COO",
-                    f.storage_bytes() / 1024.0, "-",
-                    tv.mean_seconds * 1e3);
     }
 }
 

@@ -40,14 +40,6 @@ random_relabeling(Size n, Rng& rng)
     return perm;
 }
 
-Relabeling
-identity_relabeling(Size n)
-{
-    Relabeling perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    return perm;
-}
-
 void
 check_relabeling(const Relabeling& perm, Size n)
 {

@@ -28,9 +28,6 @@ Relabeling degree_relabeling(const CooTensor& x, Size mode);
 /// Uniformly random relabeling of extent `n` (ablation baseline).
 Relabeling random_relabeling(Size n, Rng& rng);
 
-/// The identity relabeling of extent `n`.
-Relabeling identity_relabeling(Size n);
-
 /// Returns a copy of `x` with mode `mode` relabeled by `perm`
 /// (lexicographically re-sorted).
 CooTensor relabel_mode(const CooTensor& x, Size mode,

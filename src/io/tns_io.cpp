@@ -47,6 +47,11 @@ parse_fields(const std::string& line, std::size_t lineno,
 constexpr double kMaxCoordinate =
     static_cast<double>(std::numeric_limits<Index>::max());
 
+/// Largest magnitude a value may have: beyond it the cast to Value would
+/// yield an infinity.
+constexpr double kMaxValue =
+    static_cast<double>(std::numeric_limits<Value>::max());
+
 }  // namespace
 
 CooTensor
@@ -126,6 +131,9 @@ read_tns(std::istream& in)
         PASTA_CHECK_MSG(std::isfinite(fields[order]),
                         "non-finite value " << fields[order] << " at line "
                                             << lineno);
+        PASTA_CHECK_MSG(std::abs(fields[order]) <= kMaxValue,
+                        "value " << fields[order]
+                                 << " overflows Value at line " << lineno);
         rows.push_back(fields);
         row_lines.push_back(lineno);
     }

@@ -10,7 +10,6 @@
 #include "core/block_math.hpp"
 #include "core/coo_tensor.hpp"
 #include "core/csf_tensor.hpp"
-#include "core/fcoo_tensor.hpp"
 #include "core/ghicoo_tensor.hpp"
 #include "core/hicoo_tensor.hpp"
 #include "core/scoo_tensor.hpp"
@@ -642,74 +641,6 @@ validate(const CsfTensor& x)
         levels[l] = x.level(l);
     return validate_csf_arrays(x.dims(), x.mode_order(), levels,
                                x.values());
-}
-
-ValidationReport
-validate_fcoo_arrays(const std::vector<Index>& dims, Size mode,
-                     const std::vector<Value>& values,
-                     const std::vector<Index>& product_indices,
-                     const std::vector<std::uint8_t>& flags,
-                     const std::vector<Index>& fiber_of,
-                     const CooTensor& out_pattern)
-{
-    ValidationReport report;
-    report.format = "F-COO";
-    report.checked = values.size();
-    if (mode >= dims.size()) {
-        report.add("modes.partition", mode, "product mode out of range");
-        return report;
-    }
-    if (product_indices.size() != values.size() ||
-        flags.size() != values.size() ||
-        fiber_of.size() != values.size()) {
-        report.add("length", 0,
-                   "product-index/flag/fiber arrays must match nnz");
-        return report;
-    }
-    for (Size p = 0; p < product_indices.size(); ++p) {
-        if (product_indices[p] >= dims[mode])
-            report.add("index.range", p,
-                       index_detail(product_indices[p], dims[mode], mode));
-    }
-    if (!values.empty()) {
-        if (flags[0] != 1)
-            report.add("flags.start", 0,
-                       "first non-zero must start a fiber");
-        Size fibers = 0;
-        for (Size p = 0; p < values.size(); ++p) {
-            if (flags[p])
-                ++fibers;
-            if (static_cast<Size>(fiber_of[p]) + 1 != fibers) {
-                std::ostringstream oss;
-                oss << "fiber map says " << fiber_of[p] << ", flags say "
-                    << (fibers == 0 ? 0 : fibers - 1);
-                report.add("fibers.map", p, oss.str());
-            }
-        }
-        if (fibers != out_pattern.nnz()) {
-            std::ostringstream oss;
-            oss << fibers << " flagged fibers, output pattern has "
-                << out_pattern.nnz();
-            report.add("fibers.count", 0, oss.str());
-        }
-    }
-    check_finite(report, values);
-    return report;
-}
-
-ValidationReport
-validate(const FcooTensor& x)
-{
-    std::vector<Index> product(x.nnz());
-    std::vector<std::uint8_t> flags(x.nnz());
-    std::vector<Index> fiber_of(x.nnz());
-    for (Size p = 0; p < x.nnz(); ++p) {
-        product[p] = x.product_index(p);
-        flags[p] = x.start_flag(p) ? 1 : 0;
-        fiber_of[p] = x.fiber_of(p);
-    }
-    return validate_fcoo_arrays(x.dims(), x.mode(), x.values(), product,
-                                flags, fiber_of, x.out_pattern());
 }
 
 }  // namespace pasta::validate

@@ -36,7 +36,6 @@ class GHiCooTensor;
 class SHiCooTensor;
 class CsfTensor;
 struct CsfLevel;
-class FcooTensor;
 }  // namespace pasta
 
 namespace pasta::validate {
@@ -112,7 +111,6 @@ ValidationReport validate(const HiCooTensor& x);
 ValidationReport validate(const GHiCooTensor& x);
 ValidationReport validate(const SHiCooTensor& x);
 ValidationReport validate(const CsfTensor& x);
-ValidationReport validate(const FcooTensor& x);
 
 /// Raw-array HiCOO checker: the same invariants as validate(HiCooTensor)
 /// over caller-held arrays.  Lets adversarial tests corrupt `bptr` and
@@ -129,13 +127,5 @@ ValidationReport validate_csf_arrays(const std::vector<Index>& dims,
                                      const std::vector<Size>& mode_order,
                                      const std::vector<CsfLevel>& levels,
                                      const std::vector<Value>& values);
-
-/// Raw-array F-COO checker.
-ValidationReport validate_fcoo_arrays(
-    const std::vector<Index>& dims, Size mode,
-    const std::vector<Value>& values,
-    const std::vector<Index>& product_indices,
-    const std::vector<std::uint8_t>& flags,
-    const std::vector<Index>& fiber_of, const CooTensor& out_pattern);
 
 }  // namespace pasta::validate

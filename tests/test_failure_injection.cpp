@@ -113,7 +113,8 @@ TEST(FailureInjection, TnsNonFiniteValuesRejected)
     // A single NaN/Inf silently poisons every reduction downstream, so
     // the reader must refuse it and name the offending line.
     const char* cases[] = {"1 1 nan\n", "1 1 inf\n", "2 3 -inf\n",
-                           "1 1 1.0\n2 2 NaN\n"};
+                           "1 1 1.0\n2 2 NaN\n", "1 1 1e39\n",
+                           "2 3 -3.5e38\n"};
     for (const char* text : cases) {
         std::istringstream in(text);
         try {

@@ -1,5 +1,5 @@
-// Tests for the complete tensor methods: CP-ALS, Tucker-HOOI, and the
-// tensor power method, plus the small linear algebra they rest on.
+// Tests for the complete tensor methods, CP-ALS and Tucker-HOOI, plus
+// the small linear algebra they rest on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "kernels/ttm.hpp"
 #include "methods/cpd.hpp"
 #include "methods/linalg.hpp"
-#include "methods/power_method.hpp"
 #include "methods/tucker.hpp"
 
 namespace pasta {
@@ -333,64 +332,6 @@ TEST(TuckerHooi, ExactlyRecoversLowMultirankTensor)
     const TuckerResult result = tucker_hooi(x, options);
     const double norm_x = std::sqrt(frobenius_norm_squared(x));
     EXPECT_NEAR(result.core_norm, norm_x, 0.02 * norm_x);
-}
-
-TEST(PowerMethod, RecoversOrthogonalComponents)
-{
-    const Size n = 16;
-    Rng rng(10);
-    std::vector<DenseVector> comps;
-    for (int c = 0; c < 2; ++c) {
-        DenseVector u = DenseVector::random(n, rng);
-        for (const auto& prev : comps) {
-            double dot = 0;
-            for (Size i = 0; i < n; ++i)
-                dot += static_cast<double>(u[i]) * prev[i];
-            for (Size i = 0; i < n; ++i)
-                u[i] -= static_cast<Value>(dot) * prev[i];
-        }
-        double norm = 0;
-        for (Size i = 0; i < n; ++i)
-            norm += static_cast<double>(u[i]) * u[i];
-        norm = std::sqrt(norm);
-        for (Size i = 0; i < n; ++i)
-            u[i] = static_cast<Value>(u[i] / norm);
-        comps.push_back(u);
-    }
-    const double weights[2] = {3.0, 1.5};
-    CooTensor x({n, n, n});
-    for (Index i = 0; i < n; ++i)
-        for (Index j = 0; j < n; ++j)
-            for (Index k = 0; k < n; ++k) {
-                double v = 0;
-                for (int c = 0; c < 2; ++c)
-                    v += weights[c] * comps[c][i] * comps[c][j] *
-                         comps[c][k];
-                if (std::abs(v) > 1e-8)
-                    x.append({i, j, k}, static_cast<Value>(v));
-            }
-    PowerMethodOptions options;
-    options.num_components = 2;
-    options.iterations = 40;
-    const auto found = tensor_power_method(x, options);
-    ASSERT_EQ(found.size(), 2u);
-    EXPECT_NEAR(found[0].weight, 3.0, 0.05);
-    EXPECT_NEAR(found[1].weight, 1.5, 0.05);
-    // Recovered directions align with planted ones (up to sign).
-    double dot0 = 0;
-    for (Size i = 0; i < n; ++i)
-        dot0 += static_cast<double>(found[0].vector[i]) * comps[0][i];
-    EXPECT_NEAR(std::abs(dot0), 1.0, 1e-2);
-}
-
-TEST(PowerMethod, RejectsNonCubicalOrWrongOrder)
-{
-    CooTensor rect({4, 5, 4});
-    rect.append({0, 0, 0}, 1.0f);
-    EXPECT_THROW(tensor_power_method(rect), PastaError);
-    CooTensor order4({4, 4, 4, 4});
-    order4.append({0, 0, 0, 0}, 1.0f);
-    EXPECT_THROW(tensor_power_method(order4), PastaError);
 }
 
 }  // namespace

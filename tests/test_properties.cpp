@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "core/convert.hpp"
-#include "kernels/contraction.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/tew.hpp"
 #include "kernels/ts.hpp"
@@ -139,16 +138,6 @@ TEST_P(RandomTensorProperty, FormatConversionsCommuteWithTs)
     HiCooTensor path2 = coo_to_hicoo(ts_coo(x, TsOp::kMul, 2.0f), 3);
     EXPECT_TRUE(
         tensors_almost_equal(hicoo_to_coo(path1), hicoo_to_coo(path2)));
-}
-
-TEST_P(RandomTensorProperty, ContractionInnerProductIsSymmetric)
-{
-    CooTensor x = make_tensor();
-    Rng rng(5000 + GetParam());
-    CooTensor y =
-        CooTensor::random(x.dims(), std::max<Size>(10, x.nnz() / 2), rng);
-    EXPECT_NEAR(inner_product(x, y), inner_product(y, x),
-                1e-3 * (1.0 + std::abs(inner_product(x, y))));
 }
 
 TEST_P(RandomTensorProperty, StorageFormulasAreExact)

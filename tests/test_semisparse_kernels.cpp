@@ -1,12 +1,10 @@
-// Tests for the semi-sparse TTM (sCOO input) and broadcast TEW kernels.
+// Tests for the semi-sparse TTM kernel (sCOO input) and its Tucker chain.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "kernels/reference.hpp"
-#include "kernels/tew.hpp"
-#include "kernels/tew_broadcast.hpp"
 #include "kernels/ttm.hpp"
 #include "kernels/ttm_scoo.hpp"
 #include "methods/tucker.hpp"
@@ -79,105 +77,6 @@ TEST(TtmScoo, TuckerChainViaSemiSparseMatchesCooChain)
     ScooTensor done = ttm_scoo(step, mats[1], 1);
     EXPECT_TRUE(
         tensors_almost_equal(done.to_coo(), via_coo, 1e-3));
-}
-
-TEST(TewBroadcast, SliceScalingByVector)
-{
-    // Scale each k-slice of a third-order tensor by a weight w[k]:
-    // y order-1 aligned to x's mode 2.
-    CooTensor x({4, 4, 3});
-    x.append({0, 0, 0}, 1.0f);
-    x.append({1, 1, 1}, 2.0f);
-    x.append({2, 2, 2}, 3.0f);
-    CooTensor w({3});
-    w.append({0}, 10.0f);
-    w.append({1}, 20.0f);
-    w.append({2}, 30.0f);
-    CooTensor z = tew_coo_broadcast(x, w, {2}, EwOp::kMul);
-    EXPECT_TRUE(z.same_pattern(x));
-    EXPECT_FLOAT_EQ(z.at({0, 0, 0}), 10.0f);
-    EXPECT_FLOAT_EQ(z.at({1, 1, 1}), 40.0f);
-    EXPECT_FLOAT_EQ(z.at({2, 2, 2}), 90.0f);
-}
-
-TEST(TewBroadcast, MatrixBroadcastOverThirdOrder)
-{
-    Rng rng(5);
-    CooTensor x = CooTensor::random({6, 7, 8}, 80, rng);
-    CooTensor y({6, 8});
-    for (Index i = 0; i < 6; ++i)
-        for (Index k = 0; k < 8; ++k)
-            y.append({i, k}, rng.next_float() + 0.5f);
-    CooTensor z = tew_coo_broadcast(x, y, {0, 2}, EwOp::kMul);
-    for (Size p = 0; p < z.nnz(); ++p) {
-        const Value expected =
-            x.value(p) * y.at({x.index(0, p), x.index(2, p)});
-        EXPECT_FLOAT_EQ(z.value(p), expected) << "nnz " << p;
-    }
-}
-
-TEST(TewBroadcast, MissingEntriesMultiplyToZero)
-{
-    CooTensor x({4, 4});
-    x.append({0, 0}, 5.0f);
-    x.append({3, 3}, 7.0f);
-    CooTensor y({4});
-    y.append({0}, 2.0f);  // index 3 missing -> zero
-    CooTensor z = tew_coo_broadcast(x, y, {0}, EwOp::kMul);
-    EXPECT_FLOAT_EQ(z.at({0, 0}), 10.0f);
-    EXPECT_FLOAT_EQ(z.at({3, 3}), 0.0f);
-}
-
-TEST(TewBroadcast, DivisionByMissingEntryThrows)
-{
-    CooTensor x({4, 4});
-    x.append({3, 3}, 7.0f);
-    CooTensor y({4});
-    y.append({0}, 2.0f);
-    EXPECT_THROW(tew_coo_broadcast(x, y, {0}, EwOp::kDiv), PastaError);
-}
-
-TEST(TewBroadcast, DivisionByPresentEntries)
-{
-    CooTensor x({4, 4});
-    x.append({1, 2}, 8.0f);
-    CooTensor y({4});
-    y.append({2}, 2.0f);
-    CooTensor z = tew_coo_broadcast(x, y, {1}, EwOp::kDiv);
-    EXPECT_FLOAT_EQ(z.at({1, 2}), 4.0f);
-}
-
-TEST(TewBroadcast, RejectsBadArguments)
-{
-    CooTensor x({4, 4, 4});
-    x.append({0, 0, 0}, 1.0f);
-    CooTensor y({4});
-    y.append({0}, 1.0f);
-    EXPECT_THROW(tew_coo_broadcast(x, y, {0}, EwOp::kAdd), PastaError);
-    EXPECT_THROW(tew_coo_broadcast(x, y, {0, 1}, EwOp::kMul), PastaError);
-    EXPECT_THROW(tew_coo_broadcast(x, y, {5}, EwOp::kMul), PastaError);
-    CooTensor y2({4, 4});
-    y2.append({0, 0}, 1.0f);
-    EXPECT_THROW(tew_coo_broadcast(x, y2, {1, 0}, EwOp::kMul),
-                 PastaError);  // not increasing
-    CooTensor y3({5});
-    y3.append({0}, 1.0f);
-    EXPECT_THROW(tew_coo_broadcast(x, y3, {0}, EwOp::kMul),
-                 PastaError);  // extent mismatch
-}
-
-TEST(TewBroadcast, SameOrderBroadcastEqualsSamePatternTew)
-{
-    // Full-order broadcast with matching pattern reduces to plain TEW
-    // multiplication on the intersection (x's pattern).
-    Rng rng(6);
-    CooTensor x = CooTensor::random({8, 8}, 20, rng);
-    CooTensor y = x;
-    for (auto& v : y.values())
-        v = rng.next_float() + 0.5f;
-    CooTensor via_broadcast = tew_coo_broadcast(x, y, {0, 1}, EwOp::kMul);
-    CooTensor via_tew = tew_coo(x, y, EwOp::kMul);
-    EXPECT_TRUE(tensors_almost_equal(via_broadcast, via_tew));
 }
 
 }  // namespace

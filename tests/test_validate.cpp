@@ -11,7 +11,6 @@
 #include "core/block_math.hpp"
 #include "core/convert.hpp"
 #include "core/csf_tensor.hpp"
-#include "core/fcoo_tensor.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/gpu_kernels.hpp"
 #include "kernels/mttkrp.hpp"
@@ -93,9 +92,6 @@ TEST(ValidateFormats, EveryFormatValidatesAfterConversion)
 
     CsfTensor c = CsfTensor::from_coo(x);
     EXPECT_TRUE(validate::validate(c).ok());
-
-    FcooTensor f = FcooTensor::build(x, 1);
-    EXPECT_TRUE(validate::validate(f).ok());
 }
 
 TEST(ValidateFormats, Order4RoundTripValidates)
@@ -273,43 +269,6 @@ TEST(ValidateCsf, ArraysFlagBrokenPointersAndDisorder)
     broken[1].idx[0] = 8;  // beyond dims[1]
     report =
         validate::validate_csf_arrays(dims, mode_order, broken, values);
-    EXPECT_TRUE(has_issue(report, "index.range"));
-}
-
-// ------------------------------------------------ adversarial F-COO
-
-TEST(ValidateFcoo, ArraysFlagBrokenFlagsAndFiberMap)
-{
-    CooTensor x({4, 4});
-    x.append({0, 1}, 1.0f);
-    x.append({0, 3}, 2.0f);
-    x.append({2, 2}, 3.0f);
-    FcooTensor f = FcooTensor::build(x, 1);
-    ASSERT_TRUE(validate::validate(f).ok());
-
-    // Rebuild the arrays by hand (product mode 1: two fibers i=0, i=2).
-    const std::vector<Index> dims{4, 4};
-    std::vector<Value> values{1.0f, 2.0f, 3.0f};
-    std::vector<Index> product{1, 3, 2};
-    std::vector<std::uint8_t> flags{1, 0, 1};
-    std::vector<Index> fiber_of{0, 0, 1};
-    CooTensor pattern({4});
-    pattern.append({0}, 0.0f);
-    pattern.append({2}, 0.0f);
-    EXPECT_TRUE(validate::validate_fcoo_arrays(dims, 1, values, product,
-                                               flags, fiber_of, pattern)
-                    .ok());
-
-    auto report = validate::validate_fcoo_arrays(
-        dims, 1, values, product, {0, 0, 1}, fiber_of, pattern);
-    EXPECT_TRUE(has_issue(report, "flags.start"));
-
-    report = validate::validate_fcoo_arrays(dims, 1, values, product,
-                                            flags, {0, 1, 1}, pattern);
-    EXPECT_TRUE(has_issue(report, "fibers.map"));
-
-    report = validate::validate_fcoo_arrays(dims, 1, values, {1, 3, 4},
-                                            flags, fiber_of, pattern);
     EXPECT_TRUE(has_issue(report, "index.range"));
 }
 
