@@ -3,6 +3,8 @@
 /// next suite addition (§VII) compared against COO/HiCOO/gHiCOO, and the
 /// index-reordering effect on HiCOO block density and MTTKRP time that
 /// Table I's "data reuse ... from reordering techniques" remark predicts.
+/// Times are the fastest of PASTA_RUNS calls (RunStats::min_seconds), so
+/// one descheduled call cannot set a row.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -35,8 +37,8 @@ compare_formats(const std::string& name, const CooTensor& x, Size rank,
     DenseMatrix out(x.dim(0), rank);
     DenseVector v = DenseVector::random(x.dim(x.order() - 1), rng);
 
-    std::printf("%-10s %12s %14s %12s\n", "format", "storage KB",
-                "MTTKRP(0) ms", "TTV(last) ms");
+    std::printf("%-10s %12s %16s %16s\n", "format", "storage KB",
+                "MTTKRP(0) min ms", "TTV(last) min ms");
     {
         CooTtvPlan plan = ttv_plan_coo(x, x.order() - 1);
         CooTensor tout = plan.out_pattern;
@@ -44,9 +46,9 @@ compare_formats(const std::string& name, const CooTensor& x, Size rank,
             [&] { mttkrp_coo(x, factors, 0, out); }, runs);
         const RunStats tv = timed_runs(
             [&] { ttv_exec_coo(plan, v, tout); }, runs);
-        std::printf("%-10s %12.1f %14.3f %12.3f\n", "COO",
-                    x.storage_bytes() / 1024.0, tm.mean_seconds * 1e3,
-                    tv.mean_seconds * 1e3);
+        std::printf("%-10s %12.1f %16.3f %16.3f\n", "COO",
+                    x.storage_bytes() / 1024.0, tm.min_seconds * 1e3,
+                    tv.min_seconds * 1e3);
     }
     {
         const HiCooTensor h = coo_to_hicoo(x, block_bits);
@@ -57,9 +59,9 @@ compare_formats(const std::string& name, const CooTensor& x, Size rank,
             [&] { mttkrp_hicoo(h, factors, 0, out); }, runs);
         const RunStats tv = timed_runs(
             [&] { ttv_exec_hicoo(plan, v, tout); }, runs);
-        std::printf("%-10s %12.1f %14.3f %12.3f\n", "HiCOO",
-                    h.storage_bytes() / 1024.0, tm.mean_seconds * 1e3,
-                    tv.mean_seconds * 1e3);
+        std::printf("%-10s %12.1f %16.3f %16.3f\n", "HiCOO",
+                    h.storage_bytes() / 1024.0, tm.min_seconds * 1e3,
+                    tv.min_seconds * 1e3);
     }
     {
         // CSF rooted at mode 0 for MTTKRP; leaf-ordered for TTV.
@@ -72,15 +74,15 @@ compare_formats(const std::string& name, const CooTensor& x, Size rank,
                 (void)r;
             },
             runs);
-        std::printf("%-10s %12.1f %14.3f %12.3f\n", "CSF",
-                    c.storage_bytes() / 1024.0, tm.mean_seconds * 1e3,
-                    tv.mean_seconds * 1e3);
+        std::printf("%-10s %12.1f %16.3f %16.3f\n", "CSF",
+                    c.storage_bytes() / 1024.0, tm.min_seconds * 1e3,
+                    tv.min_seconds * 1e3);
     }
     {
         std::vector<bool> mask(x.order(), true);
         mask[x.order() - 1] = false;
         const GHiCooTensor g = coo_to_ghicoo(x, mask, block_bits);
-        std::printf("%-10s %12.1f %14s %12s\n", "gHiCOO",
+        std::printf("%-10s %12.1f %16s %16s\n", "gHiCOO",
                     g.storage_bytes() / 1024.0, "-", "-");
     }
 }
@@ -91,7 +93,7 @@ reorder_ablation(const std::string& name, const CooTensor& x, Size rank,
 {
     std::printf("\n== reordering on %s ==\n", name.c_str());
     std::printf("%-10s %10s %14s %14s\n", "labeling", "blocks",
-                "HiCOO KB", "MTTKRP ms");
+                "HiCOO KB", "MTTKRP min ms");
     Rng rng(2);
     std::vector<DenseMatrix> mats;
     for (Size m = 0; m < x.order(); ++m)
@@ -123,7 +125,7 @@ reorder_ablation(const std::string& name, const CooTensor& x, Size rank,
             [&] { mttkrp_hicoo(h, factors, 0, out); }, runs);
         std::printf("%-10s %10zu %14.1f %14.3f\n", variant.label,
                     h.num_blocks(), h.storage_bytes() / 1024.0,
-                    tm.mean_seconds * 1e3);
+                    tm.min_seconds * 1e3);
     }
 }
 

@@ -4,6 +4,8 @@
 ///   2. gHiCOO: compressing vs. not compressing the product mode for TTV,
 ///   3. COO sort order (lexicographic vs. Morton) effect on MTTKRP,
 ///   4. MTTKRP output protection (atomic/privatized/sequential).
+/// Times are the fastest of PASTA_RUNS calls (RunStats::min_seconds), so
+/// one descheduled call cannot set a row.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -24,7 +26,7 @@ ablate_block_size(const CooTensor& x, const FactorList& factors,
     std::printf("\n== Ablation 1: HiCOO block size (paper fixes B=128) "
                 "==\n");
     std::printf("%6s %12s %10s %14s %14s\n", "B", "storage KB", "blocks",
-                "nnz/block", "MTTKRP ms");
+                "nnz/block", "MTTKRP min ms");
     DenseMatrix out(x.dim(0), rank);
     for (unsigned bits = 2; bits <= 8; ++bits) {
         const HiCooTensor h = coo_to_hicoo(x, bits);
@@ -32,7 +34,7 @@ ablate_block_size(const CooTensor& x, const FactorList& factors,
             [&] { mttkrp_hicoo(h, factors, 0, out); }, runs);
         std::printf("%6u %12.1f %10zu %14.2f %14.3f\n", 1u << bits,
                     h.storage_bytes() / 1024.0, h.num_blocks(),
-                    h.mean_block_nnz(), t.mean_seconds * 1e3);
+                    h.mean_block_nnz(), t.min_seconds * 1e3);
     }
 }
 
@@ -44,7 +46,7 @@ ablate_ghicoo_mode_choice(const CooTensor& x, Size runs,
                 "TTV ==\n");
     std::printf("(leaving the product mode uncompressed is what lets "
                 "HiCOO-TTV run race-free; compare storage)\n");
-    std::printf("%-28s %12s %10s\n", "variant", "storage KB", "TTV ms");
+    std::printf("%-28s %12s %10s\n", "variant", "storage KB", "TTV min ms");
     Rng rng(3);
     const Size mode = x.order() - 1;
     DenseVector v = DenseVector::random(x.dim(mode), rng);
@@ -56,7 +58,7 @@ ablate_ghicoo_mode_choice(const CooTensor& x, Size runs,
         std::printf("%-28s %12.1f %10.3f\n",
                     "product mode uncompressed",
                     plan.input.storage_bytes() / 1024.0,
-                    t.mean_seconds * 1e3);
+                    t.min_seconds * 1e3);
     }
     {
         // All modes compressed: storage of the full HiCOO form (TTV then
@@ -74,7 +76,7 @@ ablate_sort_order(const CooTensor& x, const FactorList& factors, Size rank,
                   Size runs)
 {
     std::printf("\n== Ablation 3: COO non-zero ordering for MTTKRP ==\n");
-    std::printf("%-16s %14s\n", "ordering", "MTTKRP ms");
+    std::printf("%-16s %14s\n", "ordering", "MTTKRP min ms");
     DenseMatrix out(x.dim(0), rank);
     {
         CooTensor lex = x;
@@ -82,7 +84,7 @@ ablate_sort_order(const CooTensor& x, const FactorList& factors, Size rank,
         const RunStats t = timed_runs(
             [&] { mttkrp_coo(lex, factors, 0, out); }, runs);
         std::printf("%-16s %14.3f\n", "lexicographic",
-                    t.mean_seconds * 1e3);
+                    t.min_seconds * 1e3);
     }
     {
         CooTensor morton = x;
@@ -90,7 +92,7 @@ ablate_sort_order(const CooTensor& x, const FactorList& factors, Size rank,
         const RunStats t = timed_runs(
             [&] { mttkrp_coo(morton, factors, 0, out); }, runs);
         std::printf("%-16s %14.3f\n", "morton(B=128)",
-                    t.mean_seconds * 1e3);
+                    t.min_seconds * 1e3);
     }
 }
 
@@ -101,24 +103,24 @@ ablate_output_protection(const CooTensor& x, const FactorList& factors,
     // §III-D: the reference suite uses atomics and skips privatization;
     // quantify what that choice costs (or saves).
     std::printf("\n== Ablation 4: MTTKRP output protection ==\n");
-    std::printf("%-14s %14s\n", "strategy", "MTTKRP ms");
+    std::printf("%-14s %14s\n", "strategy", "MTTKRP min ms");
     DenseMatrix out(x.dim(0), rank);
     {
         const RunStats t = timed_runs(
             [&] { mttkrp_coo_atomic(x, factors, 0, out); }, runs);
-        std::printf("%-14s %14.3f\n", "atomic", t.mean_seconds * 1e3);
+        std::printf("%-14s %14.3f\n", "atomic", t.min_seconds * 1e3);
     }
     {
         const RunStats t = timed_runs(
             [&] { mttkrp_coo_privatized(x, factors, 0, out); }, runs);
         std::printf("%-14s %14.3f\n", "privatized",
-                    t.mean_seconds * 1e3);
+                    t.min_seconds * 1e3);
     }
     {
         const RunStats t = timed_runs(
             [&] { mttkrp_coo_seq(x, factors, 0, out); }, runs);
         std::printf("%-14s %14.3f\n", "sequential",
-                    t.mean_seconds * 1e3);
+                    t.min_seconds * 1e3);
     }
 }
 

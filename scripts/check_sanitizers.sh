@@ -7,9 +7,10 @@
 # thread: ThreadSanitizer over the tests that exercise the lock-free and
 # multi-threaded code — the telemetry registry (CAS-installed histogram
 # shards, per-worker counter slots, the exporter thread), the serving
-# scheduler's Chase-Lev deques and plan cache, the parallel runtime, and
-# the block-parallel dense layer:
-#   test_obs test_metrics test_serve test_common test_dense
+# scheduler's Chase-Lev deques and plan cache, the parallel runtime, the
+# block-parallel dense layer, and the MTTKRP kernels' concurrent output
+# writes and row marks at 1, 2 and 4 threads:
+#   test_obs test_metrics test_serve test_common test_dense test_mttkrp
 # plus, with one OpenMP thread, the suite driver end to end: every
 # kernel's counter and memory-governor updates, the guarded trials (run
 # inline on the calling thread) and the journal, so a thread the driver
@@ -23,10 +24,11 @@
 # OpenMP regions whose team-thread stacks TSan cannot restore, so those
 # reports carry no libgomp frame to match; with OMP_NUM_THREADS=1 the
 # regions run on the calling thread and every thread it starts is
-# checked.  test_dense runs its OpenMP regions on 3 and 4 threads
-# whatever OMP_NUM_THREADS says; the dense layer announces each region's
-# fork and join to TSan (tsan_release/tsan_acquire in
-# common/parallel.hpp), so its hand-offs need no suppression.  ASLR is
+# checked.  test_dense and test_mttkrp run their OpenMP regions on up to
+# 4 threads whatever OMP_NUM_THREADS says; the dense layer and the
+# parallel_for family announce each region's fork and join to TSan
+# (tsan_release/tsan_acquire in common/parallel.hpp), so their hand-offs
+# need no suppression.  ASLR is
 # disabled for the run when setarch is available, since TSan cannot map
 # its shadow memory under high mmap randomisation.
 #
@@ -45,7 +47,8 @@ cmake -B "${BUILD_DIR}" -S . \
     -DPASTA_SANITIZE="${SANITIZERS}"
 
 if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
-    TSAN_TESTS=(test_obs test_metrics test_serve test_common test_dense)
+    TSAN_TESTS=(test_obs test_metrics test_serve test_common test_dense
+        test_mttkrp)
     cmake --build "${BUILD_DIR}" -j "$(nproc)" \
         --target "${TSAN_TESTS[@]}" test_bench_common
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${PWD}/scripts/tsan.supp"

@@ -75,85 +75,6 @@ worker_id()
     return omp_get_thread_num();
 }
 
-/// Runs `body(i)` for i in [begin, end) in parallel with the requested
-/// schedule.  `chunk` of 0 uses the schedule's default chunking.
-template <typename Body>
-void
-parallel_for(Size begin, Size end, Schedule schedule, Body body,
-             Size chunk = 0)
-{
-    if (begin >= end)
-        return;
-    const auto b = static_cast<long long>(begin);
-    const auto e = static_cast<long long>(end);
-    const int nt = num_threads();
-    const auto c = static_cast<long long>(chunk);
-    switch (schedule) {
-      case Schedule::kStatic:
-#pragma omp parallel for num_threads(nt) schedule(static)
-        for (long long i = b; i < e; ++i)
-            body(static_cast<Size>(i));
-        break;
-      case Schedule::kDynamic:
-        if (c > 0) {
-#pragma omp parallel for num_threads(nt) schedule(dynamic, c)
-            for (long long i = b; i < e; ++i)
-                body(static_cast<Size>(i));
-        } else {
-#pragma omp parallel for num_threads(nt) schedule(dynamic)
-            for (long long i = b; i < e; ++i)
-                body(static_cast<Size>(i));
-        }
-        break;
-    }
-}
-
-/// Runs `body(first, last)` over contiguous index ranges, one call per
-/// chunk, in parallel.  Lower overhead than per-index dispatch; used by the
-/// streaming kernels (TEW, TS) where the body is a few flops.
-template <typename Body>
-void
-parallel_for_ranges(Size begin, Size end, Body body)
-{
-    if (begin >= end)
-        return;
-    const Size total = end - begin;
-    const int nt = num_threads();
-    const Size chunks = std::min<Size>(static_cast<Size>(nt), total);
-    const Size per = (total + chunks - 1) / chunks;
-#pragma omp parallel for num_threads(nt) schedule(static)
-    for (long long c = 0; c < static_cast<long long>(chunks); ++c) {
-        const Size first = begin + static_cast<Size>(c) * per;
-        const Size last = std::min(end, first + per);
-        if (first < last)
-            body(first, last);
-    }
-}
-
-/// Like parallel_for_ranges, but the body also receives the id of the
-/// worker executing the chunk: `body(worker, first, last)`.  The worker id
-/// — not the chunk id — is the safe key for private buffers: should the
-/// runtime deliver fewer threads than requested, one worker may execute
-/// several chunks, and chunk-keyed buffers would alias.
-template <typename Body>
-void
-parallel_for_worker_ranges(Size begin, Size end, Body body)
-{
-    if (begin >= end)
-        return;
-    const Size total = end - begin;
-    const int nt = num_threads();
-    const Size chunks = std::min<Size>(static_cast<Size>(nt), total);
-    const Size per = (total + chunks - 1) / chunks;
-#pragma omp parallel for num_threads(nt) schedule(static)
-    for (long long c = 0; c < static_cast<long long>(chunks); ++c) {
-        const Size first = begin + static_cast<Size>(c) * per;
-        const Size last = std::min(end, first + per);
-        if (first < last)
-            body(worker_id(), first, last);
-    }
-}
-
 #if defined(__SANITIZE_THREAD__)
 extern "C" void __tsan_acquire(void* addr);
 extern "C" void __tsan_release(void* addr);
@@ -180,6 +101,106 @@ tsan_acquire([[maybe_unused]] void* token)
 #if defined(__SANITIZE_THREAD__)
     __tsan_acquire(token);
 #endif
+}
+
+/// Runs `body(i)` for i in [begin, end) in parallel with the requested
+/// schedule.  `chunk` of 0 uses the schedule's default chunking.
+template <typename Body>
+void
+parallel_for(Size begin, Size end, Schedule schedule, Body body,
+             Size chunk = 0)
+{
+    if (begin >= end)
+        return;
+    const auto b = static_cast<long long>(begin);
+    const auto e = static_cast<long long>(end);
+    const int nt = num_threads();
+    const auto c = static_cast<long long>(chunk);
+    char fork = 0;  // hand-off tokens for ThreadSanitizer only
+    char join = 0;
+    const auto run = [&](long long i) {
+        tsan_acquire(&fork);
+        body(static_cast<Size>(i));
+        tsan_release(&join);
+    };
+    tsan_release(&fork);
+    switch (schedule) {
+      case Schedule::kStatic:
+#pragma omp parallel for num_threads(nt) schedule(static)
+        for (long long i = b; i < e; ++i)
+            run(i);
+        break;
+      case Schedule::kDynamic:
+        if (c > 0) {
+#pragma omp parallel for num_threads(nt) schedule(dynamic, c)
+            for (long long i = b; i < e; ++i)
+                run(i);
+        } else {
+#pragma omp parallel for num_threads(nt) schedule(dynamic)
+            for (long long i = b; i < e; ++i)
+                run(i);
+        }
+        break;
+    }
+    tsan_acquire(&join);
+}
+
+/// Runs `body(first, last)` over contiguous index ranges, one call per
+/// chunk, in parallel.  Lower overhead than per-index dispatch; used by the
+/// streaming kernels (TEW, TS) where the body is a few flops.
+template <typename Body>
+void
+parallel_for_ranges(Size begin, Size end, Body body)
+{
+    if (begin >= end)
+        return;
+    const Size total = end - begin;
+    const int nt = num_threads();
+    const Size chunks = std::min<Size>(static_cast<Size>(nt), total);
+    const Size per = (total + chunks - 1) / chunks;
+    char fork = 0;  // hand-off tokens for ThreadSanitizer only
+    char join = 0;
+    tsan_release(&fork);
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (long long c = 0; c < static_cast<long long>(chunks); ++c) {
+        tsan_acquire(&fork);
+        const Size first = begin + static_cast<Size>(c) * per;
+        const Size last = std::min(end, first + per);
+        if (first < last)
+            body(first, last);
+        tsan_release(&join);
+    }
+    tsan_acquire(&join);
+}
+
+/// Like parallel_for_ranges, but the body also receives the id of the
+/// worker executing the chunk: `body(worker, first, last)`.  The worker id
+/// — not the chunk id — is the safe key for private buffers: should the
+/// runtime deliver fewer threads than requested, one worker may execute
+/// several chunks, and chunk-keyed buffers would alias.
+template <typename Body>
+void
+parallel_for_worker_ranges(Size begin, Size end, Body body)
+{
+    if (begin >= end)
+        return;
+    const Size total = end - begin;
+    const int nt = num_threads();
+    const Size chunks = std::min<Size>(static_cast<Size>(nt), total);
+    const Size per = (total + chunks - 1) / chunks;
+    char fork = 0;  // hand-off tokens for ThreadSanitizer only
+    char join = 0;
+    tsan_release(&fork);
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (long long c = 0; c < static_cast<long long>(chunks); ++c) {
+        tsan_acquire(&fork);
+        const Size first = begin + static_cast<Size>(c) * per;
+        const Size last = std::min(end, first + per);
+        if (first < last)
+            body(worker_id(), first, last);
+        tsan_release(&join);
+    }
+    tsan_acquire(&join);
 }
 
 /// Atomically adds `delta` to `*target` (the paper's "omp atomic" /

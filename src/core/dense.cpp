@@ -106,13 +106,53 @@ dense_unmap(void* p, std::size_t bytes) noexcept
 void
 DenseMatrix::fill(Value v)
 {
+    forget_zeros();
     fill_blocks(data_, v);
 }
 
 void
 DenseMatrix::randomize(Rng& rng)
 {
+    forget_zeros();
     randomize_blocks(data_, rng);
+}
+
+std::uint8_t*
+DenseMatrix::begin_accumulate()
+{
+    const char* path = "fresh";
+    Size zeroed = 0;  // values written
+    if (zero_ == ZeroState::kMasked) {
+        path = "rows";
+        Value* out = data_.data();
+        std::uint8_t* mask = mask_.data();
+        const Size cols = cols_;
+        const double rows = dense_block_sum(
+            rows_, dense_row_block(cols), 1,
+            [&](Size first, Size last, double* part) {
+                for (Size i = first; i < last; ++i) {
+                    if (mask[i] == 0)
+                        continue;
+                    std::fill(out + i * cols, out + (i + 1) * cols, Value{0});
+                    mask[i] = 0;
+                    *part += 1;
+                }
+            })[0];
+        zeroed = static_cast<Size>(rows) * cols;
+    } else {
+        if (zero_ == ZeroState::kUnknown) {
+            path = "full";
+            fill_blocks(data_, 0);
+            zeroed = data_.size();
+        }
+        mask_.assign(rows_, 0);
+    }
+    zero_ = ZeroState::kUnknown;
+    if (obs::counters_enabled()) {
+        obs::add("dense.zeroed_bytes", zeroed * kValueBytes);
+        obs::set_label("dense.zero", path);
+    }
+    return mask_.data();
 }
 
 DenseMatrix

@@ -26,9 +26,25 @@
 /// A buffer of at most one block, or a call that sees num_threads() == 1
 /// (a serving job under ThreadBudgetScope(1), a nested region), runs the
 /// same blocks serially and opens no OpenMP region.
+///
+/// A DenseMatrix also tracks what it knows about its zeros (ZeroState),
+/// so an MTTKRP output is zeroed only where a previous call wrote:
+///   - all-zero: set by the zero-initialising constructor (heap or
+///     mapped storage);
+///   - masked: a per-row byte mask names the rows that may be non-zero;
+///     only the accumulate protocol (begin_accumulate/end_accumulate)
+///     sets it;
+///   - unknown: every other case.  Every non-const accessor (operator(),
+///     row(), data(), fill(), randomize()) resets the state to unknown.
+/// Copy and move carry the state; operator== compares values only.
+/// Pointer rule: a raw pointer taken from a non-const accessor before an
+/// MTTKRP call must not be written through after it, since such a write
+/// bypasses the reset and the next call would clear only the rows the
+/// mask names.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -197,6 +213,13 @@ dense_fill_needed(std::size_t bytes, Value init)
     return !dense_storage_mapped(bytes) || init != 0 || std::signbit(init);
 }
 
+/// What a DenseMatrix knows about its zeros (file comment).
+enum class ZeroState : std::uint8_t {
+    kUnknown,  ///< no claim
+    kAllZero,  ///< every element is +0
+    kMasked,   ///< every row whose mask byte is 0 is all +0
+};
+
 /// Dense row-major matrix of Value.
 class DenseMatrix {
   public:
@@ -208,21 +231,53 @@ class DenseMatrix {
     {
         if (dense_fill_needed(storage_bytes(), init))
             fill(init);
+        if (init == 0 && !std::signbit(init))
+            zero_ = ZeroState::kAllZero;
     }
 
     Size rows() const { return rows_; }
     Size cols() const { return cols_; }
 
     /// Element access (no bounds check in release builds).
-    Value& operator()(Size r, Size c) { return data_[r * cols_ + c]; }
+    Value& operator()(Size r, Size c)
+    {
+        forget_zeros();
+        return data_[r * cols_ + c];
+    }
     Value operator()(Size r, Size c) const { return data_[r * cols_ + c]; }
 
     /// Pointer to the start of row r; the row is cols() contiguous values.
-    Value* row(Size r) { return data_.data() + r * cols_; }
+    Value* row(Size r)
+    {
+        forget_zeros();
+        return data_.data() + r * cols_;
+    }
     const Value* row(Size r) const { return data_.data() + r * cols_; }
 
-    Value* data() { return data_.data(); }
+    Value* data()
+    {
+        forget_zeros();
+        return data_.data();
+    }
     const Value* data() const { return data_.data(); }
+
+    /// What the matrix knows about its zeros (file comment).
+    ZeroState zero_state() const { return zero_; }
+
+    /// Starts an accumulation into this matrix (the MTTKRP kernels'
+    /// protocol): leaves every element at +0, writing only what the zero
+    /// state says may be non-zero (nothing when all-zero, the masked rows
+    /// when masked, everything when unknown), and returns a rows()-byte
+    /// mask of zeros.  The kernel sets mask[i] = 1 (a relaxed
+    /// std::atomic_ref store when writers run concurrently) for every row
+    /// i it writes, then calls end_accumulate().  The state is unknown in
+    /// between, so a kernel that throws leaves a matrix the next call
+    /// fills in full.
+    std::uint8_t* begin_accumulate();
+
+    /// Ends an accumulation: only the rows marked in the mask since
+    /// begin_accumulate() may be non-zero.
+    void end_accumulate() { zero_ = ZeroState::kMasked; }
 
     /// Sets every element to `v`.
     void fill(Value v);
@@ -237,12 +292,27 @@ class DenseMatrix {
     /// Returns a rows x cols matrix with uniform random entries.
     static DenseMatrix random(Size rows, Size cols, Rng& rng);
 
-    friend bool operator==(const DenseMatrix&, const DenseMatrix&) = default;
+    /// Compares shape and values; the zero state is not part of it.
+    friend bool operator==(const DenseMatrix& a, const DenseMatrix& b)
+    {
+        return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
+    }
 
   private:
+    /// Sets the state to unknown.  Parallel writers may all call it: the
+    /// check keeps the shared line read-only once the state is unknown.
+    void forget_zeros()
+    {
+        std::atomic_ref<ZeroState> state(zero_);
+        if (state.load(std::memory_order_relaxed) != ZeroState::kUnknown)
+            state.store(ZeroState::kUnknown, std::memory_order_relaxed);
+    }
+
     Size rows_ = 0;
     Size cols_ = 0;
     DenseStorage data_;
+    ZeroState zero_ = ZeroState::kUnknown;
+    std::vector<std::uint8_t> mask_;  ///< rows_ bytes once accumulated into
 };
 
 /// Dense vector of Value.

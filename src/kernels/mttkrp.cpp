@@ -1,6 +1,8 @@
 #include "kernels/mttkrp.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -64,6 +66,15 @@ check_mttkrp_args(const std::vector<Index>& dims, const FactorList& factors,
     return rank;
 }
 
+/// Marks row `r` as written in a begin_accumulate() mask; concurrent
+/// writers may mark the same row.
+inline void
+mark_row(std::uint8_t* mask, Size r)
+{
+    std::atomic_ref<std::uint8_t>(mask[r]).store(1,
+                                                 std::memory_order_relaxed);
+}
+
 /// Table I COO-MTTKRP model counters (flops = NMR, bytes = 4NMR +
 /// 4(N+1)M), recorded once per kernel invocation when counters are armed.
 void
@@ -122,10 +133,12 @@ mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank)
         return MttkrpVariant::kAtomic;
     // The replicated buffers cost a reduce sweep over threads x dim_mode
     // rows, plus a zero pass when a copy is below kDenseMapBytes (a
-    // mapped copy arrives zeroed and pays only its first-touch faults);
-    // the atomic path (with run fusion) costs roughly one atomic set per
-    // distinct output row per chunk.  Privatize only when the stream is
-    // dense enough in output rows for the sweep to be clearly amortized.
+    // mapped copy arrives zeroed and pays only its first-touch faults),
+    // and the sweep overwrites every output row; the atomic path (with
+    // run fusion) costs roughly one atomic set per distinct output row
+    // per chunk, and zeroes only the rows its previous call wrote.
+    // Privatize only when the stream is dense enough in output rows for
+    // the sweep to be clearly amortized.
     if (2 * threads * static_cast<Size>(dim_mode) > nnz)
         return MttkrpVariant::kAtomic;
     return MttkrpVariant::kPrivatized;
@@ -151,7 +164,7 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
                   DenseMatrix& out)
 {
     const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
-    out.fill(0);
+    std::uint8_t* mask = out.begin_accumulate();
 
     const Size order = x.order();
     const Value* xv = x.values().data();
@@ -172,6 +185,7 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         Size flushes = 0;
         const auto flush = [&] {
             ++flushes;
+            mark_row(mask, run_row);
             Value* out_row = out.row(run_row);
             for (Size r = 0; r < rank; ++r)
                 atomic_add(out_row + r, acc[r]);
@@ -197,6 +211,7 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
         obs::add("mttkrp.atomics", flushes * rank);
         obs::add_worker("mttkrp.worker_items", worker_id(), last - first);
     });
+    out.end_accumulate();
 }
 
 namespace {
@@ -206,20 +221,21 @@ namespace {
 /// element offsets.  `add(out_row, acc, rank)` is the output-update
 /// policy — a vadd_inplace for owner-partitioned blocks, per-element
 /// omp atomics for the contended schedule — inlined via template, not
-/// dispatched.
+/// dispatched.  Every output row written is marked in `mask`.
 template <typename AddFn>
 inline void
 hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
-                    Size mode, DenseMatrix& out, Size rank, Size b,
-                    simd::Isa isa, Value* acc, AddFn add)
+                    Size mode, DenseMatrix& out, std::uint8_t* mask,
+                    Size rank, Size b, simd::Isa isa, Value* acc, AddFn add)
 {
     const Size order = x.order();
     const unsigned bits = x.block_bits();
     const Value* xv = x.values().data();
     const auto& bptr = x.bptr();
     const Value* base[8];
-    Value* out_base =
-        out.row(static_cast<Size>(x.block_index(mode, b)) << bits);
+    const Size out_first = static_cast<Size>(x.block_index(mode, b)) << bits;
+    Value* out_base = out.row(out_first);
+    std::uint8_t* mask_base = mask + out_first;
     for (Size m = 0; m < order; ++m)
         base[m] = factors[m]->row(
             static_cast<Size>(x.block_index(m, b)) << bits);
@@ -242,10 +258,9 @@ hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
         }
         if (first)
             simd::vfill(isa, acc, xval, rank);
-        Value* out_row =
-            out_base +
-            static_cast<Size>(x.element_index(mode, p)) * rank_stride;
-        add(out_row, acc, rank);
+        const Size e = x.element_index(mode, p);
+        mark_row(mask_base, e);
+        add(out_base + e * rank_stride, acc, rank);
     }
 }
 
@@ -299,7 +314,7 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
     obs::set_label("mttkrp.variant",
                    mttkrp_variant_name(MttkrpVariant::kBlockOwner));
     note_mttkrp_hicoo(x, rank);
-    out.fill(0);
+    std::uint8_t* mask = out.begin_accumulate();
     const simd::Isa isa = simd::note_kernel();
     const auto& bptr = x.bptr();
     // One thread owns every block of a group, and a group's blocks are
@@ -315,7 +330,7 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
                 const Size b = sched.blocks[s];
                 items += bptr[b + 1] - bptr[b];
                 hicoo_process_block(
-                    x, factors, mode, out, rank, b, isa, acc.data(),
+                    x, factors, mode, out, mask, rank, b, isa, acc.data(),
                     [isa](Value* out_row, const Value* row, Size n) {
                         simd::vadd_inplace(isa, out_row, row, n);
                     });
@@ -323,6 +338,7 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
             obs::add_worker("mttkrp.worker_items", worker_id(), items);
         },
         1);
+    out.end_accumulate();
     return MttkrpVariant::kBlockOwner;
 }
 
@@ -334,7 +350,7 @@ mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
     PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
     note_mttkrp_hicoo(x, rank);
     obs::add("mttkrp.atomics", x.nnz() * rank);
-    out.fill(0);
+    std::uint8_t* mask = out.begin_accumulate();
 
     const simd::Isa isa = simd::note_kernel();
     // Hoisted registry lookup: the per-block body runs once per block,
@@ -350,13 +366,14 @@ mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
                 witems->add_worker(worker_id(), bptr[b + 1] - bptr[b]);
             RankScratch acc(rank);
             hicoo_process_block(
-                x, factors, mode, out, rank, b, isa, acc.data(),
+                x, factors, mode, out, mask, rank, b, isa, acc.data(),
                 [](Value* out_row, const Value* row, Size n) {
                     for (Size r = 0; r < n; ++r)
                         atomic_add(out_row + r, row[r]);
                 });
         },
         8);
+    out.end_accumulate();
 }
 
 void
@@ -364,7 +381,6 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
                       Size mode, DenseMatrix& out)
 {
     const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
-    out.fill(0);
 
     const int threads = num_threads();
     const Size order = x.order();
@@ -390,11 +406,17 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
                 simd::vadd_inplace(isa, out_row, acc, rank);
             }
         });
-    // Reduction (parallel over output rows, race-free).
+    // Reduction (parallel over output rows, race-free) that overwrites
+    // every row: dst = private[0] + private[1] + ...  Bit-identical to
+    // adding them onto +0, as the copies start at +0 and so never hold
+    // -0 (a round-to-nearest sum is -0 only when both terms are).
+    const std::vector<DenseMatrix>& locals = privates;
+    Value* dst_base = out.data();
     parallel_for(0, out.rows(), Schedule::kStatic, [&](Size i) {
-        Value* dst = out.row(i);
-        for (const auto& local : privates)
-            simd::vadd_inplace(isa, dst, local.row(i), rank);
+        Value* dst = dst_base + i * rank;
+        std::copy_n(locals[0].row(i), rank, dst);
+        for (Size t = 1; t < locals.size(); ++t)
+            simd::vadd_inplace(isa, dst, locals[t].row(i), rank);
     });
 }
 

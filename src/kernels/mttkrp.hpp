@@ -24,6 +24,14 @@
 /// The explicit *_atomic entry points remain for ablations, and every
 /// kernel returns the MttkrpVariant it executed so benchmark profiles can
 /// report the crossover.
+///
+/// Output zeroing.  Every kernel leaves `out` = the MTTKRP, with the rows
+/// no non-zero maps to at +0; the bits equal those of zeroing `out` in
+/// full and then accumulating.  The atomic and block-owner kernels use
+/// DenseMatrix's accumulate protocol (core/dense.hpp), so a call zeroes
+/// only the rows a previous call left non-zero, or nothing on a freshly
+/// constructed output; the privatized kernel overwrites every row with
+/// its reduction; the sequential kernel fills `out` in full.
 #pragma once
 
 #include <vector>
@@ -56,14 +64,15 @@ const char* mttkrp_variant_name(MttkrpVariant v);
 
 /// The COO contention heuristic: privatize when the replicated output
 /// (threads x dim_mode x rank) stays within budget and the non-zero
-/// stream touches output rows densely enough to amortize the zero+reduce
-/// sweep; atomics otherwise.  Exposed so benches can report the
+/// stream is dense enough in output rows (2 x threads x dim_mode <= nnz)
+/// to amortize zeroing the private copies and the reduce sweep over
+/// them; atomics otherwise.  Exposed so benches can report the
 /// crossover without running both variants.
 MttkrpVariant mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank);
 
-/// COO-MTTKRP-OMP timed kernel: zeroes `out` (I_mode x R) then
-/// accumulates.  Dispatches between the atomic and privatized schedules
-/// via mttkrp_coo_pick; returns the variant it ran.
+/// COO-MTTKRP-OMP timed kernel: leaves `out` (I_mode x R) = MTTKRP,
+/// untouched rows +0.  Dispatches between the atomic and privatized
+/// schedules via mttkrp_coo_pick; returns the variant it ran.
 MttkrpVariant mttkrp_coo(const CooTensor& x, const FactorList& factors,
                          Size mode, DenseMatrix& out);
 

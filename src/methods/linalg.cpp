@@ -139,21 +139,29 @@ frobenius_norm_squared(const CooTensor& x)
 std::vector<double>
 normalize_columns(DenseMatrix& a)
 {
+    // Row pointers, not a(i, c): a non-const element access also resets
+    // the zero state (core/dense.hpp), once per element.
     const Size cols = a.cols();
     const Size block = dense_row_block(cols);
+    const DenseMatrix& in = a;
     std::vector<double> norms = dense_block_sum(
         a.rows(), block, cols, [&](Size first, Size last, double* part) {
-            for (Size i = first; i < last; ++i)
+            for (Size i = first; i < last; ++i) {
+                const Value* row = in.row(i);
                 for (Size c = 0; c < cols; ++c)
-                    part[c] += static_cast<double>(a(i, c)) * a(i, c);
+                    part[c] += static_cast<double>(row[c]) * row[c];
+            }
         });
     for (auto& n : norms)
         n = std::sqrt(n);
+    Value* base = a.data();
     for_each_dense_block(a.rows(), block, [&](Size first, Size last) {
-        for (Size i = first; i < last; ++i)
+        for (Size i = first; i < last; ++i) {
+            Value* row = base + i * cols;
             for (Size c = 0; c < cols; ++c)
                 if (norms[c] > 1e-12)
-                    a(i, c) = static_cast<Value>(a(i, c) / norms[c]);
+                    row[c] = static_cast<Value>(row[c] / norms[c]);
+        }
     });
     return norms;
 }

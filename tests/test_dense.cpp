@@ -4,10 +4,12 @@
 // buffers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -189,6 +191,137 @@ TEST(DenseFill, ExactAtBlockEdges)
             ASSERT_TRUE(std::signbit(neg[i])) << "n=" << n << " i=" << i;
         }
     }
+}
+
+/// True when every element of `m` is +0 (bitwise).
+bool
+all_positive_zero(const DenseMatrix& m)
+{
+    for (Size i = 0; i < m.rows() * m.cols(); ++i)
+        if (std::bit_cast<std::uint32_t>(m.data()[i]) != 0)
+            return false;
+    return true;
+}
+
+/// A kRows x 16 matrix in the masked state whose rows `written` hold 7s,
+/// built through the accumulate protocol.
+DenseMatrix
+masked_matrix(std::initializer_list<Size> written)
+{
+    DenseMatrix m(kRows, 16);
+    std::uint8_t* mask = m.begin_accumulate();
+    Value* d = m.data();
+    for (Size row : written) {
+        std::fill(d + row * 16, d + (row + 1) * 16, 7.0f);
+        mask[row] = 1;
+    }
+    m.end_accumulate();
+    return m;
+}
+
+TEST(DenseZeroState, ConstructorsSetIt)
+{
+    EXPECT_EQ(DenseMatrix(8, 4).zero_state(), ZeroState::kAllZero);
+    EXPECT_EQ(DenseMatrix(kMapElems / 16 + 1, 16).zero_state(),
+              ZeroState::kAllZero);
+    EXPECT_EQ(DenseMatrix(8, 4, 5.0f).zero_state(), ZeroState::kUnknown);
+    EXPECT_EQ(DenseMatrix(8, 4, -0.0f).zero_state(), ZeroState::kUnknown);
+    EXPECT_EQ(DenseMatrix().zero_state(), ZeroState::kUnknown);
+    Rng rng(40);
+    EXPECT_EQ(DenseMatrix::random(8, 4, rng).zero_state(),
+              ZeroState::kUnknown);
+}
+
+TEST(DenseZeroState, EveryNonConstAccessorForgetsIt)
+{
+    Rng rng(41);
+    const auto writers = {
+        +[](DenseMatrix& m, Rng&) { m(1, 1) = 1.0f; },
+        +[](DenseMatrix& m, Rng&) { m.row(1)[0] = 1.0f; },
+        +[](DenseMatrix& m, Rng&) { m.data()[0] = 1.0f; },
+        +[](DenseMatrix& m, Rng&) { m.fill(0.0f); },
+        +[](DenseMatrix& m, Rng& r) { m.randomize(r); },
+    };
+    for (const auto& write : writers) {
+        DenseMatrix m(8, 4);
+        const DenseMatrix& view = m;
+        (void)view(1, 1);
+        (void)view.row(1);
+        (void)view.data();
+        EXPECT_EQ(m.zero_state(), ZeroState::kAllZero);
+        write(m, rng);
+        EXPECT_EQ(m.zero_state(), ZeroState::kUnknown);
+
+        DenseMatrix masked = masked_matrix({2});
+        write(masked, rng);
+        EXPECT_EQ(masked.zero_state(), ZeroState::kUnknown);
+    }
+}
+
+TEST(DenseZeroState, BeginAccumulateLeavesPositiveZeros)
+{
+    // Fresh: nothing to write.  Unknown (-0 and 5 inits): a full fill.
+    // Masked: the marked rows, spread over several row blocks.
+    DenseMatrix fresh(kRows, 16);
+    DenseMatrix negative(kRows, 16, -0.0f);
+    DenseMatrix fives(kRows, 16, 5.0f);
+    DenseMatrix masked = masked_matrix({0, 3, dense_row_block(16) + 1,
+                                        kRows - 1});
+    for (DenseMatrix* m : {&fresh, &negative, &fives, &masked}) {
+        const std::uint8_t* mask = m->begin_accumulate();
+        EXPECT_EQ(m->zero_state(), ZeroState::kUnknown);
+        EXPECT_TRUE(all_positive_zero(*m));
+        for (Size i = 0; i < kRows; ++i)
+            ASSERT_EQ(mask[i], 0) << i;
+        m->end_accumulate();
+        EXPECT_EQ(m->zero_state(), ZeroState::kMasked);
+    }
+}
+
+TEST(DenseZeroState, CopyMoveAndSelfAssignmentKeepItAndTheValues)
+{
+    const DenseMatrix m = masked_matrix({3, kRows - 2});
+    const auto expect_kept = [&](DenseMatrix& got, const char* what) {
+        EXPECT_EQ(got.zero_state(), ZeroState::kMasked) << what;
+        EXPECT_TRUE(same_bits(got, m)) << what;
+        // The carried mask names the written rows: clearing them
+        // leaves all +0.
+        got.begin_accumulate();
+        EXPECT_TRUE(all_positive_zero(got)) << what;
+    };
+    DenseMatrix copy(m);
+    expect_kept(copy, "copy");
+
+    DenseMatrix source(m);
+    DenseMatrix moved(std::move(source));
+    expect_kept(moved, "move");
+
+    DenseMatrix assigned(3, 3, 1.0f);
+    assigned = m;
+    expect_kept(assigned, "copy assignment");
+
+    DenseMatrix move_source(m);
+    DenseMatrix move_assigned;
+    move_assigned = std::move(move_source);
+    expect_kept(move_assigned, "move assignment");
+
+    DenseMatrix self(m);
+    DenseMatrix& alias = self;
+    self = alias;
+    expect_kept(self, "self assignment");
+}
+
+TEST(DenseZeroState, EqualityComparesValuesOnly)
+{
+    const DenseMatrix masked = masked_matrix({5});
+    DenseMatrix unknown(masked);
+    (void)unknown.data();
+    ASSERT_EQ(unknown.zero_state(), ZeroState::kUnknown);
+    EXPECT_TRUE(unknown == masked);
+    EXPECT_FALSE(DenseMatrix(4, 4) == DenseMatrix(4, 4, 5.0f));
+    DenseMatrix zeros(4, 4, 5.0f);
+    zeros.fill(0.0f);
+    EXPECT_TRUE(zeros == DenseMatrix(4, 4));
 }
 
 TEST(DenseMapped, PredicateFollowsTheThreshold)

@@ -2,10 +2,17 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "core/convert.hpp"
+#include "core/csf_tensor.hpp"
+#include "kernels/csf_kernels.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/reference.hpp"
 
@@ -268,6 +275,282 @@ INSTANTIATE_TEST_SUITE_P(
     OrdersAndRanks, MttkrpSweep,
     ::testing::Combine(::testing::Values(2, 3, 4, 5),
                        ::testing::Values(1, 4, 16)));
+
+// ---------------------------------------------------------------------
+// Output zero state: a kernel that zeroes only the rows its previous call
+// wrote must leave the same output as one that zeroes the whole matrix.
+// The reference is the same variant run on DenseMatrix(rows, cols, 5.0f),
+// whose zero state is unknown, so it takes the full-fill path.
+
+enum class Variant {
+    kCooAtomic,
+    kPrivatized,
+    kBlockOwner,
+    kHicooAtomic,
+    kCsf,
+    kSeq,
+};
+
+std::string
+variant_label(Variant v)
+{
+    switch (v) {
+      case Variant::kCooAtomic:
+        return "CooAtomic";
+      case Variant::kPrivatized:
+        return "Privatized";
+      case Variant::kBlockOwner:
+        return "BlockOwner";
+      case Variant::kHicooAtomic:
+        return "HicooAtomic";
+      case Variant::kCsf:
+        return "Csf";
+      case Variant::kSeq:
+        return "Seq";
+    }
+    return "?";
+}
+
+void
+PrintTo(Variant v, std::ostream* os)
+{
+    *os << variant_label(v);
+}
+
+/// Sets the worker count for a scope, then restores the default.
+struct ScopedThreads {
+    explicit ScopedThreads(int n) { set_num_threads(n); }
+    ~ScopedThreads() { set_num_threads(0); }
+};
+
+constexpr Index kCubeDim = 64;
+constexpr Size kZeroRank = 8;
+
+/// One cubical tensor in every format the variants read: HiCOO with
+/// 4-wide blocks (16 owner groups per mode, enough for block-owner at 4
+/// threads) and one CSF tree rooted at each mode.  120 non-zeros over 64
+/// rows leave several rows of every mode untouched.
+struct Operand {
+    CooTensor x;
+    HiCooTensor hx;
+    std::vector<CsfTensor> csf;
+
+    explicit Operand(std::uint64_t seed)
+        : x([seed] {
+              Rng rng(seed);
+              return CooTensor::random({kCubeDim, kCubeDim, kCubeDim}, 120,
+                                       rng);
+          }()),
+          hx(coo_to_hicoo(x, 2))
+    {
+        for (Size mode = 0; mode < 3; ++mode) {
+            std::vector<Size> order{mode};
+            for (Size m = 0; m < 3; ++m)
+                if (m != mode)
+                    order.push_back(m);
+            csf.push_back(CsfTensor::from_coo(x, order));
+        }
+    }
+
+    /// True when some non-zero maps to `row` of the mode-`mode` output.
+    bool touches(Size mode, Size row) const
+    {
+        for (Size p = 0; p < x.nnz(); ++p)
+            if (x.index(mode, p) == row)
+                return true;
+        return false;
+    }
+
+    /// A row of the mode-`mode` output no non-zero maps to.
+    Size untouched_row(Size mode) const
+    {
+        for (Size row = 0; row < kCubeDim; ++row)
+            if (!touches(mode, row))
+                return row;
+        ADD_FAILURE() << "every row of mode " << mode << " is touched";
+        return 0;
+    }
+};
+
+struct Factors {
+    std::vector<DenseMatrix> mats;
+
+    Factors()
+    {
+        Rng rng(77);
+        for (int m = 0; m < 3; ++m)
+            mats.push_back(DenseMatrix::random(kCubeDim, kZeroRank, rng));
+    }
+    FactorList list() const { return {&mats[0], &mats[1], &mats[2]}; }
+};
+
+void
+run_variant(Variant v, const Operand& op, const FactorList& f, Size mode,
+            DenseMatrix& out)
+{
+    switch (v) {
+      case Variant::kCooAtomic:
+        mttkrp_coo_atomic(op.x, f, mode, out);
+        break;
+      case Variant::kPrivatized:
+        mttkrp_coo_privatized(op.x, f, mode, out);
+        break;
+      case Variant::kBlockOwner:
+        ASSERT_EQ(mttkrp_hicoo(op.hx, f, mode, out),
+                  MttkrpVariant::kBlockOwner);
+        break;
+      case Variant::kHicooAtomic:
+        mttkrp_hicoo_atomic(op.hx, f, mode, out);
+        break;
+      case Variant::kCsf:
+        mttkrp_csf(op.csf[mode], f, mode, out);
+        break;
+      case Variant::kSeq:
+        mttkrp_coo_seq(op.x, f, mode, out);
+        break;
+    }
+}
+
+bool
+same_bits(const DenseMatrix& a, const DenseMatrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(Value)) == 0;
+}
+
+/// Expects `out`, the result of variant `v` on (op, mode), to match `v`
+/// run on a full-fill output: bit-identical where the schedule is
+/// deterministic; for atomics on several threads, exact +0 in untouched
+/// rows and the usual tolerance in touched ones.
+void
+expect_matches_full_fill(Variant v, int threads, const Operand& op,
+                         const FactorList& f, Size mode,
+                         const DenseMatrix& out, const std::string& where)
+{
+    DenseMatrix full(out.rows(), out.cols(), 5.0f);
+    ASSERT_EQ(full.zero_state(), ZeroState::kUnknown);
+    run_variant(v, op, f, mode, full);
+    const bool atomic =
+        v == Variant::kCooAtomic || v == Variant::kHicooAtomic;
+    if (threads == 1 || !atomic) {
+        EXPECT_TRUE(same_bits(out, full)) << where;
+        return;
+    }
+    for (Size i = 0; i < out.rows(); ++i) {
+        const bool touched = op.touches(mode, i);
+        for (Size r = 0; r < out.cols(); ++r) {
+            if (touched)
+                EXPECT_NEAR(out(i, r), full(i, r), 1e-3)
+                    << where << " row " << i;
+            else
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(out(i, r)), 0u)
+                    << where << " row " << i;
+        }
+    }
+}
+
+class MttkrpZeroState
+    : public ::testing::TestWithParam<std::tuple<Variant, int>> {};
+
+TEST_P(MttkrpZeroState, RepeatedCallsMatchFullFill)
+{
+    const auto [v, threads] = GetParam();
+    ScopedThreads scoped(threads);
+    const Operand op(31);
+    const Factors f;
+    DenseMatrix out(kCubeDim, kZeroRank);
+    for (int call = 0; call < 5; ++call) {
+        run_variant(v, op, f.list(), 1, out);
+        expect_matches_full_fill(v, threads, op, f.list(), 1, out,
+                                 "call " + std::to_string(call));
+    }
+}
+
+TEST_P(MttkrpZeroState, AlternatingModesMatchFullFill)
+{
+    const auto [v, threads] = GetParam();
+    ScopedThreads scoped(threads);
+    const Operand op(32);
+    const Factors f;
+    DenseMatrix out(kCubeDim, kZeroRank);
+    for (Size call = 0; call < 6; ++call) {
+        const Size mode = (call * 2) % 3;  // 0, 2, 1, 0, 2, 1
+        run_variant(v, op, f.list(), mode, out);
+        expect_matches_full_fill(v, threads, op, f.list(), mode, out,
+                                 "call " + std::to_string(call));
+    }
+}
+
+TEST_P(MttkrpZeroState, AlternatingTensorsMatchFullFill)
+{
+    const auto [v, threads] = GetParam();
+    ScopedThreads scoped(threads);
+    const Operand ops[] = {Operand(33), Operand(34)};
+    const Factors f;
+    DenseMatrix out(kCubeDim, kZeroRank);
+    for (int call = 0; call < 6; ++call) {
+        const Operand& op = ops[call % 2];
+        run_variant(v, op, f.list(), 0, out);
+        expect_matches_full_fill(v, threads, op, f.list(), 0, out,
+                                 "call " + std::to_string(call));
+    }
+}
+
+TEST_P(MttkrpZeroState, WritesBetweenCallsAreCleared)
+{
+    const auto [v, threads] = GetParam();
+    ScopedThreads scoped(threads);
+    const Operand op(35);
+    const Factors f;
+    const Size mode = 2;
+    const Size row = op.untouched_row(mode);
+    Rng rng(36);
+    const char* writers[] = {"operator()", "row()", "data()", "fill(3)",
+                             "randomize"};
+    DenseMatrix out(kCubeDim, kZeroRank);
+    for (int w = 0; w < 5; ++w) {
+        run_variant(v, op, f.list(), mode, out);
+        switch (w) {
+          case 0:
+            out(row, 0) = 7.0f;
+            break;
+          case 1:
+            out.row(row)[1] = 7.0f;
+            break;
+          case 2:
+            out.data()[row * kZeroRank + 2] = 7.0f;
+            break;
+          case 3:
+            out.fill(3.0f);
+            break;
+          case 4:
+            out.randomize(rng);
+            break;
+        }
+        EXPECT_EQ(out.zero_state(), ZeroState::kUnknown) << writers[w];
+        run_variant(v, op, f.list(), mode, out);
+        const DenseMatrix& result = out;
+        for (Size r = 0; r < kZeroRank; ++r)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(result(row, r)), 0u)
+                << writers[w] << " column " << r;
+        expect_matches_full_fill(v, threads, op, f.list(), mode, result,
+                                 writers[w]);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndThreads, MttkrpZeroState,
+    ::testing::Combine(::testing::Values(Variant::kCooAtomic,
+                                         Variant::kPrivatized,
+                                         Variant::kBlockOwner,
+                                         Variant::kHicooAtomic,
+                                         Variant::kCsf, Variant::kSeq),
+                       ::testing::Values(1, 2, 4)),
+    [](const auto& info) {
+        return variant_label(std::get<0>(info.param)) + "_" +
+               std::to_string(std::get<1>(info.param)) + "t";
+    });
 
 }  // namespace
 }  // namespace pasta

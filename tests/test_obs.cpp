@@ -1,10 +1,12 @@
 // Tests for the instrumentation layer (src/obs): mode arming, span
 // recording/nesting/thread attribution, Chrome-trace export, the gated
 // model counters, trial delta accounting, the text report, the
-// mapped-dense-storage counter and label, and the GPU-sim counter feed.
+// mapped-dense-storage counter and label, the MTTKRP output-zeroing
+// counter and label, and the GPU-sim counter feed.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -397,6 +399,49 @@ TEST_F(ObsTest, MappedDenseStorageReportsBytesAndPageKind)
     const bool offered =
         !mode.empty() && mode.find("[never]") == std::string::npos;
     EXPECT_EQ(snap.label("dense.pages"), offered ? "huge" : "base");
+}
+
+TEST_F(ObsTest, MttkrpZeroingReportsBytesAndPath)
+{
+    // 100 non-zeros over 256 output rows leave most rows untouched.
+    Rng rng(16);
+    const CooTensor x = CooTensor::random({256, 32, 32}, 100, rng);
+    const Size rank = 4;
+    std::vector<DenseMatrix> mats;
+    for (Size m = 0; m < x.order(); ++m)
+        mats.push_back(DenseMatrix::random(x.dim(m), rank, rng));
+    FactorList factors;
+    for (const auto& m : mats)
+        factors.push_back(&m);
+    std::vector<bool> touched(x.dim(0), false);
+    for (Size p = 0; p < x.nnz(); ++p)
+        touched[x.index(0, p)] = true;
+    const std::uint64_t touched_bytes =
+        std::count(touched.begin(), touched.end(), true) * rank *
+        kValueBytes;
+    const std::uint64_t all_bytes = x.dim(0) * rank * kValueBytes;
+    ASSERT_LT(touched_bytes, all_bytes);
+
+    // Off: nothing recorded.
+    DenseMatrix out(x.dim(0), rank);
+    mttkrp_coo_atomic(x, factors, 0, out);
+    EXPECT_EQ(snapshot_metrics().counter("dense.zeroed_bytes"), 0u);
+    EXPECT_EQ(last_label("dense.zero"), "");
+
+    set_mode(TraceMode::kCounters);
+    const auto zeroed = [&](const char* path) {
+        const std::uint64_t before =
+            snapshot_metrics().counter("dense.zeroed_bytes");
+        mttkrp_coo_atomic(x, factors, 0, out);
+        EXPECT_EQ(last_label("dense.zero"), path);
+        return snapshot_metrics().counter("dense.zeroed_bytes") - before;
+    };
+    out = DenseMatrix(x.dim(0), rank);
+    EXPECT_EQ(zeroed("fresh"), 0u);
+    EXPECT_EQ(zeroed("rows"), touched_bytes);
+    out.fill(1.0f);
+    EXPECT_EQ(zeroed("full"), all_bytes);
+    EXPECT_EQ(zeroed("rows"), touched_bytes);
 }
 
 TEST_F(ObsTest, GpusimCountersRecordLaunchesAndTraffic)
