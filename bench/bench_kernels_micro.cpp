@@ -434,9 +434,7 @@ BM_RankLoopGather(benchmark::State& state)
 BENCHMARK(BM_RankLoopGather)
     ->ArgsProduct({{8, 16, 32, 64}, {0, 1, 2}});
 
-/// Whole CP-ALS runs, fused MTTKRP-sequence driver (Arg 1) against the
-/// historical per-mode-allocation driver (Arg 0).  Fixed sweep count
-/// (tolerance 0) so both sides do identical numerical work.
+/// Whole CP-ALS runs at a fixed sweep count (tolerance 0).
 void
 BM_CpAls(benchmark::State& state)
 {
@@ -445,19 +443,17 @@ BM_CpAls(benchmark::State& state)
     options.rank = 16;
     options.max_sweeps = 3;
     options.tolerance = 0.0;
-    options.fused = state.range(0) != 0;
     double fit = 0.0;
     for (auto _ : state) {
         CpdResult r = cp_als(x, options);
         fit = r.fit_history.back();
         benchmark::DoNotOptimize(r.factors.data());
     }
-    state.SetLabel(options.fused ? "fused" : "unfused");
     state.counters["fit"] = fit;
     state.SetItemsProcessed(state.iterations() * options.max_sweeps *
                             x.order() * 3 * x.nnz() * options.rank);
 }
-BENCHMARK(BM_CpAls)->Arg(0)->Arg(1);
+BENCHMARK(BM_CpAls);
 
 /// Full TTM chains (the Tucker core contraction), fused two-mode
 /// endgame (Arg 1) against the stepwise sCOO chain (Arg 0).  Order-4
@@ -570,6 +566,56 @@ BM_GramMatrix(benchmark::State& state)
                          kDenseBenchRank * (kDenseBenchRank + 1));
 }
 BENCHMARK(BM_GramMatrix)->Arg(1)->Arg(0)->UseRealTime();
+
+/// The CP-ALS solve U = M V^-1 (matmul_small) over the same factor.
+void
+BM_CpAlsSolve(benchmark::State& state)
+{
+    BenchThreads threads(state);
+    Rng rng(12);
+    const DenseMatrix m =
+        DenseMatrix::random(kDenseBenchRows, kDenseBenchRank, rng);
+    std::vector<double> v_inv(kDenseBenchRank * kDenseBenchRank);
+    for (auto& w : v_inv)
+        w = rng.next_double() - 0.5;
+    DenseMatrix u(kDenseBenchRows, kDenseBenchRank);
+    for (auto _ : state) {
+        matmul_small(m, v_inv, u);
+        benchmark::DoNotOptimize(u.data());
+        benchmark::ClobberMemory();
+    }
+    set_dense_bytes(state, 2 * kDenseBenchRows);
+    set_flops(state, 2.0 * static_cast<double>(kDenseBenchRows) *
+                         kDenseBenchRank * kDenseBenchRank);
+}
+BENCHMARK(BM_CpAlsSolve)->Arg(1)->Arg(0)->UseRealTime();
+
+/// CP-ALS column normalization: block-ordered column norms, then one
+/// division per element.  Each iteration normalizes a fresh copy of the
+/// factor (the copy is outside the timing), so every pass sees the same
+/// input.
+void
+BM_NormalizeColumns(benchmark::State& state)
+{
+    BenchThreads threads(state);
+    Rng rng(13);
+    const DenseMatrix a =
+        DenseMatrix::random(kDenseBenchRows, kDenseBenchRank, rng);
+    DenseMatrix work = a;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::copy(a.data(), a.data() + a.rows() * a.cols(), work.data());
+        state.ResumeTiming();
+        std::vector<double> norms = normalize_columns(work);
+        benchmark::DoNotOptimize(norms.data());
+        benchmark::ClobberMemory();
+    }
+    // Read twice, written once.
+    set_dense_bytes(state, 3 * kDenseBenchRows);
+    set_flops(state, 3.0 * static_cast<double>(kDenseBenchRows) *
+                         kDenseBenchRank);
+}
+BENCHMARK(BM_NormalizeColumns)->Arg(1)->Arg(0)->UseRealTime();
 
 void
 BM_CooToHicooConversion(benchmark::State& state)

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 TESTS=(test_simd test_mttkrp test_ttv test_ttm test_tew_ts test_methods
-       test_semisparse_kernels test_csf)
+       test_dense test_semisparse_kernels test_csf)
 
 for t in "${TESTS[@]}"; do
     if [[ ! -x "${BUILD_DIR}/tests/${t}" ]]; then

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "obs/counters.hpp"
+#include "simd/microkernels.hpp"
 
 namespace pasta {
 
@@ -59,11 +60,12 @@ void
 randomize_blocks(DenseStorage& data, Rng& rng)
 {
     const std::uint64_t key = rng.next_u64();
+    const simd::Isa isa = simd::active_isa();
     Value* out = data.data();
     for_each_dense_block(data.size(), kDenseBlock,
                          [&](Size first, Size last) {
-                             for (Size i = first; i < last; ++i)
-                                 out[i] = unit_float(splitmix64_at(key, i));
+                             simd::random_unit(isa, out + first, key, first,
+                                               last - first);
                          });
 }
 

@@ -7,6 +7,7 @@
 #include "core/convert.hpp"
 #include "kernels/mttkrp.hpp"
 #include "methods/linalg.hpp"
+#include "obs/trace.hpp"
 
 namespace pasta {
 
@@ -35,21 +36,17 @@ cp_als(const CooTensor& x, const CpdOptions& options)
     for (Size m = 0; m < n; ++m)
         grams[m] = gram_matrix(result.factors[m]);
 
-    // Fused MTTKRP-sequence driver (default): the FactorList is built
-    // once — every solve writes its factor matrix in place, so the
-    // pointers stay valid — and one MTTKRP output buffer per mode is
-    // allocated up front and reused across all sweeps (the kernels zero
-    // it on entry).  The unfused driver keeps the historical per-mode
-    // rebuild + allocation as the BM_CpAls comparison baseline.
-    FactorList fused_factors;
-    std::vector<DenseMatrix> fused_outs;
-    if (options.fused) {
-        for (const auto& f : result.factors)
-            fused_factors.push_back(&f);
-        fused_outs.reserve(n);
-        for (Size m = 0; m < n; ++m)
-            fused_outs.emplace_back(x.dim(m), rank);
-    }
+    // The FactorList is built once: every solve writes its factor matrix
+    // in place, so the pointers stay valid.  One MTTKRP output buffer per
+    // mode is allocated up front and reused across sweeps (the kernels
+    // zero it on entry).
+    FactorList factors;
+    for (const auto& f : result.factors)
+        factors.push_back(&f);
+    std::vector<DenseMatrix> outs;
+    outs.reserve(n);
+    for (Size m = 0; m < n; ++m)
+        outs.emplace_back(x.dim(m), rank);
     // Hadamard-product reuse across consecutive mode solves: suffix[m]
     // is the elementwise product of the (pre-update) Grams of modes
     // m..n-1, rebuilt once per sweep; the running prefix folds in each
@@ -61,52 +58,33 @@ cp_als(const CooTensor& x, const CpdOptions& options)
     double prev_fit = 0.0;
 
     for (Size sweep = 0; sweep < options.max_sweeps; ++sweep) {
-        if (options.fused) {
-            suffix[n].assign(rank * rank, 1.0);
-            for (Size m = n; m-- > 0;) {
-                suffix[m] = suffix[m + 1];
-                hadamard_inplace(suffix[m], grams[m]);
-            }
+        suffix[n].assign(rank * rank, 1.0);
+        for (Size m = n; m-- > 0;) {
+            suffix[m] = suffix[m + 1];
+            hadamard_inplace(suffix[m], grams[m]);
         }
         std::vector<double> prefix(rank * rank, 1.0);
-        DenseMatrix unfused_out;
-        const DenseMatrix* last_out = nullptr;
         for (Size mode = 0; mode < n; ++mode) {
-            DenseMatrix* mttkrp_out;
-            const FactorList* factors;
-            FactorList rebuilt;
-            if (options.fused) {
-                mttkrp_out = &fused_outs[mode];
-                factors = &fused_factors;
-            } else {
-                for (const auto& f : result.factors)
-                    rebuilt.push_back(&f);
-                unfused_out = DenseMatrix(x.dim(mode), rank);
-                mttkrp_out = &unfused_out;
-                factors = &rebuilt;
+            {
+                PASTA_SPAN("cp_als.mttkrp");
+                if (options.mttkrp_format == Format::kHicoo)
+                    mttkrp_hicoo(hicoo, factors, mode, outs[mode]);
+                else
+                    mttkrp_coo(x, factors, mode, outs[mode]);
             }
-            if (options.mttkrp_format == Format::kHicoo)
-                mttkrp_hicoo(hicoo, *factors, mode, *mttkrp_out);
-            else
-                mttkrp_coo(x, *factors, mode, *mttkrp_out);
-            last_out = mttkrp_out;
-
-            // V = Hadamard of the other modes' Grams; U = M V^-1.
-            std::vector<double> v;
-            if (options.fused) {
-                v = prefix;
+            {
+                // V = Hadamard of the other modes' Grams; U = M V^-1.
+                PASTA_SPAN("cp_als.solve");
+                std::vector<double> v = prefix;
                 hadamard_inplace(v, suffix[mode + 1]);
-            } else {
-                v.assign(rank * rank, 1.0);
-                for (Size m = 0; m < n; ++m) {
-                    if (m == mode)
-                        continue;
-                    hadamard_inplace(v, grams[m]);
-                }
+                matmul_small(outs[mode], invert_matrix(std::move(v), rank),
+                             result.factors[mode]);
             }
-            matmul_small(*mttkrp_out, invert_matrix(std::move(v), rank),
-                         result.factors[mode]);
-            result.lambdas = normalize_columns(result.factors[mode]);
+            {
+                PASTA_SPAN("cp_als.normalize");
+                result.lambdas = normalize_columns(result.factors[mode]);
+            }
+            PASTA_SPAN("cp_als.gram");
             grams[mode] = gram_matrix(result.factors[mode]);
             hadamard_inplace(prefix, grams[mode]);
         }
@@ -116,7 +94,9 @@ cp_als(const CooTensor& x, const CpdOptions& options)
         // where M is the final mode's MTTKRP result computed above
         // (with the *pre-update* factors for the other modes — after the
         // sweep, M corresponds to the current factors).
+        PASTA_SPAN("cp_als.fit");
         const Size last = n - 1;
+        const DenseMatrix& last_out = outs[last];
         const DenseMatrix& u = result.factors[last];
         const double inner =
             dense_block_sum(
@@ -124,7 +104,7 @@ cp_als(const CooTensor& x, const CpdOptions& options)
                 [&](Size first, Size end, double* part) {
                     for (Size i = first; i < end; ++i)
                         for (Size r = 0; r < rank; ++r)
-                            *part += static_cast<double>((*last_out)(i, r)) *
+                            *part += static_cast<double>(last_out(i, r)) *
                                      result.lambdas[r] * u(i, r);
                 })[0];
         // After the sweep the running prefix is exactly the Hadamard of

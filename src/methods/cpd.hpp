@@ -22,12 +22,6 @@ struct CpdOptions {
     Format mttkrp_format = Format::kCoo;  ///< COO or HiCOO MTTKRP
     unsigned block_bits = 7;     ///< HiCOO block size when selected
     std::uint64_t seed = 1;      ///< factor initialization
-    /// MTTKRP-sequence driver: build the FactorList once, keep one
-    /// reusable MTTKRP output buffer per mode across sweeps, and reuse
-    /// partial Hadamard products (prefix x suffix of the unchanged
-    /// modes) between consecutive mode solves.  `false` runs the
-    /// historical per-mode-allocation driver (bench baseline).
-    bool fused = true;
 };
 
 /// CP decomposition result: X ~= sum_r lambda_r u^(1)_r o ... o u^(N)_r.

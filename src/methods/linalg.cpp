@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "simd/microkernels.hpp"
 
 namespace pasta {
 
@@ -13,16 +14,11 @@ gram_matrix(const DenseMatrix& a)
     // Upper triangle per row block, mirrored afterwards: the products
     // are symmetric bit for bit, so the mirror equals a full sweep.
     const Size r = a.cols();
+    const simd::Isa isa = simd::active_isa();
     std::vector<double> g = dense_block_sum(
         a.rows(), dense_row_block(r), r * r,
         [&](Size first, Size last, double* part) {
-            for (Size i = first; i < last; ++i) {
-                const Value* row = a.row(i);
-                for (Size p = 0; p < r; ++p)
-                    for (Size q = p; q < r; ++q)
-                        part[p * r + q] +=
-                            static_cast<double>(row[p]) * row[q];
-            }
+            simd::gram_rows(isa, a.row(first), last - first, r, part);
         });
     for (Size p = 0; p < r; ++p)
         for (Size q = 0; q < p; ++q)
@@ -88,18 +84,12 @@ matmul_small(const DenseMatrix& lhs, const std::vector<double>& rhs,
     PASTA_CHECK_MSG(rhs.size() == r * r, "matmul_small size mismatch");
     PASTA_CHECK_MSG(out.rows() == lhs.rows() && out.cols() == r,
                     "matmul_small output shape mismatch");
+    const simd::Isa isa = simd::active_isa();
+    Value* base = out.data();
     for_each_dense_block(
         lhs.rows(), dense_row_block(r), [&](Size first, Size last) {
-            for (Size i = first; i < last; ++i) {
-                const Value* in_row = lhs.row(i);
-                Value* out_row = out.row(i);
-                for (Size q = 0; q < r; ++q) {
-                    double acc = 0.0;
-                    for (Size p = 0; p < r; ++p)
-                        acc += static_cast<double>(in_row[p]) * rhs[p * r + q];
-                    out_row[q] = static_cast<Value>(acc);
-                }
-            }
+            simd::matmul_rows(isa, lhs.row(first), base + first * r,
+                              last - first, r, rhs.data());
         });
 }
 
@@ -143,25 +133,22 @@ normalize_columns(DenseMatrix& a)
     // the zero state (core/dense.hpp), once per element.
     const Size cols = a.cols();
     const Size block = dense_row_block(cols);
+    const simd::Isa isa = simd::active_isa();
     const DenseMatrix& in = a;
     std::vector<double> norms = dense_block_sum(
         a.rows(), block, cols, [&](Size first, Size last, double* part) {
-            for (Size i = first; i < last; ++i) {
-                const Value* row = in.row(i);
-                for (Size c = 0; c < cols; ++c)
-                    part[c] += static_cast<double>(row[c]) * row[c];
-            }
+            simd::sumsq_rows(isa, in.row(first), last - first, cols, part);
         });
-    for (auto& n : norms)
-        n = std::sqrt(n);
+    // A column with norm at most 1e-12 is divided by 1: left as it is.
+    std::vector<double> divisor(cols);
+    for (Size c = 0; c < cols; ++c) {
+        norms[c] = std::sqrt(norms[c]);
+        divisor[c] = norms[c] > 1e-12 ? norms[c] : 1.0;
+    }
     Value* base = a.data();
     for_each_dense_block(a.rows(), block, [&](Size first, Size last) {
-        for (Size i = first; i < last; ++i) {
-            Value* row = base + i * cols;
-            for (Size c = 0; c < cols; ++c)
-                if (norms[c] > 1e-12)
-                    row[c] = static_cast<Value>(row[c] / norms[c]);
-        }
+        simd::divide_rows(isa, base + first * cols, last - first, cols,
+                          divisor.data());
     });
     return norms;
 }

@@ -9,7 +9,9 @@
 /// over the dense layer's fixed row blocks (core/dense.hpp): reductions
 /// sum per-block double partials in block order, and row-wise passes
 /// write each row independently, so every result is bit-identical at any
-/// thread count.
+/// thread count.  Each block goes through a per-ISA primitive of
+/// simd/microkernels.hpp that vectorizes across output elements only,
+/// so every result is bit-identical under every ISA as well.
 #pragma once
 
 #include <vector>

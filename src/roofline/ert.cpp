@@ -5,6 +5,7 @@
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "simd/microkernels.hpp"
 
 namespace pasta {
 
@@ -66,35 +67,116 @@ measure_kernel(const char* name, float* a, float* b, float* c, Size n,
     return bytes / elapsed / 1e9;
 }
 
-/// Register-blocked FMA chain estimating attainable peak FLOPS.
-double
-measure_flops(double seconds)
+// Peak FLOPS: every thread runs kChains independent chains
+// acc = acc * kMul + kAdd at the active ISA's width, with separate
+// multiply and add like every kernel of the suite (no FMA: the SIMD
+// bit-identity contract).  kChains covers the multiply and add
+// latencies on two vector ports; the chains converge to 1, so no value
+// overflows or turns subnormal.
+constexpr int kChains = 12;
+constexpr int kBatch = 1024;  ///< iterations per chain and call
+constexpr float kMul = 0.999999f;
+constexpr float kAdd = 1e-6f;
+
+PASTA_SCALAR_REF float
+chains_scalar()
 {
-    constexpr Size kLanes = 16;
+    float acc[kChains];
+    for (int c = 0; c < kChains; ++c)
+        acc[c] = 1.0f + 1e-3f * static_cast<float>(c);
+    for (int k = 0; k < kBatch; ++k)
+        for (int c = 0; c < kChains; ++c)
+            acc[c] = acc[c] * kMul + kAdd;
+    float total = 0;
+    for (int c = 0; c < kChains; ++c)
+        total += acc[c];
+    return total;
+}
+
+#if PASTA_SIMD_X86
+PASTA_TARGET_AVX2 float
+chains_avx2()
+{
+    const __m256 m = _mm256_set1_ps(kMul);
+    const __m256 a = _mm256_set1_ps(kAdd);
+    __m256 acc[kChains];
+    for (int c = 0; c < kChains; ++c)
+        acc[c] = _mm256_set1_ps(1.0f + 1e-3f * static_cast<float>(c));
+    for (int k = 0; k < kBatch; ++k)
+#pragma GCC unroll 12
+        for (int c = 0; c < kChains; ++c)
+            acc[c] = _mm256_add_ps(_mm256_mul_ps(acc[c], m), a);
+    __m256 total = acc[0];
+    for (int c = 1; c < kChains; ++c)
+        total = _mm256_add_ps(total, acc[c]);
+    return simd::detail::hsum_avx2(total);
+}
+
+PASTA_TARGET_AVX512 float
+chains_avx512()
+{
+    const __m512 m = _mm512_set1_ps(kMul);
+    const __m512 a = _mm512_set1_ps(kAdd);
+    __m512 acc[kChains];
+    for (int c = 0; c < kChains; ++c)
+        acc[c] = _mm512_set1_ps(1.0f + 1e-3f * static_cast<float>(c));
+    for (int k = 0; k < kBatch; ++k)
+#pragma GCC unroll 12
+        for (int c = 0; c < kChains; ++c)
+            acc[c] = _mm512_add_ps(_mm512_mul_ps(acc[c], m), a);
+    __m512 total = acc[0];
+    for (int c = 1; c < kChains; ++c)
+        total = _mm512_add_ps(total, acc[c]);
+    return simd::detail::hsum_avx512(total);
+}
+#endif
+
+/// One call of the chains at `isa`.
+float
+run_chains(simd::Isa isa)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case simd::Isa::kAvx512:
+        return chains_avx512();
+      case simd::Isa::kAvx2:
+        return chains_avx2();
+      default:
+        break;
+    }
+#endif
+    return chains_scalar();
+}
+
+/// Attainable GFLOP/s: the chains on every thread for ~`seconds`, the
+/// per-thread rates summed.
+double
+measure_flops(simd::Isa isa, double seconds)
+{
+    const int nt = num_threads();
+    const double flops_per_call = 2.0 * kChains * kBatch *
+                                  static_cast<double>(simd::isa_lanes(isa));
+    std::vector<double> rates(nt, 0.0);
+    std::vector<float> sums(nt, 0.0f);
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (int t = 0; t < nt; ++t) {
+        Timer timer;
+        timer.start();
+        Size calls = 0;
+        do {
+            sums[t] += run_chains(isa);
+            ++calls;
+        } while (timer.elapsed_seconds() < seconds);
+        rates[t] = flops_per_call * static_cast<double>(calls) /
+                   timer.elapsed_seconds();
+    }
     volatile float sink = 0;
-    float acc[kLanes];
-    for (Size l = 0; l < kLanes; ++l)
-        acc[l] = 1.0f + 1e-6f * static_cast<float>(l);
-    const float m = 1.000001f;
-    const float addend = 1e-9f;
-    Timer timer;
-    timer.start();
-    Size iters = 0;
-    do {
-        for (int k = 0; k < 1024; ++k) {
-#pragma omp simd
-            for (Size l = 0; l < kLanes; ++l)
-                acc[l] = acc[l] * m + addend;
-        }
-        iters += 1024;
-    } while (timer.elapsed_seconds() < seconds);
-    const double elapsed = timer.elapsed_seconds();
-    for (Size l = 0; l < kLanes; ++l)
-        sink = sink + acc[l];
-    (void)sink;
-    // 2 flops (mul + add) per lane per iteration.
-    return 2.0 * static_cast<double>(kLanes) *
-           static_cast<double>(iters) / elapsed / 1e9;
+    double total = 0;
+    for (int t = 0; t < nt; ++t) {
+        sink = sink + sums[t];
+        total += rates[t];
+    }
+    return total / 1e9;
 }
 
 }  // namespace
@@ -127,7 +209,9 @@ run_ert(const ErtOptions& options)
                     std::max(result.dram_bw_gbs, sample.bandwidth_gbs);
         }
     }
-    result.peak_gflops = measure_flops(4 * options.seconds_per_point);
+    result.isa = simd::active_isa();
+    result.peak_gflops =
+        measure_flops(result.isa, 4 * options.seconds_per_point);
     // A machine where the "DRAM" sizes still fit in a huge cache can show
     // dram >= llc; clamp so the roofs stay ordered.
     result.llc_bw_gbs = std::max(result.llc_bw_gbs, result.dram_bw_gbs);

@@ -5,7 +5,8 @@
 /// does: STREAM-like vector micro-kernels (copy, scale, add, triad) are
 /// swept over working-set sizes; bandwidth at cache-resident sizes gives
 /// the LLC roof, bandwidth at DRAM-resident sizes gives the DRAM roof,
-/// and a register-blocked FMA kernel estimates attainable peak FLOPS.
+/// and independent multiply-add chains on every thread, at the active
+/// SIMD width, estimate attainable peak FLOPS.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "roofline/machine.hpp"
+#include "simd/simd.hpp"
 
 namespace pasta {
 
@@ -28,7 +30,8 @@ struct ErtResult {
     std::vector<ErtSample> samples;
     double dram_bw_gbs = 0;   ///< best bandwidth at DRAM-resident sizes
     double llc_bw_gbs = 0;    ///< best bandwidth at cache-resident sizes
-    double peak_gflops = 0;   ///< attainable FLOPS from the FMA kernel
+    double peak_gflops = 0;   ///< attainable FLOPS, all threads
+    simd::Isa isa = simd::Isa::kScalar;  ///< ISA peak_gflops ran at
 };
 
 /// Options bounding the sweep (defaults keep the run under ~10 s).

@@ -18,8 +18,23 @@
 /// partial sums across lanes; their results stay within the Higham
 /// bounds the validate/ diff oracles already allow for parallel
 /// reductions.
+///
+/// The dense-algebra primitives of CP-ALS (gram_rows, matmul_rows,
+/// sumsq_rows, divide_rows) run over one row block of the dense layer
+/// (core/dense.hpp).  They vectorize across output elements, never
+/// across the reduction index: each double lane is one Gram entry,
+/// product column or column norm, accumulates in a register for the
+/// whole block, and adds the same products in the same row (or p)
+/// order as the scalar loop, with separate multiply and add.  So they
+/// are bit-identical to the scalar path as well (tests/test_methods).
+/// random_unit is integer math plus one exact int-to-float conversion,
+/// likewise bit-identical (tests/test_dense).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "simd/simd.hpp"
 
@@ -149,6 +164,65 @@ vdot_gather_scalar(const Value* x, const Index* idx, const Value* table,
     for (Size i = 0; i < n; ++i)
         acc += x[i] * table[idx[i]];
     return acc;
+}
+
+// ---- dense algebra over row blocks (CP-ALS) --------------------------
+// `rows` consecutive rows of a row-major matrix with r (or cols)
+// columns.  Every sum is in double and runs over rows (or p) in order.
+
+PASTA_SCALAR_REF inline void
+gram_rows_scalar(const Value* a, Size rows, Size r, double* part)
+{
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * r;
+        for (Size p = 0; p < r; ++p)
+            for (Size q = p; q < r; ++q)
+                part[p * r + q] += static_cast<double>(row[p]) * row[q];
+    }
+}
+
+PASTA_SCALAR_REF inline void
+matmul_rows_scalar(const Value* in, Value* out, Size rows, Size r,
+                   const double* rhs)
+{
+    for (Size i = 0; i < rows; ++i) {
+        const Value* x = in + i * r;
+        Value* y = out + i * r;
+        for (Size q = 0; q < r; ++q) {
+            double acc = 0.0;
+            for (Size p = 0; p < r; ++p)
+                acc += static_cast<double>(x[p]) * rhs[p * r + q];
+            y[q] = static_cast<Value>(acc);
+        }
+    }
+}
+
+PASTA_SCALAR_REF inline void
+sumsq_rows_scalar(const Value* a, Size rows, Size cols, double* part)
+{
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * cols;
+        for (Size c = 0; c < cols; ++c)
+            part[c] += static_cast<double>(row[c]) * row[c];
+    }
+}
+
+PASTA_SCALAR_REF inline void
+divide_rows_scalar(Value* a, Size rows, Size cols, const double* divisor)
+{
+    for (Size i = 0; i < rows; ++i) {
+        Value* row = a + i * cols;
+        for (Size c = 0; c < cols; ++c)
+            row[c] = static_cast<Value>(row[c] / divisor[c]);
+    }
+}
+
+PASTA_SCALAR_REF inline void
+random_unit_scalar(Value* dst, std::uint64_t key, std::uint64_t first,
+                   Size n)
+{
+    for (Size i = 0; i < n; ++i)
+        dst[i] = unit_float(splitmix64_at(key, first + i));
 }
 
 #if PASTA_SIMD_X86
@@ -323,6 +397,285 @@ vdot_gather_avx2(const Value* x, const Index* idx, const Value* table,
     for (; i < n; ++i)
         total += x[i] * table[idx[i]];
     return total;
+}
+
+// Dense algebra: one double lane per output element, 4 per register.
+// A group of 4 columns is loaded and stored plainly when whole; a group
+// past the row end is masked (the masked lanes neither fault nor
+// store), so any width works.
+
+/// Lanes of the 4-column group at column q that lie below `width`.
+PASTA_TARGET_AVX2 inline int
+live_lanes_avx2(Size q, Size width)
+{
+    return q < width ? static_cast<int>(std::min<Size>(width - q, 4)) : 0;
+}
+
+/// 64-bit lane mask (double loads and stores) of a 4-column group.
+PASTA_TARGET_AVX2 inline __m256i
+mask_pd_avx2(int live)
+{
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// 32-bit lane mask (float loads and stores) of a 4-column group.
+PASTA_TARGET_AVX2 inline __m128i
+mask_ps_avx2(int live)
+{
+    return _mm_cmpgt_epi32(_mm_set1_epi32(live), _mm_setr_epi32(0, 1, 2, 3));
+}
+
+PASTA_TARGET_AVX2 inline __m256d
+load_ps_as_pd_avx2(const Value* src, int live)
+{
+    return _mm256_cvtps_pd(live == 4
+                               ? _mm_loadu_ps(src)
+                               : _mm_maskload_ps(src, mask_ps_avx2(live)));
+}
+
+PASTA_TARGET_AVX2 inline void
+store_pd_as_ps_avx2(Value* dst, int live, __m256d v)
+{
+    const __m128 narrowed = _mm256_cvtpd_ps(v);
+    if (live == 4)
+        _mm_storeu_ps(dst, narrowed);
+    else
+        _mm_maskstore_ps(dst, mask_ps_avx2(live), narrowed);
+}
+
+PASTA_TARGET_AVX2 inline __m256d
+load_pd_avx2(const double* src, int live)
+{
+    return live == 4 ? _mm256_loadu_pd(src)
+                     : _mm256_maskload_pd(src, mask_pd_avx2(live));
+}
+
+PASTA_TARGET_AVX2 inline void
+store_pd_avx2(double* dst, int live, __m256d v)
+{
+    if (live == 4)
+        _mm256_storeu_pd(dst, v);
+    else
+        _mm256_maskstore_pd(dst, mask_pd_avx2(live), v);
+}
+
+/// Gram tile: rows p0..p0+3 (clamped to r-1; the repeats are computed
+/// but not stored) x NQ column groups from q0, accumulated in registers
+/// over all rows.
+template <int NQ>
+PASTA_TARGET_AVX2 inline void
+gram_tile_avx2(const Value* a, Size rows, Size r, Size p0, Size q0,
+               double* part)
+{
+    constexpr int kNp = 4;
+    const Size np = std::min<Size>(kNp, r - p0);
+    Size p[kNp];
+    int live[NQ];
+    __m256d acc[kNp][NQ];
+#pragma GCC unroll 8
+    for (int j = 0; j < kNp; ++j)
+        p[j] = p0 + std::min<Size>(static_cast<Size>(j), np - 1);
+#pragma GCC unroll 8
+    for (int k = 0; k < NQ; ++k)
+        live[k] = live_lanes_avx2(q0 + 4 * k, r);
+#pragma GCC unroll 8
+    for (int j = 0; j < kNp; ++j)
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            acc[j][k] = load_pd_avx2(part + p[j] * r + q0 + 4 * k, live[k]);
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * r;
+        __m256d x[NQ];
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            x[k] = load_ps_as_pd_avx2(row + q0 + 4 * k, live[k]);
+#pragma GCC unroll 8
+        for (int j = 0; j < kNp; ++j) {
+            const __m256d b = _mm256_set1_pd(row[p[j]]);
+#pragma GCC unroll 8
+            for (int k = 0; k < NQ; ++k)
+                acc[j][k] = _mm256_add_pd(acc[j][k], _mm256_mul_pd(b, x[k]));
+        }
+    }
+    for (Size j = 0; j < np; ++j)
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            store_pd_avx2(part + p[j] * r + q0 + 4 * k, live[k], acc[j][k]);
+}
+
+PASTA_TARGET_AVX2 inline void
+gram_rows_avx2(const Value* a, Size rows, Size r, double* part)
+{
+    // Tiles start on the diagonal, so they cover the upper triangle
+    // plus part of each diagonal 4x4 block.
+    for (Size p0 = 0; p0 < r; p0 += 4)
+        for (Size q0 = p0; q0 < r; q0 += 8) {
+            if (r - q0 > 4)
+                gram_tile_avx2<2>(a, rows, r, p0, q0, part);
+            else
+                gram_tile_avx2<1>(a, rows, r, p0, q0, part);
+        }
+}
+
+/// Product tile: NQ column groups from q0 of every row of in x rhs.
+template <int NQ>
+PASTA_TARGET_AVX2 inline void
+matmul_tile_avx2(const Value* in, Value* out, Size rows, Size r,
+                 const double* rhs, Size q0)
+{
+    int live[NQ];
+#pragma GCC unroll 8
+    for (int k = 0; k < NQ; ++k)
+        live[k] = live_lanes_avx2(q0 + 4 * k, r);
+    for (Size i = 0; i < rows; ++i) {
+        const Value* x = in + i * r;
+        __m256d acc[NQ];
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            acc[k] = _mm256_setzero_pd();
+        for (Size p = 0; p < r; ++p) {
+            const __m256d b = _mm256_set1_pd(x[p]);
+            const double* w = rhs + p * r + q0;
+#pragma GCC unroll 8
+            for (int k = 0; k < NQ; ++k)
+                acc[k] = _mm256_add_pd(
+                    acc[k],
+                    _mm256_mul_pd(b, load_pd_avx2(w + 4 * k, live[k])));
+        }
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            store_pd_as_ps_avx2(out + i * r + q0 + 4 * k, live[k], acc[k]);
+    }
+}
+
+PASTA_TARGET_AVX2 inline void
+matmul_rows_avx2(const Value* in, Value* out, Size rows, Size r,
+                 const double* rhs)
+{
+    for (Size q0 = 0; q0 < r; q0 += 8) {
+        if (r - q0 > 4)
+            matmul_tile_avx2<2>(in, out, rows, r, rhs, q0);
+        else
+            matmul_tile_avx2<1>(in, out, rows, r, rhs, q0);
+    }
+}
+
+/// Column sums of squares for NC column groups from c0, over all rows.
+template <int NC>
+PASTA_TARGET_AVX2 inline void
+sumsq_tile_avx2(const Value* a, Size rows, Size cols, Size c0, double* part)
+{
+    int live[NC];
+    __m256d acc[NC];
+#pragma GCC unroll 8
+    for (int k = 0; k < NC; ++k) {
+        live[k] = live_lanes_avx2(c0 + 4 * k, cols);
+        acc[k] = load_pd_avx2(part + c0 + 4 * k, live[k]);
+    }
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * cols + c0;
+#pragma GCC unroll 8
+        for (int k = 0; k < NC; ++k) {
+            const __m256d x = load_ps_as_pd_avx2(row + 4 * k, live[k]);
+            acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(x, x));
+        }
+    }
+#pragma GCC unroll 8
+    for (int k = 0; k < NC; ++k)
+        store_pd_avx2(part + c0 + 4 * k, live[k], acc[k]);
+}
+
+PASTA_TARGET_AVX2 inline void
+sumsq_rows_avx2(const Value* a, Size rows, Size cols, double* part)
+{
+    for (Size c0 = 0; c0 < cols; c0 += 8) {
+        if (cols - c0 > 4)
+            sumsq_tile_avx2<2>(a, rows, cols, c0, part);
+        else
+            sumsq_tile_avx2<1>(a, rows, cols, c0, part);
+    }
+}
+
+PASTA_TARGET_AVX2 inline void
+divide_rows_avx2(Value* a, Size rows, Size cols, const double* divisor)
+{
+    for (Size i = 0; i < rows; ++i) {
+        Value* row = a + i * cols;
+        for (Size c = 0; c < cols; c += 4) {
+            const int live = live_lanes_avx2(c, cols);
+            // Dead lanes divide 0 by 1.
+            const __m256d d =
+                live == 4 ? _mm256_loadu_pd(divisor + c)
+                          : _mm256_blendv_pd(
+                                _mm256_set1_pd(1.0),
+                                _mm256_maskload_pd(divisor + c,
+                                                   mask_pd_avx2(live)),
+                                _mm256_castsi256_pd(mask_pd_avx2(live)));
+            store_pd_as_ps_avx2(
+                row + c, live,
+                _mm256_div_pd(load_ps_as_pd_avx2(row + c, live), d));
+        }
+    }
+}
+
+/// z * b mod 2^64 per 64-bit lane, from 32-bit partial products (AVX2
+/// has no 64-bit multiply).
+PASTA_TARGET_AVX2 inline __m256i
+mul64_avx2(__m256i z, std::uint64_t b)
+{
+    const __m256i lo = _mm256_set1_epi64x(static_cast<long long>(b));
+    const __m256i hi = _mm256_set1_epi64x(static_cast<long long>(b >> 32));
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(z, 32), lo),
+                         _mm256_mul_epu32(z, hi));
+    return _mm256_add_epi64(_mm256_mul_epu32(z, lo),
+                            _mm256_slli_epi64(cross, 32));
+}
+
+/// splitmix64_mix per lane, then the top 24 bits (unit_float's input).
+PASTA_TARGET_AVX2 inline __m256i
+mix_top24_avx2(__m256i z)
+{
+    z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+                   0xBF58476D1CE4E5B9ULL);
+    z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+                   0x94D049BB133111EBULL);
+    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+    return _mm256_srli_epi64(z, 40);
+}
+
+PASTA_TARGET_AVX2 inline void
+random_unit_avx2(Value* dst, std::uint64_t key, std::uint64_t first, Size n)
+{
+    // Lane l of z0 (z1) holds the counter input of element i + l
+    // (i + 4 + l): key + (first + i + l + 1) * gamma.
+    alignas(32) std::uint64_t start[8];
+    for (int l = 0; l < 8; ++l)
+        start[l] = key + (first + static_cast<std::uint64_t>(l) + 1) *
+                             kSplitMixGamma;
+    __m256i z0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(start));
+    __m256i z1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(start + 4));
+    const __m256i step =
+        _mm256_set1_epi64x(static_cast<long long>(8 * kSplitMixGamma));
+    const __m256 scale = _mm256_set1_ps(0x1.0p-24f);
+    Size i = 0;
+    for (; i + 8 <= n; i += 8) {
+        // Low dwords of both vectors, back in element order.
+        const __m256i packed = _mm256_permute4x64_epi64(
+            _mm256_castps_si256(_mm256_shuffle_ps(
+                _mm256_castsi256_ps(mix_top24_avx2(z0)),
+                _mm256_castsi256_ps(mix_top24_avx2(z1)),
+                _MM_SHUFFLE(2, 0, 2, 0))),
+            _MM_SHUFFLE(3, 1, 2, 0));
+        _mm256_storeu_ps(dst + i,
+                         _mm256_mul_ps(_mm256_cvtepi32_ps(packed), scale));
+        z0 = _mm256_add_epi64(z0, step);
+        z1 = _mm256_add_epi64(z1, step);
+    }
+    for (; i < n; ++i)
+        dst[i] = unit_float(splitmix64_at(key, first + i));
 }
 
 // ---- AVX-512 (16 x float) ------------------------------------------
@@ -545,6 +898,266 @@ vdot_gather_avx512(const Value* x, const Index* idx, const Value* table,
     for (; i < n; ++i)
         total += x[i] * table[idx[i]];
     return total;
+}
+
+// Dense algebra: one double lane per output element, 8 per register,
+// masked past the row end.  The conversions and integer ops below use
+// their zero-masking forms (with all lanes live where no mask is
+// needed): the plain forms start from an undefined vector and trip
+// -Wmaybe-uninitialized inside the GCC intrinsic header.
+
+constexpr __mmask8 kAllLanes8 = 0xff;
+
+/// Lane mask of the 8-column group at column q below `width`.
+PASTA_TARGET_AVX512 inline __mmask8
+live_mask_avx512(Size q, Size width)
+{
+    const Size live = q < width ? std::min<Size>(width - q, 8) : 0;
+    return static_cast<__mmask8>((1u << live) - 1u);
+}
+
+/// Eight floats widened to doubles.  A full group is one 256-bit load;
+/// only a tail group takes the 512-bit masked load.
+PASTA_TARGET_AVX512 inline __m512d
+load_ps_as_pd_avx512(const Value* src, __mmask8 m)
+{
+    if (m == kAllLanes8)
+        return _mm512_maskz_cvtps_pd(m, _mm256_loadu_ps(src));
+    const __m512d loaded = _mm512_castps_pd(_mm512_maskz_loadu_ps(m, src));
+    return _mm512_maskz_cvtps_pd(
+        m, _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, loaded, 0)));
+}
+
+/// Eight doubles rounded to floats and stored.  A full group is one
+/// 256-bit store: a 512-bit masked store also covers the next 32 bytes,
+/// and a later load there (the next group of a row pass) waits for it
+/// to retire instead of being forwarded.
+PASTA_TARGET_AVX512 inline void
+store_pd_as_ps_avx512(Value* dst, __mmask8 m, __m512d v)
+{
+    const __m256 narrowed = _mm512_maskz_cvtpd_ps(m, v);
+    if (m == kAllLanes8)
+        _mm256_storeu_ps(dst, narrowed);
+    else
+        _mm512_mask_storeu_ps(dst, m, _mm512_castps256_ps512(narrowed));
+}
+
+/// Gram tile: rows p0..p0+7 (clamped to r-1; the repeats are computed
+/// but not stored) x NQ column groups from q0, accumulated in registers
+/// over all rows.
+template <int NQ>
+PASTA_TARGET_AVX512 inline void
+gram_tile_avx512(const Value* a, Size rows, Size r, Size p0, Size q0,
+                 double* part)
+{
+    constexpr int kNp = 8;
+    const Size np = std::min<Size>(kNp, r - p0);
+    Size p[kNp];
+    __mmask8 m[NQ];
+    __m512d acc[kNp][NQ];
+#pragma GCC unroll 8
+    for (int j = 0; j < kNp; ++j)
+        p[j] = p0 + std::min<Size>(static_cast<Size>(j), np - 1);
+#pragma GCC unroll 8
+    for (int k = 0; k < NQ; ++k)
+        m[k] = live_mask_avx512(q0 + 8 * k, r);
+#pragma GCC unroll 8
+    for (int j = 0; j < kNp; ++j)
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            acc[j][k] =
+                _mm512_maskz_loadu_pd(m[k], part + p[j] * r + q0 + 8 * k);
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * r;
+        __m512d x[NQ];
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            x[k] = load_ps_as_pd_avx512(row + q0 + 8 * k, m[k]);
+#pragma GCC unroll 8
+        for (int j = 0; j < kNp; ++j) {
+            const __m512d b = _mm512_set1_pd(row[p[j]]);
+#pragma GCC unroll 8
+            for (int k = 0; k < NQ; ++k)
+                acc[j][k] = _mm512_add_pd(acc[j][k], _mm512_mul_pd(b, x[k]));
+        }
+    }
+    for (Size j = 0; j < np; ++j)
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            _mm512_mask_storeu_pd(part + p[j] * r + q0 + 8 * k, m[k],
+                                  acc[j][k]);
+}
+
+PASTA_TARGET_AVX512 inline void
+gram_rows_avx512(const Value* a, Size rows, Size r, double* part)
+{
+    // Tiles start on the diagonal, so they cover the upper triangle
+    // plus part of each diagonal 8x8 block.
+    for (Size p0 = 0; p0 < r; p0 += 8)
+        for (Size q0 = p0; q0 < r; q0 += 16) {
+            if (r - q0 > 8)
+                gram_tile_avx512<2>(a, rows, r, p0, q0, part);
+            else
+                gram_tile_avx512<1>(a, rows, r, p0, q0, part);
+        }
+}
+
+/// Product tile: NQ column groups from q0 of every row of in x rhs.
+template <int NQ>
+PASTA_TARGET_AVX512 inline void
+matmul_tile_avx512(const Value* in, Value* out, Size rows, Size r,
+                   const double* rhs, Size q0)
+{
+    __mmask8 m[NQ];
+#pragma GCC unroll 8
+    for (int k = 0; k < NQ; ++k)
+        m[k] = live_mask_avx512(q0 + 8 * k, r);
+    for (Size i = 0; i < rows; ++i) {
+        const Value* x = in + i * r;
+        __m512d acc[NQ];
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            acc[k] = _mm512_setzero_pd();
+        for (Size p = 0; p < r; ++p) {
+            const __m512d b = _mm512_set1_pd(x[p]);
+            const double* w = rhs + p * r + q0;
+#pragma GCC unroll 8
+            for (int k = 0; k < NQ; ++k)
+                acc[k] = _mm512_add_pd(
+                    acc[k],
+                    _mm512_mul_pd(b, _mm512_maskz_loadu_pd(m[k], w + 8 * k)));
+        }
+#pragma GCC unroll 8
+        for (int k = 0; k < NQ; ++k)
+            store_pd_as_ps_avx512(out + i * r + q0 + 8 * k, m[k], acc[k]);
+    }
+}
+
+PASTA_TARGET_AVX512 inline void
+matmul_rows_avx512(const Value* in, Value* out, Size rows, Size r,
+                   const double* rhs)
+{
+    for (Size q0 = 0; q0 < r; q0 += 16) {
+        if (r - q0 > 8)
+            matmul_tile_avx512<2>(in, out, rows, r, rhs, q0);
+        else
+            matmul_tile_avx512<1>(in, out, rows, r, rhs, q0);
+    }
+}
+
+/// Column sums of squares for NC column groups from c0, over all rows.
+template <int NC>
+PASTA_TARGET_AVX512 inline void
+sumsq_tile_avx512(const Value* a, Size rows, Size cols, Size c0,
+                  double* part)
+{
+    __mmask8 m[NC];
+    __m512d acc[NC];
+#pragma GCC unroll 8
+    for (int k = 0; k < NC; ++k) {
+        m[k] = live_mask_avx512(c0 + 8 * k, cols);
+        acc[k] = _mm512_maskz_loadu_pd(m[k], part + c0 + 8 * k);
+    }
+    for (Size i = 0; i < rows; ++i) {
+        const Value* row = a + i * cols + c0;
+#pragma GCC unroll 8
+        for (int k = 0; k < NC; ++k) {
+            const __m512d x = load_ps_as_pd_avx512(row + 8 * k, m[k]);
+            acc[k] = _mm512_add_pd(acc[k], _mm512_mul_pd(x, x));
+        }
+    }
+#pragma GCC unroll 8
+    for (int k = 0; k < NC; ++k)
+        _mm512_mask_storeu_pd(part + c0 + 8 * k, m[k], acc[k]);
+}
+
+PASTA_TARGET_AVX512 inline void
+sumsq_rows_avx512(const Value* a, Size rows, Size cols, double* part)
+{
+    for (Size c0 = 0; c0 < cols; c0 += 16) {
+        if (cols - c0 > 8)
+            sumsq_tile_avx512<2>(a, rows, cols, c0, part);
+        else
+            sumsq_tile_avx512<1>(a, rows, cols, c0, part);
+    }
+}
+
+PASTA_TARGET_AVX512 inline void
+divide_rows_avx512(Value* a, Size rows, Size cols, const double* divisor)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    for (Size i = 0; i < rows; ++i) {
+        Value* row = a + i * cols;
+        for (Size c = 0; c < cols; c += 8) {
+            const __mmask8 m = live_mask_avx512(c, cols);
+            // Dead lanes divide 0 by 1.
+            const __m512d d = _mm512_mask_loadu_pd(one, m, divisor + c);
+            store_pd_as_ps_avx512(
+                row + c, m,
+                _mm512_div_pd(load_ps_as_pd_avx512(row + c, m), d));
+        }
+    }
+}
+
+/// z * b mod 2^64 per 64-bit lane, from 32-bit partial products
+/// (avx512f has no 64-bit multiply; vpmullq needs avx512dq).
+PASTA_TARGET_AVX512 inline __m512i
+mul64_avx512(__m512i z, std::uint64_t b)
+{
+    const __m512i lo = _mm512_set1_epi64(static_cast<long long>(b));
+    const __m512i hi = _mm512_set1_epi64(static_cast<long long>(b >> 32));
+    const __m512i cross = _mm512_add_epi64(
+        _mm512_maskz_mul_epu32(kAllLanes8,
+                               _mm512_maskz_srli_epi64(kAllLanes8, z, 32), lo),
+        _mm512_maskz_mul_epu32(kAllLanes8, z, hi));
+    return _mm512_add_epi64(
+        _mm512_maskz_mul_epu32(kAllLanes8, z, lo),
+        _mm512_maskz_slli_epi64(kAllLanes8, cross, 32));
+}
+
+/// splitmix64_mix per lane, then the top 24 bits as 32-bit integers.
+PASTA_TARGET_AVX512 inline __m256i
+mix_top24_avx512(__m512i z)
+{
+    z = mul64_avx512(
+        _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes8, z, 30)),
+        0xBF58476D1CE4E5B9ULL);
+    z = mul64_avx512(
+        _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes8, z, 27)),
+        0x94D049BB133111EBULL);
+    z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes8, z, 31));
+    return _mm512_maskz_cvtepi64_epi32(
+        kAllLanes8, _mm512_maskz_srli_epi64(kAllLanes8, z, 40));
+}
+
+PASTA_TARGET_AVX512 inline void
+random_unit_avx512(Value* dst, std::uint64_t key, std::uint64_t first,
+                   Size n)
+{
+    // Lane l of z0 (z1) holds the counter input of element i + l
+    // (i + 8 + l): key + (first + i + l + 1) * gamma.
+    alignas(64) std::uint64_t start[16];
+    for (int l = 0; l < 16; ++l)
+        start[l] = key + (first + static_cast<std::uint64_t>(l) + 1) *
+                             kSplitMixGamma;
+    __m512i z0 = _mm512_load_si512(start);
+    __m512i z1 = _mm512_load_si512(start + 8);
+    const __m512i step =
+        _mm512_set1_epi64(static_cast<long long>(16 * kSplitMixGamma));
+    const __m512 scale = _mm512_set1_ps(0x1.0p-24f);
+    Size i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m512i top = _mm512_maskz_inserti64x4(
+            kAllLanes8, _mm512_castsi256_si512(mix_top24_avx512(z0)),
+            mix_top24_avx512(z1), 1);
+        _mm512_storeu_ps(
+            dst + i,
+            _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(0xffff, top), scale));
+        z0 = _mm512_add_epi64(z0, step);
+        z1 = _mm512_add_epi64(z1, step);
+    }
+    for (; i < n; ++i)
+        dst[i] = unit_float(splitmix64_at(key, first + i));
 }
 
 #endif  // PASTA_SIMD_X86
@@ -793,6 +1406,118 @@ vdot_gather(Isa isa, const Value* x, const Index* idx,
 #endif
     (void)isa;
     return detail::vdot_gather_scalar(x, idx, table, n);
+}
+
+/// part[p*r + q] += a_i[p] * a_i[q] in double over the `rows` rows a_i
+/// of the r-column matrix at `a`, for every q >= p (the Gram upper
+/// triangle of one row block).  Entries below the diagonal are either
+/// left alone or get their own sums, which equal their mirrors bit for
+/// bit; callers mirror the upper triangle.
+inline void
+gram_rows(Isa isa, const Value* a, Size rows, Size r, double* part)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case Isa::kAvx512:
+        detail::gram_rows_avx512(a, rows, r, part);
+        return;
+      case Isa::kAvx2:
+        detail::gram_rows_avx2(a, rows, r, part);
+        return;
+      default:
+        break;
+    }
+#endif
+    (void)isa;
+    detail::gram_rows_scalar(a, rows, r, part);
+}
+
+/// out_i[q] = float(sum_p in_i[p] * rhs[p*r + q]), summed in double in
+/// p order, for the `rows` rows of two r-column matrices (the CP-ALS
+/// solve U = M V^-1 of one row block).  `in` and `out` must not overlap.
+inline void
+matmul_rows(Isa isa, const Value* in, Value* out, Size rows, Size r,
+            const double* rhs)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case Isa::kAvx512:
+        detail::matmul_rows_avx512(in, out, rows, r, rhs);
+        return;
+      case Isa::kAvx2:
+        detail::matmul_rows_avx2(in, out, rows, r, rhs);
+        return;
+      default:
+        break;
+    }
+#endif
+    (void)isa;
+    detail::matmul_rows_scalar(in, out, rows, r, rhs);
+}
+
+/// part[c] += a_i[c]^2 in double over the `rows` rows of a cols-column
+/// matrix (column norms of one row block).
+inline void
+sumsq_rows(Isa isa, const Value* a, Size rows, Size cols, double* part)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case Isa::kAvx512:
+        detail::sumsq_rows_avx512(a, rows, cols, part);
+        return;
+      case Isa::kAvx2:
+        detail::sumsq_rows_avx2(a, rows, cols, part);
+        return;
+      default:
+        break;
+    }
+#endif
+    (void)isa;
+    detail::sumsq_rows_scalar(a, rows, cols, part);
+}
+
+/// a_i[c] = float(double(a_i[c]) / divisor[c]) over the `rows` rows of a
+/// cols-column matrix (column normalization of one row block).
+inline void
+divide_rows(Isa isa, Value* a, Size rows, Size cols, const double* divisor)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case Isa::kAvx512:
+        detail::divide_rows_avx512(a, rows, cols, divisor);
+        return;
+      case Isa::kAvx2:
+        detail::divide_rows_avx2(a, rows, cols, divisor);
+        return;
+      default:
+        break;
+    }
+#endif
+    (void)isa;
+    detail::divide_rows_scalar(a, rows, cols, divisor);
+}
+
+/// dst[i] = unit_float(splitmix64_at(key, first + i)) for i < n (the
+/// counter-based dense random init of core/dense.hpp).  Integer math
+/// plus one exact int-to-float conversion: the same bits on every ISA.
+inline void
+random_unit(Isa isa, Value* dst, std::uint64_t key, std::uint64_t first,
+            Size n)
+{
+#if PASTA_SIMD_X86
+    switch (isa) {
+      case Isa::kAvx512:
+        detail::random_unit_avx512(dst, key, first, n);
+        return;
+      case Isa::kAvx2:
+        detail::random_unit_avx2(dst, key, first, n);
+        return;
+      default:
+        break;
+    }
+#endif
+    (void)isa;
+    detail::random_unit_scalar(dst, key, first, n);
 }
 
 }  // namespace pasta::simd

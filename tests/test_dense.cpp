@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/dense.hpp"
 #include "methods/linalg.hpp"
+#include "simd/simd.hpp"
 
 namespace pasta {
 namespace {
@@ -113,6 +115,34 @@ TEST(DenseRandom, ElementsFollowTheCounterStream)
         ASSERT_EQ(bits, splitmix64(state)) << i;
         ASSERT_EQ(v[i], unit_float(bits)) << i;
     }
+}
+
+TEST(DenseRandom, SameBitsUnderEveryIsa)
+{
+    // Sizes with vector tails, across several blocks; scalar first.
+    std::vector<simd::Isa> isas{simd::Isa::kScalar};
+    for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512})
+        if (simd::isa_supported(isa))
+            isas.push_back(isa);
+    const auto draw = [](simd::Isa isa) {
+        simd::set_isa(isa);
+        Rng rng(12);
+        DenseMatrix m = DenseMatrix::random(kRows, 16, rng);
+        DenseVector v = DenseVector::random(2 * kDenseBlock + 13, rng);
+        DenseVector small = DenseVector::random(7, rng);
+        return std::make_tuple(std::move(m), std::move(v), std::move(small));
+    };
+    const auto reference = draw(simd::Isa::kScalar);
+    for (simd::Isa isa : isas) {
+        const auto got = draw(isa);
+        EXPECT_TRUE(same_bits(std::get<0>(got), std::get<0>(reference)))
+            << simd::isa_name(isa);
+        EXPECT_TRUE(same_bits(std::get<1>(got), std::get<1>(reference)))
+            << simd::isa_name(isa);
+        EXPECT_TRUE(same_bits(std::get<2>(got), std::get<2>(reference)))
+            << simd::isa_name(isa);
+    }
+    simd::reset_isa_cache();
 }
 
 TEST(DenseRandom, UniformInUnitIntervalWithMeanOneHalf)

@@ -13,6 +13,7 @@
 #include "methods/cpd.hpp"
 #include "methods/linalg.hpp"
 #include "methods/tucker.hpp"
+#include "simd/simd.hpp"
 
 namespace pasta {
 namespace {
@@ -81,6 +82,106 @@ TEST(Linalg, NormalizeColumnsReturnsNorms)
     EXPECT_NEAR(norms[1], 2.0, 1e-6);
     EXPECT_NEAR(a(0, 0), 0.6, 1e-6);
     EXPECT_NEAR(a(1, 1), 1.0, 1e-6);
+}
+
+/// Scalar first, then every vector ISA this CPU runs (the others are
+/// skipped, as in test_simd).
+std::vector<simd::Isa>
+runnable_isas()
+{
+    std::vector<simd::Isa> isas{simd::Isa::kScalar};
+    for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512})
+        if (simd::isa_supported(isa))
+            isas.push_back(isa);
+    return isas;
+}
+
+/// Drops a forced ISA on scope exit: the next active_isa() re-reads
+/// PASTA_SIMD.
+struct IsaGuard {
+    ~IsaGuard() { simd::reset_isa_cache(); }
+};
+
+template <typename T>
+bool
+same_bits(const std::vector<T>& a, const std::vector<T>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool
+same_bits(const DenseMatrix& a, const DenseMatrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.storage_bytes()) == 0;
+}
+
+TEST(Linalg, DenseAlgebraBitsIdenticalUnderEveryIsa)
+{
+    IsaGuard guard;
+    for (Size cols : {1, 3, 8, 15, 16, 17, 33}) {
+        // Three row blocks and a tail; values of both signs and some -0.
+        const Size rows = 3 * dense_row_block(cols) + 5;
+        Rng rng(cols);
+        DenseMatrix a(rows, cols);
+        for (Size i = 0; i < rows; ++i)
+            for (Size c = 0; c < cols; ++c)
+                a(i, c) = (i + c) % 7 == 0 ? -0.0f
+                                           : 2.0f * rng.next_float() - 1.0f;
+        std::vector<double> rhs(cols * cols);
+        for (auto& w : rhs)
+            w = 2.0 * rng.next_double() - 1.0;
+        if (cols >= 3) {
+            // Columns 0 and 1 cancel against two equal rhs rows of 2^40:
+            // the solve's p-order sum drops them exactly, any other order
+            // leaves rounding residue visible after the cast to float.
+            // The last column is all zeros of both signs, which
+            // normalize_columns leaves alone.
+            for (Size i = 0; i < rows; ++i) {
+                a(i, 1) = -a(i, 0);
+                a(i, cols - 1) = i % 2 == 0 ? 0.0f : -0.0f;
+            }
+            for (Size q = 0; q < cols; ++q)
+                rhs[q] = rhs[cols + q] = 0x1p40;
+        }
+
+        struct Results {
+            std::vector<double> gram, norms;
+            DenseMatrix product, normalized;
+        };
+        const auto run = [&](simd::Isa isa) {
+            simd::set_isa(isa);
+            Results res;
+            res.gram = gram_matrix(a);
+            res.product = DenseMatrix(rows, cols);
+            matmul_small(a, rhs, res.product);
+            res.normalized = a;
+            res.norms = normalize_columns(res.normalized);
+            return res;
+        };
+        const Results ref = run(simd::Isa::kScalar);
+        for (simd::Isa isa : runnable_isas()) {
+            const Results got = run(isa);
+            const char* name = simd::isa_name(isa);
+            EXPECT_TRUE(same_bits(got.gram, ref.gram))
+                << name << " " << cols;
+            EXPECT_TRUE(same_bits(got.product, ref.product))
+                << name << " " << cols;
+            EXPECT_TRUE(same_bits(got.norms, ref.norms))
+                << name << " " << cols;
+            EXPECT_TRUE(same_bits(got.normalized, ref.normalized))
+                << name << " " << cols;
+        }
+        if (cols >= 3) {
+            EXPECT_EQ(ref.norms[cols - 1], 0.0);
+            for (Size i = 0; i < rows; ++i)
+                ASSERT_EQ(std::signbit(ref.normalized(i, cols - 1)),
+                          i % 2 == 1)
+                    << cols << " " << i;
+        }
+    }
 }
 
 /// Builds a random rank-r CP tensor (sparse representation of a dense
@@ -156,26 +257,35 @@ TEST(CpAls, HicooBackendMatchesCoo)
     EXPECT_NEAR(a.fit, b.fit, 1e-3);
 }
 
-/// Runs cp_als on 1, 3 and 4 threads and inside ThreadBudgetScope(1);
-/// expects bit-identical factors, lambdas and fit history.
-void
-expect_cp_als_thread_invariant(const CooTensor& x, Format format)
+/// Bit-identical factors, lambdas and fit history.
+bool
+same(const CpdResult& a, const CpdResult& b)
+{
+    bool same = a.sweeps == b.sweeps && a.lambdas == b.lambdas &&
+                a.fit_history == b.fit_history &&
+                a.factors.size() == b.factors.size();
+    for (Size m = 0; same && m < a.factors.size(); ++m)
+        same = same_bits(a.factors[m], b.factors[m]);
+    return same;
+}
+
+CpdOptions
+three_sweeps(Format format)
 {
     CpdOptions options;
     options.rank = 16;
     options.max_sweeps = 3;
     options.tolerance = 0;
     options.mttkrp_format = format;
-    const auto same = [](const CpdResult& a, const CpdResult& b) {
-        bool same = a.sweeps == b.sweeps && a.lambdas == b.lambdas &&
-                    a.fit_history == b.fit_history &&
-                    a.factors.size() == b.factors.size();
-        for (Size m = 0; same && m < a.factors.size(); ++m)
-            same = a.factors[m].rows() == b.factors[m].rows() &&
-                   std::memcmp(a.factors[m].data(), b.factors[m].data(),
-                               a.factors[m].storage_bytes()) == 0;
-        return same;
-    };
+    return options;
+}
+
+/// Runs cp_als on 1, 3 and 4 threads and inside ThreadBudgetScope(1);
+/// expects bit-identical factors, lambdas and fit history.
+void
+expect_cp_als_thread_invariant(const CooTensor& x, Format format)
+{
+    const CpdOptions options = three_sweeps(format);
     const char* name = format == Format::kCoo ? "COO" : "HiCOO";
     set_num_threads(1);
     const CpdResult reference = cp_als(x, options);
@@ -192,15 +302,16 @@ expect_cp_als_thread_invariant(const CooTensor& x, Format format)
     set_num_threads(0);
 }
 
-TEST(CpAls, BitIdenticalAtAnyThreadCount)
+// Factors span several of the dense layer's row blocks, so Grams,
+// column norms, the fit and the solves all cross block boundaries.
+constexpr auto kDim = static_cast<Index>(3 * dense_row_block(16) + 77);
+
+/// One non-zero per slice in every mode: each MTTKRP output row is a
+/// single product, so even the atomic and privatized COO schedules are
+/// order-free and a test on it isolates the dense algebra.
+CooTensor
+permuted_diagonal(Rng& rng)
 {
-    // Factors span several of the dense layer's row blocks, so Grams,
-    // column norms, the fit and the solves all cross block boundaries.
-    constexpr auto kDim = static_cast<Index>(3 * dense_row_block(16) + 77);
-    Rng rng(21);
-    // One non-zero per slice in every mode: each MTTKRP output row is a
-    // single product, so even the atomic and privatized COO schedules are
-    // order-free and the test isolates the dense algebra.
     std::vector<Index> p1(kDim), p2(kDim);
     for (Index i = 0; i < kDim; ++i)
         p1[i] = p2[i] = i;
@@ -211,6 +322,13 @@ TEST(CpAls, BitIdenticalAtAnyThreadCount)
     CooTensor diagonal({kDim, kDim, kDim});
     for (Index i = 0; i < kDim; ++i)
         diagonal.append({i, p1[i], p2[i]}, 0.5f + rng.next_float());
+    return diagonal;
+}
+
+TEST(CpAls, BitIdenticalAtAnyThreadCount)
+{
+    Rng rng(21);
+    const CooTensor diagonal = permuted_diagonal(rng);
     expect_cp_als_thread_invariant(diagonal, Format::kCoo);
     expect_cp_als_thread_invariant(diagonal, Format::kHicoo);
 
@@ -218,6 +336,23 @@ TEST(CpAls, BitIdenticalAtAnyThreadCount)
     // fixed order, so a general tensor is thread-count invariant too.
     const CooTensor x = CooTensor::random({kDim, kDim, kDim}, 20000, rng);
     expect_cp_als_thread_invariant(x, Format::kHicoo);
+}
+
+TEST(CpAls, SameBitsUnderEveryIsa)
+{
+    IsaGuard guard;
+    Rng rng(21);
+    const CooTensor diagonal = permuted_diagonal(rng);
+    for (Format format : {Format::kCoo, Format::kHicoo}) {
+        const CpdOptions options = three_sweeps(format);
+        simd::set_isa(simd::Isa::kScalar);
+        const CpdResult reference = cp_als(diagonal, options);
+        for (simd::Isa isa : runnable_isas()) {
+            simd::set_isa(isa);
+            EXPECT_TRUE(same(cp_als(diagonal, options), reference))
+                << format_name(format) << ", " << simd::isa_name(isa);
+        }
+    }
 }
 
 TEST(CpAls, ModelEvaluatesCloseToData)

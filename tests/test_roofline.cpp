@@ -228,6 +228,8 @@ TEST(Ert, QuickSweepProducesOrderedRoofs)
     EXPECT_GT(result.dram_bw_gbs, 0.0);
     EXPECT_GE(result.llc_bw_gbs, result.dram_bw_gbs);
     EXPECT_GT(result.peak_gflops, 0.0);
+    // The compute roof runs at the ISA the kernels dispatch to.
+    EXPECT_EQ(result.isa, simd::active_isa());
     const MachineSpec host = host_machine_spec(result);
     EXPECT_DOUBLE_EQ(host.ert_dram_gbs, result.dram_bw_gbs);
     EXPECT_FALSE(host.is_gpu);

@@ -2,7 +2,7 @@
 // primitive bit-compared against the scalar path at widths 1..64
 // (including non-multiple-of-lane remainders), forced-dispatch kernel
 // runs, the heap-scratch fallback for rank > kMaxStackRank, and the
-// fused CP-ALS / TTM-chain drivers against their unfused baselines.
+// fused TTM-chain driver against its stepwise baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +17,6 @@
 #include "kernels/rank_scratch.hpp"
 #include "kernels/ttm.hpp"
 #include "kernels/ttm_scoo.hpp"
-#include "methods/cpd.hpp"
 #include "methods/tucker.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -363,32 +362,7 @@ TEST_F(SimdTest, RankBeyondStackScratchRegression)
         }
 }
 
-// ---- fused method drivers ------------------------------------------
-
-TEST_F(SimdTest, CpAlsFusedMatchesUnfusedDriver)
-{
-    Rng rng(42);
-    const CooTensor x = CooTensor::random({20, 18, 16}, 300, rng);
-    CpdOptions fused;
-    fused.rank = 8;
-    fused.max_sweeps = 4;
-    fused.tolerance = 0.0;  // run all sweeps in both drivers
-    fused.fused = true;
-    CpdOptions unfused = fused;
-    unfused.fused = false;
-    const CpdResult a = cp_als(x, fused);
-    const CpdResult b = cp_als(x, unfused);
-    ASSERT_EQ(a.sweeps, b.sweeps);
-    ASSERT_EQ(a.fit_history.size(), b.fit_history.size());
-    for (Size s = 0; s < a.fit_history.size(); ++s)
-        EXPECT_NEAR(a.fit_history[s], b.fit_history[s], 1e-4) << s;
-    for (Size m = 0; m < x.order(); ++m)
-        for (Size i = 0; i < a.factors[m].rows(); ++i)
-            for (Size r = 0; r < fused.rank; ++r)
-                EXPECT_NEAR(a.factors[m](i, r), b.factors[m](i, r),
-                            1e-2)
-                    << m << "/" << i << "/" << r;
-}
+// ---- fused TTM chain ------------------------------------------------
 
 void
 expect_coo_near(const CooTensor& a, const CooTensor& b, double tol)
