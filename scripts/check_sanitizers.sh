@@ -8,27 +8,21 @@
 # multi-threaded code — the telemetry registry (CAS-installed histogram
 # shards, per-worker counter slots, the exporter thread), the serving
 # scheduler's Chase-Lev deques and plan cache, the parallel runtime, the
-# block-parallel dense layer, and the MTTKRP kernels' concurrent output
-# writes and row marks at 1, 2 and 4 threads:
+# block-parallel dense layer, the MTTKRP kernels' concurrent output
+# writes and row marks at 1, 2 and 4 threads, the radix sort's chunked
+# passes at 1, 2 and 4 threads, and the suite driver end to end (every
+# kernel's counter and memory-governor updates, the guarded trials and
+# the journal):
 #   test_obs test_metrics test_serve test_common test_dense test_mttkrp
-# plus, with one OpenMP thread, the suite driver end to end: every
-# kernel's counter and memory-governor updates, the guarded trials (run
-# inline on the calling thread) and the journal, so a thread the driver
-# or a kernel starts outside OpenMP is checked:
-#   test_bench_common
+#   test_sort_radix test_bench_common
 # Only those targets are built, and the PASTA_VALIDATE=full pass is
 # skipped (it re-checks kernel results, not concurrency).  libgomp is
 # not built with TSan, so its barrier synchronisation is invisible to
 # it; scripts/tsan.supp suppresses reports whose frames are in libgomp
-# only.  test_bench_common's dataset generation sorts in back-to-back
-# OpenMP regions whose team-thread stacks TSan cannot restore, so those
-# reports carry no libgomp frame to match; with OMP_NUM_THREADS=1 the
-# regions run on the calling thread and every thread it starts is
-# checked.  test_dense and test_mttkrp run their OpenMP regions on up to
-# 4 threads whatever OMP_NUM_THREADS says; the dense layer and the
-# parallel_for family announce each region's fork and join to TSan
-# (tsan_release/tsan_acquire in common/parallel.hpp), so their hand-offs
-# need no suppression.  ASLR is
+# only.  Every OpenMP region of the library is opened by the
+# parallel_for family or the dense layer, which announce each region's
+# fork and join to TSan (tsan_release/tsan_acquire in
+# common/parallel.hpp), so their hand-offs need no suppression.  ASLR is
 # disabled for the run when setarch is available, since TSan cannot map
 # its shadow memory under high mmap randomisation.
 #
@@ -48,9 +42,8 @@ cmake -B "${BUILD_DIR}" -S . \
 
 if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
     TSAN_TESTS=(test_obs test_metrics test_serve test_common test_dense
-        test_mttkrp)
-    cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-        --target "${TSAN_TESTS[@]}" test_bench_common
+        test_mttkrp test_sort_radix test_bench_common)
+    cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${TSAN_TESTS[@]}"
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${PWD}/scripts/tsan.supp"
     NO_ASLR=()
     if setarch "$(uname -m)" -R true 2>/dev/null; then
@@ -59,10 +52,7 @@ if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
     regex="^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
     "${NO_ASLR[@]}" ctest --test-dir "${BUILD_DIR}" --output-on-failure \
         -R "${regex}"
-    OMP_NUM_THREADS=1 "${NO_ASLR[@]}" ctest --test-dir "${BUILD_DIR}" \
-        --output-on-failure -R '^test_bench_common$'
-    echo "sanitizer run (${SANITIZERS}: ${TSAN_TESTS[*]} test_bench_common)" \
-        "passed"
+    echo "sanitizer run (${SANITIZERS}: ${TSAN_TESTS[*]}) passed"
     exit 0
 fi
 

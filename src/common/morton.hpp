@@ -7,6 +7,7 @@
 /// indices so that nearby blocks in the tensor stay nearby in memory.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -50,6 +51,31 @@ morton_encode(const Index* coords, Size order)
         }
     }
     return key;
+}
+
+/// Exact three-way Morton comparison of two coordinates of any order:
+/// the highest interleaved bit where they differ decides (bit b of mode m
+/// sits at b * order + m), so nothing is truncated.  Agrees with
+/// comparing morton_encode keys wherever those are exact (order <= 4).
+inline int
+morton_compare(const Index* a, const Index* b, Size order)
+{
+    Size top = order;
+    Size top_pos = 0;
+    for (Size m = 0; m < order; ++m) {
+        const Index diff = a[m] ^ b[m];
+        if (diff == 0)
+            continue;
+        const Size pos =
+            static_cast<Size>(std::bit_width(diff) - 1) * order + m;
+        if (top == order || pos > top_pos) {
+            top = m;
+            top_pos = pos;
+        }
+    }
+    if (top == order)
+        return 0;
+    return a[top] < b[top] ? -1 : 1;
 }
 
 /// Convenience overload.

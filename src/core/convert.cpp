@@ -1,13 +1,9 @@
 #include "core/convert.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/membudget.hpp"
-#include "common/morton.hpp"
 #include "core/sort_radix.hpp"
 #include "obs/trace.hpp"
 #include "validate/validate.hpp"
@@ -22,38 +18,6 @@ checked(const Tensor& out)
     if (pasta::validate::convert_checks_enabled())
         pasta::validate::validate(out).require();
     return out;
-}
-
-using pasta::BIndex;
-using pasta::Index;
-using pasta::Size;
-
-/// Widest block-coordinate field across `modes` of `dims` at the given
-/// block edge — the per-mode bit count of a truncated Morton interleave.
-unsigned
-max_block_field_bits(const std::vector<Index>& dims,
-                     const std::vector<Size>& modes, unsigned block_bits)
-{
-    unsigned bits = 0;
-    for (Size m : modes) {
-        const Index blocks =
-            static_cast<Index>(((dims[m] - 1) >> block_bits) + 1);
-        bits = std::max(bits, pasta::radix::bits_for(blocks));
-    }
-    return bits;
-}
-
-/// Interleaves `coords[0..count)` at `field_bits` bits per mode, matching
-/// morton.hpp's bit placement for all in-range coordinates.
-std::uint64_t
-interleave_bits(const Index* coords, Size count, unsigned field_bits)
-{
-    std::uint64_t key = 0;
-    for (unsigned bit = 0; bit < field_bits; ++bit)
-        for (Size m = 0; m < count; ++m)
-            key |= ((static_cast<std::uint64_t>(coords[m]) >> bit) & 1ULL)
-                   << (bit * count + m);
-    return key;
 }
 
 }  // namespace
@@ -141,72 +105,24 @@ coo_to_ghicoo(const CooTensor& x, std::vector<bool> compressed,
     const auto& uncomp = out.uncompressed_modes();
 
     // Order: Morton over compressed-mode blocks, then compressed element
-    // coordinates, then uncompressed coordinates (lexicographic).
-    CooTensor sorted = x;
-    {
-        // Packed-key radix path: [morton(comp blocks)][comp element
-        // offsets][uncomp coords].  Equal Morton keys imply equal comp
-        // blocks, so ordering by element offsets reproduces the full
-        // compressed-coordinate tie-break.
-        const unsigned bbits =
-            max_block_field_bits(x.dims(), comp, block_bits);
-        unsigned total = static_cast<unsigned>(comp.size()) *
-                         (bbits + block_bits);
-        for (Size m : uncomp)
-            total += radix::bits_for(x.dims()[m]);
-        if (total <= 64) {
-            std::vector<std::uint64_t> keys(sorted.nnz());
-            std::vector<Index> bc(comp.size());
-            for (Size p = 0; p < sorted.nnz(); ++p) {
-                for (Size s = 0; s < comp.size(); ++s)
-                    bc[s] = sorted.index(comp[s], p) >> block_bits;
-                std::uint64_t key =
-                    interleave_bits(bc.data(), bc.size(), bbits);
-                for (Size s = 0; s < comp.size(); ++s)
-                    key = (key << block_bits) |
-                          (sorted.index(comp[s], p) & mask);
-                for (Size m : uncomp) {
-                    const unsigned w = radix::bits_for(x.dims()[m]);
-                    key = (key << w) | sorted.index(m, p);
-                }
-                keys[p] = key;
-            }
-            std::vector<Size> perm;
-            radix::sort_perm(keys, perm);
-            sorted.apply_permutation(perm);
-        } else {
-            std::vector<MortonKey> keys(sorted.nnz());
-            std::vector<Index> bc(comp.size());
-            for (Size p = 0; p < sorted.nnz(); ++p) {
-                for (Size s = 0; s < comp.size(); ++s)
-                    bc[s] = sorted.index(comp[s], p) >> block_bits;
-                keys[p] = morton_encode(bc.data(), bc.size());
-            }
-            std::vector<Size> perm(sorted.nnz());
-            std::iota(perm.begin(), perm.end(), 0);
-            std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
-                if (!(keys[a] == keys[b]))
-                    return keys[a] < keys[b];
-                for (Size m : comp)
-                    if (sorted.index(m, a) != sorted.index(m, b))
-                        return sorted.index(m, a) < sorted.index(m, b);
-                for (Size m : uncomp)
-                    if (sorted.index(m, a) != sorted.index(m, b))
-                        return sorted.index(m, a) < sorted.index(m, b);
-                return false;
-            });
-            sorted.apply_permutation(perm);
-        }
-    }
+    // offsets, then uncompressed coordinates (lexicographic).  Equal
+    // Morton fields imply equal compressed blocks, so the offsets
+    // complete the compressed-coordinate tie-break.
+    radix::KeyLayout layout =
+        radix::morton_layout(x.dims(), comp, block_bits);
+    radix::append_lex_fields(layout, x.dims(), uncomp);
+    const std::vector<Size> perm =
+        radix::sort_order(layout, x.indices_view());
 
     std::vector<BIndex> block_coords(n, 0);
     std::vector<BIndex> prev_block(n, kMaxIndex);
     std::vector<EIndex> element_coords(n, 0);
     std::vector<Index> raw_coords(n, 0);
-    for (Size p = 0; p < sorted.nnz(); ++p) {
+    for (Size i = 0; i < x.nnz(); ++i) {
+        const Size p = perm[i];
         bool new_block = false;
         for (Size m : comp) {
-            block_coords[m] = sorted.index(m, p) >> block_bits;
+            block_coords[m] = x.index(m, p) >> block_bits;
             if (block_coords[m] != prev_block[m])
                 new_block = true;
         }
@@ -216,12 +132,11 @@ coo_to_ghicoo(const CooTensor& x, std::vector<bool> compressed,
                 prev_block[m] = block_coords[m];
         }
         for (Size m : comp)
-            element_coords[m] =
-                static_cast<EIndex>(sorted.index(m, p) & mask);
+            element_coords[m] = static_cast<EIndex>(x.index(m, p) & mask);
         for (Size m : uncomp)
-            raw_coords[m] = sorted.index(m, p);
+            raw_coords[m] = x.index(m, p);
         out.append_entry(element_coords.data(), raw_coords.data(),
-                         sorted.value(p));
+                         x.value(p));
     }
     return checked(out);
 }
@@ -294,44 +209,17 @@ scoo_to_shicoo(const ScooTensor& x, unsigned block_bits)
     if (count == 0)
         return out;
 
-    // Morton-sort the sparse coordinates by block.
-    std::vector<Size> perm;
-    const unsigned bbits =
-        max_block_field_bits(x.dims(), x.sparse_modes(), block_bits);
-    if (static_cast<unsigned>(ns) * (bbits + block_bits) <= 64) {
-        // Packed-key radix path: [morton(blocks)][element offsets].
-        const Index emask = out.block_size() - 1;
-        std::vector<std::uint64_t> pkeys(count);
-        std::vector<Index> bc(ns);
-        for (Size pos = 0; pos < count; ++pos) {
-            for (Size s = 0; s < ns; ++s)
-                bc[s] = x.sparse_index(s, pos) >> block_bits;
-            std::uint64_t key = interleave_bits(bc.data(), ns, bbits);
-            for (Size s = 0; s < ns; ++s)
-                key = (key << block_bits) |
-                      (x.sparse_index(s, pos) & emask);
-            pkeys[pos] = key;
-        }
-        radix::sort_perm(pkeys, perm);
-    } else {
-        std::vector<MortonKey> keys(count);
-        std::vector<Index> bc(ns);
-        for (Size pos = 0; pos < count; ++pos) {
-            for (Size s = 0; s < ns; ++s)
-                bc[s] = x.sparse_index(s, pos) >> block_bits;
-            keys[pos] = morton_encode(bc.data(), ns);
-        }
-        perm.resize(count);
-        std::iota(perm.begin(), perm.end(), 0);
-        std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
-            if (!(keys[a] == keys[b]))
-                return keys[a] < keys[b];
-            for (Size s = 0; s < ns; ++s)
-                if (x.sparse_index(s, a) != x.sparse_index(s, b))
-                    return x.sparse_index(s, a) < x.sparse_index(s, b);
-            return false;
-        });
+    // Morton-sort the sparse coordinates by block: the key columns are
+    // the sparse slots.
+    std::vector<Index> slot_dims(ns);
+    std::vector<Size> slots(ns);
+    for (Size s = 0; s < ns; ++s) {
+        slot_dims[s] = x.dims()[x.sparse_modes()[s]];
+        slots[s] = s;
     }
+    const std::vector<Size> perm =
+        radix::sort_order(radix::morton_layout(slot_dims, slots, block_bits),
+                          x.sparse_indices_view());
 
     const Index mask = out.block_size() - 1;
     std::vector<BIndex> block_coords(ns);

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/membudget.hpp"
-#include "common/morton.hpp"
 #include "common/parallel.hpp"
 #include "core/merge.hpp"
 #include "core/sort_radix.hpp"
@@ -133,30 +132,7 @@ CooTensor::sort_by_mode_order(const std::vector<Size>& mode_order)
                     "mode order arity mismatch");
     if (nnz() < 2)
         return;
-    if (radix::lex_key_fits(dims_, mode_order)) {
-        obs::set_label("sort.path", "lex-radix64");
-        std::vector<std::uint64_t> keys;
-        radix::build_lex_keys(indices_, dims_, mode_order, keys);
-        std::vector<Size> perm;
-        radix::sort_perm(keys, perm);
-        apply_permutation(perm);
-        return;
-    }
-    // Coordinate space too wide for a packed 64-bit key (e.g. three full
-    // 32-bit modes): comparator sort fallback.
-    obs::set_label("sort.path", "lex-cmp");
-    std::vector<Size> perm(nnz());
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
-        for (Size mo : mode_order) {
-            const Index ia = indices_[mo][a];
-            const Index ib = indices_[mo][b];
-            if (ia != ib)
-                return ia < ib;
-        }
-        return false;
-    });
-    apply_permutation(perm);
+    sort_by_key(radix::lex_layout(dims_, mode_order), "lex");
 }
 
 void
@@ -175,41 +151,18 @@ CooTensor::sort_fibers_last(Size mode)
 void
 CooTensor::sort_morton(unsigned block_bits)
 {
-    const Size n = order();
     if (nnz() < 2)
         return;
-    if (radix::morton_key_fits(dims_, block_bits)) {
-        obs::set_label("sort.path", "morton-radix64");
-        std::vector<std::uint64_t> packed;
-        radix::build_morton_keys(indices_, dims_, block_bits, packed);
-        std::vector<Size> perm;
-        radix::sort_perm(packed, perm);
-        apply_permutation(perm);
-        return;
-    }
-    // Key too wide (high order or huge dims): 128-bit comparator fallback.
-    obs::set_label("sort.path", "morton-cmp");
-    std::vector<MortonKey> keys(nnz());
-    std::vector<Index> block_coord(n);
-    for (Size p = 0; p < nnz(); ++p) {
-        for (Size m = 0; m < n; ++m)
-            block_coord[m] = indices_[m][p] >> block_bits;
-        keys[p] = morton_encode(block_coord.data(), n);
-    }
-    std::vector<Size> perm(nnz());
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
-        if (!(keys[a] == keys[b]))
-            return keys[a] < keys[b];
-        // Lexicographic tie-break inside a block keeps element order
-        // deterministic for tests and stable round-trips.
-        for (Size m = 0; m < n; ++m) {
-            if (indices_[m][a] != indices_[m][b])
-                return indices_[m][a] < indices_[m][b];
-        }
-        return false;
-    });
-    apply_permutation(perm);
+    std::vector<Size> modes(order());
+    std::iota(modes.begin(), modes.end(), 0);
+    sort_by_key(radix::morton_layout(dims_, modes, block_bits), "morton");
+}
+
+void
+CooTensor::sort_by_key(const radix::KeyLayout& layout, const char* kind)
+{
+    obs::set_label("sort.path", layout.path_label(kind));
+    apply_permutation(radix::sort_order(layout, indices_));
 }
 
 bool

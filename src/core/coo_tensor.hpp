@@ -17,6 +17,10 @@
 
 namespace pasta {
 
+namespace radix {
+struct KeyLayout;
+}
+
 /// What to do with duplicate coordinates during canonicalization.
 /// Producers (file readers, generators) must choose explicitly instead of
 /// assuming their input is duplicate-free.
@@ -105,6 +109,8 @@ class CooTensor {
     Coordinate coordinate(Size pos) const;
 
     /// Sorts non-zeros lexicographically by mode order 0,1,...,N-1.
+    /// Every sort here is a stable radix sort (core/sort_radix):
+    /// duplicate coordinates keep their input order.
     void sort_lexicographic();
 
     /// Sorts lexicographically by the given permutation of modes
@@ -170,6 +176,10 @@ class CooTensor {
     void apply_permutation(const std::vector<Size>& perm);
 
   private:
+    /// Sorts by the keys `layout` packs; `kind` names the order in the
+    /// `sort.path` label.
+    void sort_by_key(const radix::KeyLayout& layout, const char* kind);
+
     std::vector<Index> dims_;
     std::vector<std::vector<Index>> indices_;  ///< indices_[mode][pos]
     std::vector<Value> values_;

@@ -43,11 +43,12 @@ MergeKeys::MergeKeys(const CooTensor& x, const CooTensor& y,
     std::vector<Size> mode_order(order_);
     for (Size m = 0; m < order_; ++m)
         mode_order[m] = m;
-    if (radix::lex_key_fits(out_dims, mode_order)) {
+    const radix::KeyLayout layout = radix::lex_layout(out_dims, mode_order);
+    if (layout.words() == 1) {
         path_ = MergePath::kMerged64Key;
         obs::set_label("merge.path", merge_path_name(path_));
-        radix::build_lex_keys(x.indices_view(), out_dims, mode_order, kx_);
-        radix::build_lex_keys(y.indices_view(), out_dims, mode_order, ky_);
+        kx_ = std::move(radix::build_keys(layout, x.indices_view())[0]);
+        ky_ = std::move(radix::build_keys(layout, y.indices_view())[0]);
         return;
     }
     path_ = MergePath::kMergedCmp;

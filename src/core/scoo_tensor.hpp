@@ -81,6 +81,13 @@ class ScooTensor {
         return sparse_indices_[s];
     }
 
+    /// All sparse index arrays at once ([slot][pos]), the columns the
+    /// radix key builder consumes.
+    const std::vector<std::vector<Index>>& sparse_indices_view() const
+    {
+        return sparse_indices_;
+    }
+
     /// Pointer to the dense stripe of sparse coordinate `pos`
     /// (stripe_volume() contiguous values, row-major over dense modes in
     /// dense_modes() order).

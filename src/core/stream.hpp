@@ -27,11 +27,8 @@
 ///    ordinary ttv plan/exec and chunk outputs concatenate into
 ///    ttv_coo's exact output.
 ///
-/// Bit-identity holds on the stable radix sort path (per-mode index
-/// ranges packing into 64-bit keys — every suite dataset).  On the
-/// comparator fallback the chunked results are still deterministic
-/// (std::stable_sort), but the in-memory kernels' std::sort makes no
-/// ordering promise for duplicate coordinates there.
+/// Bit-identity rests on the stable radix sort (core/sort_radix), which
+/// every sort takes at any key width.
 ///
 /// The *_budgeted entry points consult the memory governor: when the
 /// whole tensor fits the remaining budget (and the trial harness has not

@@ -234,31 +234,24 @@ check_blocked(ValidationReport& report, const std::vector<Index>& slot_dims,
     if (!bptr_usable)
         return;
 
-    MortonKey prev_key{};
+    std::vector<Index> prev_coord(num_slots);
     std::vector<Index> block_coord(num_slots);
     std::unordered_set<std::string> in_block;
     std::string key;
     for (Size b = 0; b < num_blocks; ++b) {
         for (Size s = 0; s < num_slots; ++s)
             block_coord[s] = static_cast<Index>(bind(s, b));
-        const MortonKey mkey = morton_encode(block_coord.data(), num_slots);
         if (b > 0) {
-            if (mkey < prev_key) {
+            const int cmp = morton_compare(prev_coord.data(),
+                                           block_coord.data(), num_slots);
+            if (cmp > 0)
                 report.add("block.morton", b,
                            "blocks not in Morton order");
-            } else if (!(prev_key < mkey)) {
-                // Equal keys: genuine with >4 modes (truncated encoding),
-                // but identical block coordinates mean a split block.
-                bool same = true;
-                for (Size s = 0; s < num_slots && same; ++s)
-                    same = block_coord[s] ==
-                           static_cast<Index>(bind(s, b - 1));
-                if (same)
-                    report.add("block.duplicate", b,
-                               "same block coordinates as previous block");
-            }
+            else if (cmp == 0)
+                report.add("block.duplicate", b,
+                           "same block coordinates as previous block");
         }
-        prev_key = mkey;
+        prev_coord.swap(block_coord);
 
         in_block.clear();
         for (Size p = bptr[b]; p < bptr[b + 1]; ++p) {

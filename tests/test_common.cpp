@@ -301,6 +301,42 @@ TEST(Morton, HighBitsSpillIntoHiWord)
     EXPECT_EQ(key.hi, ~0ULL);
 }
 
+TEST(Morton, CompareAgreesWithKeysWhereTheyAreExact)
+{
+    Rng rng(5);
+    for (Size order = 1; order <= 4; ++order) {
+        for (int trial = 0; trial < 2000; ++trial) {
+            Index a[4];
+            Index b[4];
+            for (Size m = 0; m < order; ++m) {
+                // Narrow ranges make ties and near-ties common.
+                a[m] = rng.next_index(trial % 2 == 0 ? 8 : kMaxIndex);
+                b[m] = trial % 3 == 0 ? a[m]
+                                      : rng.next_index(trial % 2 == 0
+                                                           ? 8
+                                                           : kMaxIndex);
+            }
+            const MortonKey ka = morton_encode(a, order);
+            const MortonKey kb = morton_encode(b, order);
+            const int expected = ka < kb ? -1 : (kb < ka ? 1 : 0);
+            ASSERT_EQ(morton_compare(a, b, order), expected);
+        }
+    }
+}
+
+TEST(Morton, CompareIsExactBeyondTheKeyWidth)
+{
+    // Order 6: bit 21 of mode 2 interleaves to position 128, which
+    // morton_encode drops; the comparison still ranks it above bit 20 of
+    // mode 5 (position 125).
+    const Index a[6] = {0, 0, 1u << 21, 0, 0, 0};
+    const Index b[6] = {0, 0, 0, 0, 0, 1u << 20};
+    EXPECT_TRUE(morton_encode(a, 6) < morton_encode(b, 6));
+    EXPECT_EQ(morton_compare(a, b, 6), 1);
+    EXPECT_EQ(morton_compare(b, a, 6), -1);
+    EXPECT_EQ(morton_compare(a, a, 6), 0);
+}
+
 TEST(Error, PastaCheckThrows)
 {
     EXPECT_THROW([] { PASTA_CHECK(1 == 2); }(), PastaError);

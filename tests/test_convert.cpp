@@ -2,10 +2,16 @@
 // over tensor orders and block sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <tuple>
 
+#include "common/morton.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
+#include "core/sort_radix.hpp"
 
 namespace pasta {
 namespace {
@@ -15,6 +21,156 @@ random_tensor(Size order, Index dim, Size nnz, std::uint64_t seed)
 {
     Rng rng(seed);
     return CooTensor::random(std::vector<Index>(order, dim), nnz, rng);
+}
+
+/// RAII thread-count override.
+class ScopedThreads {
+  public:
+    explicit ScopedThreads(int n) : saved_(num_threads())
+    {
+        set_num_threads(n);
+    }
+    ~ScopedThreads() { set_num_threads(saved_); }
+
+  private:
+    int saved_;
+};
+
+/// Comparator oracle for the Morton-then-lexicographic conversion
+/// orders: positions stably sorted by the 128-bit morton_encode key of
+/// the `group` columns' blocks, then by the full coordinates of `group`,
+/// then of `tail` — the comparator sorts the radix path replaced.
+std::vector<Size>
+morton_oracle(const std::vector<std::vector<Index>>& cols,
+              const std::vector<Size>& group, const std::vector<Size>& tail,
+              unsigned bits)
+{
+    const Size n = cols[0].size();
+    std::vector<MortonKey> keys(n);
+    std::vector<Index> blocks(group.size());
+    for (Size p = 0; p < n; ++p) {
+        for (Size s = 0; s < group.size(); ++s)
+            blocks[s] = cols[group[s]][p] >> bits;
+        keys[p] = morton_encode(blocks.data(), blocks.size());
+    }
+    std::vector<Size> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    std::stable_sort(perm.begin(), perm.end(), [&](Size a, Size b) {
+        if (!(keys[a] == keys[b]))
+            return keys[a] < keys[b];
+        for (const auto* modes : {&group, &tail})
+            for (Size c : *modes)
+                if (cols[c][a] != cols[c][b])
+                    return cols[c][a] < cols[c][b];
+        return false;
+    });
+    return perm;
+}
+
+/// Random distinct non-zeros over `dims` in shuffled order, each value
+/// its input position so every value is tied to its coordinate.
+CooTensor
+shuffled_tensor(const std::vector<Index>& dims, Size nnz,
+                std::uint64_t seed)
+{
+    Rng rng(seed);
+    CooTensor x = CooTensor::random(dims, nnz, rng);
+    std::vector<Size> perm(x.nnz());
+    std::iota(perm.begin(), perm.end(), 0);
+    for (Size i = perm.size(); i > 1; --i)
+        std::swap(perm[i - 1], perm[rng.next_index(static_cast<Index>(i))]);
+    x.apply_permutation(perm);
+    for (Size p = 0; p < x.nnz(); ++p)
+        x.values()[p] = static_cast<Value>(p);
+    return x;
+}
+
+TEST(ConvertWideKeys, GhicooEveryUncompressedModeMatchesComparatorOracle)
+{
+    // s9-like, r14-like and a 5th-order shape: two- and three-word keys.
+    const std::vector<std::vector<Index>> shapes = {
+        {830000, 830000, 830000, 830000},
+        {32000, 2800000, 160000, 73},
+        {1u << 31, 1u << 31, 1u << 31, 1u << 31, 1u << 31},
+    };
+    const unsigned bits = 7;
+    for (Size shape = 0; shape < shapes.size(); ++shape) {
+        const CooTensor x = shuffled_tensor(shapes[shape], 10000, 60 + shape);
+        const Size n = x.order();
+        for (Size u = 0; u < n; ++u) {
+            std::vector<bool> compressed(n, true);
+            compressed[u] = false;
+            std::vector<Size> comp;
+            for (Size m = 0; m < n; ++m)
+                if (m != u)
+                    comp.push_back(m);
+            radix::KeyLayout layout =
+                radix::morton_layout(x.dims(), comp, bits);
+            radix::append_lex_fields(layout, x.dims(), {u});
+            EXPECT_GT(layout.words(), 1u);
+            const std::vector<Size> expected =
+                morton_oracle(x.indices_view(), comp, {u}, bits);
+            for (int threads : {1, 2, 4}) {
+                ScopedThreads scoped(threads);
+                const GHiCooTensor g = coo_to_ghicoo(x, compressed, bits);
+                SCOPED_TRACE(testing::Message()
+                             << "shape " << shape << " uncompressed " << u
+                             << " threads " << threads);
+                ASSERT_EQ(g.nnz(), expected.size());
+                Size i = 0;
+                for (Size b = 0; b < g.num_blocks(); ++b) {
+                    for (Size p = g.bptr()[b]; p < g.bptr()[b + 1];
+                         ++p, ++i) {
+                        for (Size m = 0; m < n; ++m)
+                            ASSERT_EQ(g.coordinate(m, b, p),
+                                      x.index(m, expected[i]));
+                        ASSERT_EQ(g.value(p), x.value(expected[i]));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvertWideKeys, ShicooMatchesComparatorOracle)
+{
+    // r14-like with its 73-wide mode dense (two-word sparse keys), and a
+    // 6th-order shape whose five sparse slots need three words.
+    const std::vector<std::vector<Index>> shapes = {
+        {32000, 2800000, 160000, 73},
+        {1u << 31, 1u << 31, 1u << 31, 1u << 31, 1u << 31, 3},
+    };
+    const unsigned bits = 7;
+    for (Size shape = 0; shape < shapes.size(); ++shape) {
+        const CooTensor x = shuffled_tensor(shapes[shape], 10000, 70 + shape);
+        const Size dense = x.order() - 1;
+        const ScooTensor sc = coo_to_scoo(x, dense);
+        const Size ns = sc.sparse_modes().size();
+        std::vector<Size> slots(ns);
+        std::iota(slots.begin(), slots.end(), 0);
+        const std::vector<Size> expected =
+            morton_oracle(sc.sparse_indices_view(), slots, {}, bits);
+        for (int threads : {1, 2, 4}) {
+            ScopedThreads scoped(threads);
+            const SHiCooTensor sh = scoo_to_shicoo(sc, bits);
+            SCOPED_TRACE(testing::Message()
+                         << "shape " << shape << " threads " << threads);
+            ASSERT_EQ(sh.num_sparse(), expected.size());
+            Size i = 0;
+            for (Size b = 0; b < sh.num_blocks(); ++b) {
+                for (Size p = sh.bptr()[b]; p < sh.bptr()[b + 1]; ++p, ++i) {
+                    for (Size s = 0; s < ns; ++s)
+                        ASSERT_EQ(sh.sparse_coordinate(s, b, p),
+                                  sc.sparse_index(s, expected[i]));
+                    ASSERT_EQ(std::memcmp(sh.stripe(p),
+                                          sc.stripe(expected[i]),
+                                          sc.stripe_volume() *
+                                              sizeof(Value)),
+                              0);
+                }
+            }
+        }
+    }
 }
 
 TEST(Convert, CooHicooRoundTripSmall)
