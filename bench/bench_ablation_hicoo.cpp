@@ -57,7 +57,7 @@ ablate_ghicoo_mode_choice(const CooTensor& x, Size runs,
             [&] { ttv_exec_hicoo(plan, v, out); }, runs);
         std::printf("%-28s %12.1f %10.3f\n",
                     "product mode uncompressed",
-                    plan.input.storage_bytes() / 1024.0,
+                    plan.fibers.tensor().storage_bytes() / 1024.0,
                     t.min_seconds * 1e3);
     }
     {

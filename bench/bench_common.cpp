@@ -158,11 +158,8 @@ fill_context(TensorContext& ctx)
     ctx.stats.num_blocks = ctx.hx.num_blocks();
     ctx.stats.block_size = ctx.hx.block_size();
     ctx.fibers.resize(x.order());
-    for (Size m = 0; m < x.order(); ++m) {
-        CooTensor sorted = x;
-        sorted.sort_fibers_last(m);
-        ctx.fibers[m] = compute_fibers(sorted, m).num_fibers();
-    }
+    for (Size m = 0; m < x.order(); ++m)
+        ctx.fibers[m] = FiberView(x, m).num_fibers();
 }
 
 /// The backend half of the protocol: how one kernel invocation becomes

@@ -34,11 +34,8 @@ compute_stats(const CooTensor& x, Size mode, unsigned block_bits)
     stats.order = x.order();
     stats.nnz = x.nnz();
     stats.block_size = Index{1} << block_bits;
-    if (mode != kNoMode) {
-        CooTensor sorted = x;
-        sorted.sort_fibers_last(mode);
-        stats.num_fibers = compute_fibers(sorted, mode).num_fibers();
-    }
+    if (mode != kNoMode)
+        stats.num_fibers = FiberView(x, mode).num_fibers();
     stats.num_blocks = coo_to_hicoo(x, block_bits).num_blocks();
     return stats;
 }

@@ -27,19 +27,18 @@ extract_features(const CooTensor& x, unsigned block_bits)
         ModeFeatures mf;
         mf.dim = x.dim(mode);
         if (x.nnz() > 0) {
-            CooTensor sorted = x;
-            sorted.sort_fibers_last(mode);
-            const FiberPartition fibers = compute_fibers(sorted, mode);
+            const FiberView fibers(x, mode);
+            const std::vector<Size>& fptr = fibers.fptr();
             mf.num_fibers = fibers.num_fibers();
-            mf.max_fiber_nnz = fibers.max_fiber_length();
             mf.mean_fiber_nnz =
                 static_cast<double>(x.nnz()) /
                 static_cast<double>(std::max<Size>(1, mf.num_fibers));
             double var = 0.0;
-            for (Size f = 0; f < fibers.num_fibers(); ++f) {
+            for (Size f = 0; f < mf.num_fibers; ++f) {
+                const Size len = fptr[f + 1] - fptr[f];
+                mf.max_fiber_nnz = std::max(mf.max_fiber_nnz, len);
                 const double d =
-                    static_cast<double>(fibers.fiber_length(f)) -
-                    mf.mean_fiber_nnz;
+                    static_cast<double>(len) - mf.mean_fiber_nnz;
                 var += d * d;
             }
             if (mf.num_fibers > 0) {

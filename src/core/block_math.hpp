@@ -8,6 +8,8 @@
 /// never overflow for Index dims and block bits in [1, 8].
 #pragma once
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -19,6 +21,17 @@ namespace pasta {
 class BlockRangeError : public PastaError {
   public:
     explicit BlockRangeError(const std::string& what) : PastaError(what) {}
+};
+
+/// Raw mutable views into a blocked tensor's index arrays for a bulk
+/// parallel fill: one block-coordinate and one element-offset pointer
+/// per blocked mode, plus the block pointer (num_blocks + 1 entries).
+/// Obtained from HiCooTensor::bulk_fill or SHiCooTensor::bulk_fill; every
+/// slot must be written before the tensor is used.
+struct BlockBulkFill {
+    std::vector<BIndex*> blocks;
+    std::vector<EIndex*> elements;
+    Size* bptr = nullptr;
 };
 
 /// Number of blocks of edge 2^bits covering a dimension of extent `dim`,

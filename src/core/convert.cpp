@@ -1,9 +1,11 @@
 #include "core/convert.hpp"
 
 #include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/membudget.hpp"
+#include "core/fibers.hpp"
 #include "core/sort_radix.hpp"
 #include "obs/trace.hpp"
 #include "validate/validate.hpp"
@@ -32,15 +34,19 @@ coo_to_hicoo(const CooTensor& x, unsigned block_bits)
     if (x.nnz() == 0)
         return out;
 
-    // Staging working set: the Morton-sorted copy plus the radix keys
-    // the sort builds over it.
-    membudget::check(membudget::coo_bytes(x.order(), x.nnz()) +
-                         std::uint64_t{8} * x.nnz(),
-                     "hicoo.convert");
+    // Staging working set: the Morton-sorted copy plus the radix sort
+    // that orders it (sort_morton's layout).
+    const Size n = x.order();
+    std::vector<Size> modes(n);
+    std::iota(modes.begin(), modes.end(), 0);
+    membudget::check(
+        membudget::coo_bytes(n, x.nnz()) +
+            radix::sort_order_bytes(
+                radix::morton_layout(x.dims(), modes, block_bits), x.nnz()),
+        "hicoo.convert");
     CooTensor sorted = x;
     sorted.sort_morton(block_bits);
 
-    const Size n = x.order();
     const Index mask = out.block_size() - 1;
     std::vector<BIndex> block_coords(n);
     std::vector<BIndex> prev_block(n, kMaxIndex);
@@ -95,10 +101,6 @@ coo_to_ghicoo(const CooTensor& x, std::vector<bool> compressed,
     if (x.nnz() == 0)
         return out;
 
-    membudget::check(membudget::coo_bytes(x.order(), x.nnz()) +
-                         std::uint64_t{8} * x.nnz(),
-                     "ghicoo.convert");
-
     const Size n = x.order();
     const Index mask = out.block_size() - 1;
     const auto& comp = out.compressed_modes();
@@ -111,6 +113,10 @@ coo_to_ghicoo(const CooTensor& x, std::vector<bool> compressed,
     radix::KeyLayout layout =
         radix::morton_layout(x.dims(), comp, block_bits);
     radix::append_lex_fields(layout, x.dims(), uncomp);
+    // Staging working set: the sort alone (entries are read through its
+    // permutation, no sorted copy is made).
+    membudget::check(radix::sort_order_bytes(layout, x.nnz()),
+                     "ghicoo.convert");
     const std::vector<Size> perm =
         radix::sort_order(layout, x.indices_view());
 
@@ -164,38 +170,19 @@ coo_to_scoo(const CooTensor& x, Size dense_mode)
 {
     PASTA_CHECK_MSG(dense_mode < x.order(), "dense mode out of range");
     PASTA_SPAN("convert.scoo");
+    // One stripe per mode-`dense_mode` fiber; duplicates sum in sorted
+    // order.
+    const FiberView fibers(x, dense_mode);
     ScooTensor out(x.dims(), {dense_mode});
-
-    CooTensor sorted = x;
-    sorted.sort_fibers_last(dense_mode);
-
-    const Size n = x.order();
-    std::vector<Index> sparse_coords(n - 1);
-    Size stripe_pos = kNoMode;
-    bool have_stripe = false;
-    std::vector<Index> prev(n, kMaxIndex);
-    for (Size p = 0; p < sorted.nnz(); ++p) {
-        bool new_stripe = !have_stripe;
-        for (Size m = 0; m < n; ++m) {
-            if (m == dense_mode)
-                continue;
-            if (sorted.index(m, p) != prev[m])
-                new_stripe = true;
+    fibers.copy_heads(out.bulk_fill_stripes(fibers.num_fibers()).sparse);
+    const FiberArrays a = fibers.arrays();
+    parallel_for_ranges(0, a.num_fibers, [&](Size first, Size last) {
+        for (Size f = first; f < last; ++f) {
+            Value* stripe = out.stripe(f);
+            for (Size p = a.fptr[f]; p < a.fptr[f + 1]; ++p)
+                stripe[a.indices[p]] += a.values[p];
         }
-        if (new_stripe) {
-            Size s = 0;
-            for (Size m = 0; m < n; ++m) {
-                if (m == dense_mode)
-                    continue;
-                sparse_coords[s++] = sorted.index(m, p);
-                prev[m] = sorted.index(m, p);
-            }
-            stripe_pos = out.append_stripe(sparse_coords.data());
-            have_stripe = true;
-        }
-        out.stripe(stripe_pos)[sorted.index(dense_mode, p)] +=
-            sorted.value(p);
-    }
+    });
     return checked(out);
 }
 

@@ -46,6 +46,24 @@ HiCooTensor::append_entry(const EIndex* element_coords, Value value)
     bptr_.back() = values_.size();
 }
 
+BlockBulkFill
+HiCooTensor::bulk_fill(Size num_blocks, Size nnz)
+{
+    owner_cache_.clear();
+    owner_built_.clear();
+    BlockBulkFill fill;
+    for (Size m = 0; m < order(); ++m) {
+        binds_[m].resize(num_blocks);
+        einds_[m].resize(nnz);
+        fill.blocks.push_back(binds_[m].data());
+        fill.elements.push_back(einds_[m].data());
+    }
+    bptr_.resize(num_blocks + 1);
+    fill.bptr = bptr_.data();
+    values_.assign(nnz, 0);
+    return fill;
+}
+
 Size
 HiCooTensor::max_block_nnz() const
 {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/block_math.hpp"
 
 namespace pasta {
 
@@ -91,6 +92,11 @@ class HiCooTensor {
 
     /// Appends one non-zero to the most recently appended block.
     void append_entry(const EIndex* element_coords, Value value);
+
+    /// Resizes to `num_blocks` blocks and `nnz` zero-valued non-zeros and
+    /// returns raw pointers for a bulk parallel fill of the pattern (the
+    /// append-free path the HiCOO-TTV plan uses).
+    BlockBulkFill bulk_fill(Size num_blocks, Size nnz);
 
     /// Reconstructs the full coordinate of non-zero `pos` in block `b`.
     Index coordinate(Size mode, Size b, Size pos) const

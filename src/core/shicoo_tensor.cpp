@@ -58,6 +58,22 @@ SHiCooTensor::append_entry(const EIndex* element_coords)
     return num_sparse() - 1;
 }
 
+BlockBulkFill
+SHiCooTensor::bulk_fill(Size num_blocks, Size num_sparse)
+{
+    BlockBulkFill fill;
+    for (Size s = 0; s < sparse_modes_.size(); ++s) {
+        binds_[s].resize(num_blocks);
+        einds_[s].resize(num_sparse);
+        fill.blocks.push_back(binds_[s].data());
+        fill.elements.push_back(einds_[s].data());
+    }
+    bptr_.resize(num_blocks + 1);
+    fill.bptr = bptr_.data();
+    values_.assign(num_sparse * stripe_volume_, 0);
+    return fill;
+}
+
 Size
 SHiCooTensor::storage_bytes() const
 {

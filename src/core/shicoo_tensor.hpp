@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/block_math.hpp"
 #include "core/scoo_tensor.hpp"
 
 namespace pasta {
@@ -80,6 +81,11 @@ class SHiCooTensor {
     /// Appends one sparse coordinate (8-bit offsets per sparse slot) with
     /// a zero-filled stripe to the last block; returns its position.
     Size append_entry(const EIndex* element_coords);
+
+    /// Resizes to `num_blocks` blocks and `num_sparse` zero-filled
+    /// stripes and returns raw pointers for a bulk parallel fill of the
+    /// pattern (the append-free path the HiCOO-TTM plan uses).
+    BlockBulkFill bulk_fill(Size num_blocks, Size num_sparse);
 
     /// Storage bytes: block metadata + element offsets + value stripes.
     Size storage_bytes() const;

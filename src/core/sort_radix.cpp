@@ -284,6 +284,12 @@ sort_perm(std::vector<std::uint64_t>& keys, std::vector<Size>& perm)
     keys.swap(words[0]);
 }
 
+std::uint64_t
+sort_order_bytes(const KeyLayout& layout, Size n)
+{
+    return (std::uint64_t{8} * layout.words() + 24) * n;
+}
+
 std::vector<Size>
 sort_order(const KeyLayout& layout,
            const std::vector<std::vector<Index>>& columns)

@@ -96,4 +96,9 @@ void sort_perm(std::vector<std::uint64_t>& keys, std::vector<Size>& perm);
 std::vector<Size> sort_order(const KeyLayout& layout,
                              const std::vector<std::vector<Index>>& columns);
 
+/// Bytes a sort_order over `n` elements holds at its peak: 8·W per
+/// element of key words, plus the permutation and the key and
+/// permutation buffers the passes ping-pong through (24 per element).
+std::uint64_t sort_order_bytes(const KeyLayout& layout, Size n);
+
 }  // namespace pasta::radix

@@ -263,46 +263,27 @@ ts_gpu_hicoo(const HiCooTensor& x, TsOp op, Value s, HiCooTensor& y)
 
 namespace {
 
-/// Per-thread-block byte accounting for fiber-per-thread TTV launches:
-/// block `b` owns fibers [b*256, (b+1)*256); each fiber moves
-/// 12 bytes per non-zero (value + mode index + gathered vector element)
-/// plus 12 bytes of output/fptr traffic.
-std::vector<double>
-ttv_block_bytes(const std::vector<Size>& fptr, Size threads_per_block)
-{
-    const Size num_fibers = fptr.size() - 1;
-    const Size num_blocks = grid_blocks(num_fibers, threads_per_block);
-    std::vector<double> bytes(num_blocks, 0.0);
-    for (Size f = 0; f < num_fibers; ++f) {
-        const Size len = fptr[f + 1] - fptr[f];
-        bytes[f / threads_per_block] +=
-            12.0 * static_cast<double>(len) + 12.0;
-    }
-    return bytes;
-}
-
-}  // namespace
-
+/// The TTV launch of both formats (Alg. 2): one thread per fiber, each
+/// writing its own output value.  `x_bytes` is the input's device
+/// footprint.
 LaunchProfile
-ttv_gpu_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out)
+ttv_launch(const FiberArrays& a, Size x_bytes, const DenseVector& v,
+           Size out_nnz, Value* y, Size out_bytes, const char* name)
 {
-    const Size num_fibers = plan.fibers.num_fibers();
-    PASTA_CHECK_MSG(out.nnz() == num_fibers, "output nnz mismatch");
-    PASTA_CHECK_MSG(v.size() == plan.sorted.dim(plan.mode),
-                    "vector length mismatch");
-    const Size m = plan.sorted.nnz();
-    const DeviceBuffer dx(plan.sorted.storage_bytes(), "ttv_gpu_coo.x");
-    const DeviceBuffer dv(v.storage_bytes(), "ttv_gpu_coo.v");
-    const DeviceBuffer dout(out.storage_bytes(), "ttv_gpu_coo.out");
-    const DeviceBuffer dfptr(plan.fibers.fptr.size() * sizeof(Size),
-                             "ttv_gpu_coo.fptr");
+    const Size num_fibers = a.num_fibers;
+    const Size m = a.nnz;
+    PASTA_CHECK_MSG(out_nnz == num_fibers, "output nnz mismatch");
+    PASTA_CHECK_MSG(v.size() == a.extent, "vector length mismatch");
+    const DeviceBuffer dx(x_bytes, "ttv_gpu.x");
+    const DeviceBuffer dv(v.storage_bytes(), "ttv_gpu.v");
+    const DeviceBuffer dout(out_bytes, "ttv_gpu.out");
+    const DeviceBuffer dfptr((num_fibers + 1) * sizeof(Size), "ttv_gpu.fptr");
     arm_access_checks();
-    const auto xv = make_span(plan.sorted.values().data(), m);
-    const auto kind =
-        make_span(plan.sorted.mode_indices(plan.mode).data(), m);
+    const auto xv = make_span(a.values, m);
+    const auto kind = make_span(a.indices, m);
+    const auto fptr = make_span(a.fptr, num_fibers + 1);
     const auto vv = make_span(v.data(), v.size());
-    const auto yv = make_span(out.values().data(), num_fibers);
-    const auto& fptr = plan.fibers.fptr;
+    const auto yv = make_span(y, num_fibers);
 
     const Dim3 grid{grid_blocks(num_fibers, kDefaultBlockThreads), 1, 1};
     const Dim3 block{kDefaultBlockThreads, 1, 1};
@@ -315,103 +296,58 @@ ttv_gpu_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out)
             acc += xv[p] * vv[kind[p]];
         yv[tid] = acc;
     });
-    AccessMonitor::throw_if_access_violations("ttv_gpu_coo");
+    AccessMonitor::throw_if_access_violations(name);
 
     LaunchProfile prof;
     prof.flops = 2 * m;
     prof.dram_bytes = 12 * m + 12 * num_fibers;
     prof.working_set_bytes =
         8 * m + kValueBytes * v.size() + 12 * num_fibers;
-    prof.block_bytes = ttv_block_bytes(fptr, kDefaultBlockThreads);
-    return prof;
-}
-
-LaunchProfile
-ttv_gpu_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
-              HiCooTensor& out)
-{
-    const GHiCooTensor& g = plan.input;
-    const Size num_fibers = plan.fptr.size() - 1;
-    PASTA_CHECK_MSG(out.nnz() == num_fibers, "output nnz mismatch");
-    PASTA_CHECK_MSG(v.size() == g.dim(plan.mode), "vector length mismatch");
-    const Size m = g.nnz();
-    const DeviceBuffer dx(g.storage_bytes(), "ttv_gpu_hicoo.x");
-    const DeviceBuffer dv(v.storage_bytes(), "ttv_gpu_hicoo.v");
-    const DeviceBuffer dout(out.storage_bytes(), "ttv_gpu_hicoo.out");
-    const DeviceBuffer dfptr(plan.fptr.size() * sizeof(Size),
-                             "ttv_gpu_hicoo.fptr");
-    arm_access_checks();
-    const auto xv = make_span(g.values().data(), m);
-    const auto vv = make_span(v.data(), v.size());
-    const auto yv = make_span(out.values().data(), num_fibers);
-    const auto& fptr = plan.fptr;
-    const Size mode = plan.mode;
-
-    const Dim3 grid{grid_blocks(num_fibers, kDefaultBlockThreads), 1, 1};
-    const Dim3 block{kDefaultBlockThreads, 1, 1};
-    launch(grid, block, [&](const ThreadCtx& ctx) {
-        const Size tid = ctx.global_x();
-        if (tid >= num_fibers)
-            return;
-        Value acc = 0;
-        for (Size p = fptr[tid]; p < fptr[tid + 1]; ++p)
-            acc += xv[p] * vv[g.raw_index(mode, p)];
-        yv[tid] = acc;
-    });
-    AccessMonitor::throw_if_access_violations("ttv_gpu_hicoo");
-
-    LaunchProfile prof;
-    prof.flops = 2 * m;
-    prof.dram_bytes = 12 * m + 12 * num_fibers;
-    prof.working_set_bytes =
-        8 * m + kValueBytes * v.size() + 12 * num_fibers;
-    prof.block_bytes = ttv_block_bytes(fptr, kDefaultBlockThreads);
-    return prof;
-}
-
-namespace {
-
-/// Builds the non-zero -> fiber map consumed by the 2-D TTM mapping.
-std::vector<Index>
-nnz_to_fiber(const std::vector<Size>& fptr, Size m)
-{
-    std::vector<Index> map(m);
-    const Size num_fibers = fptr.size() - 1;
+    // Thread block b owns fibers [b*256, (b+1)*256); each fiber moves 12
+    // bytes per non-zero (value + mode index + gathered vector element)
+    // plus 12 bytes of output/fptr traffic.
+    prof.block_bytes.assign(grid.x, 0.0);
     for (Size f = 0; f < num_fibers; ++f)
-        for (Size p = fptr[f]; p < fptr[f + 1]; ++p)
-            map[p] = static_cast<Index>(f);
-    return map;
+        prof.block_bytes[f / kDefaultBlockThreads] +=
+            12.0 * static_cast<double>(a.fptr[f + 1] - a.fptr[f]) + 12.0;
+    return prof;
 }
 
-}  // namespace
-
+/// The TTM launch of both formats: 2-D thread blocks whose x walks
+/// matrix columns (coalesced) and whose y walks non-zeros (paper
+/// §III-B2; Ma et al. [34]), adding into the output stripes (`rank`
+/// values each) atomically.  Table I charges `fiber_bytes` per fiber for
+/// the fiber's output indices, which is where the formats differ.
 LaunchProfile
-ttm_gpu_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out)
+ttm_launch(const FiberArrays& a, Size x_bytes, const DenseMatrix& u,
+           Size rank, Size out_stripes, Value* y, Size out_bytes,
+           Size fiber_bytes, const char* name)
 {
-    const Size m = plan.sorted.nnz();
-    const Size rank = plan.rank;
-    const Size num_fibers = plan.fibers.num_fibers();
+    const Size m = a.nnz;
+    const Size num_fibers = a.num_fibers;
     PASTA_CHECK_MSG(u.cols() == rank, "matrix rank mismatch");
-    PASTA_CHECK_MSG(out.num_sparse() == num_fibers,
+    PASTA_CHECK_MSG(out_stripes == num_fibers,
                     "output stripe count mismatch");
-    std::fill(out.values().begin(), out.values().end(), 0.0f);
-    const std::vector<Index> fiber_map = nnz_to_fiber(plan.fibers.fptr, m);
+    std::fill(y, y + num_fibers * rank, 0.0f);
+    // The non-zero -> fiber map the 2-D mapping consumes.
+    std::vector<Index> fiber_map(m);
+    for (Size f = 0; f < num_fibers; ++f)
+        std::fill(fiber_map.begin() + static_cast<std::ptrdiff_t>(a.fptr[f]),
+                  fiber_map.begin() +
+                      static_cast<std::ptrdiff_t>(a.fptr[f + 1]),
+                  static_cast<Index>(f));
 
-    const DeviceBuffer dx(plan.sorted.storage_bytes(), "ttm_gpu_coo.x");
-    const DeviceBuffer du(u.storage_bytes(), "ttm_gpu_coo.u");
-    const DeviceBuffer dout(out.storage_bytes(), "ttm_gpu_coo.out");
-    const DeviceBuffer dfiber(m * sizeof(Index), "ttm_gpu_coo.fiber_of");
+    const DeviceBuffer dx(x_bytes, "ttm_gpu.x");
+    const DeviceBuffer du(u.storage_bytes(), "ttm_gpu.u");
+    const DeviceBuffer dout(out_bytes, "ttm_gpu.out");
+    const DeviceBuffer dfiber(m * sizeof(Index), "ttm_gpu.fiber_of");
     arm_access_checks();
-    const auto xv = make_span(plan.sorted.values().data(), m);
-    const auto kind =
-        make_span(plan.sorted.mode_indices(plan.mode).data(), m);
+    const auto xv = make_span(a.values, m);
+    const auto kind = make_span(a.indices, m);
     const auto fiber_of = make_span(fiber_map.data(), m);
     const auto uv = make_span(u.data(), u.rows() * rank);
-    const auto outv = make_span(out.values().data(), out.values().size());
-    const Size sv = out.stripe_volume();
+    const auto outv = make_span(y, num_fibers * rank);
 
-    // 2-D thread blocks: x walks matrix columns (coalesced), y walks
-    // non-zeros (paper §III-B2; Ma et al. [34]).
     const Size by = std::max<Size>(1, kDefaultBlockThreads / rank);
     const Dim3 block{rank, by, 1};
     const Dim3 grid{grid_blocks(m, by), 1, 1};
@@ -422,15 +358,15 @@ ttm_gpu_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out)
             return;
         const Value contrib =
             xv[p] * uv[static_cast<Size>(kind[p]) * rank + r];
-        atomic_add(&outv[static_cast<Size>(fiber_of[p]) * sv + r], contrib);
+        atomic_add(&outv[static_cast<Size>(fiber_of[p]) * rank + r],
+                   contrib);
     });
-    AccessMonitor::throw_if_access_violations("ttm_gpu_coo");
+    AccessMonitor::throw_if_access_violations(name);
 
     LaunchProfile prof;
     prof.flops = 2 * m * rank;
-    // Table I, COO-TTM row: 4MR + 4 M_F R + 8 M_F + 8M + 8 M_F.
-    prof.dram_bytes =
-        4 * m * rank + 4 * num_fibers * rank + 16 * num_fibers + 8 * m;
+    prof.dram_bytes = 4 * m * rank + 4 * num_fibers * rank + 8 * m +
+                      fiber_bytes * num_fibers;
     prof.working_set_bytes = 8 * m + u.rows() * rank * kValueBytes +
                              num_fibers * rank * kValueBytes;
     prof.atomics = m * rank;
@@ -438,57 +374,46 @@ ttm_gpu_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out)
     return prof;
 }
 
+}  // namespace
+
+LaunchProfile
+ttv_gpu_coo(const CooTtvPlan& plan, const DenseVector& v, CooTensor& out)
+{
+    return ttv_launch(plan.fibers.arrays(),
+                      plan.fibers.sorted().storage_bytes(), v, out.nnz(),
+                      out.values().data(), out.storage_bytes(),
+                      "ttv_gpu_coo");
+}
+
+LaunchProfile
+ttv_gpu_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
+              HiCooTensor& out)
+{
+    return ttv_launch(plan.fibers.arrays(),
+                      plan.fibers.tensor().storage_bytes(), v, out.nnz(),
+                      out.values().data(), out.storage_bytes(),
+                      "ttv_gpu_hicoo");
+}
+
+LaunchProfile
+ttm_gpu_coo(const CooTtmPlan& plan, const DenseMatrix& u, ScooTensor& out)
+{
+    // Table I, COO-TTM row: 4MR + 4 M_F R + 8 M_F + 8M + 8 M_F.
+    return ttm_launch(plan.fibers.arrays(),
+                      plan.fibers.sorted().storage_bytes(), u, plan.rank,
+                      out.num_sparse(), out.values().data(),
+                      out.storage_bytes(), 16, "ttm_gpu_coo");
+}
+
 LaunchProfile
 ttm_gpu_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
               SHiCooTensor& out)
 {
-    const GHiCooTensor& g = plan.input;
-    const Size m = g.nnz();
-    const Size rank = plan.rank;
-    const Size num_fibers = plan.fptr.size() - 1;
-    PASTA_CHECK_MSG(u.cols() == rank, "matrix rank mismatch");
-    PASTA_CHECK_MSG(out.num_sparse() == num_fibers,
-                    "output stripe count mismatch");
-    std::fill(out.values().begin(), out.values().end(), 0.0f);
-    const std::vector<Index> fiber_map = nnz_to_fiber(plan.fptr, m);
-
-    const DeviceBuffer dx(g.storage_bytes(), "ttm_gpu_hicoo.x");
-    const DeviceBuffer du(u.storage_bytes(), "ttm_gpu_hicoo.u");
-    const DeviceBuffer dout(out.storage_bytes(), "ttm_gpu_hicoo.out");
-    const DeviceBuffer dfiber(m * sizeof(Index), "ttm_gpu_hicoo.fiber_of");
-    arm_access_checks();
-    const auto xv = make_span(g.values().data(), m);
-    const auto fiber_of = make_span(fiber_map.data(), m);
-    const auto uv = make_span(u.data(), u.rows() * rank);
-    const auto outv = make_span(out.values().data(), out.values().size());
-    const Size sv = out.stripe_volume();
-    const Size mode = plan.mode;
-
-    const Size by = std::max<Size>(1, kDefaultBlockThreads / rank);
-    const Dim3 block{rank, by, 1};
-    const Dim3 grid{grid_blocks(m, by), 1, 1};
-    launch(grid, block, [&](const ThreadCtx& ctx) {
-        const Size p = ctx.block_idx.x * ctx.block_dim.y + ctx.thread_idx.y;
-        const Size r = ctx.thread_idx.x;
-        if (p >= m)
-            return;
-        const Value contrib =
-            xv[p] *
-            uv[static_cast<Size>(g.raw_index(mode, p)) * rank + r];
-        atomic_add(&outv[static_cast<Size>(fiber_of[p]) * sv + r], contrib);
-    });
-    AccessMonitor::throw_if_access_violations("ttm_gpu_hicoo");
-
-    LaunchProfile prof;
-    prof.flops = 2 * m * rank;
     // Table I, HiCOO-TTM row: 4MR + 4 M_F R + 8M + 8 M_F.
-    prof.dram_bytes =
-        4 * m * rank + 4 * num_fibers * rank + 8 * m + 8 * num_fibers;
-    prof.working_set_bytes = 8 * m + u.rows() * rank * kValueBytes +
-                             num_fibers * rank * kValueBytes;
-    prof.atomics = m * rank;
-    prof.block_bytes = uniform_block_bytes(prof.dram_bytes, grid.x);
-    return prof;
+    return ttm_launch(plan.fibers.arrays(),
+                      plan.fibers.tensor().storage_bytes(), u, plan.rank,
+                      out.num_sparse(), out.values().data(),
+                      out.storage_bytes(), 8, "ttm_gpu_hicoo");
 }
 
 LaunchProfile

@@ -5,15 +5,16 @@
 /// the paper's footnote 2).  By the sparse-dense property the contracted
 /// mode becomes dense with extent R, so the output is semi-sparse: sCOO for
 /// the COO path, sHiCOO for the HiCOO path, one R-stripe per mode-`mode`
-/// fiber of x.  The plan phase sorts, finds fibers, and pre-allocates the
-/// output; the exec phase is the timed fiber-parallel rank-R accumulation.
+/// fiber of x.  A plan is a fiber view of the input (core/fibers) plus
+/// the output pattern, bulk-filled from the fiber heads; the exec phase
+/// is the timed fiber-parallel rank-R accumulation, one stripe loop
+/// shared by both formats.
 #pragma once
 
 #include "common/parallel.hpp"
 #include "core/coo_tensor.hpp"
 #include "core/dense.hpp"
 #include "core/fibers.hpp"
-#include "core/ghicoo_tensor.hpp"
 #include "core/scoo_tensor.hpp"
 #include "core/shicoo_tensor.hpp"
 
@@ -21,11 +22,9 @@ namespace pasta {
 
 /// Pre-processed state of COO-TTM.
 struct CooTtmPlan {
-    Size mode = 0;          ///< contraction mode
-    Size rank = 0;          ///< R, the matrix column count
-    CooTensor sorted;       ///< input, fibers-last sorted
-    FiberPartition fibers;  ///< mode-`mode` fibers
-    ScooTensor out_pattern; ///< semi-sparse output with zeroed stripes
+    Size rank = 0;           ///< R, the matrix column count
+    FiberView fibers;        ///< fibers-last sorted input + fptr
+    ScooTensor out_pattern;  ///< semi-sparse output with zeroed stripes
 };
 
 /// Builds the COO-TTM plan for contracting `mode` of `x` with an
@@ -41,18 +40,17 @@ ScooTensor ttm_coo(const CooTensor& x, const DenseMatrix& u, Size mode);
 
 /// Pre-processed state of HiCOO-TTM.
 struct HicooTtmPlan {
-    Size mode = 0;
     Size rank = 0;
-    GHiCooTensor input;       ///< product mode uncompressed (gHiCOO)
-    std::vector<Size> fptr;   ///< fiber boundaries over input entries
-    SHiCooTensor out_pattern; ///< semi-sparse HiCOO output
+    GFiberView fibers;         ///< gHiCOO input (`mode` uncompressed) + fptr
+    SHiCooTensor out_pattern;  ///< semi-sparse HiCOO output
 };
 
 /// Builds the HiCOO-TTM plan.
 HicooTtmPlan ttm_plan_hicoo(const CooTensor& x, Size mode, Size rank,
                             unsigned block_bits = 7);
 
-/// HiCOO-TTM-OMP timed kernel.
+/// HiCOO-TTM-OMP timed kernel: the COO kernel's stripe loop over the
+/// gHiCOO view.
 void ttm_exec_hicoo(const HicooTtmPlan& plan, const DenseMatrix& u,
                     SHiCooTensor& out);
 

@@ -1,10 +1,11 @@
 #include "kernels/ttm_scoo.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/fibers.hpp"
+#include "core/sort_radix.hpp"
 #include "obs/counters.hpp"
 #include "simd/microkernels.hpp"
 
@@ -46,50 +47,42 @@ ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode)
             suffix_vol *= x.dim(dm);
     const Size in_vol = x.stripe_volume();
 
-    // Group sparse coordinates into mode-`mode` fibers: sort a
-    // permutation by the other sparse coordinates (then by mode).
-    const Size count = x.num_sparse();
-    std::vector<Size> perm(count);
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&](Size a, Size b) {
-        for (Size s = 0; s < sparse.size(); ++s) {
-            if (s == slot)
-                continue;
-            if (x.sparse_index(s, a) != x.sparse_index(s, b))
-                return x.sparse_index(s, a) < x.sparse_index(s, b);
-        }
-        return x.sparse_index(slot, a) < x.sparse_index(slot, b);
-    });
+    // Group sparse coordinates into mode-`mode` fibers: a stable radix
+    // sort by the other sparse coordinates, then by `mode`.
+    const auto& idx = x.sparse_indices_view();
+    std::vector<Index> slot_dims;
+    std::vector<Size> columns;
+    for (Size s = 0; s < sparse.size(); ++s) {
+        slot_dims.push_back(x.dim(sparse[s]));
+        if (s != slot)
+            columns.push_back(s);
+    }
+    columns.push_back(slot);
+    const std::vector<Size> perm =
+        radix::sort_order(radix::lex_layout(slot_dims, columns), idx);
+    const std::vector<Size> fptr =
+        run_pointers(perm.size(), {}, [&](Size i) {
+            for (Size s = 0; s < sparse.size(); ++s)
+                if (s != slot && idx[s][perm[i]] != idx[s][perm[i - 1]])
+                    return true;
+            return false;
+        });
 
-    // Fiber boundaries over the permuted stream + output stripes.
-    std::vector<Size> fptr;
-    std::vector<Index> out_coords(sparse.size() - 1);
-    for (Size i = 0; i < count; ++i) {
-        bool boundary = (i == 0);
-        if (!boundary) {
-            for (Size s = 0; s < sparse.size(); ++s) {
-                if (s == slot)
-                    continue;
-                if (x.sparse_index(s, perm[i]) !=
-                    x.sparse_index(s, perm[i - 1])) {
-                    boundary = true;
-                    break;
-                }
-            }
-        }
-        if (boundary) {
-            fptr.push_back(i);
+    // One output stripe per fiber, its sparse coordinates taken from the
+    // fiber head.
+    const Size num_fibers = fptr.size() - 1;
+    const ScooBulkFill heads = out.bulk_fill_stripes(num_fibers);
+    parallel_for_ranges(0, num_fibers, [&](Size first, Size last) {
+        for (Size f = first; f < last; ++f) {
+            const Size head = perm[fptr[f]];
             Size t = 0;
             for (Size s = 0; s < sparse.size(); ++s)
                 if (s != slot)
-                    out_coords[t++] = x.sparse_index(s, perm[i]);
-            out.append_stripe(out_coords.data());
+                    heads.sparse[t++][f] = idx[s][head];
         }
-    }
-    fptr.push_back(count);
+    });
 
     const simd::Isa isa = simd::note_kernel();
-    const Size num_fibers = fptr.size() - 1;
     parallel_for(
         0, num_fibers, Schedule::kDynamic,
         [&](Size f) {

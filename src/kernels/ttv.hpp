@@ -3,32 +3,30 @@
 ///
 /// y = x ×_mode v contracts one mode away.  The sparse-dense property
 /// (§III-B1) makes the output pattern predictable: one output non-zero per
-/// mode-`mode` fiber of x, with the fiber's remaining coordinates.  The
-/// plan phase (the paper's pre-processing) sorts the input fibers-last,
-/// finds M_F and fptr, and pre-allocates the output with its indices; the
-/// exec phase is the timed fiber-parallel accumulation.
+/// mode-`mode` fiber of x, with the fiber's remaining coordinates.  A plan
+/// (the paper's pre-processing) is a fiber view of the input (core/fibers)
+/// plus the output pattern, bulk-filled from the fiber heads; the exec
+/// phase is the timed fiber-parallel accumulation, one loop shared by
+/// both formats.
 ///
-/// The HiCOO path follows §III-D1: the input is re-expressed in gHiCOO
-/// with the product mode left uncompressed, so every block holds whole
-/// fibers and the fiber loop runs with no inter-block race; the output is
-/// an (N-1)-order HiCOO tensor whose blocks mirror the input blocks.
+/// The HiCOO path follows §III-D1: its view is gHiCOO with the product
+/// mode left uncompressed, so every block holds whole fibers and the
+/// fiber loop runs with no inter-block race; the output is an
+/// (N-1)-order HiCOO tensor whose blocks mirror the input blocks.
 #pragma once
 
 #include "common/parallel.hpp"
 #include "core/coo_tensor.hpp"
 #include "core/dense.hpp"
 #include "core/fibers.hpp"
-#include "core/ghicoo_tensor.hpp"
 #include "core/hicoo_tensor.hpp"
 
 namespace pasta {
 
 /// Pre-processed state of COO-TTV (Algorithm 1, lines 1-2).
 struct CooTtvPlan {
-    Size mode = 0;              ///< contraction mode
-    CooTensor sorted;           ///< input, fibers-last sorted
-    FiberPartition fibers;      ///< mode-`mode` fibers of `sorted`
-    CooTensor out_pattern;      ///< (N-1)-order output, indices set, values 0
+    FiberView fibers;       ///< fibers-last sorted input + fptr
+    CooTensor out_pattern;  ///< (N-1)-order output, indices set, values 0
 };
 
 /// Builds the COO-TTV plan for contracting `mode` of `x`.
@@ -46,10 +44,8 @@ CooTensor ttv_coo(const CooTensor& x, const DenseVector& v, Size mode);
 
 /// Pre-processed state of HiCOO-TTV.
 struct HicooTtvPlan {
-    Size mode = 0;
-    GHiCooTensor input;        ///< all modes compressed except `mode`
-    std::vector<Size> fptr;    ///< fiber boundaries over input entries
-    HiCooTensor out_pattern;   ///< (N-1)-order HiCOO output pattern
+    GFiberView fibers;        ///< gHiCOO input (`mode` uncompressed) + fptr
+    HiCooTensor out_pattern;  ///< (N-1)-order HiCOO output pattern
 };
 
 /// Builds the HiCOO-TTV plan (gHiCOO conversion + fiber discovery +
@@ -58,7 +54,8 @@ HicooTtvPlan ttv_plan_hicoo(const CooTensor& x, Size mode,
                             unsigned block_bits =
                                 HiCooTensor::kDefaultBlockBits);
 
-/// HiCOO-TTV-OMP timed kernel.
+/// HiCOO-TTV-OMP timed kernel: the COO kernel's fiber loop over the
+/// gHiCOO view.
 void ttv_exec_hicoo(const HicooTtvPlan& plan, const DenseVector& v,
                     HiCooTensor& out);
 

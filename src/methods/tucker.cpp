@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/fibers.hpp"
 #include "kernels/ttm.hpp"
 #include "kernels/ttm_scoo.hpp"
 #include "methods/linalg.hpp"
@@ -72,34 +73,23 @@ leading_subspace(const CooTensor& y, Size mode, Size rank, Size iterations,
     const Size n = y.dim(mode);
     DenseMatrix q = DenseMatrix::random(n, rank, rng);
     orthonormalize_columns(q);
-    CooTensor sorted = y;
-    sorted.sort_fibers_last(mode);
+    // Fibers are found once; every iteration reuses the grouping.
+    const FiberView fibers(y, mode);
+    const FiberArrays a = fibers.arrays();
     for (Size iter = 0; iter < iterations; ++iter) {
         DenseMatrix gq(n, rank, 0);
-        Size start = 0;
-        while (start < sorted.nnz()) {
-            Size end = start + 1;
-            auto same_rest = [&](Size a, Size b) {
-                for (Size m = 0; m < sorted.order(); ++m) {
-                    if (m == mode)
-                        continue;
-                    if (sorted.index(m, a) != sorted.index(m, b))
-                        return false;
-                }
-                return true;
-            };
-            while (end < sorted.nnz() && same_rest(start, end))
-                ++end;
+        for (Size f = 0; f < a.num_fibers; ++f) {
+            const Size start = a.fptr[f];
+            const Size end = a.fptr[f + 1];
             for (Size r = 0; r < rank; ++r) {
                 double t = 0.0;
                 for (Size p = start; p < end; ++p)
-                    t += static_cast<double>(sorted.value(p)) *
-                         q(sorted.index(mode, p), r);
+                    t += static_cast<double>(a.values[p]) *
+                         q(a.indices[p], r);
                 for (Size p = start; p < end; ++p)
-                    gq(sorted.index(mode, p), r) +=
-                        static_cast<Value>(sorted.value(p) * t);
+                    gq(a.indices[p], r) +=
+                        static_cast<Value>(a.values[p] * t);
             }
-            start = end;
         }
         q = std::move(gq);
         orthonormalize_columns(q);

@@ -94,18 +94,12 @@ with_reservation(std::unique_ptr<Plan> plan, std::uint64_t bytes)
     });
 }
 
+/// A TTV plan's bytes: its fiber view plus its output pattern.
+template <typename TtvPlan>
 std::uint64_t
-ttv_coo_plan_bytes(const CooTtvPlan& plan)
+ttv_plan_bytes(const TtvPlan& plan)
 {
-    return plan.sorted.storage_bytes() + plan.out_pattern.storage_bytes() +
-           plan.fibers.fptr.size() * sizeof(Size);
-}
-
-std::uint64_t
-ttv_hicoo_plan_bytes(const HicooTtvPlan& plan)
-{
-    return plan.input.storage_bytes() + plan.out_pattern.storage_bytes() +
-           plan.fptr.size() * sizeof(Size);
+    return plan.fibers.storage_bytes() + plan.out_pattern.storage_bytes();
 }
 
 }  // namespace
@@ -124,12 +118,12 @@ build_plan(const CooTensor& tensor, ServeKernel kernel, ServeFormat format,
         if (format == ServeFormat::kCoo) {
             auto p = std::make_shared<CooTtvPlan>(
                 ttv_plan_coo(tensor, mode));
-            bytes = ttv_coo_plan_bytes(*p);
+            bytes = ttv_plan_bytes(*p);
             plan->ttv_coo = std::move(p);
         } else {
             auto p = std::make_shared<HicooTtvPlan>(
                 ttv_plan_hicoo(tensor, mode, block_bits));
-            bytes = ttv_hicoo_plan_bytes(*p);
+            bytes = ttv_plan_bytes(*p);
             plan->ttv_hicoo = std::move(p);
         }
         break;

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <tuple>
 
+#include "common/membudget.hpp"
 #include "common/morton.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -298,6 +299,51 @@ TEST(Convert, EmptyTensorsConvertCleanly)
     GHiCooTensor g = coo_to_ghicoo(x, {true, false, true}, 3);
     EXPECT_EQ(g.nnz(), 0u);
     EXPECT_EQ(ghicoo_to_coo(g).nnz(), 0u);
+}
+
+TEST(Convert, GovernorProbesCountWhatBlockedConversionsAllocate)
+{
+    // A 4th-order shape whose Morton keys take two radix words: 4 x 13
+    // block bits + 4 x 7 offset bits for HiCOO, 3 x 13 + 3 x 7 + a raw
+    // 20-bit mode for gHiCOO.
+    const std::vector<Index> dims(4, Index{1} << 20);
+    ASSERT_EQ(radix::morton_layout(dims, {0, 1, 2, 3}, 7).words(), 2u);
+    radix::KeyLayout g = radix::morton_layout(dims, {0, 1, 2}, 7);
+    radix::append_lex_fields(g, dims, {3});
+    ASSERT_EQ(g.words(), 2u);
+    Rng rng(9);
+    const CooTensor x = CooTensor::random(dims, 3000, rng);
+    const std::uint64_t m = x.nnz();
+    // Per non-zero: two key words (16 bytes) plus the permutation and
+    // the sort's key and permutation buffers (24 bytes); HiCOO also
+    // holds a Morton-sorted COO copy (4 x (N + 1) = 20 bytes).
+    const std::uint64_t ghicoo_probe = (16 + 24) * m;
+    const std::uint64_t hicoo_probe = 20 * m + ghicoo_probe;
+
+    auto& gov = membudget::MemGovernor::instance();
+    // The rejection message at a budget of `bytes` more than is
+    // reserved, or "" when the conversion fits.
+    const auto rejection = [&](std::uint64_t bytes, auto convert) {
+        gov.configure(gov.reserved() + bytes);
+        std::string what;
+        try {
+            convert();
+        } catch (const membudget::HostOomError& e) {
+            what = e.what();
+        }
+        gov.configure(0);
+        return what;
+    };
+    const auto hicoo = [&] { (void)coo_to_hicoo(x, 7); };
+    const auto ghicoo = [&] {
+        (void)coo_to_ghicoo(x, {true, true, true, false}, 7);
+    };
+    EXPECT_NE(rejection(hicoo_probe - 1, hicoo).find("hicoo.convert"),
+              std::string::npos);
+    EXPECT_EQ(rejection(hicoo_probe, hicoo), "");
+    EXPECT_NE(rejection(ghicoo_probe - 1, ghicoo).find("ghicoo.convert"),
+              std::string::npos);
+    EXPECT_EQ(rejection(ghicoo_probe, ghicoo), "");
 }
 
 TEST(Convert, TensorsAlmostEqualToleratesReordering)

@@ -103,10 +103,8 @@ TEST(CooTensor, SortFibersLastGroupsFibers)
     t.append({0, 0, 1}, 3.0f);
     t.append({1, 2, 2}, 4.0f);
     t.sort_fibers_last(2);
-    FiberPartition fibers = compute_fibers(t, 2);
-    EXPECT_EQ(fibers.num_fibers(), 2u);
-    EXPECT_EQ(fibers.fiber_length(0), 2u);
-    EXPECT_EQ(fibers.fiber_length(1), 2u);
+    FiberView fibers(t, 2);
+    EXPECT_EQ(fibers.fptr(), (std::vector<Size>{0, 2, 4}));
     // Within the first fiber, mode-2 indices are ascending.
     EXPECT_LT(t.index(2, 0), t.index(2, 1));
 }
@@ -235,9 +233,8 @@ TEST(Fibers, SingleFiberWhenAllShareNonModeCoords)
     CooTensor t({2, 2, 8});
     for (Index k = 0; k < 8; ++k)
         t.append({1, 1, k}, 1.0f);
-    FiberPartition fibers = compute_fibers(t, 2);
-    EXPECT_EQ(fibers.num_fibers(), 1u);
-    EXPECT_EQ(fibers.max_fiber_length(), 8u);
+    FiberView fibers(t, 2);
+    EXPECT_EQ(fibers.fptr(), (std::vector<Size>{0, 8}));
 }
 
 TEST(Fibers, EachNonzeroItsOwnFiberWhenModeConstant)
@@ -245,22 +242,22 @@ TEST(Fibers, EachNonzeroItsOwnFiberWhenModeConstant)
     CooTensor t({8, 8, 2});
     for (Index i = 0; i < 8; ++i)
         t.append({i, i, 0}, 1.0f);
-    FiberPartition fibers = compute_fibers(t, 2);
+    FiberView fibers(t, 2);
     EXPECT_EQ(fibers.num_fibers(), 8u);
-    EXPECT_EQ(fibers.max_fiber_length(), 1u);
+    EXPECT_EQ(fibers.fptr().back(), 8u);
 }
 
 TEST(Fibers, EmptyTensorHasNoFibers)
 {
     CooTensor t({4, 4});
-    FiberPartition fibers = compute_fibers(t, 0);
+    FiberView fibers(t, 0);
     EXPECT_EQ(fibers.num_fibers(), 0u);
 }
 
 TEST(Fibers, RejectsOutOfRangeMode)
 {
     CooTensor t({4, 4});
-    EXPECT_THROW(compute_fibers(t, 2), PastaError);
+    EXPECT_THROW(FiberView(t, 2), PastaError);
 }
 
 }  // namespace

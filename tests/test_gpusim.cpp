@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 
 #include "common/rng.hpp"
 #include "core/convert.hpp"
@@ -265,6 +266,110 @@ TEST_F(GpuKernels, TtmHicooMatchesCpu)
     ScooTensor expected = ttm_coo(x_, u_, 2);
     EXPECT_TRUE(tensors_almost_equal(out.to_scoo().to_coo(),
                                      expected.to_coo(), 1e-3));
+}
+
+/// Non-zeros per mode-`mode` fiber of `x`, keyed by the fiber's other
+/// coordinates.
+std::map<Coordinate, Size>
+fiber_sizes(const CooTensor& x, Size mode)
+{
+    std::map<Coordinate, Size> sizes;
+    for (Size p = 0; p < x.nnz(); ++p) {
+        Coordinate c = x.coordinate(p);
+        c.erase(c.begin() + static_cast<std::ptrdiff_t>(mode));
+        ++sizes[c];
+    }
+    return sizes;
+}
+
+/// Table I's TTV bytes per thread block: 12 per non-zero and 12 per
+/// fiber, one fiber per thread, fibers in output order.
+std::vector<double>
+ttv_block_bytes_of(const std::map<Coordinate, Size>& sizes,
+                   const std::vector<Coordinate>& fiber_order)
+{
+    std::vector<double> bytes(grid_blocks(fiber_order.size(),
+                                          kDefaultBlockThreads),
+                              0.0);
+    for (Size f = 0; f < fiber_order.size(); ++f)
+        bytes[f / kDefaultBlockThreads] +=
+            12.0 * static_cast<double>(sizes.at(fiber_order[f])) + 12.0;
+    return bytes;
+}
+
+TEST_F(GpuKernels, TtvLaunchProfilesFollowTableOne)
+{
+    const Size mode = 1;
+    const auto sizes = fiber_sizes(x_, mode);
+    const Size m = x_.nnz();
+    const Size mf = sizes.size();
+    auto expect_profile = [&](const LaunchProfile& prof,
+                              const std::vector<Coordinate>& order) {
+        EXPECT_EQ(order.size(), mf);
+        EXPECT_EQ(prof.flops, 2 * m);
+        EXPECT_EQ(prof.dram_bytes, 12 * m + 12 * mf);
+        EXPECT_EQ(prof.working_set_bytes,
+                  8 * m + kValueBytes * v_.size() + 12 * mf);
+        EXPECT_EQ(prof.atomics, 0u);
+        EXPECT_EQ(prof.block_bytes, ttv_block_bytes_of(sizes, order));
+    };
+    {
+        CooTtvPlan plan = ttv_plan_coo(x_, mode);
+        CooTensor out = plan.out_pattern;
+        const LaunchProfile prof = ttv_gpu_coo(plan, v_, out);
+        std::vector<Coordinate> order;
+        for (Size f = 0; f < out.nnz(); ++f)
+            order.push_back(out.coordinate(f));
+        expect_profile(prof, order);
+    }
+    {
+        HicooTtvPlan plan = ttv_plan_hicoo(x_, mode, 3);
+        HiCooTensor out = plan.out_pattern;
+        const LaunchProfile prof = ttv_gpu_hicoo(plan, v_, out);
+        std::vector<Coordinate> order;
+        for (Size b = 0; b < out.num_blocks(); ++b)
+            for (Size p = out.bptr()[b]; p < out.bptr()[b + 1]; ++p)
+                order.push_back({out.coordinate(0, b, p),
+                                 out.coordinate(1, b, p)});
+        expect_profile(prof, order);
+    }
+}
+
+TEST_F(GpuKernels, TtmLaunchProfilesFollowTableOne)
+{
+    const Size mode = 0;
+    const Size rank = u_.cols();
+    const Size m = x_.nnz();
+    const Size mf = fiber_sizes(x_, mode).size();
+    // 2-D thread blocks of rank x (256 / rank) threads, one non-zero per
+    // row of threads, bytes split evenly over the thread blocks.
+    const Size grid = grid_blocks(m, kDefaultBlockThreads / rank);
+    auto expect_profile = [&](const LaunchProfile& prof, Size dram) {
+        EXPECT_EQ(prof.flops, 2 * m * rank);
+        EXPECT_EQ(prof.dram_bytes, dram);
+        EXPECT_EQ(prof.working_set_bytes,
+                  8 * m + (x_.dim(mode) + mf) * rank * kValueBytes);
+        EXPECT_EQ(prof.atomics, m * rank);
+        EXPECT_EQ(prof.block_bytes,
+                  std::vector<double>(grid, static_cast<double>(dram) /
+                                                static_cast<double>(grid)));
+    };
+    {
+        CooTtmPlan plan = ttm_plan_coo(x_, mode, rank);
+        ScooTensor out = plan.out_pattern;
+        ASSERT_EQ(out.num_sparse(), mf);
+        // Table I, COO-TTM: 4MR + 4 M_F R + 8M + 16 M_F.
+        expect_profile(ttm_gpu_coo(plan, u_, out),
+                       4 * m * rank + 4 * mf * rank + 8 * m + 16 * mf);
+    }
+    {
+        HicooTtmPlan plan = ttm_plan_hicoo(x_, mode, rank, 3);
+        SHiCooTensor out = plan.out_pattern;
+        ASSERT_EQ(out.num_sparse(), mf);
+        // Table I, HiCOO-TTM: 4MR + 4 M_F R + 8M + 8 M_F.
+        expect_profile(ttm_gpu_hicoo(plan, u_, out),
+                       4 * m * rank + 4 * mf * rank + 8 * m + 8 * mf);
+    }
 }
 
 TEST_F(GpuKernels, MttkrpMatchesCpuOnAllModes)

@@ -319,12 +319,12 @@ TEST(BulkFill, PlanBuildersMatchAppendSemantics)
     ASSERT_EQ(pat.nnz(), plan.fibers.num_fibers());
     EXPECT_TRUE(pat.is_sorted_lexicographic());
     for (Size f = 0; f < pat.nnz(); ++f) {
-        const Size head = plan.fibers.fptr[f];
+        const Size head = plan.fibers.fptr()[f];
         Size o = 0;
         for (Size m = 0; m < x.order(); ++m) {
             if (m == 1)
                 continue;
-            EXPECT_EQ(pat.index(o, f), plan.sorted.index(m, head));
+            EXPECT_EQ(pat.index(o, f), plan.fibers.sorted().index(m, head));
             ++o;
         }
         EXPECT_EQ(pat.value(f), 0.0f);

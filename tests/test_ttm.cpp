@@ -96,7 +96,8 @@ TEST(TtmHicoo, OutputBlocksMirrorInputBlocks)
     Rng rng(6);
     CooTensor x = CooTensor::random({64, 64, 64}, 400, rng);
     HicooTtmPlan plan = ttm_plan_hicoo(x, 1, 16, 3);
-    EXPECT_EQ(plan.out_pattern.num_blocks(), plan.input.num_blocks());
+    EXPECT_EQ(plan.out_pattern.num_blocks(),
+              plan.fibers.tensor().num_blocks());
     plan.out_pattern.validate();
 }
 

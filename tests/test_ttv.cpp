@@ -1,15 +1,22 @@
-// Tests for TTV (COO and HiCOO paths) against the dense reference, and
-// the thread-count bit-identity of the TTV and TTM exec kernels.
+// Tests for TTV (COO and HiCOO paths) against the dense reference, the
+// thread-count bit-identity of the TTV and TTM exec kernels, and every
+// mode-n fiber grouping against a brute-force one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "core/convert.hpp"
+#include "core/sort_radix.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/ttm.hpp"
+#include "kernels/ttm_scoo.hpp"
 #include "kernels/ttv.hpp"
+#include "validate/validate.hpp"
 
 namespace pasta {
 namespace {
@@ -140,8 +147,9 @@ TEST(TtvHicoo, OutputBlocksMirrorInputBlocks)
     Rng rng(6);
     CooTensor x = CooTensor::random({64, 64, 64}, 500, rng);
     HicooTtvPlan plan = ttv_plan_hicoo(x, 2, 3);
-    EXPECT_EQ(plan.out_pattern.num_blocks(), plan.input.num_blocks());
-    EXPECT_EQ(plan.out_pattern.nnz(), plan.fptr.size() - 1);
+    EXPECT_EQ(plan.out_pattern.num_blocks(),
+              plan.fibers.tensor().num_blocks());
+    EXPECT_EQ(plan.out_pattern.nnz(), plan.fibers.num_fibers());
     plan.out_pattern.validate();
 }
 
@@ -150,13 +158,14 @@ TEST(TtvHicoo, FibersNeverSpanBlocks)
     Rng rng(7);
     CooTensor x = CooTensor::random({64, 64, 64}, 700, rng);
     HicooTtvPlan plan = ttv_plan_hicoo(x, 1, 3);
-    const auto& bptr = plan.input.bptr();
+    const auto& bptr = plan.fibers.tensor().bptr();
+    const auto& fptr = plan.fibers.fptr();
     // Every block boundary must also be a fiber boundary.
     Size f = 0;
-    for (Size b = 1; b < plan.input.num_blocks(); ++b) {
-        while (plan.fptr[f] < bptr[b])
+    for (Size b = 1; b < plan.fibers.tensor().num_blocks(); ++b) {
+        while (fptr[f] < bptr[b])
             ++f;
-        EXPECT_EQ(plan.fptr[f], bptr[b]) << "block " << b;
+        EXPECT_EQ(fptr[f], bptr[b]) << "block " << b;
     }
 }
 
@@ -210,6 +219,250 @@ INSTANTIATE_TEST_SUITE_P(
     OrdersAndBlocks, TtvSweep,
     ::testing::Combine(::testing::Values(2, 3, 4, 5),
                        ::testing::Values(2, 3, 7)));
+
+/// Every column's index at `p` except column `skip`.
+Coordinate
+rest_of(const std::vector<std::vector<Index>>& columns, Size skip, Size p)
+{
+    Coordinate c;
+    for (Size m = 0; m < columns.size(); ++m)
+        if (m != skip)
+            c.push_back(columns[m][p]);
+    return c;
+}
+
+using Members = std::vector<std::pair<Index, Value>>;
+
+/// Brute-force mode-`mode` fibers: each fiber's (mode index, value)
+/// pairs in input order, keyed by its other coordinates.
+std::map<Coordinate, Members>
+group_fibers(const CooTensor& x, Size mode)
+{
+    std::map<Coordinate, Members> groups;
+    for (Size p = 0; p < x.nnz(); ++p)
+        groups[rest_of(x.indices_view(), mode, p)].push_back(
+            {x.index(mode, p), x.value(p)});
+    return groups;
+}
+
+Members
+sorted(Members m)
+{
+    std::sort(m.begin(), m.end());
+    return m;
+}
+
+/// `count` distinct non-zeros in random order whose every mode draws
+/// from `pool` evenly spaced values (pool <= every dim), so fibers along
+/// every mode hold several entries.
+CooTensor
+clustered(const std::vector<Index>& dims, Index pool, Size count, Rng& rng)
+{
+    CooTensor x(dims);
+    std::set<Coordinate> seen;
+    while (seen.size() < count) {
+        Coordinate c;
+        for (Index d : dims)
+            c.push_back(rng.next_index(pool) * (d / pool));
+        if (seen.insert(c).second)
+            x.append(c, rng.next_float());
+    }
+    return x;
+}
+
+/// The blocked half of expect_groupings_agree: the gHiCOO view and the
+/// HiCOO-TTV/TTM output patterns.
+void
+expect_blocked_groupings_agree(const CooTensor& x, Size mode,
+                               const std::map<Coordinate, Members>& groups)
+{
+    const Size mf = groups.size();
+    // gHiCOO view: no fiber crosses a block, each holds the same
+    // non-zeros.
+    const GFiberView gv(x, mode, 3);
+    const GHiCooTensor& g = gv.tensor();
+    ASSERT_EQ(gv.num_fibers(), mf);
+    for (Size b = 0; b < g.num_blocks(); ++b)
+        EXPECT_TRUE(std::binary_search(gv.fptr().begin(), gv.fptr().end(),
+                                       g.bptr()[b]))
+            << "block " << b;
+    std::set<Coordinate> seen;
+    Size b = 0;
+    for (Size f = 0; f < mf; ++f) {
+        Coordinate rest;
+        Members got;
+        for (Size p = gv.fptr()[f]; p < gv.fptr()[f + 1]; ++p) {
+            while (g.bptr()[b + 1] <= p)
+                ++b;
+            Coordinate c;
+            for (Size m = 0; m < x.order(); ++m)
+                if (m != mode)
+                    c.push_back(g.coordinate(m, b, p));
+            if (p == gv.fptr()[f])
+                rest = c;
+            EXPECT_EQ(c, rest);
+            got.push_back({g.raw_index(mode, p), g.value(p)});
+        }
+        EXPECT_TRUE(seen.insert(rest).second);
+        ASSERT_TRUE(groups.count(rest)) << "fiber " << f;
+        EXPECT_EQ(sorted(got), sorted(groups.at(rest))) << "fiber " << f;
+    }
+
+    // HiCOO-TTV output coordinates are HiCOO-TTM stripe coordinates.
+    const HiCooTensor ttv_h = ttv_plan_hicoo(x, mode, 3).out_pattern;
+    const SHiCooTensor ttm_h = ttm_plan_hicoo(x, mode, 2, 3).out_pattern;
+    ASSERT_EQ(ttv_h.nnz(), mf);
+    ASSERT_EQ(ttm_h.num_sparse(), mf);
+    ASSERT_EQ(ttv_h.num_blocks(), g.num_blocks());
+    ASSERT_EQ(ttm_h.num_blocks(), g.num_blocks());
+    for (b = 0; b < g.num_blocks(); ++b) {
+        EXPECT_EQ(ttv_h.bptr()[b], ttm_h.bptr()[b]);
+        for (Size s = 0; s + 1 < x.order(); ++s)
+            EXPECT_EQ(ttv_h.block_index(s, b), ttm_h.block_index(s, b));
+    }
+    for (Size f = 0; f < mf; ++f)
+        for (Size s = 0; s + 1 < x.order(); ++s)
+            EXPECT_EQ(ttv_h.element_index(s, f), ttm_h.element_index(s, f));
+}
+
+/// Checks every grouping of `x`'s mode-`mode` fibers against the
+/// brute-force grouping; the gHiCOO view and the HiCOO patterns only
+/// when `blocked`.
+void
+expect_groupings_agree(const CooTensor& x, Size mode, bool blocked)
+{
+    const auto groups = group_fibers(x, mode);
+    const Size mf = groups.size();
+
+    // FiberView: fibers in the order of their other coordinates.
+    const FiberView fv(x, mode);
+    const auto& sx = fv.sorted().indices_view();
+    ASSERT_EQ(fv.num_fibers(), mf);
+    EXPECT_EQ(fv.fptr().front(), 0u);
+    EXPECT_EQ(fv.fptr().back(), x.nnz());
+    Size f = 0;
+    for (const auto& [rest, members] : groups) {
+        Members got;
+        for (Size p = fv.fptr()[f]; p < fv.fptr()[f + 1]; ++p) {
+            EXPECT_EQ(rest_of(sx, mode, p), rest);
+            got.push_back({sx[mode][p], fv.sorted().value(p)});
+        }
+        EXPECT_EQ(sorted(got), sorted(members)) << "fiber " << f;
+        ++f;
+    }
+
+    // TTV output coordinates are TTM stripe coordinates.
+    const CooTensor ttv_c = ttv_plan_coo(x, mode).out_pattern;
+    const ScooTensor ttm_c = ttm_plan_coo(x, mode, 2).out_pattern;
+    ASSERT_EQ(ttv_c.nnz(), mf);
+    ASSERT_EQ(ttm_c.num_sparse(), mf);
+    f = 0;
+    for (const auto& group : groups) {
+        EXPECT_EQ(rest_of(ttv_c.indices_view(), kNoMode, f), group.first);
+        EXPECT_EQ(rest_of(ttm_c.sparse_indices_view(), kNoMode, f),
+                  group.first);
+        ++f;
+    }
+
+    if (blocked)
+        expect_blocked_groupings_agree(x, mode, groups);
+
+    // sCOO: one stripe per fiber, duplicates summed in input order.
+    if (x.dim(mode) > 64)
+        return;
+    const ScooTensor sc = coo_to_scoo(x, mode);
+    ASSERT_EQ(sc.num_sparse(), mf);
+    f = 0;
+    for (const auto& [rest, members] : groups) {
+        EXPECT_EQ(rest_of(sc.sparse_indices_view(), kNoMode, f), rest);
+        std::vector<Value> expect(x.dim(mode), 0);
+        for (const auto& [k, v] : members)
+            expect[k] += v;
+        EXPECT_EQ(std::vector<Value>(sc.stripe(f),
+                                     sc.stripe(f) + x.dim(mode)),
+                  expect)
+            << "stripe " << f;
+        ++f;
+    }
+
+    // ttm_scoo: one output stripe per group of the other sparse
+    // coordinates, contracting the narrowest sparse mode.
+    if (x.order() < 3)
+        return;
+    const auto& sparse = sc.sparse_modes();
+    Size slot = 0;
+    for (Size s = 1; s < sparse.size(); ++s)
+        if (x.dim(sparse[s]) < x.dim(sparse[slot]))
+            slot = s;
+    std::map<Coordinate, Size> stripe_groups;
+    for (Size i = 0; i < sc.num_sparse(); ++i)
+        ++stripe_groups[rest_of(sc.sparse_indices_view(), slot, i)];
+    Rng rng(5);
+    const DenseMatrix u = DenseMatrix::random(x.dim(sparse[slot]), 1, rng);
+    const ScooTensor t = ttm_scoo(sc, u, sparse[slot]);
+    ASSERT_EQ(t.num_sparse(), stripe_groups.size());
+    f = 0;
+    for (const auto& group : stripe_groups)
+        EXPECT_EQ(rest_of(t.sparse_indices_view(), kNoMode, f++),
+                  group.first);
+}
+
+TEST(FiberGrouping, EverySiteMatchesBruteForce)
+{
+    Rng rng(12);
+    std::vector<std::pair<std::string, CooTensor>> inputs;
+    inputs.emplace_back("3rd order", clustered({12, 10, 9}, 5, 100, rng));
+    // Big enough that the fiber scan splits into several chunks.
+    inputs.emplace_back("4th order",
+                        clustered({16, 14, 12, 13}, 11, 10000, rng));
+    inputs.emplace_back("5th order",
+                        clustered({6, 5, 4, 3, 7}, 3, 150, rng));
+    inputs.emplace_back("nnz 0", CooTensor({4, 4, 4}));
+    // One mode-1 fiber; along modes 0 and 2 every fiber is a singleton.
+    CooTensor line({4, 16, 4});
+    for (Index k = 0; k < 16; ++k)
+        line.append({2, 15 - k, 3}, static_cast<Value>(k));
+    inputs.emplace_back("single fiber", std::move(line));
+    // A slab at mode-1 index 0: neighbouring mode-2 fibers differ only
+    // in their mode-0 index, neighbouring mode-0 fibers only in mode 2.
+    CooTensor slab({5, 3, 4});
+    for (Index i = 0; i < 5; ++i)
+        for (Index k = 0; k < 4; ++k)
+            slab.append({i, 0, k}, static_cast<Value>(i * 4 + k));
+    inputs.emplace_back("slab", std::move(slab));
+    // Neighbouring blocks whose entries share every element offset: only
+    // the block start separates their fibers.
+    CooTensor aligned({4, 32, 32});
+    for (Index a = 0; a < 4; ++a)
+        for (Index b = 0; b < 4; ++b)
+            aligned.append({a, 8 * b, 8 * a}, static_cast<Value>(a + b));
+    inputs.emplace_back("aligned blocks", std::move(aligned));
+    // Fibers-last keys over these dims take two radix words.
+    const std::vector<Index> wide = {1u << 22, 1u << 22, 1u << 21, 16};
+    ASSERT_EQ(radix::lex_layout(wide, {0, 1, 2, 3}).words(), 2u);
+    inputs.emplace_back("two-word keys", clustered(wide, 4, 200, rng));
+    // Every third non-zero appended again: fibers hold duplicate
+    // coordinates.
+    CooTensor dup = clustered({12, 10, 9}, 5, 100, rng);
+    for (Size p = 0; p < 100; p += 3)
+        dup.append(dup.coordinate(p), dup.value(p) + 1);
+    inputs.emplace_back("duplicates", std::move(dup));
+
+    // PASTA_VALIDATE=convert|full rejects duplicate coordinates in a
+    // blocked format, so there the duplicates skip the gHiCOO sites.
+    const bool validating = validate::convert_checks_enabled();
+    ThreadOverrideGuard guard;
+    for (int threads : {1, 2, 4}) {
+        set_num_threads(threads);
+        for (const auto& [name, x] : inputs)
+            for (Size mode = 0; mode < x.order(); ++mode) {
+                SCOPED_TRACE(name + " mode " + std::to_string(mode) +
+                             " threads " + std::to_string(threads));
+                expect_groupings_agree(x, mode,
+                                       !(validating && name == "duplicates"));
+            }
+    }
+}
 
 }  // namespace
 }  // namespace pasta
