@@ -3,10 +3,12 @@
 ///   1. HiCOO block size B sweep (storage + MTTKRP time; paper fixes 128),
 ///   2. gHiCOO: compressing vs. not compressing the product mode for TTV,
 ///   3. COO sort order (lexicographic vs. Morton) effect on MTTKRP,
-///   4. MTTKRP output protection (atomic/privatized/sequential).
+///   4. MTTKRP output protection in COO and HiCOO (atomic, privatized,
+///      sequential, and the contention policy's pick).
 /// Times are the fastest of PASTA_RUNS calls (RunStats::min_seconds), so
 /// one descheduled call cannot set a row.
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
@@ -98,30 +100,35 @@ ablate_sort_order(const CooTensor& x, const FactorList& factors, Size rank,
 
 void
 ablate_output_protection(const CooTensor& x, const FactorList& factors,
-                         Size rank, Size runs)
+                         Size rank, Size runs, unsigned block_bits)
 {
     // §III-D: the reference suite uses atomics and skips privatization;
-    // quantify what that choice costs (or saves).
+    // quantify what that choice costs (or saves) in both formats, next to
+    // what the one contention policy (mttkrp_contention) picks.
     std::printf("\n== Ablation 4: MTTKRP output protection ==\n");
-    std::printf("%-14s %14s\n", "strategy", "MTTKRP min ms");
+    std::printf("%-6s %-24s %14s\n", "format", "strategy", "MTTKRP min ms");
+    const HiCooTensor h = coo_to_hicoo(x, block_bits);
     DenseMatrix out(x.dim(0), rank);
-    {
-        const RunStats t = timed_runs(
-            [&] { mttkrp_coo_atomic(x, factors, 0, out); }, runs);
-        std::printf("%-14s %14.3f\n", "atomic", t.min_seconds * 1e3);
-    }
-    {
-        const RunStats t = timed_runs(
-            [&] { mttkrp_coo_privatized(x, factors, 0, out); }, runs);
-        std::printf("%-14s %14.3f\n", "privatized",
+    const auto row = [&](const char* format, const std::string& strategy,
+                         auto&& call) {
+        const RunStats t = timed_runs(call, runs);
+        std::printf("%-6s %-24s %14.3f\n", format, strategy.c_str(),
                     t.min_seconds * 1e3);
-    }
-    {
-        const RunStats t = timed_runs(
-            [&] { mttkrp_coo_seq(x, factors, 0, out); }, runs);
-        std::printf("%-14s %14.3f\n", "sequential",
-                    t.min_seconds * 1e3);
-    }
+    };
+    row("COO", "atomic", [&] { mttkrp_coo_atomic(x, factors, 0, out); });
+    row("COO", "privatized",
+        [&] { mttkrp_coo_privatized(x, factors, 0, out); });
+    row("COO", "sequential", [&] { mttkrp_coo_seq(x, factors, 0, out); });
+    const auto policy = [](MttkrpVariant pick) {
+        return std::string("policy: ") + mttkrp_variant_name(pick);
+    };
+    row("COO", policy(mttkrp_coo(x, factors, 0, out)),
+        [&] { mttkrp_coo(x, factors, 0, out); });
+    row("HiCOO", "atomic", [&] { mttkrp_hicoo_atomic(h, factors, 0, out); });
+    row("HiCOO", "privatized",
+        [&] { mttkrp_hicoo_privatized(h, factors, 0, out); });
+    row("HiCOO", policy(mttkrp_hicoo(h, factors, 0, out)),
+        [&] { mttkrp_hicoo(h, factors, 0, out); });
 }
 
 }  // namespace
@@ -146,6 +153,7 @@ main()
     ablate_block_size(x, factors, options.rank, options.runs);
     ablate_ghicoo_mode_choice(x, options.runs, options.block_bits);
     ablate_sort_order(x, factors, options.rank, options.runs);
-    ablate_output_protection(x, factors, options.rank, options.runs);
+    ablate_output_protection(x, factors, options.rank, options.runs,
+                             options.block_bits);
     return 0;
 }

@@ -253,7 +253,8 @@ BENCHMARK(BM_MttkrpCoo)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
 /// Crossover ablation: sweep the output-mode dimension at fixed nnz so
 /// the auto-dispatch flips from privatized (small I_mode) to atomic
 /// (replicated buffers too large / too sparse in output rows).  The
-/// label records the variant mttkrp_coo_pick chose at each point.
+/// label records the variant the contention policy (mttkrp_contention)
+/// chose at each point.
 void
 BM_MttkrpCooDimSweep(benchmark::State& state)
 {

@@ -12,11 +12,12 @@
 # writes and row marks at 1, 2 and 4 threads, the radix sort's chunked
 # passes at 1, 2 and 4 threads, the TTV/TTM fiber views, output
 # patterns and kernels at 1, 2 and 4 threads (the chunked fiber scan and
-# the bulk pattern fills), and the suite driver end to end (every
+# the bulk pattern fills), CP-ALS and Tucker-HOOI at 1 to 4 threads (the
+# fused TTM's chunked core sum), and the suite driver end to end (every
 # kernel's counter and memory-governor updates, the guarded trials and
 # the journal):
 #   test_obs test_metrics test_serve test_common test_dense test_mttkrp
-#   test_sort_radix test_ttv test_ttm test_bench_common
+#   test_sort_radix test_ttv test_ttm test_methods test_bench_common
 # Only those targets are built, and the PASTA_VALIDATE=full pass is
 # skipped (it re-checks kernel results, not concurrency).  libgomp is
 # not built with TSan, so its barrier synchronisation is invisible to
@@ -44,7 +45,8 @@ cmake -B "${BUILD_DIR}" -S . \
 
 if [[ ",${SANITIZERS}," == *",thread,"* ]]; then
     TSAN_TESTS=(test_obs test_metrics test_serve test_common test_dense
-        test_mttkrp test_sort_radix test_ttv test_ttm test_bench_common)
+        test_mttkrp test_sort_radix test_ttv test_ttm test_methods
+        test_bench_common)
     cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${TSAN_TESTS[@]}"
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${PWD}/scripts/tsan.supp"
     NO_ASLR=()

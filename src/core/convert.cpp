@@ -173,6 +173,14 @@ coo_to_scoo(const CooTensor& x, Size dense_mode)
     // One stripe per mode-`dense_mode` fiber; duplicates sum in sorted
     // order.
     const FiberView fibers(x, dense_mode);
+    // Working set once the view is built: the view, plus one dense
+    // stripe of I_n values and N - 1 sparse indices per fiber.
+    const std::uint64_t stripe_bytes =
+        std::uint64_t{x.dim(dense_mode)} * kValueBytes +
+        (x.order() - 1) * kIndexBytes;
+    membudget::check(fibers.storage_bytes() +
+                         stripe_bytes * fibers.num_fibers(),
+                     "scoo.convert");
     ScooTensor out(x.dims(), {dense_mode});
     fibers.copy_heads(out.bulk_fill_stripes(fibers.num_fibers()).sparse);
     const FiberArrays a = fibers.arrays();

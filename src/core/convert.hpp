@@ -41,6 +41,9 @@ CooTensor ghicoo_to_coo(const GHiCooTensor& x);
 /// Compacts a COO tensor whose mode `dense_mode` is (treated as) dense
 /// into sCOO: groups non-zeros sharing all other coordinates into one
 /// stripe.  Requires no special ordering of `x` (a sorted copy is made).
+/// Under an armed memory governor it throws HostOomError naming
+/// "scoo.convert" when the fiber view plus one stripe per fiber (I_n
+/// values and N - 1 sparse indices) would not fit.
 ScooTensor coo_to_scoo(const CooTensor& x, Size dense_mode);
 
 /// Converts sCOO to sHiCOO (blocking the sparse modes).

@@ -50,7 +50,7 @@ mttkrp_variant_name(MttkrpVariant v)
 
 namespace {
 
-/// Cap on the total replicated-output footprint the privatized COO
+/// Cap on the total replicated-output footprint the privatized
 /// schedule may allocate (values, not bytes): 2^24 floats = 64 MiB.
 constexpr Size kPrivatizedBudgetValues = Size{1} << 24;
 
@@ -118,30 +118,35 @@ khatri_rao_row(simd::Isa isa, const CooTensor& x,
 }  // namespace
 
 MttkrpVariant
-mttkrp_coo_pick(Index dim_mode, Size nnz, Size rank)
+mttkrp_contention(Index dim_mode, Size nnz, Size rank, int threads,
+                  Size owner_groups)
 {
-    const Size threads = static_cast<Size>(num_threads());
-    if (threads * static_cast<Size>(dim_mode) * rank >
-        kPrivatizedBudgetValues)
-        return MttkrpVariant::kAtomic;
-    // The replicated buffers are allocated inside a parallel region,
-    // where a governor rejection could not unwind; decide here instead —
-    // over budget simply means the atomic schedule (which allocates
-    // nothing) is the only affordable one.
-    if (!membudget::would_fit(std::uint64_t{4} * threads *
-                              static_cast<Size>(dim_mode) * rank))
-        return MttkrpVariant::kAtomic;
-    // The replicated buffers cost a reduce sweep over threads x dim_mode
-    // rows, plus a zero pass when a copy is below kDenseMapBytes (a
-    // mapped copy arrives zeroed and pays only its first-touch faults),
-    // and the sweep overwrites every output row; the atomic path (with
-    // run fusion) costs roughly one atomic set per distinct output row
-    // per chunk, and zeroes only the rows its previous call wrote.
-    // Privatize only when the stream is dense enough in output rows for
-    // the sweep to be clearly amortized.
-    if (2 * threads * static_cast<Size>(dim_mode) > nnz)
-        return MttkrpVariant::kAtomic;
-    return MttkrpVariant::kPrivatized;
+    const Size t = static_cast<Size>(std::max(threads, 1));
+    const Size dim = static_cast<Size>(dim_mode);
+    // One worker owns every output tile: the owner schedule needs
+    // neither copies nor atomics.
+    if (owner_groups > 0 && t == 1)
+        return MttkrpVariant::kBlockOwner;
+    // The copies are not reserved with the memory governor, so it is
+    // asked here: copies it would refuse route the call to a schedule
+    // that allocates nothing.  The copies cost a reduce sweep over
+    // threads x dim_mode rows, plus a zero pass when a copy is below
+    // kDenseMapBytes (a mapped copy arrives zeroed and pays only its
+    // first-touch faults), and the sweep overwrites every output row;
+    // the atomic path (with run fusion) costs roughly one atomic set per
+    // distinct output row per chunk, and zeroes only the rows its
+    // previous call wrote.  Privatize only when the stream is dense
+    // enough in output rows for the sweep to be clearly amortized.
+    const Size copies = t * dim * rank;
+    if (copies <= kPrivatizedBudgetValues &&
+        membudget::would_fit(std::uint64_t{4} * copies) &&
+        2 * t * dim <= nnz)
+        return MttkrpVariant::kPrivatized;
+    // Owner groups keep the workers busy only when there are enough of
+    // them; with fewer, the dynamic loop serializes and atomics win back.
+    if (owner_groups >= 2 * t)
+        return MttkrpVariant::kBlockOwner;
+    return MttkrpVariant::kAtomic;
 }
 
 MttkrpVariant
@@ -149,7 +154,8 @@ mttkrp_coo(const CooTensor& x, const FactorList& factors, Size mode,
            DenseMatrix& out)
 {
     const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
-    const MttkrpVariant pick = mttkrp_coo_pick(x.dim(mode), x.nnz(), rank);
+    const MttkrpVariant pick = mttkrp_contention(x.dim(mode), x.nnz(), rank,
+                                                 num_threads(), 0);
     obs::set_label("mttkrp.variant", mttkrp_variant_name(pick));
     note_mttkrp_coo(x.order(), x.nnz(), rank);
     if (pick == MttkrpVariant::kPrivatized)
@@ -216,64 +222,45 @@ mttkrp_coo_atomic(const CooTensor& x, const FactorList& factors, Size mode,
 
 namespace {
 
-/// Shared per-block body of the HiCOO kernels (Algorithm 3, line 3):
-/// per-block factor base rows so the inner loop decodes only 8-bit
-/// element offsets.  `add(out_row, acc, rank)` is the output-update
-/// policy — a vadd_inplace for owner-partitioned blocks, per-element
-/// omp atomics for the contended schedule — inlined via template, not
-/// dispatched.  Every output row written is marked in `mask`.
+/// Shared per-block body of the HiCOO kernels (Algorithm 3, line 3) over
+/// the block's non-zeros [first, last): per-block factor base rows so the
+/// inner loop decodes only 8-bit element offsets.  `add(row, acc)` is the
+/// output-update policy for output row `row` — a vadd_inplace into an
+/// owned tile or a private copy, per-element omp atomics for the
+/// contended schedule — inlined via template, not dispatched.
 template <typename AddFn>
 inline void
 hicoo_process_block(const HiCooTensor& x, const FactorList& factors,
-                    Size mode, DenseMatrix& out, std::uint8_t* mask,
-                    Size rank, Size b, simd::Isa isa, Value* acc, AddFn add)
+                    Size mode, Size rank, Size b, Size first, Size last,
+                    simd::Isa isa, Value* acc, AddFn add)
 {
     const Size order = x.order();
     const unsigned bits = x.block_bits();
     const Value* xv = x.values().data();
-    const auto& bptr = x.bptr();
     const Value* base[8];
     const Size out_first = static_cast<Size>(x.block_index(mode, b)) << bits;
-    Value* out_base = out.row(out_first);
-    std::uint8_t* mask_base = mask + out_first;
     for (Size m = 0; m < order; ++m)
         base[m] = factors[m]->row(
             static_cast<Size>(x.block_index(m, b)) << bits);
-    const Size rank_stride = out.cols();
-    for (Size p = bptr[b]; p < bptr[b + 1]; ++p) {
+    for (Size p = first; p < last; ++p) {
         const Value xval = xv[p];
-        bool first = true;
+        bool first_factor = true;
         for (Size m = 0; m < order; ++m) {
             if (m == mode)
                 continue;
             const Value* row =
-                base[m] +
-                static_cast<Size>(x.element_index(m, p)) * rank_stride;
-            if (first) {
+                base[m] + static_cast<Size>(x.element_index(m, p)) * rank;
+            if (first_factor) {
                 simd::vscale(isa, acc, row, xval, rank);
-                first = false;
+                first_factor = false;
             } else {
                 simd::vmul_accumulate(isa, acc, row, rank);
             }
         }
-        if (first)
+        if (first_factor)
             simd::vfill(isa, acc, xval, rank);
-        const Size e = x.element_index(mode, p);
-        mark_row(mask_base, e);
-        add(out_base + e * rank_stride, acc, rank);
+        add(out_first + x.element_index(mode, p), acc);
     }
-}
-
-/// Owner partitioning pays off when the groups can keep the workers
-/// busy; with fewer groups than workers the dynamic loop serializes and
-/// atomics win back.  A single worker always prefers owner (it removes
-/// the atomics with zero downside).
-bool
-hicoo_use_owner(const OwnerSchedule& sched, int threads)
-{
-    if (threads <= 1)
-        return true;
-    return sched.groups() >= 2 * static_cast<Size>(threads);
 }
 
 /// Table I HiCOO-MTTKRP model counters: flops = NMR, bytes = 4NR
@@ -295,31 +282,24 @@ note_mttkrp_hicoo(const HiCooTensor& x, Size rank)
         (4 * n + 8) * nb));
 }
 
-}  // namespace
-
-MttkrpVariant
-mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
-             DenseMatrix& out)
+/// Block-owner HiCOO MTTKRP over `sched`: one thread owns every block of
+/// a group, and a group's blocks are the only writers of its output
+/// tile, so no atomics are needed.  The dynamic schedule absorbs the
+/// group-size skew.
+void
+mttkrp_hicoo_owner(const HiCooTensor& x, const FactorList& factors,
+                   Size mode, Size rank, const OwnerSchedule& sched,
+                   DenseMatrix& out)
 {
-    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
-    PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
-
-    const OwnerSchedule& sched = x.owner_schedule(mode);
-    if (!hicoo_use_owner(sched, num_threads())) {
-        obs::set_label("mttkrp.variant",
-                       mttkrp_variant_name(MttkrpVariant::kAtomic));
-        mttkrp_hicoo_atomic(x, factors, mode, out);
-        return MttkrpVariant::kAtomic;
-    }
-    obs::set_label("mttkrp.variant",
-                   mttkrp_variant_name(MttkrpVariant::kBlockOwner));
     note_mttkrp_hicoo(x, rank);
     std::uint8_t* mask = out.begin_accumulate();
+    Value* dst = out.data();
     const simd::Isa isa = simd::note_kernel();
     const auto& bptr = x.bptr();
-    // One thread owns every block of a group, and a group's blocks are
-    // the only writers of its output tile: no atomics needed.  Dynamic
-    // schedule absorbs the group-size skew.
+    const auto add = [=](Size i, const Value* row) {
+        mark_row(mask, i);
+        simd::vadd_inplace(isa, dst + i * rank, row, rank);
+    };
     parallel_for(
         0, sched.groups(), Schedule::kDynamic,
         [&](Size g) {
@@ -329,17 +309,75 @@ mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
                  ++s) {
                 const Size b = sched.blocks[s];
                 items += bptr[b + 1] - bptr[b];
-                hicoo_process_block(
-                    x, factors, mode, out, mask, rank, b, isa, acc.data(),
-                    [isa](Value* out_row, const Value* row, Size n) {
-                        simd::vadd_inplace(isa, out_row, row, n);
-                    });
+                hicoo_process_block(x, factors, mode, rank, b, bptr[b],
+                                    bptr[b + 1], isa, acc.data(), add);
             }
             obs::add_worker("mttkrp.worker_items", worker_id(), items);
         },
         1);
     out.end_accumulate();
-    return MttkrpVariant::kBlockOwner;
+}
+
+/// The privatized schedule of both formats: each worker takes one
+/// contiguous range of the non-zeros and runs `body(local, first, last)`,
+/// which accumulates them into `local`, the worker's private +0 copy of
+/// the output (rank columns).  Copies are keyed by worker id — chunk
+/// identity would alias if the runtime delivered fewer threads than
+/// requested.  A race-free parallel reduction over output rows then
+/// overwrites every row: dst = private[0] + private[1] + ...  This is
+/// bit-identical to adding the copies onto +0, as they start at +0 and
+/// so never hold -0 (a round-to-nearest sum is -0 only when both terms
+/// are).  The ranges and the summation order depend only on the thread
+/// count, so the bits are fixed at a fixed thread count.
+template <typename RangeFn>
+void
+mttkrp_privatized(Size nnz, Size rank, simd::Isa isa, DenseMatrix& out,
+                  RangeFn body)
+{
+    const int threads = num_threads();
+    std::vector<DenseMatrix> privates;
+    privates.reserve(threads);
+    for (int t = 0; t < threads; ++t)
+        privates.emplace_back(out.rows(), rank);
+    parallel_for_worker_ranges(
+        0, nnz, [&](int worker, Size first, Size last) {
+            obs::add_worker("mttkrp.worker_items", worker, last - first);
+            body(privates[worker].data(), first, last);
+        });
+    const std::vector<DenseMatrix>& locals = privates;
+    Value* dst_base = out.data();
+    parallel_for(0, out.rows(), Schedule::kStatic, [&](Size i) {
+        Value* dst = dst_base + i * rank;
+        std::copy_n(locals[0].row(i), rank, dst);
+        for (Size t = 1; t < locals.size(); ++t)
+            simd::vadd_inplace(isa, dst, locals[t].row(i), rank);
+    });
+}
+
+}  // namespace
+
+MttkrpVariant
+mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors, Size mode,
+             DenseMatrix& out)
+{
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
+    PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
+    const OwnerSchedule& sched = x.owner_schedule(mode);
+    const MttkrpVariant pick = mttkrp_contention(
+        x.dim(mode), x.nnz(), rank, num_threads(), sched.groups());
+    obs::set_label("mttkrp.variant", mttkrp_variant_name(pick));
+    switch (pick) {
+      case MttkrpVariant::kBlockOwner:
+        mttkrp_hicoo_owner(x, factors, mode, rank, sched, out);
+        break;
+      case MttkrpVariant::kPrivatized:
+        mttkrp_hicoo_privatized(x, factors, mode, out);
+        break;
+      case MttkrpVariant::kAtomic:
+        mttkrp_hicoo_atomic(x, factors, mode, out);
+        break;
+    }
+    return pick;
 }
 
 void
@@ -351,6 +389,7 @@ mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
     note_mttkrp_hicoo(x, rank);
     obs::add("mttkrp.atomics", x.nnz() * rank);
     std::uint8_t* mask = out.begin_accumulate();
+    Value* dst = out.data();
 
     const simd::Isa isa = simd::note_kernel();
     // Hoisted registry lookup: the per-block body runs once per block,
@@ -359,21 +398,51 @@ mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
                                ? &obs::counter("mttkrp.worker_items")
                                : nullptr;
     const auto& bptr = x.bptr();
+    const auto add = [=](Size i, const Value* row) {
+        mark_row(mask, i);
+        Value* out_row = dst + i * rank;
+        for (Size r = 0; r < rank; ++r)
+            atomic_add(out_row + r, row[r]);
+    };
     parallel_for(
         0, x.num_blocks(), Schedule::kDynamic,
         [&](Size b) {
             if (witems)
                 witems->add_worker(worker_id(), bptr[b + 1] - bptr[b]);
             RankScratch acc(rank);
-            hicoo_process_block(
-                x, factors, mode, out, mask, rank, b, isa, acc.data(),
-                [](Value* out_row, const Value* row, Size n) {
-                    for (Size r = 0; r < n; ++r)
-                        atomic_add(out_row + r, row[r]);
-                });
+            hicoo_process_block(x, factors, mode, rank, b, bptr[b],
+                                bptr[b + 1], isa, acc.data(), add);
         },
         8);
     out.end_accumulate();
+}
+
+void
+mttkrp_hicoo_privatized(const HiCooTensor& x, const FactorList& factors,
+                        Size mode, DenseMatrix& out)
+{
+    const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
+    PASTA_CHECK_MSG(x.order() <= 8, "HiCOO MTTKRP supports order <= 8");
+    note_mttkrp_hicoo(x, rank);
+    const simd::Isa isa = simd::note_kernel();
+    const auto& bptr = x.bptr();
+    // Ranges are balanced by non-zeros, not blocks: a range may start or
+    // end inside a block, so one hot block is split between workers.
+    mttkrp_privatized(
+        x.nnz(), rank, isa, out, [&](Value* local, Size first, Size last) {
+            RankScratch acc(rank);
+            const auto add = [=](Size i, const Value* row) {
+                simd::vadd_inplace(isa, local + i * rank, row, rank);
+            };
+            Size b = static_cast<Size>(
+                std::upper_bound(bptr.begin(), bptr.end(), first) -
+                bptr.begin() - 1);
+            for (; bptr[b] < last; ++b)
+                hicoo_process_block(x, factors, mode, rank, b,
+                                    std::max(first, bptr[b]),
+                                    std::min(last, bptr[b + 1]), isa,
+                                    acc.data(), add);
+        });
 }
 
 void
@@ -381,43 +450,21 @@ mttkrp_coo_privatized(const CooTensor& x, const FactorList& factors,
                       Size mode, DenseMatrix& out)
 {
     const Size rank = check_mttkrp_args(x.dims(), factors, out, mode);
-
-    const int threads = num_threads();
     const Size order = x.order();
     const Value* xv = x.values().data();
+    const Index* out_idx = x.mode_indices(mode).data();
     const simd::Isa isa = simd::note_kernel();
-    // One private output copy per worker, merged after the sweep.  The
-    // buffer is keyed by worker id — chunk identity would alias if the
-    // runtime delivered fewer threads than requested.
-    std::vector<DenseMatrix> privates;
-    privates.reserve(threads);
-    for (int t = 0; t < threads; ++t)
-        privates.emplace_back(out.rows(), rank);
-    parallel_for_worker_ranges(
-        0, x.nnz(), [&](int worker, Size first, Size last) {
-            obs::add_worker("mttkrp.worker_items", worker, last - first);
-            DenseMatrix& local = privates[worker];
+    mttkrp_privatized(
+        x.nnz(), rank, isa, out, [&](Value* local, Size first, Size last) {
             RankScratch acc_buf(rank);
             Value* acc = acc_buf.data();
             for (Size p = first; p < last; ++p) {
                 khatri_rao_row(isa, x, factors, mode, order, p, xv[p],
                                acc, rank);
-                Value* out_row = local.row(x.index(mode, p));
-                simd::vadd_inplace(isa, out_row, acc, rank);
+                simd::vadd_inplace(isa, local + out_idx[p] * rank, acc,
+                                   rank);
             }
         });
-    // Reduction (parallel over output rows, race-free) that overwrites
-    // every row: dst = private[0] + private[1] + ...  Bit-identical to
-    // adding them onto +0, as the copies start at +0 and so never hold
-    // -0 (a round-to-nearest sum is -0 only when both terms are).
-    const std::vector<DenseMatrix>& locals = privates;
-    Value* dst_base = out.data();
-    parallel_for(0, out.rows(), Schedule::kStatic, [&](Size i) {
-        Value* dst = dst_base + i * rank;
-        std::copy_n(locals[0].row(i), rank, dst);
-        for (Size t = 1; t < locals.size(); ++t)
-            simd::vadd_inplace(isa, dst, locals[t].row(i), rank);
-    });
 }
 
 void

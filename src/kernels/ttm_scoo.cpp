@@ -11,6 +11,14 @@
 
 namespace pasta {
 
+namespace {
+
+/// Sparse-slot chunks of the fused two-mode TTM: a constant, so the
+/// summation order of the core never follows the thread count.
+constexpr Size kFusedChunks = 16;
+
+}  // namespace
+
 ScooTensor
 ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode)
 {
@@ -175,15 +183,22 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
     const Index* ib = x.sparse_mode_indices(1).data();
 
     // The dense accumulator is core-sized (every extent already
-    // contracted to a rank), so per-worker privatization is cheap and
-    // the sweep needs no atomics.
-    const int threads = num_threads();
-    std::vector<std::vector<Value>> privates(
-        threads, std::vector<Value>(out_vol, 0));
-    parallel_for_worker_ranges(
-        0, x.num_sparse(), [&](int worker, Size first, Size last) {
-            Value* D = privates[worker].data();
-            for (Size p = first; p < last; ++p) {
+    // contracted to a rank), so one partial per chunk is cheap and the
+    // sweep needs no atomics.  The chunks are a fixed split of the sparse
+    // slots, independent of the thread count, and their partials are
+    // summed in chunk order, so the core is bit-identical at any thread
+    // count.
+    const Size slots = x.num_sparse();
+    const Size chunks = std::clamp<Size>(slots, 1, kFusedChunks);
+    const Size per = (slots + chunks - 1) / chunks;
+    std::vector<std::vector<Value>> partials(
+        chunks, std::vector<Value>(out_vol, 0));
+    parallel_for(
+        0, chunks, Schedule::kDynamic,
+        [&](Size chunk) {
+            Value* D = partials[chunk].data();
+            const Size last = std::min(slots, (chunk + 1) * per);
+            for (Size p = chunk * per; p < last; ++p) {
                 const Value* arow = u_lo.row(ia[p]);
                 const Value* brow = u_hi.row(ib[p]);
                 const Value* xs = x.stripe(p);
@@ -209,11 +224,11 @@ ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua, Size mode_a,
                     }
                 }
             }
-        });
-    // Reduce worker copies into the first.
-    Value* D = privates[0].data();
-    for (int w = 1; w < threads; ++w)
-        simd::vadd_inplace(isa, D, privates[w].data(), out_vol);
+        },
+        1);
+    Value* D = partials[0].data();
+    for (Size c = 1; c < chunks; ++c)
+        simd::vadd_inplace(isa, D, partials[c].data(), out_vol);
 
     // Emit as COO: row-major offset order over ascending modes IS
     // lexicographic order, zeros skipped (same contract as

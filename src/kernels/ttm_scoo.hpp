@@ -32,6 +32,8 @@ ScooTensor ttm_scoo(const ScooTensor& x, const DenseMatrix& u, Size mode);
 /// result — no intermediate sCOO stripe materialization and no
 /// to_coo()/re-sort round trip between the two contractions.  `mode_a`/
 /// `mode_b` (either order) must be exactly the tensor's sparse modes.
+/// The sparse slots are summed in a fixed number of chunks, in chunk
+/// order, so the result is bit-identical at any thread count.
 CooTensor ttm_scoo_fused2(const ScooTensor& x, const DenseMatrix& ua,
                           Size mode_a, const DenseMatrix& ub, Size mode_b);
 

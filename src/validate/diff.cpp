@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "core/coo_tensor.hpp"
 #include "core/dense.hpp"
@@ -39,15 +40,18 @@ abs_floor(double max_abs)
     return kEps32 * kSlack * max_abs;
 }
 
+/// Compares one entry; `where()` builds its label, called only for a
+/// mismatch, so a passing check formats no string.
+template <typename Where>
 void
-check_entry(DiffReport& report, const std::string& where,
-            const OracleEntry& e, double actual, double floor)
+check_entry(DiffReport& report, Where where, const OracleEntry& e,
+            double actual, double floor)
 {
     ++report.compared;
     const double err = std::abs(e.value - actual);
     const double bound = entry_bound(e, floor);
     if (!std::isfinite(actual) || err > bound) {
-        report.add(where, e.value, actual, bound);
+        report.add(where(), e.value, actual, bound);
         return;
     }
     if (bound > 0.0)
@@ -107,20 +111,22 @@ compare_sparse(DiffReport& report, const SparseOracle& oracle,
             cmp = it->first < coord ? -1 : (coord < it->first ? 1 : 0);
         }
         if (cmp == 0) {
-            check_entry(report, coord_string(it->first), it->second,
-                        static_cast<double>(actual.value(p)), floor);
+            check_entry(report, [&] { return coord_string(it->first); },
+                        it->second, static_cast<double>(actual.value(p)),
+                        floor);
             ++it;
             ++p;
         } else if (cmp < 0) {
             // Oracle entry the kernel never produced: compare against 0.
-            check_entry(report, coord_string(it->first), it->second, 0.0,
-                        floor);
+            check_entry(report, [&] { return coord_string(it->first); },
+                        it->second, 0.0, floor);
             ++it;
         } else {
             // Kernel produced a coordinate the oracle does not have.
             OracleEntry zero;
-            check_entry(report, coord_string(actual.coordinate(p)), zero,
-                        static_cast<double>(actual.value(p)), floor);
+            check_entry(
+                report, [&] { return coord_string(actual.coordinate(p)); },
+                zero, static_cast<double>(actual.value(p)), floor);
             ++p;
         }
     }
@@ -206,8 +212,8 @@ diff_tew(EwOp op, const Value* x, const Value* y, const Value* z, Size n)
         }
         e.abs_sum = std::abs(e.value);
         e.terms = 1;
-        check_entry(report, "[" + std::to_string(i) + "]", e,
-                    static_cast<double>(z[i]), floor);
+        check_entry(report, [i] { return "[" + std::to_string(i) + "]"; },
+                    e, static_cast<double>(z[i]), floor);
     }
     return report;
 }
@@ -283,8 +289,8 @@ diff_ts(TsOp op, const Value* x, Value s, const Value* out, Size n)
                       : static_cast<double>(x[i]) * static_cast<double>(s);
         e.abs_sum = std::abs(e.value);
         e.terms = 1;
-        check_entry(report, "[" + std::to_string(i) + "]", e,
-                    static_cast<double>(out[i]), floor);
+        check_entry(report, [i] { return "[" + std::to_string(i) + "]"; },
+                    e, static_cast<double>(out[i]), floor);
     }
     return report;
 }
@@ -367,9 +373,11 @@ diff_mttkrp(const CooTensor& x,
     const double floor = abs_floor(maxv);
     for (Size i = 0; i < rows; ++i) {
         for (Size r = 0; r < rank; ++r) {
-            std::ostringstream oss;
-            oss << "out(" << i << "," << r << ")";
-            check_entry(report, oss.str(), oracle[i * rank + r],
+            const auto where = [i, r] {
+                return "out(" + std::to_string(i) + "," +
+                       std::to_string(r) + ")";
+            };
+            check_entry(report, where, oracle[i * rank + r],
                         static_cast<double>(actual(i, r)), floor);
         }
     }

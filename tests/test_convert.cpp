@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <set>
+#include <string>
+#include <utility>
 #include <tuple>
 
 #include "common/membudget.hpp"
@@ -344,6 +347,37 @@ TEST(Convert, GovernorProbesCountWhatBlockedConversionsAllocate)
     EXPECT_NE(rejection(ghicoo_probe - 1, ghicoo).find("ghicoo.convert"),
               std::string::npos);
     EXPECT_EQ(rejection(ghicoo_probe, ghicoo), "");
+}
+
+TEST(Convert, GovernorProbeCountsScooStripes)
+{
+    // A long dense mode: the stripes (M_F x 1024 values) dwarf the
+    // fiber view and the sort that builds it.
+    Rng rng(10);
+    const CooTensor x = CooTensor::random({64, 64, 1024}, 2000, rng);
+    std::set<std::pair<Index, Index>> heads;
+    for (Size p = 0; p < x.nnz(); ++p)
+        heads.insert({x.index(0, p), x.index(1, p)});
+    const std::uint64_t fibers = heads.size();
+    // The view: a sorted COO copy (4 x (N + 1) bytes per non-zero) and
+    // fptr; then per fiber 1024 values and two sparse indices.
+    const std::uint64_t probe = 16 * x.nnz() + 8 * (fibers + 1) +
+                                fibers * (4 * 1024 + 2 * 4);
+
+    auto& gov = membudget::MemGovernor::instance();
+    const auto rejection = [&](std::uint64_t bytes) {
+        gov.configure(gov.reserved() + bytes);
+        std::string what;
+        try {
+            (void)coo_to_scoo(x, 2);
+        } catch (const membudget::HostOomError& e) {
+            what = e.what();
+        }
+        gov.configure(0);
+        return what;
+    };
+    EXPECT_NE(rejection(probe - 1).find("scoo.convert"), std::string::npos);
+    EXPECT_EQ(rejection(probe), "");
 }
 
 TEST(Convert, TensorsAlmostEqualToleratesReordering)

@@ -469,5 +469,45 @@ TEST(TuckerHooi, ExactlyRecoversLowMultirankTensor)
     EXPECT_NEAR(result.core_norm, norm_x, 0.02 * norm_x);
 }
 
+TEST(TuckerHooi, CoreAndFactorsBitIdenticalAtAnyThreadCount)
+{
+    // 2000 sparse slots reach the fused endgame of every TTM chain, so
+    // its chunked core sum runs on several workers.
+    Rng rng(12);
+    const CooTensor x = CooTensor::random({60, 50, 40}, 20000, rng);
+    TuckerOptions options;
+    options.rank = 4;
+    options.max_passes = 2;
+    options.tolerance = 0;
+    const auto run = [&](int threads) {
+        set_num_threads(threads);
+        TuckerResult result = tucker_hooi(x, options);
+        set_num_threads(0);
+        return result;
+    };
+    const TuckerResult reference = run(1);
+    ASSERT_GT(reference.core.nnz(), 0u);
+    for (int threads : {2, 4}) {
+        const TuckerResult result = run(threads);
+        EXPECT_EQ(result.core_norm_history, reference.core_norm_history)
+            << threads << " threads";
+        ASSERT_EQ(result.core.nnz(), reference.core.nnz())
+            << threads << " threads";
+        for (Size p = 0; p < reference.core.nnz(); ++p) {
+            EXPECT_EQ(result.core.coordinate(p), reference.core.coordinate(p))
+                << threads << " threads, entry " << p;
+            EXPECT_EQ(std::memcmp(&result.core.values()[p],
+                                  &reference.core.values()[p],
+                                  sizeof(Value)),
+                      0)
+                << threads << " threads, entry " << p;
+        }
+        ASSERT_EQ(result.factors.size(), reference.factors.size());
+        for (Size m = 0; m < reference.factors.size(); ++m)
+            EXPECT_TRUE(same_bits(result.factors[m], reference.factors[m]))
+                << threads << " threads, factor " << m;
+    }
+}
+
 }  // namespace
 }  // namespace pasta

@@ -9,6 +9,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/membudget.hpp"
 #include "common/rng.hpp"
 #include "core/convert.hpp"
 #include "core/csf_tensor.hpp"
@@ -42,6 +43,20 @@ make_problem(const std::vector<Index>& dims, Size nnz, Size rank,
     for (Index d : dims)
         prob.mats.push_back(DenseMatrix::random(d, rank, rng));
     return prob;
+}
+
+/// Sets the worker count for a scope, then restores the default.
+struct ScopedThreads {
+    explicit ScopedThreads(int n) { set_num_threads(n); }
+    ~ScopedThreads() { set_num_threads(0); }
+};
+
+bool
+same_bits(const DenseMatrix& a, const DenseMatrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(Value)) == 0;
 }
 
 TEST(MttkrpCoo, HandComputedThirdOrderExample)
@@ -183,12 +198,123 @@ TEST(MttkrpCoo, PickHeuristicRespectsBudgetAndDensity)
     // Tiny output + dense stream: privatize.  A replicated buffer that
     // would blow the 64 MiB budget, or a stream far sparser than the
     // output rows, must fall back to atomics.
-    EXPECT_EQ(mttkrp_coo_pick(1 << 10, 1 << 20, 16),
+    const int threads = num_threads();
+    EXPECT_EQ(mttkrp_contention(1 << 10, 1 << 20, 16, threads, 0),
               MttkrpVariant::kPrivatized);
-    EXPECT_EQ(mttkrp_coo_pick(kMaxIndex, 1 << 20, 64),
+    EXPECT_EQ(mttkrp_contention(kMaxIndex, 1 << 20, 64, threads, 0),
               MttkrpVariant::kAtomic);
     // dim >> nnz: the zero+reduce sweep would dominate.
-    EXPECT_EQ(mttkrp_coo_pick(1 << 20, 16, 1), MttkrpVariant::kAtomic);
+    EXPECT_EQ(mttkrp_contention(1 << 20, 16, 1, threads, 0),
+              MttkrpVariant::kAtomic);
+}
+
+/// The COO rule the contention policy must keep: privatize when the
+/// threads x dim x rank copies fit 2^24 values and the governor, and
+/// 2 x threads x dim <= nnz; atomics otherwise.
+MttkrpVariant
+coo_rule(Index dim, Size nnz, Size rank, int threads)
+{
+    const Size t = static_cast<Size>(threads);
+    const Size copies = t * dim * rank;
+    if (copies > (Size{1} << 24) ||
+        !membudget::would_fit(std::uint64_t{4} * copies) ||
+        2 * t * dim > nnz)
+        return MttkrpVariant::kAtomic;
+    return MttkrpVariant::kPrivatized;
+}
+
+/// Runs `check` with the memory governor armed at `budget` bytes more
+/// than is reserved (0 = unarmed), then disarms it.
+template <typename Check>
+void
+with_budget(std::uint64_t budget, Check check)
+{
+    auto& gov = membudget::MemGovernor::instance();
+    gov.configure(budget == 0 ? 0 : gov.reserved() + budget);
+    check();
+    gov.configure(0);
+}
+
+TEST(MttkrpContention, OnePolicyForCooAndHicoo)
+{
+    const Index dims[] = {1, 8, 100, 1000, 5000, 1 << 20};
+    const Size nnzs[] = {0, 16, 1000, 20000, 385000, Size{1} << 24};
+    const Size groups[] = {0, 1, 3, 4, 7, 8, 17, 1000};
+    for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
+        with_budget(budget, [&] {
+            for (Index dim : dims)
+                for (Size nnz : nnzs)
+                    for (int threads : {1, 2, 4})
+                        for (Size rank : {Size{1}, Size{16}, Size{64}})
+                            for (Size g : groups) {
+                                const MttkrpVariant pick = mttkrp_contention(
+                                    dim, nnz, rank, threads, g);
+                                const MttkrpVariant coo =
+                                    coo_rule(dim, nnz, rank, threads);
+                                const std::string where =
+                                    "dim " + std::to_string(dim) + " nnz " +
+                                    std::to_string(nnz) + " threads " +
+                                    std::to_string(threads) + " rank " +
+                                    std::to_string(rank) + " groups " +
+                                    std::to_string(g) + " budget " +
+                                    std::to_string(budget);
+                                if (g == 0) {
+                                    EXPECT_EQ(pick, coo) << where;
+                                } else if (threads == 1) {
+                                    EXPECT_EQ(pick,
+                                              MttkrpVariant::kBlockOwner)
+                                        << where;
+                                } else if (coo ==
+                                           MttkrpVariant::kPrivatized) {
+                                    EXPECT_EQ(pick,
+                                              MttkrpVariant::kPrivatized)
+                                        << where;
+                                } else {
+                                    EXPECT_EQ(
+                                        pick,
+                                        g >= 2 * static_cast<Size>(threads)
+                                            ? MttkrpVariant::kBlockOwner
+                                            : MttkrpVariant::kAtomic)
+                                        << where;
+                                }
+                            }
+        });
+    }
+}
+
+TEST(MttkrpContention, RefusedCopiesFallBackToOwnerOrAtomics)
+{
+    // A short, dense mode privatizes at 4 threads in both formats ...
+    EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 0),
+              MttkrpVariant::kPrivatized);
+    EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 1),
+              MttkrpVariant::kPrivatized);
+    // ... unless the copies exceed the 2^24-value budget ...
+    const Index wide = (Index{1} << 20) + 1;
+    EXPECT_EQ(mttkrp_contention(wide, Size{1} << 30, 4, 4, 0),
+              MttkrpVariant::kAtomic);
+    EXPECT_EQ(mttkrp_contention(wide, Size{1} << 30, 4, 4, 8),
+              MttkrpVariant::kBlockOwner);
+    EXPECT_EQ(mttkrp_contention(wide, Size{1} << 30, 4, 4, 7),
+              MttkrpVariant::kAtomic);
+    // ... or the governor: 4 x 100 x 16 x 4 bytes, one byte short.
+    with_budget(4 * 100 * 16 * 4 - 1, [] {
+        EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 0),
+                  MttkrpVariant::kAtomic);
+        EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 8),
+                  MttkrpVariant::kBlockOwner);
+        EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 1),
+                  MttkrpVariant::kAtomic);
+    });
+    with_budget(4 * 100 * 16 * 4, [] {
+        EXPECT_EQ(mttkrp_contention(100, 100000, 16, 4, 1),
+                  MttkrpVariant::kPrivatized);
+    });
+    // One worker: HiCOO keeps the owner schedule, COO privatizes.
+    EXPECT_EQ(mttkrp_contention(100, 100000, 16, 1, 1),
+              MttkrpVariant::kBlockOwner);
+    EXPECT_EQ(mttkrp_contention(100, 100000, 16, 1, 0),
+              MttkrpVariant::kPrivatized);
 }
 
 TEST(MttkrpHicoo, BlockOwnerScheduleGroupsBlocksByOutputIndex)
@@ -246,6 +372,48 @@ TEST(MttkrpHicoo, SmallBlockSizesStillCorrect)
     }
 }
 
+TEST(MttkrpHicoo, PrivatizedRangesSplitAHotBlock)
+{
+    // Most non-zeros fall in block (0,0,0) of 16-wide blocks, more than
+    // nnz / threads at 2 and 4 threads, so some worker range starts or
+    // ends inside that block.
+    Rng rng(41);
+    CooTensor x({256, 256, 256});
+    for (int p = 0; p < 3000; ++p)
+        x.append({rng.next_index(16), rng.next_index(16), rng.next_index(16)},
+                 rng.next_float() - 0.5f);
+    for (int p = 0; p < 600; ++p)
+        x.append({rng.next_index(256), rng.next_index(256),
+                  rng.next_index(256)},
+                 rng.next_float() - 0.5f);
+    x.sort_lexicographic();
+    x.coalesce();
+    const HiCooTensor hx = coo_to_hicoo(x, 4);
+    std::vector<DenseMatrix> mats;
+    for (Size m = 0; m < 3; ++m)
+        mats.push_back(DenseMatrix::random(256, 8, rng));
+    const FactorList f = {&mats[0], &mats[1], &mats[2]};
+    for (int threads : {2, 4}) {
+        ScopedThreads scoped(threads);
+        ASSERT_GT(hx.max_block_nnz(), hx.nnz() / threads);
+        for (Size mode = 0; mode < 3; ++mode) {
+            DenseMatrix expected(256, 8);
+            mttkrp_coo_seq(x, f, mode, expected);
+            DenseMatrix out(256, 8);
+            mttkrp_hicoo_privatized(hx, f, mode, out);
+            EXPECT_LT(max_abs_diff(out, expected), 1e-3)
+                << threads << " threads, mode " << mode;
+            // The dispatcher picks the same variant: 2 x 4 x 256 rows
+            // <= nnz.
+            DenseMatrix picked(256, 8);
+            EXPECT_EQ(mttkrp_hicoo(hx, f, mode, picked),
+                      MttkrpVariant::kPrivatized);
+            EXPECT_TRUE(same_bits(picked, out))
+                << threads << " threads, mode " << mode;
+        }
+    }
+}
+
 // Property sweep across orders, ranks, and modes.
 class MttkrpSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -287,6 +455,7 @@ enum class Variant {
     kPrivatized,
     kBlockOwner,
     kHicooAtomic,
+    kHicooPrivatized,
     kCsf,
     kSeq,
 };
@@ -303,6 +472,8 @@ variant_label(Variant v)
         return "BlockOwner";
       case Variant::kHicooAtomic:
         return "HicooAtomic";
+      case Variant::kHicooPrivatized:
+        return "HicooPrivatized";
       case Variant::kCsf:
         return "Csf";
       case Variant::kSeq:
@@ -316,12 +487,6 @@ PrintTo(Variant v, std::ostream* os)
 {
     *os << variant_label(v);
 }
-
-/// Sets the worker count for a scope, then restores the default.
-struct ScopedThreads {
-    explicit ScopedThreads(int n) { set_num_threads(n); }
-    ~ScopedThreads() { set_num_threads(0); }
-};
 
 constexpr Index kCubeDim = 64;
 constexpr Size kZeroRank = 8;
@@ -402,6 +567,9 @@ run_variant(Variant v, const Operand& op, const FactorList& f, Size mode,
       case Variant::kHicooAtomic:
         mttkrp_hicoo_atomic(op.hx, f, mode, out);
         break;
+      case Variant::kHicooPrivatized:
+        mttkrp_hicoo_privatized(op.hx, f, mode, out);
+        break;
       case Variant::kCsf:
         mttkrp_csf(op.csf[mode], f, mode, out);
         break;
@@ -409,14 +577,6 @@ run_variant(Variant v, const Operand& op, const FactorList& f, Size mode,
         mttkrp_coo_seq(op.x, f, mode, out);
         break;
     }
-}
-
-bool
-same_bits(const DenseMatrix& a, const DenseMatrix& b)
-{
-    return a.rows() == b.rows() && a.cols() == b.cols() &&
-           std::memcmp(a.data(), b.data(),
-                       a.rows() * a.cols() * sizeof(Value)) == 0;
 }
 
 /// Expects `out`, the result of variant `v` on (op, mode), to match `v`
@@ -545,6 +705,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          Variant::kPrivatized,
                                          Variant::kBlockOwner,
                                          Variant::kHicooAtomic,
+                                         Variant::kHicooPrivatized,
                                          Variant::kCsf, Variant::kSeq),
                        ::testing::Values(1, 2, 4)),
     [](const auto& info) {

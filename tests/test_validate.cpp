@@ -420,6 +420,9 @@ TEST(Diff, MttkrpAllSchedulingVariantsPassTheOracle)
         mttkrp_hicoo_atomic(h, factors, mode, out);
         EXPECT_TRUE(validate::diff_mttkrp(x, factors, mode, out).ok())
             << "hicoo atomic, mode " << mode;
+        mttkrp_hicoo_privatized(h, factors, mode, out);
+        EXPECT_TRUE(validate::diff_mttkrp(x, factors, mode, out).ok())
+            << "hicoo privatized, mode " << mode;
     }
 }
 
