@@ -27,20 +27,13 @@ a trial whose peak resident working set GREW by more than --threshold
 percent prints a loud warning without failing the gate, since peak
 memory legitimately moves with partition counts and thread counts.
 
-Serving CSVs (bench_serving's serving.csv) carry jobs_per_sec instead
-of gflops; that column is gated as the row's throughput.  Their p99_ms
-column is compared warn-only, like mem_peak: tail latency that GREW by
-more than --threshold percent prints a loud warning without failing
-the gate (the p99 of an open-loop phase legitimately moves with the
-arrival-rate draw and machine load).
-
 Either side may also be a PASTA_METRICS heartbeat (*.jsonl, as
 written by the live metrics exporter): the LAST parseable snapshot's
 histograms are decoded with the same log-linear bucket math as
 obs/metrics.hpp and their p99s compared.
-Unlike the CSV p99_ms column, histogram-derived p99s ARE a real gate
-when both sides carry them — the histogram pools every recorded value
-(not one open-loop draw), so a grown p99 there is signal, not noise.
+Histogram-derived p99s are a real gate when both sides carry them —
+the histogram pools every recorded value, so a grown p99 there is
+signal, not noise.
 
 The script exits non-zero when any benchmark regressed by more than
 --threshold percent (default 10), making it usable as a CI gate:
@@ -90,7 +83,7 @@ def load_json_throughputs(path):
         rate = parse_rate(entry.get("items_per_second"))
         if name and rate:
             rates[name] = rate
-    return rates, {}, {}, {}, {}
+    return rates, {}, {}, {}
 
 
 # Log-linear histogram decoding, mirroring obs/metrics.hpp: 32
@@ -147,17 +140,15 @@ def load_metrics_histograms(path):
             p99 = _hist_percentile(hist, 0.99)
             if p99:
                 hist_p99[name] = p99
-    return {}, {}, {}, {}, hist_p99
+    return {}, {}, {}, hist_p99
 
 
 def load_csv_throughputs(path):
-    """Map tensor/kernel/format -> gflops or jobs_per_sec (plus
-    roofline_pct, mem_peak, and p99_ms when the CSV carries those
-    columns) for one suite CSV."""
+    """Map tensor/kernel/format -> gflops (plus roofline_pct and
+    mem_peak when the CSV carries those columns) for one suite CSV."""
     rates = {}
     roofline = {}
     mem_peak = {}
-    p99 = {}
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
             key = "/".join(row.get(col) or "?"
@@ -169,10 +160,7 @@ def load_csv_throughputs(path):
             # are different benchmarks, not regressions of one another.
             if row.get("variant"):
                 key += "#" + row["variant"]
-            # Serving CSVs report jobs/s rather than gflops; either one
-            # is the row's gated throughput.
-            rate = parse_rate(row.get("gflops")) or parse_rate(
-                row.get("jobs_per_sec"))
+            rate = parse_rate(row.get("gflops"))
             if rate:
                 rates[key] = rate
             pct = parse_rate(row.get("roofline_pct"))
@@ -181,10 +169,7 @@ def load_csv_throughputs(path):
             peak = parse_rate(row.get("mem_peak"))
             if peak:
                 mem_peak[key] = peak
-            tail = parse_rate(row.get("p99_ms"))
-            if tail:
-                p99[key] = tail
-    return rates, roofline, mem_peak, p99, {}
+    return rates, roofline, mem_peak, {}
 
 
 def load_throughputs(path):
@@ -237,10 +222,9 @@ def compare_grew_gated(base, cand, threshold, metric, regressions):
 
 
 def compare_grew_warn_only(base, cand, threshold, title, what):
-    """Warn-only diff for lower-is-better metrics (peak bytes, tail
-    latency): growth beyond the threshold is loud but never fails the
-    gate, since both legitimately move with partition/thread counts and
-    machine load."""
+    """Warn-only diff for a lower-is-better metric (peak bytes): growth
+    beyond the threshold is loud but never fails the gate, since peak
+    memory legitimately moves with partition and thread counts."""
     print(f"\n-- {title} (warn-only) --")
     width = max((len(n) for n in base), default=0)
     warnings = []
@@ -271,10 +255,8 @@ def main():
                              "(default 10)")
     args = parser.parse_args()
 
-    (base, base_roof, base_mem, base_p99,
-     base_hist) = load_throughputs(args.baseline)
-    (cand, cand_roof, cand_mem, cand_p99,
-     cand_hist) = load_throughputs(args.candidate)
+    base, base_roof, base_mem, base_hist = load_throughputs(args.baseline)
+    cand, cand_roof, cand_mem, cand_hist = load_throughputs(args.candidate)
     if not base and not base_hist:
         print(f"error: no throughput or histogram entries in "
               f"{args.baseline}", file=sys.stderr)
@@ -291,9 +273,6 @@ def main():
         compare_grew_warn_only(base_mem, cand_mem, args.threshold,
                                "peak memory (governor-metered bytes)",
                                "peak memory")
-    if base_p99 and cand_p99:
-        compare_grew_warn_only(base_p99, cand_p99, args.threshold,
-                               "p99 latency (ms)", "p99 latency")
     if base_hist and cand_hist:
         print("\n-- histogram-derived p99 (gated) --")
         compare_grew_gated(base_hist, cand_hist, args.threshold,

@@ -29,11 +29,6 @@
 #                    PASTA_MEM_BYTES forces the streaming kernels and
 #                    the journal resume path); set BENCH_OOCORE=0 to
 #                    skip
-#   BENCH_SERVE      when 1, also run scripts/check_serve.sh against
-#                    the same build dir (multi-tenant serving smoke:
-#                    chaos-flood accounting, cache speedup gate,
-#                    open-loop latency percentiles); off by default —
-#                    it runs several thousand jobs per phase
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,11 +79,4 @@ fi
 # kernels under PASTA_MEM_BYTES and resume trials from the journal.
 if [ "${BENCH_OOCORE:-1}" != "0" ]; then
     scripts/check_oocore.sh "${BUILD_DIR}"
-fi
-
-# Serving smoke: chaos-flood job accounting must balance, the plan
-# cache must hit its speedup gate with bit-identical results, and the
-# open-loop phase must report latency percentiles.
-if [ "${BENCH_SERVE:-0}" = "1" ]; then
-    scripts/check_serve.sh "${BUILD_DIR}"
 fi

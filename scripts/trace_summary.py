@@ -14,24 +14,12 @@ Two tables are printed:
   - per-thread busy time over top-level spans only (nested spans would
     double-count), with a max/mean imbalance figure mirroring the
     *.worker_items counters the kernels record.
-
-Per-job span instances ("serve.wait#<id>" / "serve.exec#<id>" as
-recorded by the serving scheduler) are folded into their base phase for
-the tables above — thousands of one-shot names would drown the report.
-When such spans are present a third, serving-specific table is printed:
-the paired queue-wait vs execute time per job, the aggregate wait share
-(time jobs sat queued versus running — the scheduler-saturation
-figure), and the top-N slowest jobs by end-to-end (wait + exec) time.
 """
 
 import argparse
 import json
-import re
 import sys
 from collections import defaultdict
-
-# Per-instance span names: "<phase>#<job id>".
-_INSTANCE = re.compile(r"^(.*)#(\d+)$")
 
 
 def load_spans(path):
@@ -67,18 +55,9 @@ def main():
 
     phases = defaultdict(lambda: [0, 0.0, 0.0])  # count, total, max
     threads = defaultdict(float)                 # tid -> top-level busy us
-    jobs = defaultdict(lambda: defaultdict(float))  # id -> stage -> us
     total_spans = 0
     for name, tid, depth, dur_us in load_spans(args.trace):
         total_spans += 1
-        # Fold "serve.wait#123" into "serve.wait" for the phase table,
-        # and keep the per-job pairing for the serving section.
-        m = _INSTANCE.match(name)
-        if m:
-            name = m.group(1)
-            stage = name.rsplit(".", 1)[-1]
-            if name.startswith("serve.") and stage in ("wait", "exec"):
-                jobs[int(m.group(2))][stage] += dur_us
         entry = phases[name]
         entry[0] += 1
         entry[1] += dur_us
@@ -114,34 +93,7 @@ def main():
         mean = sum(values) / len(values)
         print(f"imbalance (max/mean): {max(values) / mean:.2f}")
 
-    if jobs:
-        report_serve_jobs(jobs, args.top)
     return 0
-
-
-def report_serve_jobs(jobs, top):
-    """Queue-wait vs execute breakdown over paired serve.* job spans."""
-    wait_total = sum(j["wait"] for j in jobs.values())
-    exec_total = sum(j["exec"] for j in jobs.values())
-    span_total = wait_total + exec_total
-    print(f"\n-- serving: {len(jobs)} jobs "
-          f"(queue-wait vs execute) --")
-    print(f"total wait {wait_total / 1e3:>12.3f} ms  "
-          f"({wait_total / span_total * 100.0 if span_total else 0:.1f}% "
-          "of job time)")
-    print(f"total exec {exec_total / 1e3:>12.3f} ms")
-    ranked = sorted(jobs.items(),
-                    key=lambda kv: -(kv[1]["wait"] + kv[1]["exec"]))
-    n = min(top, len(ranked))
-    print(f"\n-- top {n} slowest jobs by end-to-end time --")
-    print(f"{'job':>8} {'wait us':>12} {'exec us':>12} "
-          f"{'total us':>12} {'wait share':>11}")
-    for job_id, stages in ranked[:n]:
-        wait, execute = stages["wait"], stages["exec"]
-        total = wait + execute
-        share = wait / total * 100.0 if total else 0.0
-        print(f"{job_id:>8} {wait:>12.2f} {execute:>12.2f} "
-              f"{total:>12.2f} {share:>10.1f}%")
 
 
 if __name__ == "__main__":

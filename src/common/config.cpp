@@ -65,28 +65,6 @@ const Knob kKnobs[] = {
     // Out-of-core driver (bench_oocore, scripts/check_oocore.sh).
     {.name = "PASTA_OOCORE_DATASET", .kind = K::kText, .fallback = "s1",
      .doc = "Table II id bench_oocore synthesizes"},
-    // Serving (src/serve, bench_serving).
-    {.name = "PASTA_SERVE_WORKERS", .kind = K::kInt, .fallback = "0",
-     .lo = 0, .hi = 4096,
-     .doc = "scheduler threads; 0 = one per OpenMP thread"},
-    {.name = "PASTA_SERVE_QUEUE", .kind = K::kInt, .fallback = "4096",
-     .lo = 1, .hi = 1 << 28, .doc = "admission bound on queued jobs"},
-    {.name = "PASTA_SERVE_CACHE_BYTES", .kind = K::kBytes,
-     .fallback = "64M", .doc = "plan-cache budget; 0 = no cache"},
-    {.name = "PASTA_SERVE_JOB_THREADS", .kind = K::kInt, .fallback = "1",
-     .lo = 1, .hi = 1024, .doc = "intra-kernel threads per job"},
-    {.name = "PASTA_SERVE_JOBS", .kind = K::kInt, .fallback = "2000",
-     .lo = 1, .hi = 1e8, .doc = "jobs per bench_serving phase"},
-    {.name = "PASTA_SERVE_TENSORS", .kind = K::kInt, .fallback = "8",
-     .lo = 1, .hi = 100000, .doc = "serving corpus size"},
-    {.name = "PASTA_SERVE_NNZ", .kind = K::kInt, .fallback = "16384",
-     .lo = 8, .hi = 1 << 28, .doc = "non-zeros per corpus tensor"},
-    {.name = "PASTA_SERVE_RATE", .kind = K::kReal, .fallback = "-1",
-     .lo = -1, .hi = 1e12,
-     .doc = "Poisson jobs/s; -1 = 0.6x cached throughput, 0 = skip"},
-    {.name = "PASTA_SERVE_MIN_SPEEDUP", .kind = K::kReal,
-     .fallback = "0", .lo = 0, .hi = 1e6,
-     .doc = "required cache-on/cache-off throughput; 0 = report"},
 };
 
 /// The text to parse: the environment's value, else the default.

@@ -227,14 +227,6 @@ trace_wall_offset_us()
     return wall_us - mono_us;
 }
 
-void
-record_span(const char* name, std::uint64_t begin_ns, std::uint64_t dur_ns,
-            int depth)
-{
-    if (spans_enabled())
-        append_event(local_buffer(), name, begin_ns, dur_ns, depth);
-}
-
 std::vector<SpanRecord>
 collect_spans()
 {

@@ -109,17 +109,9 @@ class SpanScope {
 
 /// Nanoseconds since the process trace epoch on the span clock (the
 /// epoch is pinned at first use).  Cheap enough to call with tracing
-/// off; the serving scheduler stamps job lifecycle times with it so a
-/// queue-wait span can be recorded after the fact.
+/// off; the serving scheduler stamps job lifecycle times with it and
+/// derives its wait/exec latency histograms from those stamps.
 std::uint64_t trace_now_ns();
-
-/// Records one already-completed span directly into the calling
-///// thread's ring buffer: the escape hatch for durations measured
-/// outside an RAII scope (a job's queue wait ends on a different
-/// timeline than any C++ scope).  `begin_ns` must come from
-/// trace_now_ns().  No-op (one mode check) when spans are disarmed.
-void record_span(const char* name, std::uint64_t begin_ns,
-                 std::uint64_t dur_ns, int depth = 0);
 
 /// One collected span, resolved for export/analysis.
 struct SpanRecord {

@@ -1,6 +1,5 @@
 #include "serve/executor.hpp"
 
-#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/dense.hpp"
@@ -20,20 +19,6 @@ checksum_values(const Value* data, Size n)
 }
 
 }  // namespace
-
-ServeOptions
-ServeOptions::from_env()
-{
-    ServeOptions options;
-    options.workers =
-        static_cast<int>(config::integer("PASTA_SERVE_WORKERS"));
-    options.queue_bound =
-        static_cast<Size>(config::integer("PASTA_SERVE_QUEUE"));
-    options.cache_bytes = config::bytes("PASTA_SERVE_CACHE_BYTES");
-    options.job_threads =
-        static_cast<int>(config::integer("PASTA_SERVE_JOB_THREADS"));
-    return options;
-}
 
 Executor::Executor(const ServeOptions& options) : options_(options)
 {

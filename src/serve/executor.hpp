@@ -6,12 +6,13 @@
 /// Determinism contract: with the default per-job thread budget of 1,
 /// a job's result bytes are a pure function of (tensor, kernel,
 /// format, mode, rank, operand_seed) — the plan cache can therefore be
-/// switched on or off without changing a single output bit, which is
-/// exactly what bench_serving's cached-vs-uncached checksum comparison
-/// asserts.  The kernels used are the suite's deterministic schedules
-/// (fiber-parallel TTV, privatized COO MTTKRP, owner-partitioned HiCOO
-/// MTTKRP); the atomic fallbacks only ever run serially under the
-/// job's thread budget, where their update order is fixed too.
+/// switched on or off without changing a single output bit, which
+/// test_serve's cached-vs-uncached floods and serve_zipf's
+/// cached-vs-uncached checksum comparison assert.  The kernels used are
+/// the suite's deterministic schedules (fiber-parallel TTV, privatized
+/// COO MTTKRP, owner-partitioned HiCOO MTTKRP); the atomic fallbacks
+/// only ever run serially under the job's thread budget, where their
+/// update order is fixed too.
 #pragma once
 
 #include <memory>
@@ -41,7 +42,7 @@ class Executor {
     /// possible footprint.
     ExecResult execute(ServeJob& job);
 
-    /// The shared cache; nullptr when PASTA_SERVE_CACHE_BYTES is 0.
+    /// The shared cache; nullptr when options.cache_bytes is 0.
     PlanCache* cache() { return cache_.get(); }
     const ServeOptions& options() const { return options_; }
 

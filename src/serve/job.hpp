@@ -1,20 +1,20 @@
 /// \file
 /// Multi-tenant serving: job and configuration types.
 ///
-/// The ROADMAP's north-star traffic shape is millions of concurrent
-/// *small* requests — per-user recommender embeddings doing TTV/MTTKRP
-/// on tiny tensors — not one big closed-loop trial.  A ServeJob is one
-/// such request: (tensor, kernel, format, mode, rank) plus a seed that
-/// derives the dense operands deterministically, so a job's result is a
-/// pure function of the job and the executing configuration.  Jobs are
-/// submitted to the work-stealing Scheduler, executed through the
-/// Executor's shared plan/conversion cache, and carry their lifecycle
-/// timestamps (submit/start/done on the obs trace clock) out to the
-/// latency reporting in bench_serving.
+/// The serving workload is many *small* requests — per-user recommender
+/// embeddings doing TTV/MTTKRP on tiny tensors — rather than one big
+/// closed-loop trial.  A ServeJob is one such request: (tensor, kernel,
+/// format, mode, rank) plus a seed that derives the dense operands
+/// deterministically, so a job's result is a pure function of the job
+/// and the executing configuration.  Jobs are submitted to the
+/// work-stealing Scheduler, executed through the Executor's shared
+/// plan/conversion cache, and carry their lifecycle timestamps
+/// (submit/start/done on the obs trace clock) back to the caller, which
+/// derives queue-wait and execution latencies from them.
 ///
-/// Configuration comes from PASTA_SERVE_* with the suite's strict env
-/// validation: malformed values throw PastaError up front instead of
-/// silently serving with a default.
+/// ServeOptions is set in code by the caller (the serving workload
+/// bench/e2e serve_zipf, the tests); the engine reads no environment
+/// knob of its own.
 #pragma once
 
 #include <atomic>
@@ -37,18 +37,14 @@ enum class ServeFormat { kCoo, kHicoo };
 const char* serve_kernel_name(ServeKernel kernel);
 const char* serve_format_name(ServeFormat format);
 
-/// Serving-engine configuration; from_env() reads the PASTA_SERVE_*
-/// knobs (src/common/config).  job_threads defaults to 1: tiny tensors
-/// get throughput from inter-job parallelism.
+/// Serving-engine configuration.  job_threads defaults to 1: tiny
+/// tensors get throughput from inter-job parallelism.
 struct ServeOptions {
     int workers = 0;                   ///< 0 = pasta::num_threads()
     Size queue_bound = 4096;
     std::uint64_t cache_bytes = 64ULL << 20;
     int job_threads = 1;
     unsigned block_bits = 7;           ///< HiCOO B = 128 (paper §V-A2)
-
-    /// Reads the PASTA_SERVE_* knobs; malformed values throw PastaError.
-    static ServeOptions from_env();
 };
 
 /// Terminal and transient states of one job.
@@ -84,7 +80,7 @@ struct ServeJob {
     bool cache_hit = false;    ///< plan came from the cache
     std::string error;         ///< failure message when kFailed
     /// FNV-1a over the output value bytes: the bit-identity witness
-    /// bench_serving compares between cached and uncached phases.
+    /// compared between cached and uncached runs of the same job.
     std::uint64_t result_checksum = 0;
 
     /// Lifecycle timestamps on the obs trace clock (trace_now_ns).

@@ -27,13 +27,13 @@
 /// released by the Plan's deleter when the *last* reference drops, not
 /// at eviction — a job that holds a plan across an eviction keeps both
 /// the plan and its accounting alive (ref-count correctness).  The
-/// cache's own budget (PASTA_SERVE_CACHE_BYTES) is enforced per shard
+/// cache's own budget (ServeOptions::cache_bytes) is enforced per shard
 /// with LRU eviction; an entry bigger than a shard's budget is evicted
 /// immediately, degrading that key to build-per-job.
 ///
 /// Counters (PASTA_TRACE=counters/full): serve.cache_hit,
 /// serve.cache_miss, serve.cache_evict; the same figures are also kept
-/// in plain atomics so bench_serving reports hit rates with tracing
+/// in plain atomics (stats()) so callers read hit rates with tracing
 /// off.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "serve/scheduler.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 
 #include "common/membudget.hpp"
@@ -26,19 +25,6 @@ xorshift64(std::uint64_t& state)
     state ^= state >> 7;
     state ^= state << 17;
     return state;
-}
-
-/// Span names are "serve.wait#<id>" / "serve.exec#<id>" so
-/// trace_summary.py can pair each job's queue wait with its execution.
-void
-job_span(const char* stage, std::uint64_t id, std::uint64_t begin_ns,
-         std::uint64_t end_ns)
-{
-    char name[48];
-    std::snprintf(name, sizeof(name), "serve.%s#%llu", stage,
-                  static_cast<unsigned long long>(id));
-    obs::record_span(name, begin_ns,
-                     end_ns > begin_ns ? end_ns - begin_ns : 0);
 }
 
 /// Per-job telemetry handles, looked up once per process so no per-job
@@ -240,7 +226,6 @@ Scheduler::execute(ServeJob* job, int worker)
                      std::memory_order_release);
     if (job->start_ns == 0) {
         job->start_ns = obs::trace_now_ns();
-        job_span("wait", job->id, job->submit_ns, job->start_ns);
         metrics().wait_us.record((job->start_ns - job->submit_ns) / 1000);
     }
     ++job->attempts;
@@ -290,7 +275,6 @@ void
 Scheduler::finish(ServeJob* job, JobState state)
 {
     job->done_ns = obs::trace_now_ns();
-    job_span("exec", job->id, job->start_ns, job->done_ns);
     metrics().exec_us.record(job->done_ns > job->start_ns
                            ? (job->done_ns - job->start_ns) / 1000
                            : 0);

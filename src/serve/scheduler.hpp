@@ -2,13 +2,14 @@
 /// Work-stealing job scheduler for the multi-tenant serving engine.
 ///
 /// Topology: a bounded global injection queue (submissions land here;
-/// admission control sheds beyond PASTA_SERVE_QUEUE) feeding per-worker
-/// Chase–Lev deques on a persistent thread pool.  A worker prefers its
-/// own deque (LIFO, cache-warm), then pulls a batch from the injection
-/// queue (keeping one job, spilling the rest into its deque for others
-/// to steal), then steals from a random victim (FIFO — the oldest job,
-/// which is also the latency-fairest).  Idle workers park on a condvar
-/// with a short timeout so transiently stealable work is never missed.
+/// admission control sheds beyond ServeOptions::queue_bound) feeding
+/// per-worker Chase–Lev deques on a persistent thread pool.  A worker
+/// prefers its own deque (LIFO, cache-warm), then pulls a batch from
+/// the injection queue (keeping one job, spilling the rest into its
+/// deque for others to steal), then steals from a random victim (FIFO
+/// — the oldest job, which is also the latency-fairest).  Idle workers
+/// park on a condvar with a short timeout so transiently stealable work
+/// is never missed.
 ///
 /// Isolation: each job executes under a per-job thread budget
 /// (ThreadBudgetScope) so intra-kernel parallel_for calls never
@@ -21,8 +22,13 @@
 ///
 /// Accounting invariant: every accepted job reaches exactly one
 /// terminal state (kDone or kFailed) before drain() returns; shed jobs
-/// are refused at submit() and never enter the engine.  The chaos
-/// smoke (scripts/check_serve.sh) asserts this end to end.
+/// are refused at submit() and never enter the engine.  test_serve's
+/// chaos flood (SchedulerTest.InjectedKernelFaultsFailOnlyTheirJobs)
+/// asserts this.
+///
+/// Telemetry: queue wait and execution time land in the serve.wait_us
+/// and serve.exec_us histograms (always on), not in per-job spans, which
+/// would overflow the per-thread span rings within one flood.
 #pragma once
 
 #include <condition_variable>

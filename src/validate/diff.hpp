@@ -101,7 +101,9 @@ DiffReport diff_ttm(const CooTensor& x, const DenseMatrix& u, Size mode,
                     const ScooTensor& actual);
 
 /// MTTKRP: checks the dense `actual` matrix against the serial COO oracle
-/// for the given mode and factor list.
+/// for the given mode and factor list.  The oracle covers only the output
+/// rows the non-zeros touch; every other row must be exactly 0 (-0
+/// passes), not merely within the absolute floor.
 DiffReport diff_mttkrp(const CooTensor& x,
                        const std::vector<const DenseMatrix*>& factors,
                        Size mode, const DenseMatrix& actual);

@@ -1,14 +1,15 @@
 // Tests for the multi-tenant serving engine (src/serve): work-stealing
 // deque, plan cache (hit/miss/eviction/ref-count/single-flight),
-// executor determinism, scheduler accounting, chaos isolation, OOM
-// retry lane, strict PASTA_SERVE_* env validation, and exactly-once
-// telemetry of the serving events.
+// executor determinism, scheduler accounting, plan-cache hit/miss
+// counts under a concurrent flood, chaos isolation, OOM retry lane,
+// and exactly-once telemetry of the serving events.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,40 +46,6 @@ make_job(std::shared_ptr<const CooTensor> tensor, std::uint64_t id,
     job->mode = mode;
     job->operand_seed = 1000 + id;
     return job;
-}
-
-TEST(ServeOptions, EnvStrictValidation)
-{
-    ::setenv("PASTA_SERVE_WORKERS", "banana", 1);
-    EXPECT_THROW(ServeOptions::from_env(), PastaError);
-    ::setenv("PASTA_SERVE_WORKERS", "-3", 1);
-    EXPECT_THROW(ServeOptions::from_env(), PastaError);
-    ::unsetenv("PASTA_SERVE_WORKERS");
-
-    ::setenv("PASTA_SERVE_CACHE_BYTES", "12Q", 1);
-    EXPECT_THROW(ServeOptions::from_env(), PastaError);
-    ::unsetenv("PASTA_SERVE_CACHE_BYTES");
-
-    ::setenv("PASTA_SERVE_QUEUE", "0", 1);
-    EXPECT_THROW(ServeOptions::from_env(), PastaError);
-    ::unsetenv("PASTA_SERVE_QUEUE");
-}
-
-TEST(ServeOptions, EnvParsesValidValues)
-{
-    ::setenv("PASTA_SERVE_WORKERS", "3", 1);
-    ::setenv("PASTA_SERVE_QUEUE", "128", 1);
-    ::setenv("PASTA_SERVE_CACHE_BYTES", "2M", 1);
-    ::setenv("PASTA_SERVE_JOB_THREADS", "2", 1);
-    const ServeOptions options = ServeOptions::from_env();
-    EXPECT_EQ(options.workers, 3);
-    EXPECT_EQ(options.queue_bound, 128u);
-    EXPECT_EQ(options.cache_bytes, 2ULL << 20);
-    EXPECT_EQ(options.job_threads, 2);
-    ::unsetenv("PASTA_SERVE_WORKERS");
-    ::unsetenv("PASTA_SERVE_QUEUE");
-    ::unsetenv("PASTA_SERVE_CACHE_BYTES");
-    ::unsetenv("PASTA_SERVE_JOB_THREADS");
 }
 
 TEST(StealDeque, OwnerLifoThiefFifo)
@@ -348,6 +315,87 @@ TEST(SchedulerTest, RunsEveryJobExactlyOnce)
         EXPECT_NE(job->result_checksum, 0u);
         EXPECT_GE(job->done_ns, job->start_ns);
         EXPECT_GE(job->start_ns, job->submit_ns);
+    }
+}
+
+TEST(SchedulerTest, CachedFloodMissesOncePerPlanKeyAndMatchesUncached)
+{
+    // Several tensors x all four (kernel, format) pairs x every mode,
+    // each combination repeated: the cache must build each plan key
+    // exactly once (single flight, no eviction at the default budget),
+    // serve every other plannable job from the cache, and change no
+    // output bit.  The counts hold at any interleaving of the workers.
+    std::vector<std::shared_ptr<const CooTensor>> tensors;
+    for (std::uint64_t seed : {5, 6, 7})
+        tensors.push_back(
+            std::make_shared<const CooTensor>(small_tensor(seed)));
+    const std::pair<ServeKernel, ServeFormat> pairs[] = {
+        {ServeKernel::kTtv, ServeFormat::kCoo},
+        {ServeKernel::kTtv, ServeFormat::kHicoo},
+        {ServeKernel::kMttkrp, ServeFormat::kCoo},
+        {ServeKernel::kMttkrp, ServeFormat::kHicoo},
+    };
+    constexpr int kRepeats = 4;
+    auto job_list = [&] {
+        std::vector<std::shared_ptr<ServeJob>> jobs;
+        for (int r = 0; r < kRepeats; ++r)
+            for (const auto& tensor : tensors)
+                for (const auto& [kernel, format] : pairs)
+                    for (Size mode = 0; mode < tensor->order(); ++mode)
+                        jobs.push_back(make_job(tensor, jobs.size(),
+                                                kernel, format, mode));
+        return jobs;
+    };
+    auto flood = [](const ServeOptions& options, Executor& executor,
+                    const std::vector<std::shared_ptr<ServeJob>>& jobs) {
+        Scheduler scheduler(options, executor);
+        for (const auto& job : jobs)
+            EXPECT_TRUE(scheduler.submit(job));
+        scheduler.drain();
+        EXPECT_EQ(scheduler.stats().done, jobs.size());
+    };
+
+    ServeOptions cached_options;
+    cached_options.workers = 4;
+    Executor cached(cached_options);
+    ASSERT_NE(cached.cache(), nullptr);
+    const auto cached_jobs = job_list();
+    flood(cached_options, cached, cached_jobs);
+
+    ServeOptions uncached_options = cached_options;
+    uncached_options.cache_bytes = 0;
+    Executor uncached(uncached_options);
+    ASSERT_EQ(uncached.cache(), nullptr);
+    const auto uncached_jobs = job_list();
+    flood(uncached_options, uncached, uncached_jobs);
+
+    std::set<std::string> keys;
+    std::uint64_t plannable = 0;
+    for (const auto& job : cached_jobs) {
+        if (job->kernel == ServeKernel::kMttkrp &&
+            job->format == ServeFormat::kCoo)
+            continue;  // MTTKRP-COO builds no plan
+        ++plannable;
+        keys.insert(plan_key(tensor_fingerprint(*job->tensor), job->kernel,
+                             job->format, job->mode, job->rank,
+                             cached_options.block_bits));
+    }
+    const PlanCache::Stats stats = cached.cache()->stats();
+    // Three plannable (kernel, format) pairs x three modes per tensor.
+    EXPECT_EQ(keys.size(), tensors.size() * 3 * 3);
+    EXPECT_EQ(stats.misses, keys.size());
+    EXPECT_EQ(stats.hits, plannable - keys.size());
+    EXPECT_EQ(stats.evictions, 0u);
+
+    ASSERT_EQ(cached_jobs.size(), uncached_jobs.size());
+    for (std::size_t i = 0; i < cached_jobs.size(); ++i) {
+        ASSERT_EQ(cached_jobs[i]->current_state(), JobState::kDone);
+        EXPECT_NE(cached_jobs[i]->result_checksum, 0u);
+        EXPECT_EQ(cached_jobs[i]->result_checksum,
+                  uncached_jobs[i]->result_checksum)
+            << "job " << i << " "
+            << serve_kernel_name(cached_jobs[i]->kernel) << "/"
+            << serve_format_name(cached_jobs[i]->format);
     }
 }
 

@@ -387,6 +387,39 @@ TEST(Diff, MttkrpAcceptsKernelOutputRejectsCorruption)
     EXPECT_FALSE(validate::diff_mttkrp(x, factors, 1, out).ok());
 }
 
+TEST(Diff, MttkrpUntouchedRowsMustBeExactlyZero)
+{
+    // Mode 1 has a row no non-zero touches.  A tiny value there is far
+    // below the absolute floor (scaled to the largest output), yet the
+    // kernel can only have put it there by writing a row it must not.
+    const CooTensor full = random_tensor(3, 20, 300, 61);
+    CooTensor x(full.dims());
+    for (Size p = 0; p < full.nnz(); ++p)
+        if (full.index(1, p) != 7)
+            x.append({full.index(0, p), full.index(1, p), full.index(2, p)},
+                     full.value(p));
+    Rng rng(67);
+    std::vector<DenseMatrix> mats;
+    for (Size m = 0; m < x.order(); ++m)
+        mats.push_back(DenseMatrix::random(x.dim(m), 8, rng));
+    FactorList factors;
+    for (const auto& m : mats)
+        factors.push_back(&m);
+    DenseMatrix out(x.dim(1), 8);
+    mttkrp_coo(x, factors, 1, out);
+    ASSERT_EQ(out(7, 3), 0.0f);
+    EXPECT_TRUE(validate::diff_mttkrp(x, factors, 1, out).ok());
+    out(7, 3) = -0.0f;
+    EXPECT_TRUE(validate::diff_mttkrp(x, factors, 1, out).ok());
+    out(7, 3) = 1e-30f;
+    const validate::DiffReport report =
+        validate::diff_mttkrp(x, factors, 1, out);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.mismatched, 1u);
+    ASSERT_EQ(report.mismatches.size(), 1u);
+    EXPECT_EQ(report.mismatches[0].where, "out(7,3)");
+}
+
 TEST(Diff, MttkrpAllSchedulingVariantsPassTheOracle)
 {
     // Every output-contention schedule must agree with the dense oracle:
