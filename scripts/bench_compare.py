@@ -138,7 +138,7 @@ def load_metrics_histograms(path):
     if last:
         for name, hist in last.get("hists", {}).items():
             p99 = _hist_percentile(hist, 0.99)
-            if p99:
+            if p99 is not None:  # a p99 of 0 is a value, not a gap
                 hist_p99[name] = p99
     return {}, {}, {}, hist_p99
 
@@ -181,6 +181,14 @@ def load_throughputs(path):
     return load_json_throughputs(path)
 
 
+def percent_change(old, new):
+    """Relative change in percent; from a zero base it is 0 when the
+    value stays zero and infinite otherwise."""
+    if old == 0:
+        return 0.0 if new == 0 else math.copysign(math.inf, new)
+    return (new - old) / old * 100.0
+
+
 def compare(base, cand, threshold, metric, regressions):
     """Print the diff of one metric map pair, appending regressions."""
     width = max((len(n) for n in base), default=0)
@@ -189,7 +197,7 @@ def compare(base, cand, threshold, metric, regressions):
             print(f"{name:<{width}}  only in baseline")
             continue
         old, new = base[name], cand[name]
-        change = (new - old) / old * 100.0
+        change = percent_change(old, new)
         marker = ""
         if change < -threshold:
             marker = "  <-- REGRESSION"
@@ -210,7 +218,7 @@ def compare_grew_gated(base, cand, threshold, metric, regressions):
             print(f"{name:<{width}}  only in baseline")
             continue
         old, new = base[name], cand[name]
-        change = (new - old) / old * 100.0
+        change = percent_change(old, new)
         marker = ""
         if change > threshold:
             marker = "  <-- REGRESSION"
@@ -232,7 +240,7 @@ def compare_grew_warn_only(base, cand, threshold, title, what):
         if name not in cand:
             continue
         old, new = base[name], cand[name]
-        change = (new - old) / old * 100.0
+        change = percent_change(old, new)
         marker = ""
         if change > threshold:
             marker = "  <-- GREW"
@@ -285,7 +293,8 @@ def main():
             print(f"  {name}: {change:+.2f}%", file=sys.stderr)
         return 1
     print(f"\nno regression beyond {args.threshold:.1f}% "
-          f"({len(base)} baseline benchmarks)")
+          f"({len(base)} baseline benchmarks, {len(base_hist)} "
+          f"histograms)")
     return 0
 
 

@@ -4,7 +4,9 @@
 # host CPU does not report in /proc/cpuinfo.  The vector paths promise
 # bit-identical elementwise results and oracle-clean kernels under any
 # forced ISA; this script is the cheap cross-ISA sweep that catches a
-# path that only works under the auto-dispatch default.
+# path that only works under the auto-dispatch default.  test_serve is
+# on the list because the serving executor calls the MTTKRP kernels
+# directly and compares cached against uncached output bits.
 #
 # Each forced run also re-executes the kernel oracles with
 # PASTA_VALIDATE=kernel so the differential validation layer (vs the
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 TESTS=(test_simd test_mttkrp test_ttv test_ttm test_tew_ts test_methods
-       test_dense test_semisparse_kernels test_csf)
+       test_dense test_semisparse_kernels test_csf test_serve)
 
 for t in "${TESTS[@]}"; do
     if [[ ! -x "${BUILD_DIR}/tests/${t}" ]]; then

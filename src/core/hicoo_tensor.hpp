@@ -79,6 +79,12 @@ class HiCooTensor {
         return einds_[mode][pos];
     }
 
+    /// Element indices of every non-zero along `mode`.
+    const std::vector<EIndex>& element_indices(Size mode) const
+    {
+        return einds_[mode];
+    }
+
     /// Value of non-zero `pos`.
     Value value(Size pos) const { return values_[pos]; }
     Value& value(Size pos) { return values_[pos]; }

@@ -30,6 +30,14 @@
 /// MttkrpVariant it executed so benchmark profiles can report the
 /// crossover.
 ///
+/// Execution.  Every schedule runs one fused loop per worker range (COO)
+/// or block (HiCOO), with the ISA (simd/simd.hpp) picked once per call:
+/// per non-zero it forms the Khatri-Rao product one 16-lane (AVX-512) or
+/// 8-lane (AVX2) stripe at a time in a register and adds it onto the
+/// output row, a private copy's row, or the atomic schedules' run
+/// accumulator.  Every ISA does the scalar loop's multiplies and adds in
+/// the same order, with no FMA, so the ISA does not change output bits.
+///
 /// Output bits.  The block-owner and sequential kernels give the same
 /// bits at any thread count.  The privatized kernels give fixed bits at a
 /// fixed thread count, but their ranges and reduction order follow the
@@ -114,7 +122,9 @@ MttkrpVariant mttkrp_hicoo(const HiCooTensor& x, const FactorList& factors,
                            Size mode, DenseMatrix& out);
 
 /// Block-parallel HiCOO MTTKRP with atomic output updates, available
-/// directly for ablations.
+/// directly for ablations.  As in mttkrp_coo_atomic, consecutive
+/// non-zeros of a block with one output row add up locally and are
+/// flushed with one atomic set per run.
 void mttkrp_hicoo_atomic(const HiCooTensor& x, const FactorList& factors,
                          Size mode, DenseMatrix& out);
 

@@ -3,15 +3,21 @@
 ///
 /// Every primitive has three implementations — portable scalar, AVX2,
 /// and AVX-512 — selected by the Isa handle the caller obtained once per
-/// kernel invocation from simd::active_isa().  The hot kernels call
-/// these per non-zero, so each wrapper is a single predictable switch on
-/// a value held in a register; the intrinsic bodies carry GCC target
-/// attributes, which lets one translation unit hold all three paths
-/// without compiling the whole suite with -mavx*.
+/// kernel invocation from simd::active_isa().  The TTV, TTM, TEW and CSF
+/// kernels call these per fiber, stripe or value run, so each wrapper
+/// is a single predictable switch on a value held in a register; the
+/// intrinsic bodies carry GCC target attributes, which lets one
+/// translation unit hold all three paths without compiling the whole
+/// suite with -mavx*.  GCC does not inline a target body into an
+/// untargeted caller, so every such call stays out of line.  MTTKRP
+/// therefore calls none of them per non-zero: kernels/mttkrp.cpp has its
+/// own per-ISA loops over a whole range of non-zeros (PASTA_TARGET_* and
+/// PASTA_SCALAR_REF below), picked once per call, which keep each
+/// Khatri-Rao stripe in a register.
 ///
 /// Numerical contract: the element-wise primitives (vfill, vscale,
-/// vmul_accumulate, vfma_rows, vaxpy, vadd_inplace, vhadamard, vadd,
-/// vsub, vdiv) perform exactly one IEEE multiply and/or add per element
+/// vfma_rows, vaxpy, vadd_inplace, vhadamard, vadd, vsub,
+/// vdiv) perform exactly one IEEE multiply and/or add per element
 /// in the same order as the scalar loop — no FMA contraction — so their
 /// vector results are bit-identical to the scalar path (tests/test_simd
 /// enforces this).  The reductions (vdot, vdot_gather) reassociate
@@ -89,13 +95,6 @@ vscale_scalar(Value* dst, const Value* src, Value a, Size n)
 {
     for (Size i = 0; i < n; ++i)
         dst[i] = a * src[i];
-}
-
-PASTA_SCALAR_REF inline void
-vmul_accumulate_scalar(Value* acc, const Value* a, Size n)
-{
-    for (Size i = 0; i < n; ++i)
-        acc[i] *= a[i];
 }
 
 PASTA_SCALAR_REF inline void
@@ -252,18 +251,6 @@ vscale_avx2(Value* dst, const Value* src, Value a, Size n)
                          _mm256_mul_ps(va, _mm256_loadu_ps(src + i)));
     for (; i < n; ++i)
         dst[i] = a * src[i];
-}
-
-PASTA_TARGET_AVX2 inline void
-vmul_accumulate_avx2(Value* acc, const Value* a, Size n)
-{
-    Size i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(acc + i,
-                         _mm256_mul_ps(_mm256_loadu_ps(acc + i),
-                                       _mm256_loadu_ps(a + i)));
-    for (; i < n; ++i)
-        acc[i] *= a[i];
 }
 
 PASTA_TARGET_AVX2 inline void
@@ -708,23 +695,6 @@ vscale_avx512(Value* dst, const Value* src, Value a, Size n)
             static_cast<__mmask16>((1u << (n - i)) - 1u);
         const __m512 s = _mm512_maskz_loadu_ps(m, src + i);
         _mm512_mask_storeu_ps(dst + i, m, _mm512_mul_ps(va, s));
-    }
-}
-
-PASTA_TARGET_AVX512 inline void
-vmul_accumulate_avx512(Value* acc, const Value* a, Size n)
-{
-    Size i = 0;
-    for (; i + 16 <= n; i += 16)
-        _mm512_storeu_ps(acc + i,
-                         _mm512_mul_ps(_mm512_loadu_ps(acc + i),
-                                       _mm512_loadu_ps(a + i)));
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        const __m512 va = _mm512_maskz_loadu_ps(m, acc + i);
-        const __m512 vb = _mm512_maskz_loadu_ps(m, a + i);
-        _mm512_mask_storeu_ps(acc + i, m, _mm512_mul_ps(va, vb));
     }
 }
 
@@ -1189,7 +1159,7 @@ vfill(Isa isa, Value* dst, Value v, Size n)
     detail::vfill_scalar(dst, v, n);
 }
 
-/// dst[i] = a * src[i] (fused fill + first mode multiply in MTTKRP).
+/// dst[i] = a * src[i] (CSF leaf: value times factor row).
 inline void
 vscale(Isa isa, Value* dst, const Value* src, Value a, Size n)
 {
@@ -1207,26 +1177,6 @@ vscale(Isa isa, Value* dst, const Value* src, Value a, Size n)
 #endif
     (void)isa;
     detail::vscale_scalar(dst, src, a, n);
-}
-
-/// acc[i] *= a[i] (the Khatri-Rao partial-product step of MTTKRP).
-inline void
-vmul_accumulate(Isa isa, Value* acc, const Value* a, Size n)
-{
-#if PASTA_SIMD_X86
-    switch (isa) {
-      case Isa::kAvx512:
-        detail::vmul_accumulate_avx512(acc, a, n);
-        return;
-      case Isa::kAvx2:
-        detail::vmul_accumulate_avx2(acc, a, n);
-        return;
-      default:
-        break;
-    }
-#endif
-    (void)isa;
-    detail::vmul_accumulate_scalar(acc, a, n);
 }
 
 /// acc[i] += a[i] * b[i] (CSF subtree merge: child partial x factor row).

@@ -1,6 +1,8 @@
 // Tests for the synthetic tensor generators and the dataset catalog.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "common/error.hpp"
@@ -174,6 +176,66 @@ TEST(PowerLaw, RejectsBadAlpha)
     config.nnz = 10;
     config.alpha = 1.0;
     EXPECT_THROW(generate_powerlaw(config), PastaError);
+}
+
+/// FNV-1a over every non-zero's indices and value bits.
+std::uint64_t
+tensor_hash(const CooTensor& t)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&](std::uint32_t word) {
+        for (int b = 0; b < 4; ++b)
+            h = (h ^ ((word >> (8 * b)) & 0xffu)) * 1099511628211ULL;
+    };
+    for (Size p = 0; p < t.nnz(); ++p) {
+        for (Size m = 0; m < t.order(); ++m)
+            mix(t.index(m, p));
+        mix(std::bit_cast<std::uint32_t>(t.value(p)));
+    }
+    return h;
+}
+
+TEST(PowerLaw, GoldenTensors)
+{
+    // Hashes of the generator's output before its sampler constants were
+    // hoisted and its seen-set became open-addressed: the same draws must
+    // be accepted, so every tensor keeps its bits.
+    struct Case {
+        std::vector<Index> dims;
+        Size nnz;
+        double alpha;
+        std::vector<bool> uniform;
+        std::uint64_t seed;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        // all power-law, 3rd order
+        {{3000, 2000, 1000}, 6000, 1.8, {}, 3, 0x08e979f737bc807fULL},
+        // a uniform short mode
+        {{5000, 4000, 24},
+         5000,
+         2.2,
+         {false, false, true},
+         5,
+         0x922cb732ff23b481ULL},
+        // a mode of extent 1
+        {{1, 2500, 700}, 4000, 1.5, {}, 7, 0x5333e9f5113c7ab1ULL},
+        // 4th order, one uniform mode
+        {{400, 300, 200, 16}, 6000, 1.6, {false, false, false, true}, 11,
+         0xfdfba6f3e152283eULL},
+    };
+    for (const Case& c : cases) {
+        PowerLawConfig config;
+        config.dims = c.dims;
+        config.nnz = c.nnz;
+        config.alpha = c.alpha;
+        config.uniform_mode = c.uniform;
+        config.seed = c.seed;
+        const CooTensor t = generate_powerlaw(config);
+        ASSERT_EQ(t.nnz(), c.nnz);
+        EXPECT_EQ(tensor_hash(t), c.hash)
+            << std::hex << "seed " << c.seed << " got 0x" << tensor_hash(t);
+    }
 }
 
 TEST(Datasets, TablesMatchThePaper)

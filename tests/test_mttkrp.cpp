@@ -16,6 +16,8 @@
 #include "kernels/csf_kernels.hpp"
 #include "kernels/mttkrp.hpp"
 #include "kernels/reference.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 
 namespace pasta {
 namespace {
@@ -356,6 +358,33 @@ TEST(MttkrpHicoo, OwnerAndAtomicVariantsAgree)
         EXPECT_LT(max_abs_diff(auto_out, atomic_out), 1e-3)
             << "mode " << mode;
     }
+}
+
+TEST(MttkrpHicoo, AtomicFusesRunsOfOneOutputRow)
+{
+    // A 16-row mode 0 in 16-wide blocks: consecutive non-zeros of a
+    // block often share their mode-0 row.  Each such run is one set of
+    // rank atomics, so mttkrp.atomics = runs x rank < nnz x rank.
+    const Size rank = 8;
+    Problem prob = make_problem({16, 64, 64}, 3000, rank, 31);
+    const HiCooTensor hx = coo_to_hicoo(prob.x, 4);
+    Size runs = 0;
+    for (Size b = 0; b < hx.num_blocks(); ++b)
+        for (Size p = hx.bptr()[b]; p < hx.bptr()[b + 1]; ++p)
+            runs += p == hx.bptr()[b] ||
+                    hx.element_index(0, p) != hx.element_index(0, p - 1);
+    obs::set_mode(obs::TraceMode::kCounters);
+    obs::reset_metrics();
+    DenseMatrix out(16, rank);
+    mttkrp_hicoo_atomic(hx, prob.factors(), 0, out);
+    const std::uint64_t atomics =
+        obs::snapshot_counters().counter("mttkrp.atomics");
+    obs::set_mode(obs::TraceMode::kOff);
+    EXPECT_EQ(atomics, runs * rank);
+    EXPECT_LT(atomics, hx.nnz() * rank);
+    DenseMatrix expected(16, rank);
+    mttkrp_coo_seq(prob.x, prob.factors(), 0, expected);
+    EXPECT_LT(max_abs_diff(out, expected), 1e-3);
 }
 
 TEST(MttkrpHicoo, SmallBlockSizesStillCorrect)

@@ -5,8 +5,11 @@
 // fused TTM-chain driver against its stepwise baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -165,12 +168,6 @@ TEST_F(SimdTest, ElementwisePrimitivesBitIdenticalToScalar)
                 simd::vscale(w, z.data(), x.data(), a, n);
                 (void)acc;
             });
-            check("vmul_accumulate",
-                  [&](simd::Isa w, std::vector<Value>& acc,
-                      std::vector<Value>& z) {
-                      simd::vmul_accumulate(w, acc.data(), x.data(), n);
-                      (void)z;
-                  });
             check("vfma_rows", [&](simd::Isa w, std::vector<Value>& acc,
                                    std::vector<Value>& z) {
                 simd::vfma_rows(w, acc.data(), x.data(), y.data(), n);
@@ -299,39 +296,280 @@ make_problem(const std::vector<Index>& dims, Size nnz, Size rank,
     return prob;
 }
 
+bool
+same_bits(const DenseMatrix& a, const DenseMatrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(Value)) == 0;
+}
+
 TEST_F(SimdTest, MttkrpForcedDispatchBitIdenticalToScalarPath)
 {
-    // Single worker: the elementwise primitives are bit-identical per
-    // ISA, so at a fixed schedule the whole kernel must be too.
+    // Single worker: every ISA's body does the scalar body's multiplies
+    // and adds in the same order, so at a fixed schedule the whole kernel
+    // gives the same bits.  Order 1 has no factor to multiply (the value
+    // alone); ranks straddle lane boundaries and rank 300 exceeds
+    // kMaxStackRank.
     set_num_threads(1);
-    // Ranks straddle lane boundaries (remainders included).
-    for (Size rank : {1u, 7u, 8u, 16u, 19u, 33u}) {
-        Problem prob = make_problem({24, 16, 20}, 400, rank, 77 + rank);
-        const HiCooTensor hicoo = coo_to_hicoo(prob.x, 4);
-        for (Size mode = 0; mode < 3; ++mode) {
-            simd::set_isa(simd::Isa::kScalar);
-            DenseMatrix want(prob.x.dim(mode), rank);
-            mttkrp_coo_atomic(prob.x, prob.factors(), mode, want);
-            DenseMatrix want_h(prob.x.dim(mode), rank);
-            mttkrp_hicoo(hicoo, prob.factors(), mode, want_h);
-            for (simd::Isa isa : supported_vector_isas()) {
-                simd::set_isa(isa);
-                DenseMatrix got(prob.x.dim(mode), rank);
-                mttkrp_coo_atomic(prob.x, prob.factors(), mode, got);
-                DenseMatrix got_h(prob.x.dim(mode), rank);
-                mttkrp_hicoo(hicoo, prob.factors(), mode, got_h);
-                for (Size i = 0; i < want.rows(); ++i)
-                    for (Size r = 0; r < rank; ++r) {
-                        ASSERT_EQ(want(i, r), got(i, r))
-                            << "coo isa=" << simd::isa_name(isa)
-                            << " rank=" << rank << " mode=" << mode;
-                        ASSERT_EQ(want_h(i, r), got_h(i, r))
-                            << "hicoo isa=" << simd::isa_name(isa)
-                            << " rank=" << rank << " mode=" << mode;
-                    }
+    struct Shape {
+        std::vector<Index> dims;
+        Size nnz;
+    };
+    const Shape shapes[] = {{{60}, 40},
+                            {{30, 40}, 300},
+                            {{24, 16, 20}, 400},
+                            {{9, 8, 7, 6}, 400},
+                            {{5, 4, 5, 4, 5, 4, 5, 4}, 400}};
+    for (const Shape& shape : shapes) {
+        const Size order = shape.dims.size();
+        for (Size rank : {1u, 7u, 16u, 17u, 33u, 300u}) {
+            Problem prob = make_problem(shape.dims, shape.nnz, rank,
+                                        77 + rank + order);
+            const HiCooTensor hicoo = coo_to_hicoo(prob.x, 2);
+            const FactorList f = prob.factors();
+            for (Size mode = 0; mode < order; ++mode) {
+                const Index dim = prob.x.dim(mode);
+                const auto run_all = [&] {
+                    std::vector<DenseMatrix> outs(4, DenseMatrix(dim, rank));
+                    mttkrp_coo_atomic(prob.x, f, mode, outs[0]);
+                    mttkrp_coo_privatized(prob.x, f, mode, outs[1]);
+                    mttkrp_hicoo(hicoo, f, mode, outs[2]);
+                    mttkrp_hicoo_privatized(hicoo, f, mode, outs[3]);
+                    return outs;
+                };
+                simd::set_isa(simd::Isa::kScalar);
+                const std::vector<DenseMatrix> want = run_all();
+                for (simd::Isa isa : supported_vector_isas()) {
+                    simd::set_isa(isa);
+                    const std::vector<DenseMatrix> got = run_all();
+                    const char* names[] = {"coo atomic", "coo privatized",
+                                           "hicoo", "hicoo privatized"};
+                    for (Size k = 0; k < want.size(); ++k)
+                        ASSERT_TRUE(same_bits(want[k], got[k]))
+                            << names[k] << " isa=" << simd::isa_name(isa)
+                            << " order=" << order << " rank=" << rank
+                            << " mode=" << mode;
+                }
             }
         }
     }
+}
+
+// ---- fused MTTKRP bodies vs the per-primitive loops --------------------
+//
+// The kernels run one fused loop per range.  Before it they called one
+// dispatched primitive per step per non-zero: vscale (or vfill at order
+// 1), then acc[i] *= row[i] per further mode (the retired
+// vmul_accumulate; an in-place vhadamard here, the same multiply), then
+// vadd_inplace.  The copies of those loops below, on the same schedules,
+// pin the fused bodies to the same multiplies and adds in the same
+// order: a reordered or fused (FMA) multiply changes the bits.
+
+/// An MTTKRP stream flattened in the kernel's order: per non-zero its
+/// value, output row, non-mode factor rows (mode order) and block (0
+/// for COO).
+struct FlatStream {
+    std::vector<Value> val;
+    std::vector<Size> out;
+    std::vector<std::vector<const Value*>> rows;
+    std::vector<Size> block;
+};
+
+FlatStream
+flatten(const CooTensor& x, const FactorList& f, Size mode)
+{
+    FlatStream s;
+    for (Size p = 0; p < x.nnz(); ++p) {
+        s.val.push_back(x.value(p));
+        s.out.push_back(x.index(mode, p));
+        s.rows.emplace_back();
+        for (Size m = 0; m < x.order(); ++m)
+            if (m != mode)
+                s.rows.back().push_back(f[m]->row(x.index(m, p)));
+        s.block.push_back(0);
+    }
+    return s;
+}
+
+FlatStream
+flatten(const HiCooTensor& x, const FactorList& f, Size mode)
+{
+    FlatStream s;
+    for (Size b = 0; b < x.num_blocks(); ++b)
+        for (Size p = x.bptr()[b]; p < x.bptr()[b + 1]; ++p) {
+            s.val.push_back(x.value(p));
+            s.out.push_back(x.coordinate(mode, b, p));
+            s.rows.emplace_back();
+            for (Size m = 0; m < x.order(); ++m)
+                if (m != mode)
+                    s.rows.back().push_back(
+                        f[m]->row(x.coordinate(m, b, p)));
+            s.block.push_back(b);
+        }
+    return s;
+}
+
+/// tmp = the product of non-zero p, one dispatched primitive per step.
+void
+per_primitive_product(simd::Isa isa, const FlatStream& s, Size p,
+                      Value* tmp, Size rank)
+{
+    const auto& rows = s.rows[p];
+    if (rows.empty()) {
+        simd::vfill(isa, tmp, s.val[p], rank);
+        return;
+    }
+    simd::vscale(isa, tmp, rows[0], s.val[p], rank);
+    for (Size k = 1; k < rows.size(); ++k)
+        simd::vhadamard(isa, tmp, tmp, rows[k], rank);
+}
+
+/// Adds each product of `order` (stream positions) onto its row, serially.
+DenseMatrix
+per_primitive_serial(simd::Isa isa, const FlatStream& s, Size dim,
+                     Size rank, const std::vector<Size>& order)
+{
+    DenseMatrix out(dim, rank);
+    std::vector<Value> tmp(rank);
+    for (Size p : order) {
+        per_primitive_product(isa, s, p, tmp.data(), rank);
+        simd::vadd_inplace(isa, out.row(s.out[p]), tmp.data(), rank);
+    }
+    return out;
+}
+
+/// The privatized schedule: one private copy per worker range, then
+/// dst = private[0] + private[1] + ... row by row.
+DenseMatrix
+per_primitive_privatized(simd::Isa isa, const FlatStream& s, Size dim,
+                         Size rank)
+{
+    std::vector<DenseMatrix> privates(num_threads(), DenseMatrix(dim, rank));
+    parallel_for_worker_ranges(
+        0, s.val.size(), [&](int worker, Size first, Size last) {
+            std::vector<Value> tmp(rank);
+            for (Size p = first; p < last; ++p) {
+                per_primitive_product(isa, s, p, tmp.data(), rank);
+                simd::vadd_inplace(isa, privates[worker].row(s.out[p]),
+                                   tmp.data(), rank);
+            }
+        });
+    DenseMatrix out(dim, rank);
+    for (Size i = 0; i < dim; ++i) {
+        std::copy_n(privates[0].row(i), rank, out.row(i));
+        for (Size t = 1; t < privates.size(); ++t)
+            simd::vadd_inplace(isa, out.row(i), privates[t].row(i), rank);
+    }
+    return out;
+}
+
+/// The atomic schedule at one worker: runs of one output row within a
+/// block add up (vadd_inplace) before they are added onto the row.
+DenseMatrix
+per_primitive_runs(simd::Isa isa, const FlatStream& s, Size dim, Size rank)
+{
+    DenseMatrix out(dim, rank);
+    std::vector<Value> acc(rank);
+    std::vector<Value> tmp(rank);
+    const auto flush = [&](Size row) {
+        Value* dst = out.row(row);
+        for (Size r = 0; r < rank; ++r)
+            dst[r] += acc[r];
+    };
+    for (Size p = 0; p < s.val.size(); ++p) {
+        per_primitive_product(isa, s, p, tmp.data(), rank);
+        if (p > 0 && s.block[p] == s.block[p - 1] &&
+            s.out[p] == s.out[p - 1]) {
+            simd::vadd_inplace(isa, acc.data(), tmp.data(), rank);
+        } else {
+            if (p > 0)
+                flush(s.out[p - 1]);
+            acc = tmp;
+        }
+    }
+    if (!s.val.empty())
+        flush(s.out.back());
+    return out;
+}
+
+/// Every MTTKRP schedule of `prob` against its per-primitive loop, per
+/// mode, under each ISA at 1, 2 and 4 threads.  The shape must make
+/// mttkrp_hicoo run the block-owner schedule at every thread count.
+void
+expect_fused_bodies_match(const Problem& prob, Size rank)
+{
+    std::vector<simd::Isa> isas = supported_vector_isas();
+    isas.insert(isas.begin(), simd::Isa::kScalar);
+    const HiCooTensor hicoo = coo_to_hicoo(prob.x, 4);
+    const FactorList f = prob.factors();
+    for (Size mode = 0; mode < prob.x.order(); ++mode) {
+        const Size dim = prob.x.dim(mode);
+        const FlatStream cs = flatten(prob.x, f, mode);
+        const FlatStream hs = flatten(hicoo, f, mode);
+        std::vector<Size> owner_order;
+        for (Size b : hicoo.owner_schedule(mode).blocks)
+            for (Size p = hicoo.bptr()[b]; p < hicoo.bptr()[b + 1]; ++p)
+                owner_order.push_back(p);
+        for (simd::Isa isa : isas) {
+            simd::set_isa(isa);
+            for (int threads : {1, 2, 4}) {
+                set_num_threads(threads);
+                const auto where = [&](const char* kernel) {
+                    return std::string(kernel) + " order=" +
+                           std::to_string(prob.x.order()) + " isa=" +
+                           simd::isa_name(isa) + " threads=" +
+                           std::to_string(threads) + " rank=" +
+                           std::to_string(rank) + " mode=" +
+                           std::to_string(mode);
+                };
+                DenseMatrix out(dim, rank);
+                mttkrp_coo_privatized(prob.x, f, mode, out);
+                ASSERT_TRUE(same_bits(
+                    out, per_primitive_privatized(isa, cs, dim, rank)))
+                    << where("coo privatized");
+                mttkrp_hicoo_privatized(hicoo, f, mode, out);
+                ASSERT_TRUE(same_bits(
+                    out, per_primitive_privatized(isa, hs, dim, rank)))
+                    << where("hicoo privatized");
+                ASSERT_EQ(mttkrp_hicoo(hicoo, f, mode, out),
+                          MttkrpVariant::kBlockOwner)
+                    << where("hicoo");
+                ASSERT_TRUE(same_bits(out, per_primitive_serial(
+                                               isa, hs, dim, rank,
+                                               owner_order)))
+                    << where("hicoo block-owner");
+                if (threads > 1)
+                    continue;  // atomics have a fixed order on one worker
+                mttkrp_coo_atomic(prob.x, f, mode, out);
+                ASSERT_TRUE(
+                    same_bits(out, per_primitive_runs(isa, cs, dim, rank)))
+                    << where("coo atomic");
+                mttkrp_hicoo_atomic(hicoo, f, mode, out);
+                ASSERT_TRUE(
+                    same_bits(out, per_primitive_runs(isa, hs, dim, rank)))
+                    << where("hicoo atomic");
+            }
+        }
+    }
+}
+
+TEST_F(SimdTest, MttkrpFusedBodiesMatchPerPrimitiveLoops)
+{
+    // 2 x threads x dim_mode > nnz refuses the private copies at 2 and 4
+    // threads, and 16-wide blocks give every mode at least 8 owner
+    // groups, so HiCOO runs block-owner at every thread count.  Order 3
+    // takes the bodies specialized for two non-mode factors, order 4 the
+    // general ones.
+    const std::vector<Index> shapes[] = {{600, 500, 400},
+                                         {600, 500, 450, 400}};
+    for (const std::vector<Index>& dims : shapes)
+        for (Size rank : {7u, 16u, 33u}) {
+            expect_fused_bodies_match(
+                make_problem(dims, 1500, rank, 5 + rank), rank);
+            if (HasFatalFailure())
+                return;
+        }
 }
 
 TEST_F(SimdTest, RankBeyondStackScratchRegression)
