@@ -790,7 +790,6 @@ maybe_export_trace(const std::string& stem)
     if (dir.empty())
         dir = ".";
     obs::write_chrome_trace(dir + "/" + stem + ".trace.json");
-    obs::write_spans_jsonl(dir + "/" + stem + ".spans.jsonl");
 }
 
 void

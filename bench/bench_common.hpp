@@ -130,8 +130,7 @@ void maybe_export_csv(const std::string& stem, const SuiteResult& result,
                       const MachineSpec& platform);
 
 /// When PASTA_TRACE arms spans, writes <stem>.trace.json (Chrome
-/// trace-event JSON, Perfetto-loadable) and <stem>.spans.jsonl into
-/// $PASTA_TRACE_DIR (falling back to $PASTA_CSV_DIR, then ".").  The
+/// trace-event JSON, Perfetto-loadable) into $PASTA_TRACE_DIR (falling back to $PASTA_CSV_DIR, then ".").  The
 /// suite runners call this after each campaign; no-op with spans off.
 void maybe_export_trace(const std::string& stem);
 

@@ -24,11 +24,6 @@
 #                    the same build dir (kernel tests + PASTA_VALIDATE
 #                    oracles under every forced PASTA_SIMD dispatch
 #                    target the CPU supports); set BENCH_SIMD=0 to skip
-#   BENCH_OOCORE     when not 0, also run scripts/check_oocore.sh
-#                    against the same build dir (bounded-memory smoke:
-#                    PASTA_MEM_BYTES forces the streaming kernels and
-#                    the journal resume path); set BENCH_OOCORE=0 to
-#                    skip
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,8 +58,8 @@ fi
 
 echo "wrote ${OUT_JSON} (OMP_NUM_THREADS=${OMP_NUM_THREADS})"
 
-# Instrumentation smoke: the same build must produce a valid trace.json,
-# spans.jsonl, and obs CSV/journal columns with PASTA_TRACE=full.
+# Instrumentation smoke: the same build must produce a valid trace.json
+# and obs CSV/journal columns with PASTA_TRACE=full.
 if [ "${BENCH_OBS:-1}" != "0" ]; then
     scripts/check_obs.sh "${BUILD_DIR}"
 fi
@@ -73,10 +68,4 @@ fi
 # under every forced SIMD dispatch target this CPU supports.
 if [ "${BENCH_SIMD:-1}" != "0" ]; then
     scripts/check_simd.sh "${BUILD_DIR}"
-fi
-
-# Bounded-memory smoke: the same build must degrade to the streaming
-# kernels under PASTA_MEM_BYTES and resume trials from the journal.
-if [ "${BENCH_OOCORE:-1}" != "0" ]; then
-    scripts/check_oocore.sh "${BUILD_DIR}"
 fi

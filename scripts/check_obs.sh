@@ -4,9 +4,8 @@
 # throwaway cache, then validates everything the obs subsystem promised
 # to emit:
 #   - <stem>.trace.json is valid JSON in Chrome trace-event form
-#     (traceEvents array of "ph":"X" complete events)
-#   - <stem>.spans.jsonl parses line by line: a pastaMeta header
-#     (pid, monoToEpochUs, spansDropped), then spans with name/dur_us
+#     (traceEvents array of "ph":"X" complete events) with a pastaMeta
+#     block (pid, monoToEpochUs, spansDropped)
 #   - the suite CSV carries the obs columns (variant, obs_flops,
 #     obs_bytes, obs_ai, roofline_pct) with nonzero counter totals
 #   - the run journal carries obs_flops/obs_bytes per trial
@@ -86,32 +85,17 @@ for path in traces:
                                 or "dur" not in ev):
             failures.append(f"{path}: X event missing name/ts/dur")
             break
-    print(f"ok: {os.path.basename(path)} ({len(events)} events)")
-
-jsonls = glob.glob(os.path.join(work, "*.spans.jsonl"))
-if not jsonls:
-    failures.append("no .spans.jsonl written")
-for path in jsonls:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    # First line: the {"pastaMeta":{...}} header (DESIGN.md §11).
-    meta = json.loads(lines[0]).get("pastaMeta") if lines else None
+    # The writer-identity block (DESIGN.md §11).
+    meta = doc.get("pastaMeta")
     if not isinstance(meta, dict):
-        failures.append(f"{path}: first line is not a pastaMeta header")
+        failures.append(f"{path}: no pastaMeta block")
         continue
     for key in ("pid", "monoToEpochUs", "spansDropped"):
         value = meta.get(key)
         if not isinstance(value, int) or isinstance(value, bool) \
                 or value < (1 if key == "pid" else 0):
             failures.append(f"{path}: pastaMeta.{key} is {value!r}")
-    n = 0
-    for line in lines[1:]:
-        span = json.loads(line)
-        if "name" not in span or "dur_us" not in span:
-            failures.append(f"{path}: span missing name/dur_us")
-            break
-        n += 1
-    print(f"ok: {os.path.basename(path)} ({n} spans)")
+    print(f"ok: {os.path.basename(path)} ({len(events)} events)")
 
 obs_cols = {"variant", "obs_flops", "obs_bytes", "obs_ai",
             "roofline_pct"}

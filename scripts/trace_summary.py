@@ -3,10 +3,8 @@
 
 Usage: scripts/trace_summary.py TRACE [--top N]
 
-TRACE is either a <stem>.trace.json (Chrome trace-event JSON as written
-by the bench suites with PASTA_TRACE=spans/full) or a <stem>.spans.jsonl
-(one span object per line); the format is chosen by file extension.
-The leading pastaMeta header line of spans.jsonl files is skipped.
+TRACE is a <stem>.trace.json (Chrome trace-event JSON as written by the
+bench suites with PASTA_TRACE=spans/full).
 
 Two tables are printed:
   - the top-N phases by cumulative duration (count, total, mean, max),
@@ -23,18 +21,7 @@ from collections import defaultdict
 
 
 def load_spans(path):
-    """Yield (name, tid, depth, dur_us) from either trace format."""
-    if path.endswith(".jsonl"):
-        with open(path) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                span = json.loads(line)
-                if "pastaMeta" in span:
-                    continue  # writer-identity header, not a span
-                yield (span.get("name", "?"), span.get("tid", 0),
-                       span.get("depth", 0), float(span.get("dur_us", 0)))
-        return
+    """Yield (name, tid, depth, dur_us) from a Chrome trace."""
     with open(path) as f:
         doc = json.load(f)
     for event in doc.get("traceEvents", []):
@@ -48,7 +35,7 @@ def load_spans(path):
 def main():
     parser = argparse.ArgumentParser(
         description="Top-N phase and thread-imbalance report")
-    parser.add_argument("trace", help="*.trace.json or *.spans.jsonl")
+    parser.add_argument("trace", help="*.trace.json")
     parser.add_argument("--top", type=int, default=15,
                         help="phases to print (default 15)")
     args = parser.parse_args()

@@ -62,9 +62,6 @@ const Knob kKnobs[] = {
     {.name = "PASTA_SIMD", .kind = K::kChoice, .fallback = "auto",
      .words = "auto|avx512|avx2|scalar",
      .doc = "rank-loop micro-kernel ISA; auto = widest supported"},
-    // Out-of-core driver (bench_oocore, scripts/check_oocore.sh).
-    {.name = "PASTA_OOCORE_DATASET", .kind = K::kText, .fallback = "s1",
-     .doc = "Table II id bench_oocore synthesizes"},
 };
 
 /// The text to parse: the environment's value, else the default.

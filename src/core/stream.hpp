@@ -84,8 +84,8 @@ struct StreamOptions {
     std::string checkpoint_path;
 };
 
-/// How a budgeted entry point routed and how far it got; mirrored into
-/// the obs label "stream.variant" and the journal's partition fields.
+/// How a budgeted entry point routed and how far it got; the variant is
+/// mirrored into the obs label "stream.variant".
 struct StreamDecision {
     bool streamed = false;    ///< false: in-memory kernel ran
     Size partitions = 1;      ///< P of the sweep (1 for in-memory)

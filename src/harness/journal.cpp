@@ -35,8 +35,6 @@ to_json_line(const JournalEntry& entry)
         .key("obs_flops").num(entry.obs_flops)
         .key("obs_bytes").num(entry.obs_bytes)
         .key("mem_peak").num(entry.mem_peak)
-        .key("partitions_done").i64(entry.partitions_done)
-        .key("partitions_total").i64(entry.partitions_total)
         .end_object();
     return line;
 }
@@ -57,9 +55,7 @@ parse_json_line(const std::string& line, JournalEntry& entry)
         !doc.get_optional("variant", e.variant) ||
         !doc.get_optional("obs_flops", e.obs_flops) ||
         !doc.get_optional("obs_bytes", e.obs_bytes) ||
-        !doc.get_optional("mem_peak", e.mem_peak) ||
-        !doc.get_optional("partitions_done", e.partitions_done) ||
-        !doc.get_optional("partitions_total", e.partitions_total))
+        !doc.get_optional("mem_peak", e.mem_peak))
         return false;
     entry = std::move(e);
     return true;

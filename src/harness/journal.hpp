@@ -36,7 +36,7 @@ struct JournalEntry {
     int attempts = 0;
     std::string error;
     /// Failure class: "" (success), "error", "oom", or "validation"
-    /// (harness::failure_class); bench_oocore adds "progress" lines.
+    /// (harness::failure_class).
     /// Serialized as the optional "class" field; absent in pre-PR-2
     /// journals, which parse as "".
     std::string failure_class;
@@ -47,13 +47,9 @@ struct JournalEntry {
     std::string variant;
     double obs_flops = 0;
     double obs_bytes = 0;
-    /// Bounded-memory channel: the trial's peak governor-reserved bytes
-    /// and, for out-of-core sweeps, the partition progress — a killed
-    /// trial's journal line says how far it got, and the checkpointed
-    /// rerun resumes from there.  Optional like the obs fields.
+    /// Bounded-memory channel: the trial's peak governor-reserved bytes.
+    /// Optional like the obs fields.
     double mem_peak = 0;
-    int partitions_done = 0;
-    int partitions_total = 0;
 };
 
 /// Serializes an entry as one JSON line (no trailing newline).

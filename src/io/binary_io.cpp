@@ -20,8 +20,7 @@ namespace pasta {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'T', 'B'};
-constexpr std::uint32_t kVersionV2 = 2;  ///< packed sections, no table
-constexpr std::uint32_t kVersion = 3;    ///< page-aligned section table
+constexpr std::uint32_t kVersion = 3;  ///< page-aligned section table
 
 /// Section alignment: one page, so an mmap reader gets naturally
 /// aligned typed pointers and partition sweeps touch whole pages.
@@ -107,70 +106,6 @@ check_header_v3(const std::string& path, std::uint64_t order,
     h.nnz = nnz;
     h.sections = std::move(sections);
     return h;
-}
-
-/// v2 body: packed sections right after the header, trailing checksum.
-CooTensor
-read_body_v2(std::ifstream& in, const std::string& path)
-{
-    std::uint64_t order = 0;
-    std::uint64_t nnz = 0;
-    read_pod(in, order);
-    read_pod(in, nnz);
-    PASTA_CHECK_MSG(in.good() && order >= 1 && order <= 16,
-                    "implausible order " << order << " in " << path);
-    PASTA_CHECK_MSG(nnz <= kMaxPlausibleNnz,
-                    "implausible nnz " << nnz << " in " << path
-                                       << " (corrupt header?)");
-    std::uint64_t checksum = fnv1a64(nullptr, 0);
-    std::vector<Index> dims(order);
-    for (auto& d : dims) {
-        read_pod(in, d);
-        checksum = fnv1a64(&d, sizeof(d), checksum);
-    }
-    // Before trusting nnz with an allocation, bound it against the bytes
-    // actually present: a truncated-but-plausible header must not drive a
-    // multi-GB resize only to fail the checksum afterwards.
-    const std::streamoff payload_start = in.tellg();
-    in.seekg(0, std::ios::end);
-    const std::streamoff file_end = in.tellg();
-    in.seekg(payload_start, std::ios::beg);
-    PASTA_CHECK_MSG(in.good() && payload_start >= 0 &&
-                        file_end >= payload_start,
-                    "cannot size " << path);
-    const std::uint64_t remaining =
-        static_cast<std::uint64_t>(file_end - payload_start);
-    const std::uint64_t expected =
-        nnz * (order * sizeof(Index) + sizeof(Value)) + sizeof(checksum);
-    PASTA_CHECK_MSG(remaining >= expected,
-                    "truncated PSTB file "
-                        << path << ": header promises " << expected
-                        << " payload bytes, " << remaining
-                        << " present (refusing allocation)");
-    membudget::check(membudget::coo_bytes(order, nnz), "binary_io.read");
-    CooTensor x(dims);
-    x.resize_nnz(nnz);
-    for (Size m = 0; m < x.order(); ++m) {
-        in.read(reinterpret_cast<char*>(x.mode_indices(m).data()),
-                static_cast<std::streamsize>(nnz * sizeof(Index)));
-        checksum = fnv1a64(x.mode_indices(m).data(), nnz * sizeof(Index),
-                           checksum);
-    }
-    in.read(reinterpret_cast<char*>(x.values().data()),
-            static_cast<std::streamsize>(nnz * sizeof(Value)));
-    checksum = fnv1a64(x.values().data(), nnz * sizeof(Value), checksum);
-    PASTA_CHECK_MSG(in.good(), "truncated PSTB file " << path);
-    std::uint64_t stored = 0;
-    read_pod(in, stored);
-    PASTA_CHECK_MSG(in.good(), "truncated PSTB file " << path
-                                                      << " (no checksum)");
-    PASTA_CHECK_MSG(stored == checksum,
-                    "checksum mismatch in " << path << " (stored 0x"
-                                            << std::hex << stored
-                                            << ", computed 0x" << checksum
-                                            << std::dec
-                                            << "): corrupt cache entry");
-    return x;
 }
 
 /// Reads and validates a v3 header from an open stream positioned right
@@ -407,13 +342,11 @@ read_binary_file(const std::string& path)
                     path << " is not a PSTB file");
     std::uint32_t version = 0;
     read_pod(in, version);
-    PASTA_CHECK_MSG(version == kVersionV2 || version == kVersion,
+    PASTA_CHECK_MSG(version == kVersion,
                     "unsupported PSTB version " << version << " in " << path
-                                                << " (expected " << kVersionV2
-                                                << " or " << kVersion
+                                                << " (expected " << kVersion
                                                 << ")");
-    CooTensor x = version == kVersionV2 ? read_body_v2(in, path)
-                                        : read_body_v3(in, path);
+    CooTensor x = read_body_v3(in, path);
     for (Size p = 0; p < x.nnz(); ++p)
         PASTA_CHECK_MSG(std::isfinite(static_cast<double>(x.value(p))),
                         "non-finite value " << x.value(p) << " at non-zero "

@@ -17,15 +17,13 @@
 /// the file size is validated against the header-declared section sizes
 /// *up front* — a truncated file fails before any allocation or read,
 /// never mid-read with a partial tensor.  The trailing payload checksum
-/// covers dims + index arrays + values exactly as v2 did; full reads
-/// verify it, while mmap opens skip it by default (verifying would page
-/// the whole file in) and offer verify_checksum() for callers that want
-/// the end-to-end guarantee.
+/// covers dims + index arrays + values; full reads verify it, while mmap
+/// opens skip it by default (verifying would page the whole file in) and
+/// offer verify_checksum() for callers that want the end-to-end
+/// guarantee.
 ///
-/// v2 files (header + packed sections + trailing checksum, no section
-/// table) remain readable through read_binary_file, so pre-existing
-/// caches keep working; write_binary_file always emits v3 and the
-/// registry regenerates anything older on its usual self-healing path.
+/// Only v3 is read; the registry regenerates an older cache entry on its
+/// usual self-healing path.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +43,7 @@ std::uint64_t fnv1a64(const void* data, std::size_t n,
 /// failure.
 void write_binary_file(const std::string& path, const CooTensor& x);
 
-/// Reads a PSTB file (v2 or v3) fully into memory; throws PastaError on
+/// Reads a PSTB v3 file fully into memory; throws PastaError on
 /// IO/format/checksum errors and membudget::HostOomError when the
 /// resident tensor would not fit the armed memory budget.
 CooTensor read_binary_file(const std::string& path);

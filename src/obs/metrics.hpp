@@ -28,8 +28,9 @@
 /// which forward into this registry only when counters are armed; live
 /// serving and trial sites record unconditionally.
 ///
-/// The snapshot (MetricsSnapshot) feeds per-trial deltas, the text
-/// report (obs/report.hpp) and the heartbeat JSONL.  A heartbeat line is snapshot_to_json() of it:
+/// The snapshot (MetricsSnapshot) feeds per-trial deltas
+/// (obs/report.hpp) and the heartbeat JSONL.  A heartbeat line is
+/// snapshot_to_json() of it:
 ///   {"ts":..,"seq":N,"source":"..","counters":{"name":total,..},
 ///    "gauges":{"name":value,..},"hists":{"name":{"count":..,"sum":..,
 ///    "min":..,"max":..,"buckets":[[idx,count],..]},..}}
@@ -52,7 +53,7 @@
 
 namespace pasta::obs {
 
-/// Per-worker slots kept by each counter for load-imbalance reporting.
+/// Per-worker slots kept by each counter (CounterSample::worker).
 /// Matches the suite's practical ceiling on parallel_for workers.
 inline constexpr int kMaxWorkers = 64;
 
@@ -133,8 +134,8 @@ class Counter {
 
     /// total += v, and the worker's slot += v.  Workers at or beyond
     /// kMaxWorkers spill into a shared overflow cell — counted, not
-    /// dropped — so oversubscribed runs keep exact totals and the
-    /// imbalance report can say how much work went unattributed.
+    /// dropped — so oversubscribed runs keep exact totals and a
+    /// snapshot can say how much work went unattributed.
     /// Negative workers stay total-only.
     void add_worker(int worker, std::uint64_t v)
     {

@@ -317,35 +317,4 @@ write_chrome_trace(const std::string& path)
     return true;
 }
 
-bool
-write_spans_jsonl(const std::string& path)
-{
-    const std::vector<SpanRecord> spans = collect_spans();
-    const std::uint64_t dropped = spans_dropped();
-    std::string out;
-    json::Writer header(out);
-    begin_meta(header.begin_object().key("pastaMeta"), dropped)
-        .end_object()
-        .end_object();
-    out += '\n';
-    for (const auto& s : spans) {
-        json::Writer(out)
-            .begin_object()
-            .key("name").str(s.name)
-            .key("tid").i64(s.tid)
-            .key("depth").i64(s.depth)
-            .key("ts_us").fixed(s.ts_us, 3)
-            .key("dur_us").fixed(s.dur_us, 3)
-            .end_object();
-        out += '\n';
-    }
-    if (!write_text(path, out)) {
-        PASTA_LOG_WARN << "cannot write span stream " << path;
-        return false;
-    }
-    warn_dropped_once(dropped, path);
-    PASTA_LOG_INFO << "wrote " << path << " (" << spans.size() << " spans)";
-    return true;
-}
-
 }  // namespace pasta::obs

@@ -148,11 +148,6 @@ std::int64_t trace_wall_offset_us();
 /// Returns false (logging a warning) when the file cannot be written.
 bool write_chrome_trace(const std::string& path);
 
-/// Writes the collected spans as JSONL: one "pastaMeta" header line
-/// (pid, clock offset, dropped count), then one flat object per span:
-///   {"name":"convert.hicoo","tid":0,"depth":1,"ts_us":12.5,"dur_us":3.1}
-bool write_spans_jsonl(const std::string& path);
-
 #define PASTA_OBS_CONCAT2(a, b) a##b
 #define PASTA_OBS_CONCAT(a, b) PASTA_OBS_CONCAT2(a, b)
 

@@ -490,11 +490,12 @@ TEST(Config, UnknownNamesAreRejectedByName)
     ScopedEnv retries("PASTA_TRIAL_RETRIES", "3");
     ScopedEnv prefetch("PASTA_SIMD_PREFETCH", "8");
     ScopedEnv budget("PASTA_OOCORE_BUDGET", "100000");
+    ScopedEnv dataset("PASTA_OOCORE_DATASET", "s1");
     const std::string error = error_of(bench::options_from_env);
     for (const char* name :
          {"PASTA_VALIDTE", "PASTA_THREADS", "PASTA_TRIAL_TIMEOUT",
           "PASTA_TRIAL_RETRIES", "PASTA_SIMD_PREFETCH",
-          "PASTA_OOCORE_BUDGET"})
+          "PASTA_OOCORE_BUDGET", "PASTA_OOCORE_DATASET"})
         EXPECT_NE(error.find(name), std::string::npos) << error;
 }
 

@@ -220,6 +220,40 @@ TEST(Registry, RegeneratesOnStaleCache)
     }
     CooTensor second = registry.load("irrS");
     EXPECT_TRUE(first.same_pattern(second));
+
+    // A well-formed entry of the retired PSTB v2 layout (packed sections,
+    // no section table, trailing payload checksum) is stale too.
+    const std::string path = registry.cache_path(spec);
+    {
+        std::ofstream f(path, std::ios::binary);
+        const auto put = [&](const void* p, std::size_t n) {
+            f.write(static_cast<const char*>(p),
+                    static_cast<std::streamsize>(n));
+        };
+        const std::uint32_t version = 2;
+        const std::uint64_t order = first.order();
+        const std::uint64_t nnz = first.nnz();
+        f.write("PSTB", 4);
+        put(&version, sizeof(version));
+        put(&order, sizeof(order));
+        put(&nnz, sizeof(nnz));
+        std::uint64_t sum = fnv1a64(first.dims().data(),
+                                    order * sizeof(Index));
+        put(first.dims().data(), order * sizeof(Index));
+        for (Size m = 0; m < first.order(); ++m) {
+            put(first.mode_indices(m).data(), nnz * sizeof(Index));
+            sum = fnv1a64(first.mode_indices(m).data(), nnz * sizeof(Index),
+                          sum);
+        }
+        put(first.values().data(), nnz * sizeof(Value));
+        sum = fnv1a64(first.values().data(), nnz * sizeof(Value), sum);
+        put(&sum, sizeof(sum));
+    }
+    EXPECT_THROW(read_binary_file(path), PastaError);
+    CooTensor third = registry.load("irrS");
+    EXPECT_TRUE(first.same_pattern(third));
+    EXPECT_EQ(first.values(), third.values());
+    EXPECT_NO_THROW(read_binary_file(path));  // regenerated as v3
 }
 
 TEST(Registry, ConcurrentLoadsSeeOneConsistentTensor)

@@ -395,6 +395,11 @@ TEST_F(Oocore, MttkrpCheckpointResumesAfterKill)
                  std::runtime_error);
     EXPECT_TRUE(std::filesystem::exists(ckpt));
 
+    // A writer killed mid-publish leaves <ckpt>.tmp beside the log.  The
+    // resume keeps the log, so only the sweep's own cleanup removes it.
+    const std::string leftover = ckpt + ".tmp";
+    std::ofstream(leftover, std::ios::binary) << "PSCK half-written";
+
     // Second run resumes at partition 2 and finishes bit-identically.
     stream::StreamOptions resume;
     resume.checkpoint_path = ckpt;
@@ -404,6 +409,7 @@ TEST_F(Oocore, MttkrpCheckpointResumesAfterKill)
     membudget::MemGovernor::instance().configure(0);
     EXPECT_EQ(d.resumed_from, 2u);
     EXPECT_GT(d.partitions, 2u);
+    EXPECT_FALSE(std::filesystem::exists(leftover));
     EXPECT_EQ(0, std::memcmp(out2.data(), expected.data(),
                              x.dim(0) * rank * sizeof(Value)));
 
@@ -763,7 +769,7 @@ TEST_F(Oocore, TrialHarnessDegradesOnHostOom)
 
 // ---------------------------------------------------------------- journal
 
-TEST_F(Oocore, JournalCarriesMemoryAndPartitionFields)
+TEST_F(Oocore, JournalCarriesMemoryPeak)
 {
     harness::JournalEntry entry;
     entry.tensor_id = "r1";
@@ -772,25 +778,31 @@ TEST_F(Oocore, JournalCarriesMemoryAndPartitionFields)
     entry.ok = true;
     entry.seconds = 0.5;
     entry.mem_peak = 123456;
-    entry.partitions_done = 5;
-    entry.partitions_total = 16;
 
     harness::JournalEntry parsed;
     ASSERT_TRUE(harness::parse_json_line(harness::to_json_line(entry),
                                          parsed));
     EXPECT_EQ(parsed.mem_peak, 123456);
-    EXPECT_EQ(parsed.partitions_done, 5);
-    EXPECT_EQ(parsed.partitions_total, 16);
 
-    // Pre-governor journal lines (no new fields) still parse.
+    // Pre-governor journal lines (no mem_peak) still parse.
     harness::JournalEntry legacy;
     ASSERT_TRUE(harness::parse_json_line(
         R"({"tensor":"r1","kernel":"TTV","format":"COO","ok":true,)"
         R"("seconds":1.5,"flops":1,"bytes":2,"attempts":1,"error":""})",
         legacy));
     EXPECT_EQ(legacy.mem_peak, 0);
-    EXPECT_EQ(legacy.partitions_done, 0);
-    EXPECT_EQ(legacy.partitions_total, 0);
+
+    // Lines from builds that journaled sweep progress still parse: the
+    // retired partition keys are ignored like any unknown field.
+    harness::JournalEntry progress;
+    ASSERT_TRUE(harness::parse_json_line(
+        R"({"tensor":"s1","kernel":"MTTKRP","format":"OOC","ok":false,)"
+        R"("class":"progress","mem_peak":4096,"partitions_done":3,)"
+        R"("partitions_total":16})",
+        progress));
+    EXPECT_EQ(progress.kernel, "MTTKRP");
+    EXPECT_FALSE(progress.ok);
+    EXPECT_EQ(progress.mem_peak, 4096);
 }
 
 }  // namespace

@@ -185,6 +185,15 @@ TEST(Efficiency, RunMathIsConsistent)
     // Roofline = OI (1/8) x 205 GB/s = 25.625 GFLOPS.
     EXPECT_NEAR(run_roofline_gflops(run, spec), 25.625, 1e-9);
     EXPECT_NEAR(run_efficiency(run, spec), 1.0 / 25.625, 1e-9);
+    // Without counters the roofline percentage uses the Table I OI ...
+    EXPECT_NEAR(run_roofline_pct(run, spec), 100.0 / 25.625, 1e-9);
+    // ... and with them the counter-derived AI: 0.1 x 205 GB/s = 20.5.
+    run.obs_flops = 1;
+    run.obs_bytes = 10;
+    EXPECT_NEAR(run_roofline_pct(run, spec), 100.0 / 20.5, 1e-9);
+    // Degenerate inputs are 0, never NaN/inf.
+    run.seconds = 0;
+    EXPECT_EQ(run_roofline_pct(run, spec), 0.0);
 }
 
 TEST(Efficiency, SummaryFiltersAndAverages)
